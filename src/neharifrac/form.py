@@ -9,16 +9,17 @@ double-integral energy
 of the piecewise-linear interpolant extended by zero, where kappa collects
 the interaction with the exterior of the interval.
 
-Quadrature split, driven by where the kernel is singular:
-  * identical and adjacent cell pairs: exact closed-form integrals (the
-    piecewise-linear difference cancels the singularity; the primitives
-    are plain power functions since s < 1/2),
-  * separated cell pairs (gap >= 2 cells): tensor Gauss-Legendre rule per
-    cell; the kernel is smooth there but steep enough near the diagonal
-    that a midpoint rule loses percent-level accuracy,
-  * exterior term: exact per-cell moments of kappa against products of the
-    two linear shape functions, which handles the integrable blow-up of
-    kappa at the boundary without any quadrature.
+The two terms together are the full-line energy of the zero extension,
+which is translation-invariant. On a uniform grid the Galerkin matrix of
+the hat functions is therefore Toeplitz (Duo, van Wyk & Zhang, JCP 2018),
+with entries in closed form: for m = |i-j|,
+
+    G_ij = 2 h^{1-2s} / [(1-2s)(2-2s)(3-2s)(2s)]
+           * sum_{k=0..4} (-1)^k C(4,k) |m+k-2|^{3-2s}.
+
+Taken literally, the fourth difference cancels catastrophically for large
+m and the 1/(1-2s) factor for s near 1/2; form_symbol evaluates it without
+either loss.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 from .errors import GridMismatch, InvalidOrder
 from .problem import GridFunction, GridPair, GridSpec
 
-GAUSS_POINTS = 3  # per cell, for separated pairs
+SERIES_TERMS = 30  # powers m^{-4} ... m^{-62}; for m >= 3 the tail is below roundoff
+_FOURTH_DIFFERENCE = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
 
 
 def _check_order(s: float) -> None:
@@ -59,57 +61,44 @@ def same_cell_integral(h: float, s: float) -> float:
     return 2.0 * h ** (3 - 2 * s) / ((2 - 2 * s) * (3 - 2 * s))
 
 
-def adjacent_cell_integrals(s: float) -> tuple[float, float]:
-    """Exact unit-cell integrals over adjacent cells.
+def form_symbol(s: float, h: float, count: int) -> np.ndarray:
+    """Toeplitz entries G_{i,i+m} for m = 0 .. count-1 on a grid of width h.
 
-    Returns (J1, J2) with
-        J1 = int_0^1 int_0^1 a^2 (a+b)^{-(1+2s)} da db,
-        J2 = int_0^1 int_0^1 a b (a+b)^{-(1+2s)} da db,
-    where a, b are the distances to the shared node. Scaling a physical
-    cell of width h multiplies both by h^{3-2s}.
+    m < 3: |x|^{3-2s}/(1-2s) is replaced by x^2 expm1((1-2s) log|x|)/(1-2s);
+    the two differ by x^2/(1-2s), which the fourth difference annihilates,
+    and the replacement has a finite limit as s -> 1/2.
+
+    m >= 3: binomial series of |m+d|^{3-2s} in d/m. Odd powers and the
+    powers 0 and 2 drop out of the fourth difference, and the factors
+    (1-2s)(2-2s)(3-2s)(2s) cancel against the binomial coefficients, so
+    G = -2 h^{1-2s} sum_{j even >= 4} P_j (2^{j+1} - 8) m^{3-2s-j} with
+    P_j = prod_{i=4}^{j-1} (3-2s-i) / j!.
     """
-    e1, e2, e3 = 1 - 2 * s, 2 - 2 * s, 3 - 2 * s
-    # D = int_0^1 a^2 (a+1)^{-2s} da, expanded via t = a+1 on [1, 2]
-    D = (2**e3 - 1) / e3 - 2 * (2**e2 - 1) / e2 + (2**e1 - 1) / e1
-    J1 = (1 / e3 - D) / (2 * s)
-    # int (a+b)^{1-2s} over the unit square = 2 J1 + 2 J2
-    T = (2**e3 - 2) / (e2 * e3)
-    J2 = (T - 2 * J1) / 2
-    return J1, J2
+    _check_order(s)
+    e = 3.0 - 2.0 * s
+    m = np.arange(count, dtype=float)
+    c = np.empty(count)
 
+    near = m[:3]
+    x = np.abs(near[:, None] + np.arange(-2.0, 3.0))
+    with np.errstate(divide="ignore"):  # x = 0: log -> -inf, and 0 * expm1(-inf) = 0
+        terms = x * x * np.expm1((1 - 2 * s) * np.log(x)) / (1 - 2 * s)
+    c[:3] = 2.0 * (terms @ _FOURTH_DIFFERENCE) / ((2 - 2 * s) * (3 - 2 * s) * (2 * s))
 
-def _exterior_cell_moments(grid: GridSpec, s: float):
-    """Exact per-cell moments of kappa against 1, t, t^2.
-
-    t is the local coordinate on the cell, so the three moments determine
-    the integral of kappa against any product of the two linear shape
-    functions. All primitives are power functions with positive exponents
-    1-2s, 2-2s, 3-2s, so the boundary cells (where kappa blows up) come
-    out finite and exact.
-    """
-    x = grid.nodes()
-    h = grid.h
-    e1, e2, e3 = 1 - 2 * s, 2 - 2 * s, 3 - 2 * s
-    two_s = 2 * s
-    # left-blowup part, xi = x - L on [xi0, xi0 + h]
-    xi0 = x[:-1] - grid.left
-    xi1 = xi0 + h
-    E1 = (xi1**e1 - xi0**e1) / e1
-    E2 = (xi1**e2 - xi0**e2) / e2
-    E3 = (xi1**e3 - xi0**e3) / e3
-    m0 = E1 / two_s
-    m1 = (E2 - xi0 * E1) / (two_s * h)
-    m2 = (E3 - 2 * xi0 * E2 + xi0**2 * E1) / (two_s * h * h)
-    # right-blowup part, zeta = R - x on [z0, z0 + h]; local t = (z1 - zeta)/h
-    z0 = grid.right - x[1:]
-    z1 = z0 + h
-    B1 = (z1**e1 - z0**e1) / e1
-    B2 = (z1**e2 - z0**e2) / e2
-    B3 = (z1**e3 - z0**e3) / e3
-    m0 += B1 / two_s
-    m1 += (z1 * B1 - B2) / (two_s * h)
-    m2 += (z1 * z1 * B1 - 2 * z1 * B2 + B3) / (two_s * h * h)
-    return m0, m1, m2
+    coef = np.empty(SERIES_TERMS)
+    p = 1.0 / 24.0
+    for k in range(SERIES_TERMS):
+        j = 4 + 2 * k
+        if k:
+            p *= (e - j + 2) * (e - j + 1) / ((j - 1) * j)
+        coef[k] = p * (2.0 ** (j + 1) - 8.0)
+    far = m[3:]
+    inv_sq = far ** -2.0
+    acc = np.zeros_like(far)
+    for a in coef[::-1]:  # Horner in m^{-2}
+        acc = acc * inv_sq + a
+    c[3:] = -2.0 * far ** (e - 4.0) * acc
+    return h ** (1 - 2 * s) * c
 
 
 @dataclass
@@ -129,65 +118,13 @@ class GagliardoForm:
 
 def assemble_form(grid: GridSpec, s: float) -> GagliardoForm:
     """Assemble the energy form matrix for piecewise-linear nodal functions."""
-    _check_order(s)
-    N = grid.cells
-    h = grid.h
-    x = grid.nodes()
-    idx = np.arange(N)
-    G = np.zeros((N + 1, N + 1))
-
-    # node-difference matrix: (D u)_k = u_{k+1} - u_k
-    D = np.zeros((N, N + 1))
-    D[idx, idx] = -1.0
-    D[idx, idx + 1] = 1.0
-
-    # identical cell pairs: slope_k^2 * same_cell_integral
-    G += same_cell_integral(1.0, s) * h ** (1 - 2 * s) * (D.T @ D)
-
-    # adjacent cell pairs (both orders), expressed on cell slopes
-    J1, J2 = adjacent_cell_integrals(s)
-    M = np.zeros((N, N))
-    i = np.arange(N - 1)
-    np.add.at(M, (i, i), 2 * J1)
-    np.add.at(M, (i + 1, i + 1), 2 * J1)
-    M[i, i + 1] += 2 * J2
-    M[i + 1, i] += 2 * J2
-    G += h ** (1 - 2 * s) * (D.T @ M @ D)
-
-    # separated pairs: Gauss rule per cell, graph-Laplacian structure over
-    # the quadrature points (each ordered pair counted once)
-    ng = GAUSS_POINTS
-    gp, gw = np.polynomial.legendre.leggauss(ng)
-    t = (gp + 1) / 2
-    wt = gw / 2
-    pts = (x[:-1, None] + h * t[None, :]).reshape(-1)
-    wts = np.tile(h * wt, N)
-    dist = np.abs(pts[:, None] - pts[None, :])
-    cell = np.repeat(idx, ng)
-    sep = np.abs(cell[:, None] - cell[None, :]) >= 2
-    W = np.zeros_like(dist)
-    W[sep] = 2.0 * (wts[:, None] * wts[None, :])[sep] * dist[sep] ** (-1 - 2 * s)
-    rows = W.sum(axis=1)
-    shape = np.stack([1 - t, t])  # linear shape functions at the Gauss points
-    W4 = W.reshape(N, ng, N, ng)
-    R4 = rows.reshape(N, ng)
-    for p in range(2):
-        for r in range(2):
-            C = np.einsum("a,kalb,b->kl", shape[p], W4, shape[r])
-            G[p:N + p, r:N + r] -= C
-            d = np.einsum("a,ka,a->k", shape[p], R4, shape[r])
-            G[idx + p, idx + r] += d
-
-    # exterior interaction: exact tridiagonal cell integrals of kappa
-    m0, m1, m2 = _exterior_cell_moments(grid, s)
-    G[idx, idx] += 2 * (m0 - 2 * m1 + m2)
-    G[idx, idx + 1] += 2 * (m1 - m2)
-    G[idx + 1, idx] += 2 * (m1 - m2)
-    G[idx + 1, idx + 1] += 2 * m2
-
-    interior = G[1:N, 1:N]
-    interior = 0.5 * (interior + interior.T)  # exact symmetry
-    return GagliardoForm(matrix=interior, quad_weights=grid.trapezoid_weights(),
+    n = grid.cells - 1
+    c = form_symbol(s, grid.h, n)
+    # row i of the sliding windows over [c_{n-1} .. c_1, c_0, c_1 .. c_{n-1}],
+    # taken in reverse, is c[|i - j|] for j = 0 .. n-1
+    mirrored = np.concatenate([c[:0:-1], c])
+    matrix = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
+    return GagliardoForm(matrix=matrix, quad_weights=grid.trapezoid_weights(),
                          s=s, grid=grid)
 
 

@@ -145,46 +145,55 @@ def rayleigh_quotient(form: GagliardoForm, r: float, values: np.ndarray) -> floa
     return num / den
 
 
-def _quotient_gradient(form: GagliardoForm, r: float, values: np.ndarray) -> np.ndarray:
-    v = values[1:-1]
-    num = float(v @ form.matrix @ v)
-    den_sum = float(np.sum(form.quad_weights * np.abs(values) ** r))
-    den = den_sum ** (2.0 / r)
-    g = np.zeros_like(values)
-    g[1:-1] = (2.0 * (form.matrix @ v) / den
-               - (num / den) * (2.0 / r)
-               * (r * form.quad_weights[1:-1] * np.sign(v) * np.abs(v) ** (r - 1))
-               / den_sum)
-    return g
-
-
 def _descend_quotient(form: GagliardoForm, r: float, values: np.ndarray,
                       max_iters: int, step0: float) -> float:
+    """Normalized gradient descent on the quotient with backtracking.
+
+    G v is carried along the iterates: a trial v - a d needs only G d, one
+    product per iteration, since its numerator is
+    v'Gv - 2a d'Gv + a^2 d'Gd. The exact quotient of the final iterate is
+    returned, so the estimate is always the quotient of a real vector.
+    """
+    G = form.matrix
+    w = form.quad_weights[1:-1]
     u = values / np.abs(values).max()
-    best = rayleigh_quotient(form, r, u)
+    start = best = rayleigh_quotient(form, r, u)
+    v = u[1:-1]
+    Gv = G @ v
+    num = float(v @ Gv)
+    den_sum = float(np.sum(w * np.abs(v) ** r))
     step = step0
     for _ in range(max_iters):
-        g = _quotient_gradient(form, r, u)
+        den = den_sum ** (2.0 / r)
+        g = 2.0 * (Gv - num * w * np.sign(v) * np.abs(v) ** (r - 1) / den_sum) / den
         gn = np.linalg.norm(g)
         if gn == 0.0:
             break
+        d = g / gn
+        Gd = G @ d
+        dGv = float(d @ Gv)
+        dGd = float(d @ Gd)
         accepted = False
         while step > 1e-14:
-            trial = u - step * g / gn
-            trial[0] = trial[-1] = 0.0
-            if not np.any(trial[1:-1]):
+            trial = v - step * d
+            if not np.any(trial):
                 step *= 0.5
                 continue
-            qt = rayleigh_quotient(form, r, trial)
+            trial_num = num - 2.0 * step * dGv + step * step * dGd
+            trial_den_sum = float(np.sum(w * np.abs(trial) ** r))
+            qt = trial_num / trial_den_sum ** (2.0 / r)
             if qt < best:
-                u, best = trial, qt
+                v, Gv = trial, Gv - step * Gd
+                num, den_sum, best = trial_num, trial_den_sum, qt
                 step = min(step * 2.0, step0)
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break
-    return best
+    if best == start:  # no step taken: the quotient of u, boundary values included
+        return start
+    return rayleigh_quotient(form, r, np.concatenate(([0.0], v, [0.0])))
 
 
 def estimate_S(form: GagliardoForm, r: float, candidates,
@@ -193,12 +202,15 @@ def estimate_S(form: GagliardoForm, r: float, candidates,
 
     Returns min over the candidates and their descent refinements of the
     Rayleigh quotient; never exceeds the quotient of any supplied
-    candidate (descent only accepts decreases).
+    candidate (descent only accepts decreases). A candidate that vanishes
+    at every interior node has no quotient and is skipped.
     """
     cand_list = [c.values if isinstance(c, GridFunction) else np.asarray(c, dtype=float)
                  for c in candidates]
+    cand_list = [values for values in cand_list if np.any(values[1:-1])]
     if not cand_list:
-        raise EmptyCandidateSet("estimate_S needs at least one candidate")
+        raise EmptyCandidateSet("estimate_S needs at least one candidate that is "
+                                "nonzero at an interior node")
     best = math.inf
     for values in cand_list:
         best = min(best, rayleigh_quotient(form, r, values))
@@ -220,61 +232,6 @@ def default_candidates(grid: GridSpec) -> list[np.ndarray]:
     return [hat, bump, cosine]
 
 
-def estimate_S_coupled(form: GagliardoForm, alpha: float, beta: float,
-                       candidates, max_iters: int = 60, step: float = 0.5) -> float:
-    """Coupled-quotient analogue over pairs (informational only).
-
-    Uses the diagonal pairs (c, c) built from the scalar candidates and a
-    short descent in the product space.
-    """
-    ab = alpha + beta
-    w = form.quad_weights
-
-    def quot(u, v):
-        ui, vi = u[1:-1], v[1:-1]
-        num = float(ui @ form.matrix @ ui + vi @ form.matrix @ vi)
-        den = float(np.sum(w * np.abs(u) ** alpha * np.abs(v) ** beta)) ** (2.0 / ab)
-        return num / den
-
-    cand_list = [c.values if isinstance(c, GridFunction) else np.asarray(c, dtype=float)
-                 for c in candidates]
-    if not cand_list:
-        raise EmptyCandidateSet("estimate_S_coupled needs at least one candidate")
-    best = math.inf
-    for c in cand_list:
-        u = c / np.abs(c).max()
-        v = u.copy()
-        cur = quot(u, v)
-        best = min(best, cur)
-        st = step
-        for _ in range(max_iters):
-            # numerical gradient-free refinement: nudge along the scalar
-            # quotient's descent direction for both components
-            g = _quotient_gradient(form, ab, u)
-            gn = np.linalg.norm(g)
-            if gn == 0.0:
-                break
-            moved = False
-            while st > 1e-12:
-                uu = u - st * g / gn
-                uu[0] = uu[-1] = 0.0
-                if not np.any(uu[1:-1]):
-                    st *= 0.5
-                    continue
-                qt = quot(uu, uu)
-                if qt < cur:
-                    u = v = uu
-                    cur = qt
-                    best = min(best, cur)
-                    st = min(st * 2.0, step)
-                    moved = True
-                    break
-                st *= 0.5
-            if not moved:
-                break
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Report
 
@@ -293,7 +250,6 @@ class ConstantsReport:
     A_lm: float
     J_lower: float
     in_gamma: bool
-    S_bar: float
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -320,7 +276,6 @@ def compute_constants(problem: ValidatedProblem, form: GagliardoForm,
     candidates += [c.values if isinstance(c, GridFunction) else np.asarray(c, dtype=float)
                    for c in extra_candidates]
     S = estimate_S(form, ab, candidates)
-    S_bar = estimate_S_coupled(form, al, be, candidates)
 
     C = threshold_C(al, be, q, S, b_sup)
     in_gamma = 0.0 < Lambda < C
@@ -329,4 +284,4 @@ def compute_constants(problem: ValidatedProblem, form: GagliardoForm,
     J_lower = energy_lower_bound(al, be, q, S, Lambda)
     return ConstantsReport(q_star=qs, f_norm=f_norm, g_norm=g_norm, b_sup=b_sup,
                            Lambda=Lambda, S=S, C=C, E=E, A0=A0, A_lm=A_lm,
-                           J_lower=J_lower, in_gamma=in_gamma, S_bar=S_bar)
+                           J_lower=J_lower, in_gamma=in_gamma)

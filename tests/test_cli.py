@@ -160,6 +160,19 @@ def test_sweep_records_failed_points_and_continues(tmp_path):
     assert good["plus_converged"] == "true"
 
 
+def test_sweep_mixed_sign_parameters(tmp_path):
+    # a negative parameter collapses a solution component to zero; the
+    # quotient search must skip it rather than lose the whole grid
+    path = write_config(tmp_path, {"grid": {"cells": 32}})
+    out = tmp_path / "mixed.csv"
+    assert cli.main(["sweep", path, "--lambdas=-0.01,0.01", "--mus=0.01,-0.01",
+                     "--out", str(out), "--seed", "1"]) == 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == cli.SWEEP_HEADER
+    keys = sorted((float(ln.split(",")[0]), float(ln.split(",")[1])) for ln in lines[1:])
+    assert keys == [(-0.01, -0.01), (-0.01, 0.01), (0.01, -0.01), (0.01, 0.01)]
+
+
 def test_sweep_jobs_env_default(tmp_path, monkeypatch):
     path = write_config(tmp_path, {"grid": {"cells": 32}})
     out1, out2 = tmp_path / "e1.csv", tmp_path / "e2.csv"

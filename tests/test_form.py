@@ -1,11 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 
 import neharifrac as nf
 from neharifrac.errors import GridMismatch, InvalidOrder
-from neharifrac.form import adjacent_cell_integrals, same_cell_integral
-
+from neharifrac.form import form_symbol, same_cell_integral
 
 
 def hat(grid, node=None):
@@ -28,16 +28,77 @@ def test_same_cell_integral_value():
     assert same_cell_integral(0.5, s) == pytest.approx(expected * 0.5 ** 2.2, rel=1e-13)
 
 
+def _entry_by_quadrature(m, s):
+    """G_{0m} on unit cells: the full-line energy pairing of the hats at 0
+    and m, as adaptive quadrature over the cell pairs of the union of their
+    supports plus the closed-form exterior interaction."""
+    def tent(centre):
+        return lambda x: max(0.0, 1.0 - abs(x - centre))
+
+    p, q = tent(0.0), tent(float(m))
+
+    def integrand(y, x):
+        return (p(x) - p(y)) * (q(x) - q(y)) * abs(x - y) ** (-1 - 2 * s)
+
+    def touches(cell, centre):
+        return cell in (centre - 1, centre)
+
+    total = 0.0
+    cells = range(-1, m + 1)  # unit cells [c, c+1] covering [-1, m+1]
+    for a in cells:
+        for b in cells:
+            # the integrand is symmetric and vanishes unless each hat
+            # differs between the two cells
+            if b > a or not ((touches(a, 0) or touches(b, 0))
+                             and (touches(a, m) or touches(b, m))):
+                continue
+            if a == b:  # the y < x triangle; the y > x one is its mirror
+                val, _ = dblquad(integrand, a, a + 1, lambda x: a, lambda x: x,
+                                 epsabs=1e-14, epsrel=1e-13)
+            else:
+                val, _ = dblquad(integrand, a, a + 1, b, b + 1,
+                                 epsabs=1e-14, epsrel=1e-13)
+            total += 2 * val
+    if m <= 1:  # the hats overlap: interaction with the exterior of [-1, m+1]
+        def kappa(x):
+            return ((x + 1) ** (-2 * s) + (m + 1 - x) ** (-2 * s)) / (2 * s)
+        val, _ = quad(lambda x: p(x) * q(x) * kappa(x), -1, m + 1, points=[0, m],
+                      epsabs=1e-14, epsrel=1e-13, limit=200)
+        total += 2 * val
+    return total
+
+
 @pytest.mark.parametrize("s", [0.2, 0.3, 0.4, 0.45])
-def test_adjacent_cell_integrals_against_quadrature(s):
-    sig = 1 + 2 * s
-    J1, J2 = adjacent_cell_integrals(s)
-    J1_num, _ = dblquad(lambda b, a: a * a * (a + b) ** (-sig), 0, 1, 0, 1,
-                        epsabs=1e-12, epsrel=1e-12)
-    J2_num, _ = dblquad(lambda b, a: a * b * (a + b) ** (-sig), 0, 1, 0, 1,
-                        epsabs=1e-12, epsrel=1e-12)
-    assert J1 == pytest.approx(J1_num, rel=1e-10)
-    assert J2 == pytest.approx(J2_num, rel=1e-10)
+def test_form_entries_against_quadrature(s):
+    symbol = form_symbol(s, 1.0, 5)
+    for m in range(5):
+        assert symbol[m] == pytest.approx(_entry_by_quadrature(m, s), rel=1e-12)
+
+
+def _symbol_mpmath(m, s):
+    """The closed form taken literally, at 50 digits."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(s)
+        e = 3 - 2 * s
+        diff = sum(w * abs(mpmath.mpf(m + k - 2)) ** e
+                   for k, w in enumerate((1, -4, 6, -4, 1)))
+        return float(2 * diff / ((1 - 2 * s) * (2 - 2 * s) * (3 - 2 * s) * (2 * s)))
+
+
+@pytest.mark.parametrize("s", [1 / 6 + 1e-3, 0.4, 0.5 - 1e-12])
+def test_form_symbol_against_mpmath(s):
+    symbol = form_symbol(s, 1.0, 65536)
+    ms = list(range(12)) + [15, 16, 63, 100, 1000, 4095, 12345, 65535]
+    for m in ms:
+        assert symbol[m] == pytest.approx(_symbol_mpmath(m, s), rel=1e-13), m
+
+
+def test_form_is_the_toeplitz_symbol(form16, grid16):
+    # entries depend on |i-j| only and scale with h^{1-2s} (h = 1/8 here)
+    symbol = grid16.h ** 0.2 * form_symbol(0.4, 1.0, grid16.cells - 1)
+    i = np.arange(grid16.cells - 1)
+    assert form16.matrix == pytest.approx(symbol[np.abs(i[:, None] - i[None, :])],
+                                          rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +206,9 @@ def test_refinement_consistency():
         prof = np.maximum(0.0, 1 - np.abs(x) / 0.125)
         prof[0] = prof[-1] = 0.0
         values.append(nf.seminorm_sq(form, nf.GridFunction(grid, prof)))
-    diffs = np.abs(np.diff(values))
-    assert np.all(np.diff(diffs) < 0), f"differences not decreasing: {diffs}"
+    # the hat lies in every grid's piecewise-linear space and the form is
+    # exact, so all four grids give the same norm up to roundoff
+    assert values == pytest.approx([values[0]] * 4, rel=1e-12)
 
 
 def test_pair_norm_additive(form16, grid16):

@@ -173,6 +173,68 @@ def test_estimate_S_requires_candidates(form64):
         nf.estimate_S(form64, 3.0, [])
 
 
+def test_estimate_S_skips_zero_candidates(form64):
+    # a component that collapsed to zero has no quotient; it must not
+    # crash the estimate, and alone it leaves no candidate
+    zero = np.zeros(form64.grid.node_count)
+    cands = nf.default_candidates(form64.grid)
+    assert nf.estimate_S(form64, 3.0, cands + [zero]) == nf.estimate_S(form64, 3.0, cands)
+    with pytest.raises(EmptyCandidateSet):
+        nf.estimate_S(form64, 3.0, [zero])
+
+
+def _quotient_gradient_reference(form, r, values):
+    v = values[1:-1]
+    num = float(v @ form.matrix @ v)
+    den_sum = float(np.sum(form.quad_weights * np.abs(values) ** r))
+    den = den_sum ** (2.0 / r)
+    g = np.zeros_like(values)
+    g[1:-1] = (2.0 * (form.matrix @ v) / den
+               - (num / den) * (2.0 / r)
+               * (r * form.quad_weights[1:-1] * np.sign(v) * np.abs(v) ** (r - 1))
+               / den_sum)
+    return g
+
+
+def _descend_quotient_reference(form, r, values, max_iters=200, step0=0.5):
+    # oracle: the descent with full products for every trial quotient
+    u = values / np.abs(values).max()
+    best = rayleigh_quotient(form, r, u)
+    step = step0
+    for _ in range(max_iters):
+        g = _quotient_gradient_reference(form, r, u)
+        gn = np.linalg.norm(g)
+        if gn == 0.0:
+            break
+        accepted = False
+        while step > 1e-14:
+            trial = u - step * g / gn
+            trial[0] = trial[-1] = 0.0
+            if not np.any(trial[1:-1]):
+                step *= 0.5
+                continue
+            qt = rayleigh_quotient(form, r, trial)
+            if qt < best:
+                u, best = trial, qt
+                step = min(step * 2.0, step0)
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+    return best
+
+
+@pytest.mark.parametrize("r", [2.2, 3.0, 10.0])
+@pytest.mark.parametrize("form_name", ["form64", "form128"])
+def test_estimate_S_matches_reference_descent(form_name, r, request):
+    form = request.getfixturevalue(form_name)
+    cands = nf.default_candidates(form.grid)
+    reference = min(min(rayleigh_quotient(form, r, c), _descend_quotient_reference(form, r, c))
+                    for c in cands)
+    assert nf.estimate_S(form, r, cands) == pytest.approx(reference, rel=1e-12)
+
+
 def test_default_candidates_are_admissible(form64):
     cands = nf.default_candidates(form64.grid)
     assert len(cands) >= 3
@@ -189,7 +251,7 @@ def test_compute_constants_fixture(problem64, form64, constants64):
     assert rep.A_lm < rep.A0
     assert rep.E > 0
     assert rep.J_lower < 0
-    assert rep.S > 0 and rep.S_bar > 0
+    assert rep.S > 0
     # report is internally consistent with the standalone formulas
     assert rep.C == pytest.approx(
         nf.threshold_C(problem64.alpha, problem64.beta, problem64.q, rep.S, rep.b_sup),
