@@ -1,7 +1,7 @@
 """The two positive solutions.
 
 Minimizes the energy over each branch of the constraint manifold by
-projected descent. The local-min branch produces a small-norm solution
+Sobolev-gradient descent with reprojection. The local-min branch produces a small-norm solution
 with strictly negative energy; the local-max branch produces a separate
 large-norm solution. Their norms straddle the gap radii, and both satisfy
 the discrete stationarity conditions nodewise.
@@ -26,6 +26,7 @@ for rep in (plus, minus):
           f"in {rep.iters} iterations")
     print(f"  J = {rep.J:.8f}, norm = {rep.norm:.6f}")
     print(f"  phi'(1) = {rep.phi1:.2e}, phi''(1) = {rep.phi2:.4f}")
+    print(f"  stationarity |grad J|_(G^-1) / |(u, w)| = {rep.stationarity:.1e}")
     u = rep.pair.u.values
     print(f"  max u = {u.max():.5f}, interior min u = {u[1:-1].min():.2e}")
     delta = 1e-4 * float(u.max())

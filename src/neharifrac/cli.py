@@ -26,6 +26,7 @@ import numpy as np
 from . import verify as verify_mod
 from .energy import energy, pair_stats, phi_from_stats
 from .errors import (
+    AllMasked,
     ConfigParseError,
     NehariError,
     NoAdmissibleDirection,
@@ -221,7 +222,8 @@ def cmd_solve(args) -> int:
         "files": paths,
         "constants": constants.as_dict(),
         "solutions": {b.value: {"J": r.J, "norm": r.norm, "converged": r.converged,
-                                "iters": r.iters, "restarts_used": r.restarts_used}
+                                "iters": r.iters, "restarts_used": r.restarts_used,
+                                "stationarity": r.stationarity}
                       for b, r in solutions.items()},
         "gap": None if artifacts.gap is None else artifacts.gap.ordering_ok,
         "timings_ms": artifacts.timings,
@@ -390,7 +392,15 @@ def cmd_verify(args) -> int:
         raise ConfigParseError(f"cannot read solution {args.solution}: {exc}") from exc
 
     parts = energy(problem, form, pair)
-    delta = args.delta if args.delta is not None else 1e-4 * float(np.max(pair.u.values))
+    if args.delta is None:
+        delta = 1e-4 * min(float(np.max(pair.u.values)), float(np.max(pair.w.values)))
+        if delta <= 0:
+            raise AllMasked("a solution component vanishes at every node; "
+                            "the stationarity residual has nothing to test")
+    elif args.delta > 0:
+        delta = args.delta
+    else:
+        raise ValidationError(f"--delta must be positive, got {args.delta}")
     residual = verify_mod.weak_residual(problem, form, pair, delta)
 
     from .thresholds import default_candidates, estimate_S
@@ -478,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--solution", required=True)
     p.add_argument("--delta", type=float, default=None,
-                   help="positivity mask threshold (default 1e-4 * max u)")
+                   help="positivity mask threshold (default 1e-4 * the smaller "
+                        "of max u and max w)")
     p.add_argument("--res-tol", type=float, default=1e-3)
     p.set_defaults(fn=cmd_verify)
 

@@ -87,10 +87,6 @@ class NoAdmissibleDirection(NehariError):
     pass
 
 
-class NotConverged(NehariError):
-    pass
-
-
 class NotConvergedInput(NehariError):
     pass
 

@@ -14,13 +14,24 @@ root structure:
     minimum, t2 the fiber maximum (local-max branch),
   * B > 0 and psi(t_max) <= 0: no admissible scaling.
 
-Roots are found by bisection: brackets are guaranteed by monotonicity on
-each side of t_max, which beats Newton for robustness at this scale.
+A negative parameter can make K <= 0. Both powers then fall, so psi falls
+from +infinity to -B: for B > 0 its one root is a fiber maximum
+(local-max branch, ``falling_root``), and for B <= 0 there is none.
+
+Roots are found by Newton's method in x = log t, where
+
+    dpsi/dx = (2-a) t^{2-a} norm2 - (1-a-q) t^{1-a-q} K
+
+costs nothing beyond the two powers psi already needs. Monotonicity on
+each side of t_max gives a sign-change bracket around each root; every
+iterate shrinks it by the sign of psi, and a Newton step that would leave
+it is replaced by a bisection, so the iteration cannot diverge.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +44,7 @@ from .problem import GridPair, ValidatedProblem
 DEFAULT_ROOT_TOL = 1e-12
 DEFAULT_TOL = 1e-8
 DEFAULT_TOL2 = 1e-10
-_MAX_BISECT = 240
+_MAX_STEPS = 240
 
 
 class FiberCase(enum.Enum):
@@ -81,25 +92,42 @@ def t_max(stats: PairStats, q: float, ab: float) -> float:
     return float(((ab - 1 + q) * stats.K / ((ab - 2) * stats.norm2)) ** (1 / (1 + q)))
 
 
-def _bisect(fn, lo: float, hi: float, increasing: bool, width: float) -> float:
-    # sign convention: fn(lo) and fn(hi) straddle zero; `increasing` tells
-    # which side is negative
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi or hi - lo < width:
+def _newton(stats: PairStats, q: float, ab: float, lo: float, hi: float,
+            increasing: bool, width: float) -> float:
+    # root of psi in [lo, hi], where psi changes sign; `increasing` tells
+    # which end is negative
+    e_n, e_k = 2 - ab, 1 - ab - q
+    x_lo, x_hi = math.log(lo), math.log(hi)
+    x = 0.5 * (x_lo + x_hi)
+    t = math.exp(x)
+    for _ in range(_MAX_STEPS):
+        pn = t**e_n * stats.norm2
+        pk = t**e_k * stats.K
+        val = pn - pk - stats.B
+        if val == 0.0:
             break
-        if (fn(mid) < 0.0) == increasing:
-            lo = mid
+        if (val < 0.0) == increasing:
+            x_lo = x
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            x_hi = x
+        slope = e_n * pn - e_k * pk
+        x_new = x - val / slope if slope != 0.0 else math.nan
+        # a step that rounds to nothing stays on its bracket end
+        if not x_lo <= x_new <= x_hi:  # also catches nan: bisect
+            x_new = 0.5 * (x_lo + x_hi)
+        t_new = math.exp(x_new)
+        done = abs(t_new - t) < width
+        x, t = x_new, t_new
+        if done:
+            break
+    return t
 
 
 def project(stats: PairStats, q: float, ab: float, tol: float = DEFAULT_ROOT_TOL) -> FiberRoots:
     """Find the manifold scalings of a direction with K > 0.
 
-    tol is relative to t_max: bisection stops once the bracket is narrower
-    than tol * t_max.
+    tol is relative to t_max: the root iteration stops once its step is
+    shorter than tol * t_max.
     """
     if tol <= 0:
         raise NonpositiveT(f"tol must be positive, got {tol}")
@@ -122,7 +150,7 @@ def project(stats: PairStats, q: float, ab: float, tol: float = DEFAULT_ROOT_TOL
         lo *= 0.5
         if lo < np.finfo(float).tiny:
             raise NoBracket("no sign change below t_max; degenerate stats")
-    t1 = _bisect(p, lo, tm, increasing=True, width=width)
+    t1 = _newton(stats, q, ab, lo, tm, increasing=True, width=width)
 
     if stats.B <= 0:
         return FiberRoots(case=FiberCase.SINGLE_ROOT, t1=t1, t2=None,
@@ -134,9 +162,30 @@ def project(stats: PairStats, q: float, ab: float, tol: float = DEFAULT_ROOT_TOL
         hi *= 2.0
         if not np.isfinite(hi):
             raise NoBracket("no sign change above t_max; degenerate stats")
-    t2 = _bisect(p, max(tm, hi / 2), hi, increasing=False, width=width)
+    t2 = _newton(stats, q, ab, max(tm, hi / 2), hi, increasing=False, width=width)
     return FiberRoots(case=FiberCase.TWO_ROOTS, t1=t1, t2=t2,
                       t_max=tm, psi_at_tmax=ptm)
+
+
+def falling_root(stats: PairStats, q: float, ab: float,
+                 tol: float = DEFAULT_ROOT_TOL) -> float:
+    """The root of psi for K <= 0 < B, a fiber maximum.
+
+    psi falls monotonically, and it is nonnegative at the root
+    t0 = (norm2 / B)^{1/(a-2)} of its K = 0 part, so the root lies above
+    t0; tol is relative to t0.
+    """
+    if stats.norm2 <= 0:
+        raise NonpositiveNorm(f"falling_root requires norm2 > 0, got {stats.norm2}")
+    if stats.K > 0 or stats.B <= 0:
+        raise NoBracket(f"falling_root requires K <= 0 < B, got K={stats.K}, B={stats.B}")
+    t0 = float((stats.norm2 / stats.B) ** (1 / (ab - 2)))
+    hi = 2.0 * t0
+    while psi(stats, q, ab, hi) > 0.0:
+        hi *= 2.0
+        if not np.isfinite(hi):
+            raise NoBracket("no sign change above t0; degenerate stats")
+    return _newton(stats, q, ab, t0, hi, increasing=False, width=tol * t0)
 
 
 def classify(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair,

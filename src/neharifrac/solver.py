@@ -1,14 +1,21 @@
-"""Two-branch constrained minimization by descent with fiber reprojection.
+"""Two-branch constrained minimization by Sobolev-gradient descent.
 
 Each branch minimizes the energy over one part of the constraint manifold:
 the local-min branch (projection scaling t1) and the local-max branch
 (scaling t2, which needs a direction with positive coupling integral).
-One iteration: take a negative gradient step of the smoothed energy from
-the current on-manifold point, clip negatives to zero, reproject the
-result onto the branch, and accept only if the energy decreased (else
-halve the step). Every accepted iterate therefore sits on its branch, so
-branch invariants are checkable at each step. Independent seeded restarts
-guard against bad initial directions; the best energy wins.
+
+One iteration steps from the current on-manifold point along the H^s
+Riesz representative G^{-1} grad J of the smoothed gradient (Neuberger,
+Sobolev Gradients and Differential Equations, LNM 1670), clips negatives
+to zero, reprojects the result onto the branch, and accepts only if the
+energy decreased (else halves the step). The Euclidean gradient carries
+the mesh-dependent scale of G, so its step count grows with the grid; the
+Riesz representative is measured in the energy norm, and the iteration
+count stays flat in N. The inverse of G is formed once per branch solve.
+
+Every accepted iterate sits on its branch, so branch invariants are
+checkable at each step. Independent seeded restarts guard against bad
+initial directions; the best energy wins.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from .errors import (
     NoAdmissibleDirection,
     NotConvergedInput,
 )
-from .fiber import FiberCase, project
-from .form import GagliardoForm
+from .fiber import FiberCase, falling_root, project
+from .form import GagliardoForm, riesz_map
 from .problem import GridPair, ValidatedProblem
 from .thresholds import ConstantsReport
 
@@ -41,7 +48,7 @@ class Branch(enum.Enum):
 @dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 2000
-    step: float = 0.1
+    step: float = 0.5
     tol_energy: float = 1e-10
     tol_manifold: float = 1e-8
     eps_singular: float = 1e-8
@@ -68,6 +75,9 @@ class SolutionReport:
     iters: int
     converged: bool
     restarts_used: int
+    # dual norm sqrt(g' G^{-1} g) of the smoothed gradient at the returned
+    # iterate, over the pair norm; zero exactly at a critical point
+    stationarity: float
     # one (J, norm, K, B) record per accepted iterate, in order
     trajectory: list[tuple[float, float, float, float]] = field(default_factory=list)
 
@@ -142,6 +152,13 @@ def initial_direction(problem: ValidatedProblem, rng: np.random.Generator,
 
 def _project_scaling(problem, stats, branch):
     """Branch scaling of a direction, or None if inadmissible."""
+    if stats.norm2 <= 0:
+        return None
+    if stats.K <= 0:
+        # a negative parameter can get here; the fiber then has no minimum
+        if branch is Branch.MINUS and stats.B > 0:
+            return falling_root(stats, problem.q, problem.alpha + problem.beta)
+        return None
     roots = project(stats, problem.q, problem.alpha + problem.beta)
     if branch is Branch.MINUS:
         if roots.case is not FiberCase.TWO_ROOTS:
@@ -152,16 +169,14 @@ def _project_scaling(problem, stats, branch):
     return roots.t1
 
 
-def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
-             direction: GridPair, opts: SolverOptions):
+def _descend(problem: ValidatedProblem, form: GagliardoForm, riesz: np.ndarray,
+             branch: Branch, direction: GridPair, opts: SolverOptions):
     """One restart: returns a SolutionReport-shaped dict, or None if the
-    initial direction admits no branch scaling."""
+    initial direction admits no branch scaling. riesz is the inverse of
+    form.matrix."""
     q, ab = problem.q, problem.alpha + problem.beta
 
-    stats = pair_stats(problem, form, direction)
-    if stats.norm2 <= 0 or stats.K <= 0:
-        return None
-    t_used = _project_scaling(problem, stats, branch)
+    t_used = _project_scaling(problem, pair_stats(problem, form, direction), branch)
     if t_used is None:
         return None
     pair = direction.scaled(t_used)
@@ -172,19 +187,18 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
     step = opts.step
     hit_tol = False
     iters = 0
+    du = np.zeros(problem.grid.node_count)
+    dv = np.zeros(problem.grid.node_count)
     for iters in range(1, opts.max_iters + 1):
         grad = energy_gradient(problem, form, pair, opts.eps_singular)
+        du[1:-1] = riesz @ grad.u.values[1:-1]
+        dv[1:-1] = riesz @ grad.w.values[1:-1]
         accepted = False
         while step > _MIN_STEP:
-            u_try = np.maximum(pair.u.values - step * grad.u.values, 0.0)
-            v_try = np.maximum(pair.w.values - step * grad.w.values, 0.0)
-            u_try[0] = u_try[-1] = 0.0
-            v_try[0] = v_try[-1] = 0.0
+            u_try = np.maximum(pair.u.values - step * du, 0.0)
+            v_try = np.maximum(pair.w.values - step * dv, 0.0)
             trial_dir = GridPair.from_arrays(problem.grid, u_try, v_try)
             tstats = pair_stats(problem, form, trial_dir)
-            if tstats.norm2 <= 0 or tstats.K <= 0:
-                step *= 0.5
-                continue
             t_sel = _project_scaling(problem, tstats, branch)
             if t_sel is None:
                 step *= 0.5
@@ -214,7 +228,11 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
     _, phi1, phi2 = phi_from_stats(st, q, ab, 1.0)
     scale = st.scale()
     on_branch = (phi2 > 0) if branch is Branch.PLUS else (phi2 < 0)
-    converged = hit_tol and abs(phi1) <= opts.tol_manifold * scale and on_branch
+    # the system asks for u, w > 0: a component that vanished at every
+    # interior node (a negative parameter drives it there) is no solution
+    both_alive = bool(np.any(pair.u.values > 0) and np.any(pair.w.values > 0))
+    converged = (hit_tol and abs(phi1) <= opts.tol_manifold * scale and on_branch
+                 and both_alive)
     return {
         "pair": pair,
         "J": J_cur,
@@ -229,6 +247,16 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
     }
 
 
+def _stationarity(problem: ValidatedProblem, form: GagliardoForm, riesz: np.ndarray,
+                  pair: GridPair, norm: float, eps: float) -> float:
+    """Dual norm sqrt(g' G^{-1} g) of the smoothed gradient over the pair norm."""
+    grad = energy_gradient(problem, form, pair, eps)
+    gu = grad.u.values[1:-1]
+    gv = grad.w.values[1:-1]
+    dual2 = float(gu @ (riesz @ gu) + gv @ (riesz @ gv))
+    return math.sqrt(max(dual2, 0.0)) / norm
+
+
 def solve_branch(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
                  opts: SolverOptions = SolverOptions()) -> SolutionReport:
     """Minimize the energy over one manifold branch, best over restarts.
@@ -238,6 +266,7 @@ def solve_branch(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
     iteration count. Raises NoAdmissibleDirection if every restart fails
     to find a direction admitting the branch scaling.
     """
+    riesz = riesz_map(form)
     best = None
     completed = 0
     for i in range(opts.restarts):
@@ -246,7 +275,7 @@ def solve_branch(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
             direction = initial_direction(problem, rng, branch)
         except DirectionSearchFailed:
             continue
-        result = _descend(problem, form, branch, direction, opts)
+        result = _descend(problem, form, riesz, branch, direction, opts)
         if result is None:
             continue
         completed += 1
@@ -267,6 +296,8 @@ def solve_branch(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
                           norm=best["norm"], phi1=best["phi1"], phi2=best["phi2"],
                           t_used=best["t_used"], iters=best["iters"],
                           converged=best["converged"], restarts_used=completed,
+                          stationarity=_stationarity(problem, form, riesz, best["pair"],
+                                                     best["norm"], opts.eps_singular),
                           trajectory=best["trajectory"])
 
 

@@ -73,6 +73,10 @@ def test_solve_both_writes_files_and_gap(tmp_path, capsys):
     assert summary["problem_hash"] == plus["problem_hash"] == minus["problem_hash"]
     assert len(plus["u"]) == BASE_CONFIG["grid"]["cells"] + 1
     assert "timings_ms" in summary
+    # stationarity is reported on stdout only, never in the solution files
+    for branch, sol in (("plus", plus), ("minus", minus)):
+        assert 0 <= summary["solutions"][branch]["stationarity"] < 1e-4
+        assert "stationarity" not in sol
 
 
 def test_solve_deterministic_bytes(tmp_path):
@@ -104,6 +108,40 @@ def test_solve_exit_code_not_converged(tmp_path):
     assert cli.main(["solve", path, "--branch", "plus", "--out", str(out)]) == 5
     assert cli.main(["solve", path, "--branch", "plus", "--out", str(out),
                      "--allow-unconverged"]) == 0
+
+
+MIXED_SIGN = {"grid": {"cells": 32}, "lambda": -0.01, "mu": 0.01,
+              "solver": {"restarts": 8, "seed": 0}}
+
+
+def test_solve_vanished_component_is_not_converged(tmp_path):
+    # lambda < 0 drives u to zero on the local-min branch; the system asks
+    # for u, w > 0, so the branch must not be reported as converged
+    path = write_config(tmp_path, MIXED_SIGN)
+    out = tmp_path / "mixed"
+    assert cli.main(["solve", path, "--branch", "plus", "--out", str(out)]) == 5
+    sol = json.loads((out / "solution_plus.json").read_text())
+    assert max(sol["u"]) == 0.0
+    assert sol["converged"] is False
+
+
+def test_verify_vanished_component_is_a_named_error(tmp_path, capsys):
+    path = write_config(tmp_path, MIXED_SIGN)
+    out = tmp_path / "mixed"
+    cli.main(["solve", path, "--branch", "plus", "--out", str(out)])
+    capsys.readouterr()
+    assert cli.main(["verify", path, "--solution",
+                     str(out / "solution_plus.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_rejects_nonpositive_delta(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["solve", path, "--branch", "plus", "--out", str(out)]) == 0
+    assert cli.main(["verify", path, "--solution", str(out / "solution_plus.json"),
+                     "--delta", "0"]) == 3
 
 
 def test_sweep_grid(tmp_path):
@@ -171,6 +209,14 @@ def test_sweep_mixed_sign_parameters(tmp_path):
     assert lines[0] == cli.SWEEP_HEADER
     keys = sorted((float(ln.split(",")[0]), float(ln.split(",")[1])) for ln in lines[1:])
     assert keys == [(-0.01, -0.01), (-0.01, 0.01), (0.01, -0.01), (0.01, 0.01)]
+    # the collapsed component leaves no positive local-min solution; the
+    # local-max branch still has one
+    header = lines[0].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    for r in rows:
+        if float(r["lambda"]) * float(r["mu"]) < 0:
+            assert r["plus_converged"] == "false"
+            assert r["minus_converged"] == "true"
 
 
 def test_sweep_jobs_env_default(tmp_path, monkeypatch):

@@ -3,7 +3,8 @@ import pytest
 from scipy.optimize import brentq
 
 import neharifrac as nf
-from neharifrac.errors import NonpositiveK, NonpositiveNorm, NonpositiveT
+from neharifrac.errors import NoBracket, NonpositiveK, NonpositiveNorm, NonpositiveT
+from neharifrac.fiber import falling_root
 
 from conftest import bump_pair
 
@@ -123,17 +124,64 @@ def test_project_no_admissible_root_fixture():
 
 def test_project_root_residuals():
     rng = np.random.default_rng(1)
-    for _ in range(50):
+    for _ in range(200):
         n2 = float(rng.uniform(0.2, 5.0))
         K = float(rng.uniform(0.01, 2.0))
         B = float(rng.uniform(-2.0, 2.0))
         st = nf.PairStats(n2, K, B)
         roots = nf.project(st, Q, AB)
         scale = n2 + abs(K) + abs(B)
+        f = lambda t: psi_explicit(t, n2, K, B)
         if roots.t1 is not None:
             assert abs(nf.psi(st, Q, AB, roots.t1)) <= 1e-8 * scale
+            t1_oracle = brentq(f, 1e-12, roots.t_max, xtol=1e-300, rtol=1e-15)
+            assert roots.t1 == pytest.approx(t1_oracle, rel=1e-10)
         if roots.t2 is not None:
             assert abs(nf.psi(st, Q, AB, roots.t2)) <= 1e-8 * scale
+            t2_oracle = brentq(f, roots.t_max, 1e12, xtol=1e-300, rtol=1e-15)
+            assert roots.t2 == pytest.approx(t2_oracle, rel=1e-10)
+
+
+def test_project_roots_over_wide_stats():
+    # stats over eight decades and the whole exponent range: plain Newton
+    # leaves the bracket on about one draw in seven here
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        q = float(rng.uniform(0.05, 0.95))
+        ab = float(rng.uniform(2.05, 6.0))
+        n2, K = 10 ** rng.uniform(-4.0, 4.0, size=2)
+        B = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-4.0, 4.0))
+        st = nf.PairStats(float(n2), float(K), B)
+        roots = nf.project(st, q, ab)
+        f = lambda t: nf.psi(st, q, ab, t)
+        tm = roots.t_max
+        if roots.t1 is not None:
+            oracle = brentq(f, 1e-30 * tm, tm, xtol=1e-300, rtol=1e-15, maxiter=1000)
+            assert roots.t1 == pytest.approx(oracle, rel=1e-10)
+        if roots.t2 is not None:
+            hi = tm
+            while f(hi) > 0:  # t2 reaches 1e46 when a is near 2 and B small
+                hi *= 1e10
+            oracle = brentq(f, tm, hi, xtol=1e-300, rtol=1e-15, maxiter=1000)
+            assert roots.t2 == pytest.approx(oracle, rel=1e-10)
+
+
+def test_falling_root_against_brentq():
+    # K <= 0 < B: psi falls from +infinity to -B through one fiber maximum
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        n2 = float(rng.uniform(0.2, 5.0))
+        K = -float(rng.uniform(0.0, 2.0))
+        B = float(rng.uniform(0.01, 2.0))
+        t = falling_root(nf.PairStats(n2, K, B), Q, AB)
+        oracle = brentq(lambda t: psi_explicit(t, n2, K, B), 1e-12, 1e12,
+                        xtol=1e-300, rtol=1e-15)
+        assert t == pytest.approx(oracle, rel=1e-10)
+        assert psi_prime_explicit(t, n2, K) < 0
+    with pytest.raises(NoBracket):
+        falling_root(nf.PairStats(1.0, 0.1, 0.5), Q, AB)
+    with pytest.raises(NoBracket):
+        falling_root(nf.PairStats(1.0, -0.1, 0.0), Q, AB)
 
 
 def test_project_rejects_nonpositive_k():

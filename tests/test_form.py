@@ -5,7 +5,7 @@ from scipy.integrate import dblquad, quad
 
 import neharifrac as nf
 from neharifrac.errors import GridMismatch, InvalidOrder
-from neharifrac.form import form_symbol, same_cell_integral
+from neharifrac.form import form_symbol, riesz_map, same_cell_integral
 
 
 def hat(grid, node=None):
@@ -248,3 +248,14 @@ def test_grid_mismatch_rejected(form16):
 def test_assemble_rejects_bad_order(grid16):
     with pytest.raises(InvalidOrder):
         nf.assemble_form(grid16, 0.6)
+
+
+@pytest.mark.parametrize("cells", [4, 33, 34, 128, 512])
+def test_riesz_map_is_the_inverse(cells):
+    # odd and even sizes on both sides of the direct-inverse block size
+    form = nf.assemble_form(nf.GridSpec(-1.0, 1.0, cells), 0.4)
+    riesz = riesz_map(form)
+    assert np.array_equal(riesz, riesz.T)
+    assert np.abs(form.matrix @ riesz - np.eye(cells - 1)).max() <= 1e-13
+    oracle = np.linalg.inv(form.matrix)
+    assert np.abs(riesz - oracle).max() <= 1e-13 * np.abs(oracle).max()

@@ -3,6 +3,7 @@ import pytest
 
 import neharifrac as nf
 from neharifrac.errors import DirectionSearchFailed, NotConvergedInput
+from neharifrac.solver import _project_scaling
 from neharifrac.thresholds import rho_coefficients
 
 from conftest import make_spec
@@ -175,3 +176,92 @@ def test_solver_options_validation():
         nf.SolverOptions(restarts=0)
     with pytest.raises(ValueError):
         nf.SolverOptions(step=-1.0)
+
+
+def _descend_euclidean_reference(problem, form, branch, direction, max_iters=2000,
+                                 step0=0.1, tol_energy=1e-10, eps=1e-8):
+    """The Euclidean-gradient descent the Sobolev one replaced, kept as an
+    oracle: same clipping, reprojection, acceptance and stopping rule, with
+    the nodal gradient as the direction. Returns the final energy."""
+    q, ab = problem.q, problem.alpha + problem.beta
+    stats = nf.pair_stats(problem, form, direction)
+    pair = direction.scaled(_project_scaling(problem, stats, branch))
+    st = nf.pair_stats(problem, form, pair)
+    J_cur = st.norm2 / 2 - st.K / (1 - q) - st.B / ab
+    step = step0
+    for _ in range(max_iters):
+        grad = nf.energy_gradient(problem, form, pair, eps)
+        rel_drop = None
+        while step > 1e-16:
+            u_try = np.maximum(pair.u.values - step * grad.u.values, 0.0)
+            v_try = np.maximum(pair.w.values - step * grad.w.values, 0.0)
+            trial = nf.GridPair.from_arrays(problem.grid, u_try, v_try)
+            tstats = nf.pair_stats(problem, form, trial)
+            t_sel = None
+            if tstats.norm2 > 0 and tstats.K > 0:
+                t_sel = _project_scaling(problem, tstats, branch)
+            if t_sel is not None:
+                J_new = (tstats.norm2 * t_sel**2 / 2 - tstats.K * t_sel ** (1 - q) / (1 - q)
+                         - tstats.B * t_sel**ab / ab)
+                if J_new < J_cur:
+                    rel_drop = (J_cur - J_new) / abs(J_cur)
+                    pair = trial.scaled(t_sel)
+                    J_cur = J_new
+                    step = step0
+                    break
+            step *= 0.5
+        if rel_drop is None or rel_drop < tol_energy:
+            break
+    return J_cur
+
+
+def test_sobolev_descent_against_euclidean_oracle(problem64, form64, solved64):
+    # solved64 runs restarts 42, 43, 44; the oracle descends from the same
+    # initial directions
+    for rep in solved64:
+        J_oracle = min(
+            _descend_euclidean_reference(
+                problem64, form64, rep.branch,
+                nf.initial_direction(problem64, np.random.default_rng(seed), rep.branch))
+            for seed in (42, 43, 44))
+        assert rep.J <= J_oracle + 1e-8 * abs(J_oracle)
+
+
+def test_stationarity_of_solved_fixture(solved64):
+    for rep in solved64:
+        assert 0 <= rep.stationarity < 1e-4
+
+
+@pytest.mark.parametrize("cells", [64, 128, 256, 512])
+def test_iteration_count_is_mesh_independent(cells):
+    # the README config with one restart: the Euclidean descent needed
+    # 133/289 (plus/minus) iterations at 64 cells and stopped unconverged
+    # at 2000 on the minus branch at 512
+    p = nf.validate_params(make_spec(cells=cells))
+    form = nf.assemble_form(p.grid, p.s)
+    opts = nf.SolverOptions(seed=0, restarts=1)
+    plus = nf.solve_branch(p, form, nf.Branch.PLUS, opts)
+    minus = nf.solve_branch(p, form, nf.Branch.MINUS, opts)
+    assert plus.converged and plus.iters <= 20
+    assert minus.converged and minus.iters <= 60
+
+
+def test_negative_parameter_branches():
+    # lambda < 0 drives u to zero on the local-min branch, which is then
+    # no positive solution; the local-max branch passes through directions
+    # with K <= 0 and still reaches a stationary point
+    p = nf.validate_params(make_spec(cells=32, lam=-0.01, mu=0.01))
+    form = nf.assemble_form(p.grid, p.s)
+    opts = nf.SolverOptions(seed=0, restarts=2)
+    plus = nf.solve_branch(p, form, nf.Branch.PLUS, opts)
+    assert np.max(plus.pair.u.values) == 0.0
+    assert not plus.converged
+    minus = nf.solve_branch(p, form, nf.Branch.MINUS, opts)
+    assert minus.converged and minus.stationarity < 1e-4
+    assert minus.pair.u.values[1:-1].min() > 0 and minus.pair.w.values[1:-1].min() > 0
+    J_oracle = min(
+        _descend_euclidean_reference(
+            p, form, nf.Branch.MINUS,
+            nf.initial_direction(p, np.random.default_rng(seed), nf.Branch.MINUS))
+        for seed in (0, 1))
+    assert minus.J <= J_oracle + 1e-8 * abs(J_oracle)
