@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .fiber import project, psi
-from .form import assemble_form
+from .form import GagliardoForm, assemble_form
 from .problem import (
     GridPair,
     GridSpec,
@@ -240,8 +240,13 @@ SWEEP_HEADER = ("lambda,mu,Lambda,C,in_gamma,plus_converged,minus_converged,"
                 "J_plus,J_minus,norm_plus,norm_minus,A0,A_lm,gap_ok")
 
 
-def _sweep_point(cfg: dict, lam: float, mu: float, seed: int | None):
-    """One sweep point; never raises, failures land in the status columns."""
+def _sweep_point(cfg: dict, form: GagliardoForm, lam: float, mu: float,
+                 seed: int | None):
+    """One sweep point; never raises, failures land in the status columns.
+
+    form is the sweep's shared form: it depends only on (grid, s), which
+    the points do not vary.
+    """
     point_cfg = dict(cfg)
     point_cfg["lambda"] = lam
     point_cfg["mu"] = mu
@@ -253,7 +258,6 @@ def _sweep_point(cfg: dict, lam: float, mu: float, seed: int | None):
     try:
         problem = validate_params(problem_from_config(point_cfg))
         opts = solver_options_from_config(point_cfg, seed)
-        form = assemble_form(problem.grid, problem.s)
     except NehariError:
         return row
 
@@ -285,7 +289,10 @@ def _sweep_point(cfg: dict, lam: float, mu: float, seed: int | None):
 
 
 def _parse_grid_list(text: str) -> list[float]:
-    values = [float(v) for v in text.split(",") if v.strip() != ""]
+    try:
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise ConfigParseError(f"sweep grid {text!r} is not a list of numbers: {exc}") from exc
     if not values:
         raise ConfigParseError("empty sweep grid")
     return values
@@ -307,18 +314,22 @@ def _row_to_csv(row: dict) -> str:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     # fail early on structural problems shared by every point
-    validate_params(problem_from_config(cfg))
+    shared = validate_params(problem_from_config(cfg))
     lambdas = _parse_grid_list(args.lambdas)
     mus = _parse_grid_list(args.mus)
     points = sorted((lam, mu) for lam in lambdas for mu in mus)
 
-    jobs = args.jobs if args.jobs is not None else int(os.environ.get(JOBS_ENV_VAR, "1"))
-    jobs = max(1, jobs)
+    jobs = args.jobs if args.jobs is not None else os.environ.get(JOBS_ENV_VAR, "1")
+    try:
+        jobs = max(1, int(jobs))
+    except ValueError:
+        raise ValidationError(f"{JOBS_ENV_VAR} must be an integer, got {jobs!r}") from None
+    form = assemble_form(shared.grid, shared.s)
     if jobs == 1:
-        rows = [_sweep_point(cfg, lam, mu, args.seed) for lam, mu in points]
+        rows = [_sweep_point(cfg, form, lam, mu, args.seed) for lam, mu in points]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda p: _sweep_point(cfg, p[0], p[1], args.seed),
+            rows = list(pool.map(lambda p: _sweep_point(cfg, form, p[0], p[1], args.seed),
                                  points))
     rows.sort(key=lambda r: (r["lambda"], r["mu"]))
 

@@ -10,6 +10,10 @@ lambda f and mu g), and B the sign-indefinite coupling integral of
 b u_+^alpha w_+^beta. All interval integrals use the grid's trapezoid
 weights, matching the quadrature used by the constants module so the
 discrete inequality checks are exact.
+
+The formulas live in three raw-array functions on the interior nodes
+(``singular_and_coupling``, ``stats_and_products``, ``smoothed_gradient``),
+which the descent loops call directly; the GridPair functions wrap them.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveEpsilon, NonpositiveT
-from .form import GagliardoForm, pair_norm_sq
-from .problem import GridFunction, GridPair, ValidatedProblem
+from .errors import GridMismatch, NonpositiveEpsilon, NonpositiveT
+from .form import GagliardoForm
+from .problem import GridPair, ValidatedProblem
 
 
 @dataclass(frozen=True)
@@ -43,28 +47,68 @@ class EnergyParts:
     J: float
 
 
+def singular_and_coupling(problem: ValidatedProblem, u: np.ndarray,
+                          v: np.ndarray) -> tuple[float, float]:
+    """(K, B) of interior nodal arrays (u, v): the integrals that need no form."""
+    lam_f, mu_g, b = problem.weighted_coefficients
+    q, al, be = problem.q, problem.alpha, problem.beta
+    up = np.maximum(u, 0.0)
+    vp = np.maximum(v, 0.0)
+    K = float(lam_f @ up ** (1 - q) + mu_g @ vp ** (1 - q))
+    B = float(b @ (up**al * vp**be))
+    return K, B
+
+
+def stats_and_products(problem: ValidatedProblem, form: GagliardoForm,
+                       u: np.ndarray, v: np.ndarray) -> tuple[PairStats, np.ndarray, np.ndarray]:
+    """Pair statistics of interior nodal arrays (u, v), with G u and G v.
+
+    The raw-array kernel behind ``pair_stats``: descent loops call it
+    directly and reuse the two products for the gradient.
+    """
+    Gu = form.matrix @ u
+    Gv = form.matrix @ v
+    K, B = singular_and_coupling(problem, u, v)
+    return PairStats(norm2=float(u @ Gu + v @ Gv), K=K, B=B), Gu, Gv
+
+
+def smoothed_gradient(problem: ValidatedProblem, u: np.ndarray, v: np.ndarray,
+                      Gu: np.ndarray, Gv: np.ndarray,
+                      eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Interior gradient of the eps-smoothed energy at (u, v), given G u and G v.
+
+    The singular factor u^{-q} is floored at eps so descent always has a
+    usable direction; where both components exceed eps this is the formal
+    gradient of the energy itself.
+    """
+    lam_f, mu_g, b = problem.weighted_coefficients
+    q, al, be = problem.q, problem.alpha, problem.beta
+    ab = al + be
+    up = np.maximum(u, 0.0)
+    vp = np.maximum(v, 0.0)
+    gu = Gu - lam_f * np.maximum(u, eps) ** (-q) - (al / ab) * b * up ** (al - 1) * vp**be
+    gv = Gv - mu_g * np.maximum(v, eps) ** (-q) - (be / ab) * b * up**al * vp ** (be - 1)
+    return gu, gv
+
+
+def _interior(form: GagliardoForm, pair: GridPair) -> tuple[np.ndarray, np.ndarray]:
+    if pair.grid != form.grid:
+        raise GridMismatch("pair does not match the form's grid")
+    return pair.u.values[1:-1], pair.w.values[1:-1]
+
+
 def K_value(problem: ValidatedProblem, pair: GridPair) -> float:
     """Weighted singular-term integral lam*int f u_+^{1-q} + mu*int g w_+^{1-q}."""
-    w = problem.quad_weights()
-    q = problem.q
-    up = np.maximum(pair.u.values, 0.0)
-    wp = np.maximum(pair.w.values, 0.0)
-    return float(problem.lam * np.sum(w * problem.f_vals * up ** (1 - q))
-                 + problem.mu * np.sum(w * problem.g_vals * wp ** (1 - q)))
+    return singular_and_coupling(problem, pair.u.values[1:-1], pair.w.values[1:-1])[0]
 
 
 def B_value(problem: ValidatedProblem, pair: GridPair) -> float:
     """Coupling integral int b u_+^alpha w_+^beta (sign-indefinite)."""
-    w = problem.quad_weights()
-    up = np.maximum(pair.u.values, 0.0)
-    wp = np.maximum(pair.w.values, 0.0)
-    return float(np.sum(w * problem.b_vals * up**problem.alpha * wp**problem.beta))
+    return singular_and_coupling(problem, pair.u.values[1:-1], pair.w.values[1:-1])[1]
 
 
 def pair_stats(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> PairStats:
-    return PairStats(norm2=pair_norm_sq(form, pair),
-                     K=K_value(problem, pair),
-                     B=B_value(problem, pair))
+    return stats_and_products(problem, form, *_interior(form, pair))[0]
 
 
 def energy(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> EnergyParts:
@@ -87,50 +131,33 @@ def energy_smoothed(problem: ValidatedProblem, form: GagliardoForm,
 
     Below eps the integrand continues linearly with slope eps^{-q}, so the
     value is finite and the gradient formula of ``energy_gradient`` is its
-    exact derivative everywhere.
+    exact derivative everywhere. The smoothed integrand is positive at 0,
+    so the boundary nodes contribute to the trapezoid sum.
     """
     if eps <= 0:
         raise NonpositiveEpsilon(f"eps must be positive, got {eps}")
     w = problem.quad_weights()
     q = problem.q
-    norm2 = pair_norm_sq(form, pair)
+    st = pair_stats(problem, form, pair)
     sing = (problem.lam * np.sum(w * problem.f_vals
                                  * _smoothed_primitive(pair.u.values, q, eps))
             + problem.mu * np.sum(w * problem.g_vals
                                   * _smoothed_primitive(pair.w.values, q, eps)))
-    B = B_value(problem, pair)
-    return float(norm2 / 2 - sing - B / (problem.alpha + problem.beta))
+    return float(st.norm2 / 2 - sing - st.B / (problem.alpha + problem.beta))
 
 
 def energy_gradient(problem: ValidatedProblem, form: GagliardoForm,
                     pair: GridPair, eps: float) -> GridPair:
     """Gradient of the eps-smoothed energy with respect to the nodal values.
 
-    Boundary components are zero (those values are pinned). The singular
-    factor u^{-q} is floored at eps so descent always has a usable
-    direction; where both components exceed eps this is the formal
-    gradient of the energy itself.
+    Boundary components are zero (those values are pinned); the interior
+    ones come from ``smoothed_gradient``.
     """
     if eps <= 0:
         raise NonpositiveEpsilon(f"eps must be positive, got {eps}")
-    w = problem.quad_weights()
-    q, al, be = problem.q, problem.alpha, problem.beta
-    ab = al + be
-    u = pair.u.values
-    v = pair.w.values
-    up = np.maximum(u, 0.0)
-    vp = np.maximum(v, 0.0)
-
-    gu = np.zeros_like(u)
-    gv = np.zeros_like(v)
-    Gu = form.matrix @ u[1:-1]
-    Gv = form.matrix @ v[1:-1]
-    i = slice(1, -1)
-    gu[i] = (Gu - problem.lam * (w * problem.f_vals)[i] * np.maximum(u[i], eps) ** (-q)
-             - (al / ab) * (w * problem.b_vals)[i] * up[i] ** (al - 1) * vp[i] ** be)
-    gv[i] = (Gv - problem.mu * (w * problem.g_vals)[i] * np.maximum(v[i], eps) ** (-q)
-             - (be / ab) * (w * problem.b_vals)[i] * up[i] ** al * vp[i] ** (be - 1))
-    return GridPair(GridFunction(pair.grid, gu), GridFunction(pair.grid, gv))
+    u, v = _interior(form, pair)
+    gu, gv = smoothed_gradient(problem, u, v, form.matrix @ u, form.matrix @ v, eps)
+    return GridPair.from_arrays(pair.grid, np.pad(gu, 1), np.pad(gv, 1))
 
 
 def phi_from_stats(stats: PairStats, q: float, ab: float, t: float) -> tuple[float, float, float]:

@@ -8,6 +8,7 @@ representation is the piecewise-linear interpolant extended by zero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,6 +263,14 @@ class ValidatedProblem:
 
     def quad_weights(self) -> np.ndarray:
         return self.grid.trapezoid_weights()
+
+    @functools.cached_property
+    def weighted_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lam w f, mu w g, w b) on the interior nodes, w the trapezoid
+        weights: the factors of the energy's integrals, formed once."""
+        w = self.quad_weights()[1:-1]
+        i = slice(1, -1)
+        return self.lam * w * self.f_vals[i], self.mu * w * self.g_vals[i], w * self.b_vals[i]
 
 
 def validate_params(spec: ProblemSpec) -> ValidatedProblem:

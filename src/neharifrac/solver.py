@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import energy_gradient, pair_stats, phi_from_stats
+from .energy import (
+    phi_from_stats,
+    singular_and_coupling,
+    smoothed_gradient,
+    stats_and_products,
+)
 from .errors import (
     DirectionSearchFailed,
     NoAdmissibleDirection,
@@ -104,7 +109,6 @@ def initial_direction(problem: ValidatedProblem, rng: np.random.Generator,
     x = grid.nodes()
     width_scale = grid.right - grid.left
     b_peak = x[int(np.argmax(problem.b_vals))]
-    w = problem.quad_weights()
 
     for _ in range(1000):
         if branch is Branch.MINUS:
@@ -123,10 +127,7 @@ def initial_direction(problem: ValidatedProblem, rng: np.random.Generator,
         u = prof.copy()
         v = prof.copy()
         for _damp in range(8):
-            up = np.maximum(u, 0.0) ** (1 - problem.q)
-            vp = np.maximum(v, 0.0) ** (1 - problem.q)
-            K = (problem.lam * float(np.sum(w * problem.f_vals * up))
-                 + problem.mu * float(np.sum(w * problem.g_vals * vp)))
+            K, B = singular_and_coupling(problem, u[1:-1], v[1:-1])
             if K > 0:
                 break
             if problem.lam < problem.mu:
@@ -135,14 +136,8 @@ def initial_direction(problem: ValidatedProblem, rng: np.random.Generator,
                 v *= 0.25
         else:
             continue
-        if K <= 0:
+        if branch is Branch.MINUS and B <= 0:
             continue
-        if branch is Branch.MINUS:
-            B = float(np.sum(w * problem.b_vals
-                             * np.maximum(u, 0.0) ** problem.alpha
-                             * np.maximum(v, 0.0) ** problem.beta))
-            if B <= 0:
-                continue
         return GridPair.from_arrays(grid, u, v)
 
     raise DirectionSearchFailed(
@@ -173,32 +168,37 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, riesz: np.ndarray,
              branch: Branch, direction: GridPair, opts: SolverOptions):
     """One restart: returns a SolutionReport-shaped dict, or None if the
     initial direction admits no branch scaling. riesz is the inverse of
-    form.matrix."""
-    q, ab = problem.q, problem.alpha + problem.beta
+    form.matrix.
 
-    t_used = _project_scaling(problem, pair_stats(problem, form, direction), branch)
+    The loop runs on interior arrays. An accepted iterate is t * trial, so
+    its products with G are t times the trial's, and each gradient costs
+    no product of its own.
+    """
+    q, ab = problem.q, problem.alpha + problem.beta
+    eps = opts.eps_singular
+
+    u, v = direction.u.values[1:-1], direction.w.values[1:-1]
+    st, Gu, Gv = stats_and_products(problem, form, u, v)
+    t_used = _project_scaling(problem, st, branch)
     if t_used is None:
         return None
-    pair = direction.scaled(t_used)
-    st = pair_stats(problem, form, pair)
-    J_cur = st.norm2 / 2 - st.K / (1 - q) - st.B / ab
+    u, v, Gu, Gv = t_used * u, t_used * v, t_used * Gu, t_used * Gv
+    n2, K, B = st.norm2 * t_used**2, st.K * t_used ** (1 - q), st.B * t_used**ab
+    J_cur = n2 / 2 - K / (1 - q) - B / ab
 
-    trajectory = [(J_cur, math.sqrt(st.norm2), st.K, st.B)]
+    trajectory = [(J_cur, math.sqrt(n2), K, B)]
     step = opts.step
     hit_tol = False
     iters = 0
-    du = np.zeros(problem.grid.node_count)
-    dv = np.zeros(problem.grid.node_count)
     for iters in range(1, opts.max_iters + 1):
-        grad = energy_gradient(problem, form, pair, opts.eps_singular)
-        du[1:-1] = riesz @ grad.u.values[1:-1]
-        dv[1:-1] = riesz @ grad.w.values[1:-1]
+        gu, gv = smoothed_gradient(problem, u, v, Gu, Gv, eps)
+        du = riesz @ gu
+        dv = riesz @ gv
         accepted = False
         while step > _MIN_STEP:
-            u_try = np.maximum(pair.u.values - step * du, 0.0)
-            v_try = np.maximum(pair.w.values - step * dv, 0.0)
-            trial_dir = GridPair.from_arrays(problem.grid, u_try, v_try)
-            tstats = pair_stats(problem, form, trial_dir)
+            u_try = np.maximum(u - step * du, 0.0)
+            v_try = np.maximum(v - step * dv, 0.0)
+            tstats, Gu_try, Gv_try = stats_and_products(problem, form, u_try, v_try)
             t_sel = _project_scaling(problem, tstats, branch)
             if t_sel is None:
                 step *= 0.5
@@ -209,7 +209,8 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, riesz: np.ndarray,
             J_new = n2 / 2 - K / (1 - q) - B / ab
             if J_new < J_cur:
                 rel_drop = (J_cur - J_new) / max(abs(J_cur), 1e-300)
-                pair = trial_dir.scaled(t_sel)
+                u, v = t_sel * u_try, t_sel * v_try
+                Gu, Gv = t_sel * Gu_try, t_sel * Gv_try
                 t_used = t_sel
                 J_cur = J_new
                 trajectory.append((J_cur, math.sqrt(n2), K, B))
@@ -224,17 +225,18 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, riesz: np.ndarray,
             hit_tol = True
             break
 
-    st = pair_stats(problem, form, pair)
+    # the checks run on the returned iterate itself, not on scaled stats
+    st, _, _ = stats_and_products(problem, form, u, v)
     _, phi1, phi2 = phi_from_stats(st, q, ab, 1.0)
     scale = st.scale()
     on_branch = (phi2 > 0) if branch is Branch.PLUS else (phi2 < 0)
     # the system asks for u, w > 0: a component that vanished at every
     # interior node (a negative parameter drives it there) is no solution
-    both_alive = bool(np.any(pair.u.values > 0) and np.any(pair.w.values > 0))
+    both_alive = bool(u.max() > 0 and v.max() > 0)
     converged = (hit_tol and abs(phi1) <= opts.tol_manifold * scale and on_branch
                  and both_alive)
     return {
-        "pair": pair,
+        "pair": GridPair.from_arrays(problem.grid, np.pad(u, 1), np.pad(v, 1)),
         "J": J_cur,
         "norm": math.sqrt(st.norm2),
         "phi1": phi1,
@@ -250,9 +252,8 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, riesz: np.ndarray,
 def _stationarity(problem: ValidatedProblem, form: GagliardoForm, riesz: np.ndarray,
                   pair: GridPair, norm: float, eps: float) -> float:
     """Dual norm sqrt(g' G^{-1} g) of the smoothed gradient over the pair norm."""
-    grad = energy_gradient(problem, form, pair, eps)
-    gu = grad.u.values[1:-1]
-    gv = grad.w.values[1:-1]
+    u, v = pair.u.values[1:-1], pair.w.values[1:-1]
+    gu, gv = smoothed_gradient(problem, u, v, form.matrix @ u, form.matrix @ v, eps)
     dual2 = float(gu @ (riesz @ gu) + gv @ (riesz @ gv))
     return math.sqrt(max(dual2, 0.0)) / norm
 

@@ -151,22 +151,26 @@ def _descend_quotient(form: GagliardoForm, r: float, values: np.ndarray,
 
     G v is carried along the iterates: a trial v - a d needs only G d, one
     product per iteration, since its numerator is
-    v'Gv - 2a d'Gv + a^2 d'Gd. The exact quotient of the final iterate is
-    returned, so the estimate is always the quotient of a real vector.
+    v'Gv - 2a d'Gv + a^2 d'Gd. |v| is carried too, so the weighted power
+    sum of an accepted trial and the next gradient's |v|^{r-1} share it.
+    The exact quotient of the final iterate is returned, so the estimate
+    is always the quotient of a real vector.
     """
     G = form.matrix
     w = form.quad_weights[1:-1]
     u = values / np.abs(values).max()
     start = best = rayleigh_quotient(form, r, u)
     v = u[1:-1]
+    abs_v = np.abs(v)
     Gv = G @ v
     num = float(v @ Gv)
-    den_sum = float(np.sum(w * np.abs(v) ** r))
+    den_sum = float(w @ abs_v**r)
     step = step0
     for _ in range(max_iters):
-        den = den_sum ** (2.0 / r)
-        g = 2.0 * (Gv - num * w * np.sign(v) * np.abs(v) ** (r - 1) / den_sum) / den
-        gn = np.linalg.norm(g)
+        # the quotient's gradient is this times 2 / den_sum^{2/r}; only
+        # its direction is used
+        g = Gv - (num / den_sum) * w * np.copysign(abs_v ** (r - 1), v)
+        gn = math.sqrt(g @ g)
         if gn == 0.0:
             break
         d = g / gn
@@ -176,14 +180,15 @@ def _descend_quotient(form: GagliardoForm, r: float, values: np.ndarray,
         accepted = False
         while step > 1e-14:
             trial = v - step * d
-            if not np.any(trial):
+            abs_trial = np.abs(trial)
+            trial_den_sum = float(w @ abs_trial**r)
+            if trial_den_sum == 0.0:  # the trial vanished: it has no quotient
                 step *= 0.5
                 continue
             trial_num = num - 2.0 * step * dGv + step * step * dGd
-            trial_den_sum = float(np.sum(w * np.abs(trial) ** r))
             qt = trial_num / trial_den_sum ** (2.0 / r)
             if qt < best:
-                v, Gv = trial, Gv - step * Gd
+                v, abs_v, Gv = trial, abs_trial, Gv - step * Gd
                 num, den_sum, best = trial_num, trial_den_sum, qt
                 step = min(step * 2.0, step0)
                 accepted = True

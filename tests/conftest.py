@@ -82,3 +82,40 @@ def bump_pair(problem, center, width, amp_u=1.0, amp_w=1.0):
     prof = np.maximum(0.0, 1 - ((x - center) / width) ** 2) ** 2
     prof[0] = prof[-1] = 0.0
     return nf.GridPair.from_arrays(problem.grid, amp_u * prof, amp_w * prof)
+
+
+def reference_stats(problem, form, pair):
+    """(norm2, K, B) by the GridPair formulas the raw-array kernel replaced,
+    kept as an oracle: full nodal arrays and the trapezoid weights rebuilt
+    per call."""
+    w = problem.quad_weights()
+    q = problem.q
+    u, v = pair.u.values, pair.w.values
+    up = np.maximum(u, 0.0)
+    vp = np.maximum(v, 0.0)
+    norm2 = (float(u[1:-1] @ form.matrix @ u[1:-1])
+             + float(v[1:-1] @ form.matrix @ v[1:-1]))
+    K = float(problem.lam * np.sum(w * problem.f_vals * up ** (1 - q))
+              + problem.mu * np.sum(w * problem.g_vals * vp ** (1 - q)))
+    B = float(np.sum(w * problem.b_vals * up**problem.alpha * vp**problem.beta))
+    return norm2, K, B
+
+
+def reference_gradient(problem, form, pair, eps):
+    """Nodal gradient of the eps-smoothed energy by the replaced formulas."""
+    w = problem.quad_weights()
+    q, al, be = problem.q, problem.alpha, problem.beta
+    ab = al + be
+    u, v = pair.u.values, pair.w.values
+    up = np.maximum(u, 0.0)
+    vp = np.maximum(v, 0.0)
+    gu = np.zeros_like(u)
+    gv = np.zeros_like(v)
+    i = slice(1, -1)
+    gu[i] = (form.matrix @ u[i]
+             - problem.lam * (w * problem.f_vals)[i] * np.maximum(u[i], eps) ** (-q)
+             - (al / ab) * (w * problem.b_vals)[i] * up[i] ** (al - 1) * vp[i] ** be)
+    gv[i] = (form.matrix @ v[i]
+             - problem.mu * (w * problem.g_vals)[i] * np.maximum(v[i], eps) ** (-q)
+             - (be / ab) * (w * problem.b_vals)[i] * up[i] ** al * vp[i] ** (be - 1))
+    return gu, gv

@@ -238,6 +238,42 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_sweep_non_numeric_grid_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, {"grid": {"cells": 32}})
+    out = tmp_path / "bad.csv"
+    assert cli.main(["sweep", path, "--lambdas", "0.01,abc", "--mus", "0.01",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "abc" in err
+    assert not out.exists()
+
+
+def test_sweep_non_integer_jobs_env_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, {"grid": {"cells": 32}})
+    out = tmp_path / "bad.csv"
+    monkeypatch.setenv("NEHARI_FRAC_JOBS", "two")
+    assert cli.main(["sweep", path, "--lambdas", "0.01", "--mus", "0.01",
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "NEHARI_FRAC_JOBS" in err
+    assert not out.exists()
+    # an explicit --jobs does not read the variable
+    assert cli.main(["sweep", path, "--lambdas", "0.01", "--mus", "0.01",
+                     "--out", str(out), "--jobs", "1"]) == 0
+
+
+def test_sweep_assembles_the_form_once(tmp_path, monkeypatch):
+    # the form depends only on (grid, s), which every point shares
+    path = write_config(tmp_path, {"grid": {"cells": 32}})
+    calls = []
+    assemble = cli.assemble_form
+    monkeypatch.setattr(cli, "assemble_form",
+                        lambda grid, s: calls.append((grid, s)) or assemble(grid, s))
+    assert cli.main(["sweep", path, "--lambdas", "0.01,0.02", "--mus", "0.005,0.01",
+                     "--out", str(tmp_path / "once.csv"), "--seed", "3"]) == 0
+    assert len(calls) == 1
+
+
 def _sign_pattern(ts, vals, cuts):
     """Signs of vals on the segments of ts delimited by the cut points."""
     signs = []

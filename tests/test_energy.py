@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 import neharifrac as nf
-from neharifrac.energy import phi_from_stats
+from neharifrac.energy import phi_from_stats, smoothed_gradient, stats_and_products
 from neharifrac.errors import NonpositiveEpsilon, NonpositiveT
 
-from conftest import bump_pair, random_x0_pair
+from conftest import (
+    bump_pair,
+    make_spec,
+    random_x0_pair,
+    reference_gradient,
+    reference_stats,
+)
 
 
 def zero_pair(problem):
@@ -209,3 +215,55 @@ def test_gradient_rejects_bad_eps(problem64, form64):
         nf.energy_gradient(problem64, form64, pair, 0.0)
     with pytest.raises(NonpositiveEpsilon):
         nf.energy_smoothed(problem64, form64, pair, -1.0)
+
+
+def _oracle_pairs(problem, rng):
+    """Seeded pairs for the kernel oracle: signed, with zero nodes, and
+    below the smoothing floor eps = 1e-8."""
+    n = problem.grid.node_count
+    for _ in range(4):
+        yield random_x0_pair(problem, rng)
+        pair = random_x0_pair(problem, rng, nonnegative=True)
+        u, w = pair.u.values.copy(), pair.w.values.copy()
+        u[rng.random(n) < 0.3] = 0.0
+        w[rng.random(n) < 0.3] = 0.0
+        yield nf.GridPair.from_arrays(problem.grid, u, w)
+        yield pair.scaled(1e-10)
+        # straddling eps: some nodes above it, some below
+        yield nf.GridPair.from_arrays(problem.grid, u * 1e-8, w * 1e-7)
+
+
+@pytest.mark.parametrize("asymmetric", [False, True])
+def test_kernel_against_gridpair_oracle(problem64, form64, asymmetric):
+    problem = problem64
+    if asymmetric:
+        problem = nf.validate_params(make_spec(
+            cells=64, q=0.4, alpha=1.3, beta=1.6, lam=0.02, mu=0.005,
+            f=nf.WeightSpec.gaussian(0.2, 0.7, 1.1), g=nf.WeightSpec.linear_x(0.3, 1.0),
+            b=nf.WeightSpec.cos_pi_x(1.2)))
+    eps = 1e-8
+    rng = np.random.default_rng(31)
+    for pair in _oracle_pairs(problem, rng):
+        norm2, K, B = reference_stats(problem, form64, pair)
+        st = nf.pair_stats(problem, form64, pair)
+        assert st.norm2 == pytest.approx(norm2, rel=1e-13)
+        assert st.K == pytest.approx(K, rel=1e-13, abs=1e-300)
+        assert st.B == pytest.approx(B, rel=1e-13, abs=1e-300)
+        assert nf.K_value(problem, pair) == st.K
+        assert nf.B_value(problem, pair) == st.B
+
+        gu, gv = reference_gradient(problem, form64, pair, eps)
+        grad = nf.energy_gradient(problem, form64, pair, eps)
+        for new, ref in ((grad.u.values, gu), (grad.w.values, gv)):
+            assert new[0] == new[-1] == 0.0
+            assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+        # the raw kernel returns the products it used
+        u, v = pair.u.values[1:-1], pair.w.values[1:-1]
+        st_raw, Gu, Gv = stats_and_products(problem, form64, u, v)
+        assert st_raw == st
+        assert np.array_equal(Gu, form64.matrix @ u)
+        assert np.array_equal(Gv, form64.matrix @ v)
+        raw_u, raw_v = smoothed_gradient(problem, u, v, Gu, Gv, eps)
+        assert np.array_equal(raw_u, grad.u.values[1:-1])
+        assert np.array_equal(raw_v, grad.w.values[1:-1])

@@ -3,10 +3,11 @@ import pytest
 
 import neharifrac as nf
 from neharifrac.errors import DirectionSearchFailed, NotConvergedInput
-from neharifrac.solver import _project_scaling
+from neharifrac.form import riesz_map
+from neharifrac.solver import _descend, _project_scaling
 from neharifrac.thresholds import rho_coefficients
 
-from conftest import make_spec
+from conftest import make_spec, reference_gradient, reference_stats
 
 
 def test_initial_direction_properties(problem64, form64):
@@ -265,3 +266,76 @@ def test_negative_parameter_branches():
             nf.initial_direction(p, np.random.default_rng(seed), nf.Branch.MINUS))
         for seed in (0, 1))
     assert minus.J <= J_oracle + 1e-8 * abs(J_oracle)
+
+
+def _descend_gridpair_reference(problem, form, riesz, branch, direction, opts):
+    """The Sobolev descent as it ran on GridPair objects before the loop
+    moved to raw arrays, kept as an oracle: every trial and every gradient
+    recomputed from the full nodal arrays by the replaced formulas.
+    Returns (iterations, final energy), or None if the direction admits no
+    branch scaling."""
+    q, ab = problem.q, problem.alpha + problem.beta
+
+    def stats(pair):
+        return nf.PairStats(*reference_stats(problem, form, pair))
+
+    t_used = _project_scaling(problem, stats(direction), branch)
+    if t_used is None:
+        return None
+    pair = direction.scaled(t_used)
+    st = stats(pair)
+    J_cur = st.norm2 / 2 - st.K / (1 - q) - st.B / ab
+    step = opts.step
+    iters = 0
+    du = np.zeros(problem.grid.node_count)
+    dv = np.zeros(problem.grid.node_count)
+    for iters in range(1, opts.max_iters + 1):
+        gu, gv = reference_gradient(problem, form, pair, opts.eps_singular)
+        du[1:-1] = riesz @ gu[1:-1]
+        dv[1:-1] = riesz @ gv[1:-1]
+        rel_drop = None
+        while step > 1e-16:
+            u_try = np.maximum(pair.u.values - step * du, 0.0)
+            v_try = np.maximum(pair.w.values - step * dv, 0.0)
+            trial = nf.GridPair.from_arrays(problem.grid, u_try, v_try)
+            tstats = stats(trial)
+            t_sel = _project_scaling(problem, tstats, branch)
+            if t_sel is None:
+                step *= 0.5
+                continue
+            J_new = (tstats.norm2 * t_sel**2 / 2 - tstats.K * t_sel ** (1 - q) / (1 - q)
+                     - tstats.B * t_sel**ab / ab)
+            if J_new < J_cur:
+                rel_drop = (J_cur - J_new) / max(abs(J_cur), 1e-300)
+                pair = trial.scaled(t_sel)
+                J_cur = J_new
+                step = opts.step
+                break
+            step *= 0.5
+        if rel_drop is None or rel_drop < opts.tol_energy:
+            break
+    return iters, J_cur
+
+
+@pytest.mark.parametrize("cells", [64, 128])
+def test_array_descent_against_gridpair_oracle(cells, problem64, form64):
+    # every restart of the 64-cell fixture and of the README config at 128
+    # cells: the same iteration count and the same energy up to roundoff
+    if cells == 64:
+        problem, form, seeds = problem64, form64, range(42, 50)
+    else:
+        problem = nf.validate_params(make_spec(cells=128))
+        form = nf.assemble_form(problem.grid, problem.s)
+        seeds = range(8)
+    riesz = riesz_map(form)
+    opts = nf.SolverOptions()
+    for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
+        for seed in seeds:
+            direction = nf.initial_direction(problem, np.random.default_rng(seed), branch)
+            oracle = _descend_gridpair_reference(problem, form, riesz, branch,
+                                                 direction, opts)
+            result = _descend(problem, form, riesz, branch, direction, opts)
+            assert oracle is not None and result is not None
+            iters, J = oracle
+            assert result["iters"] == iters
+            assert result["J"] == pytest.approx(J, rel=1e-12)
