@@ -55,7 +55,7 @@ st = nf.pair_stats(problem, form, pair)
 roots = nf.project(st, q, ab)
 print("fiber profile through the two-root direction:")
 for t in np.geomspace(0.02, 5 * roots.t2, 12):
-    val, d1, _ = nf.phi(problem, form, pair, float(t))
+    val, d1, _ = nf.phi_from_stats(st, q, ab, float(t))
     marker = ""
     if abs(t - roots.t1) < 0.3 * roots.t1:
         marker = "   <- near the fiber minimum t1"

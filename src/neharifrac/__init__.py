@@ -35,7 +35,7 @@ from .energy import (
     energy,
     energy_smoothed,
     energy_gradient,
-    phi,
+    phi_from_stats,
 )
 from .fiber import (
     FiberCase,

@@ -12,7 +12,6 @@ in the stdout summary.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -58,8 +57,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NO_DIRECTION = 4
 EXIT_NOT_CONVERGED = 5
-
-JOBS_ENV_VAR = "NEHARI_FRAC_JOBS"
 
 
 @dataclass
@@ -295,7 +292,8 @@ def _parse_grid_list(text: str) -> list[float]:
         raise ConfigParseError(f"sweep grid {text!r} is not a list of numbers: {exc}") from exc
     if not values:
         raise ConfigParseError("empty sweep grid")
-    return values
+    # NaN compares false both ways, so it is put last by hand
+    return sorted(values, key=lambda v: (math.isnan(v), v))
 
 
 def _row_to_csv(row: dict) -> str:
@@ -317,21 +315,9 @@ def cmd_sweep(args) -> int:
     shared = validate_params(problem_from_config(cfg))
     lambdas = _parse_grid_list(args.lambdas)
     mus = _parse_grid_list(args.mus)
-    points = sorted((lam, mu) for lam in lambdas for mu in mus)
-
-    jobs = args.jobs if args.jobs is not None else os.environ.get(JOBS_ENV_VAR, "1")
-    try:
-        jobs = max(1, int(jobs))
-    except ValueError:
-        raise ValidationError(f"{JOBS_ENV_VAR} must be an integer, got {jobs!r}") from None
     form = assemble_form(shared.grid, shared.s)
-    if jobs == 1:
-        rows = [_sweep_point(cfg, form, lam, mu, args.seed) for lam, mu in points]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda p: _sweep_point(cfg, form, p[0], p[1], args.seed),
-                                 points))
-    rows.sort(key=lambda r: (r["lambda"], r["mu"]))
+    # both grids are sorted, so the rows are too, whatever the input order
+    rows = [_sweep_point(cfg, form, lam, mu, args.seed) for lam in lambdas for mu in mus]
 
     lines = [SWEEP_HEADER] + [_row_to_csv(r) for r in rows]
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -344,8 +330,9 @@ def cmd_fiber(args) -> int:
     cfg = load_config(args.config)
     problem = validate_params(problem_from_config(cfg))
     form = assemble_form(problem.grid, problem.s)
-    if args.t_lo <= 0 or args.t_hi <= args.t_lo:
-        raise ValidationError("need 0 < t-lo < t-hi")
+    if not (math.isfinite(args.t_hi) and 0 < args.t_lo < args.t_hi):
+        raise ValidationError(f"need finite 0 < t-lo < t-hi, got t-lo={args.t_lo}, "
+                              f"t-hi={args.t_hi}")
     if args.samples < 2:
         raise ValidationError("need at least 2 samples")
 
@@ -481,8 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mus", required=True, help="comma-separated values")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None,
-                   help=f"concurrent points (default ${JOBS_ENV_VAR} or 1)")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("fiber", help="sample the fiber map of a random direction")

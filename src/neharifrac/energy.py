@@ -161,7 +161,8 @@ def energy_gradient(problem: ValidatedProblem, form: GagliardoForm,
 
 
 def phi_from_stats(stats: PairStats, q: float, ab: float, t: float) -> tuple[float, float, float]:
-    """Fiber map value and first two derivatives from precomputed stats."""
+    """(phi(t), phi'(t), phi''(t)) for the fiber t -> J(t u, t w), from the
+    pair's ``pair_stats``."""
     if t <= 0:
         raise NonpositiveT(f"fiber map requires t > 0, got {t}")
     n2, K, B = stats.norm2, stats.K, stats.B
@@ -169,10 +170,3 @@ def phi_from_stats(stats: PairStats, q: float, ab: float, t: float) -> tuple[flo
     d1 = t * n2 - t ** (-q) * K - t ** (ab - 1) * B
     d2 = n2 + q * t ** (-q - 1) * K - (ab - 1) * t ** (ab - 2) * B
     return val, d1, d2
-
-
-def phi(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair,
-        t: float) -> tuple[float, float, float]:
-    """(phi(t), phi'(t), phi''(t)) for the fiber t -> J(t u, t w)."""
-    st = pair_stats(problem, form, pair)
-    return phi_from_stats(st, problem.q, problem.alpha + problem.beta, t)

@@ -302,6 +302,9 @@ def validate_params(spec: ProblemSpec) -> ValidatedProblem:
                  f"alpha+beta must lie in (2, {crit - 1.0:g}), got {ab}")
             )
 
+    for name, value in (("lambda", spec.lam), ("mu", spec.mu)):
+        if not np.isfinite(value):
+            violations.append(("ValidationError", f"{name} must be finite, got {value}"))
     if spec.lam == 0.0 and spec.mu == 0.0:
         violations.append(("ZeroParameters", "(lambda, mu) = (0, 0) is excluded"))
 
@@ -320,6 +323,7 @@ def validate_params(spec: ProblemSpec) -> ValidatedProblem:
     if violations:
         kind, msg = violations[0]
         cls = {
+            "ValidationError": ValidationError,
             "InvalidExponent": InvalidExponent,
             "InvalidOrder": InvalidOrder,
             "WeightSignViolation": WeightSignViolation,

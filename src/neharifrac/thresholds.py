@@ -277,10 +277,7 @@ def compute_constants(problem: ValidatedProblem, form: GagliardoForm,
     b_sup = float(np.max(np.maximum(problem.b_vals, 0.0)))
     Lambda = lambda_aggregate(problem.lam, problem.mu, f_norm, g_norm, q)
 
-    candidates = default_candidates(problem.grid)
-    candidates += [c.values if isinstance(c, GridFunction) else np.asarray(c, dtype=float)
-                   for c in extra_candidates]
-    S = estimate_S(form, ab, candidates)
+    S = estimate_S(form, ab, default_candidates(problem.grid) + list(extra_candidates))
 
     C = threshold_C(al, be, q, S, b_sup)
     in_gamma = 0.0 < Lambda < C

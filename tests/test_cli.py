@@ -1,5 +1,8 @@
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -56,6 +59,18 @@ def test_constants_missing_field(tmp_path):
 def test_constants_invalid_value(tmp_path):
     path = write_config(tmp_path, {"q": 1.5})
     assert cli.main(["constants", path]) == 3
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("command", ["constants", "solve"])
+def test_nonfinite_parameter_is_a_validation_error(tmp_path, capsys, command, value):
+    # json writes these as NaN / Infinity / -Infinity, which json.load accepts
+    path = write_config(tmp_path, {"lambda": value})
+    args = [command, path] + (["--out", str(tmp_path / "run")] if command == "solve" else [])
+    assert cli.main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error:") and "lambda" in captured.err
+    assert captured.out == ""
 
 
 def test_solve_both_writes_files_and_gap(tmp_path, capsys):
@@ -198,6 +213,22 @@ def test_sweep_records_failed_points_and_continues(tmp_path):
     assert good["plus_converged"] == "true"
 
 
+def test_sweep_nonfinite_points_are_failed_rows(tmp_path):
+    path = write_config(tmp_path, {"grid": {"cells": 32}})
+    out = tmp_path / "nonfinite.csv"
+    assert cli.main(["sweep", path, "--lambdas=nan,inf,-inf,0.01", "--mus", "0.01",
+                     "--out", str(out), "--seed", "1"]) == 0
+    lines = out.read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    # sorted, with NaN last
+    assert [r["lambda"] for r in rows] == ["-inf", "0.01", "inf", "nan"]
+    for r in rows:
+        ok = r["lambda"] == "0.01"
+        assert r["plus_converged"] == r["minus_converged"] == ("true" if ok else "false")
+        assert math.isnan(float(r["C"])) is not ok
+
+
 def test_sweep_mixed_sign_parameters(tmp_path):
     # a negative parameter collapses a solution component to zero; the
     # quotient search must skip it rather than lose the whole grid
@@ -219,25 +250,6 @@ def test_sweep_mixed_sign_parameters(tmp_path):
             assert r["minus_converged"] == "true"
 
 
-def test_sweep_jobs_env_default(tmp_path, monkeypatch):
-    path = write_config(tmp_path, {"grid": {"cells": 32}})
-    out1, out2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
-    args = ["--lambdas", "0.01,0.02", "--mus", "0.01", "--seed", "4"]
-    assert cli.main(["sweep", path, *args, "--out", str(out1)]) == 0
-    monkeypatch.setenv("NEHARI_FRAC_JOBS", "3")
-    assert cli.main(["sweep", path, *args, "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_sweep_parallel_matches_serial(tmp_path):
-    path = write_config(tmp_path, {"grid": {"cells": 32}})
-    out1, out2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
-    args = ["--lambdas", "0.01,0.02", "--mus", "0.005,0.01", "--seed", "3"]
-    assert cli.main(["sweep", path, *args, "--out", str(out1), "--jobs", "1"]) == 0
-    assert cli.main(["sweep", path, *args, "--out", str(out2), "--jobs", "4"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_sweep_non_numeric_grid_is_a_config_error(tmp_path, capsys):
     path = write_config(tmp_path, {"grid": {"cells": 32}})
     out = tmp_path / "bad.csv"
@@ -246,20 +258,6 @@ def test_sweep_non_numeric_grid_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "abc" in err
     assert not out.exists()
-
-
-def test_sweep_non_integer_jobs_env_is_a_validation_error(tmp_path, capsys, monkeypatch):
-    path = write_config(tmp_path, {"grid": {"cells": 32}})
-    out = tmp_path / "bad.csv"
-    monkeypatch.setenv("NEHARI_FRAC_JOBS", "two")
-    assert cli.main(["sweep", path, "--lambdas", "0.01", "--mus", "0.01",
-                     "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("validation error:") and "NEHARI_FRAC_JOBS" in err
-    assert not out.exists()
-    # an explicit --jobs does not read the variable
-    assert cli.main(["sweep", path, "--lambdas", "0.01", "--mus", "0.01",
-                     "--out", str(out), "--jobs", "1"]) == 0
 
 
 def test_sweep_assembles_the_form_once(tmp_path, monkeypatch):
@@ -319,6 +317,16 @@ def test_fiber_negative_coupling_sign_pattern(tmp_path):
     assert _sign_pattern(ts, dphi, [t1]) == ["-", "+"]
 
 
+@pytest.mark.parametrize("t_lo,t_hi", [("nan", "1e2"), ("1e-3", "nan"), ("1e-3", "inf"),
+                                       ("0", "1"), ("2", "1")])
+def test_fiber_rejects_bad_t_range(tmp_path, capsys, t_lo, t_hi):
+    path = write_config(tmp_path)
+    out = tmp_path / "bad_range.csv"
+    assert cli.main(["fiber", path, "--t-lo", t_lo, "--t-hi", t_hi, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("validation error:")
+    assert not out.exists()
+
+
 def test_fiber_two_samples(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "two.csv"
@@ -372,3 +380,15 @@ def test_problem_hash_canonicalization():
     assert cli.problem_hash(a) == cli.problem_hash(b)
     c = {"s": 0.41, "grid": {"left": -1.0, "right": 1.0, "cells": 8}}
     assert cli.problem_hash(a) != cli.problem_hash(c)
+
+
+def test_readme_command_lines_parse():
+    # every neharifrac command line in the README's bash blocks must stay
+    # valid for the parser; nothing is executed
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```bash\n(.*?)```", readme, flags=re.S)
+    commands = [ln.strip() for ln in "\n".join(blocks).replace("\\\n", " ").splitlines()
+                if ln.strip().startswith("neharifrac ")]
+    assert commands
+    for command in commands:
+        cli.build_parser().parse_args(shlex.split(command, comments=True)[1:])

@@ -121,7 +121,8 @@ def test_phi_equals_energy_of_scaled_pair(problem64, form64):
     for _ in range(20):
         pair = random_x0_pair(problem64, rng, nonnegative=True)
         t = float(rng.uniform(0.1, 5.0))
-        val, _, _ = nf.phi(problem64, form64, pair, t)
+        val, _, _ = nf.phi_from_stats(nf.pair_stats(problem64, form64, pair),
+                                      problem64.q, problem64.alpha + problem64.beta, t)
         direct = nf.energy(problem64, form64, pair.scaled(t)).J
         assert val == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
@@ -130,14 +131,15 @@ def test_phi_prime_at_one_is_constraint_value(problem64, form64):
     rng = np.random.default_rng(9)
     pair = random_x0_pair(problem64, rng, nonnegative=True)
     st = nf.pair_stats(problem64, form64, pair)
-    _, d1, _ = nf.phi(problem64, form64, pair, 1.0)
+    _, d1, _ = nf.phi_from_stats(st, problem64.q, problem64.alpha + problem64.beta, 1.0)
     assert d1 == pytest.approx(st.norm2 - st.K - st.B, rel=1e-14)
 
 
 def test_phi_rejects_nonpositive_t(problem64, form64):
     pair = bump_pair(problem64, 0.0, 0.3)
     with pytest.raises(NonpositiveT):
-        nf.phi(problem64, form64, pair, 0.0)
+        nf.phi_from_stats(nf.pair_stats(problem64, form64, pair),
+                          problem64.q, problem64.alpha + problem64.beta, 0.0)
 
 
 def test_second_derivative_expressions_agree_on_manifold(problem64, form64):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from neharifrac.errors import (
     InvalidOrder,
     SampleLengthMismatch,
     WeightSignViolation,
+    ValidationError,
     ZeroParameters,
 )
 
@@ -62,6 +65,15 @@ def test_validate_rejects_zero_parameters():
         nf.validate_params(make_spec(lam=0.0, mu=0.0))
     # one of the two may vanish
     nf.validate_params(make_spec(lam=0.0, mu=0.01))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["lam", "mu"])
+def test_validate_rejects_nonfinite_parameters(name, value):
+    # NaN passes every comparison-based check; it must not reach the constants
+    with pytest.raises(ValidationError) as exc:
+        nf.validate_params(make_spec(**{name: value}))
+    assert "must be finite" in str(exc.value)
 
 
 def test_validate_rejects_sign_violations():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import neharifrac as nf
+from neharifrac.energy import smoothed_gradient
 from neharifrac.errors import AllMasked, CandidateNotIncluded
 from neharifrac.thresholds import rayleigh_quotient
 
@@ -42,6 +43,23 @@ def test_weak_residual_of_converged_solution(problem64, form64, solved64):
         assert res.res_u <= 1e-3
         assert res.res_w <= 1e-3
         assert res.masked_fraction < 0.2
+
+
+def test_weak_residual_is_the_energy_gradient(problem64, form64, solved64):
+    # the residual keeps its own copy of the Euler-Lagrange terms; with
+    # eps = delta, max(u, eps)^{-q} is u^{-q} on every node the mask keeps,
+    # so both copies must give the same numbers there
+    for rep in solved64:
+        delta = 1e-4 * float(np.max(rep.pair.u.values))
+        res = nf.weak_residual(problem64, form64, rep.pair, delta)
+        u, v = rep.pair.u.values[1:-1], rep.pair.w.values[1:-1]
+        Gu, Gv = form64.matrix @ u, form64.matrix @ v
+        gu, gv = smoothed_gradient(problem64, u, v, Gu, Gv, eps=delta)
+        m = (u > delta) & (v > delta)
+        for value, G, g in ((res.res_u, Gu, gu), (res.res_w, Gv, gv)):
+            expected = (np.max(np.abs(g[m]))
+                        / max(np.max(np.abs(G[m])), np.max(np.abs(G[m] - g[m]))))
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_weak_residual_discriminates_noise(problem64, form64):
