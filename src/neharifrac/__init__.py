@@ -33,7 +33,6 @@ from .energy import (
     B_value,
     pair_stats,
     energy,
-    energy_smoothed,
     energy_gradient,
     phi_from_stats,
 )

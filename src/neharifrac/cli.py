@@ -435,7 +435,7 @@ def cmd_assemble(args) -> int:
               f"to {args.dump_matrix}")
     else:
         print(json.dumps({"N": problem.grid.cells, "s": problem.s,
-                          "interior_nodes": form.matrix.shape[0]}))
+                          "interior_nodes": len(form.symbol)}))
     return EXIT_OK
 
 

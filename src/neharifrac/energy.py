@@ -66,8 +66,8 @@ def stats_and_products(problem: ValidatedProblem, form: GagliardoForm,
     The raw-array kernel behind ``pair_stats``: descent loops call it
     directly and reuse the two products for the gradient.
     """
-    Gu = form.matrix @ u
-    Gv = form.matrix @ v
+    Gu = form.apply(u)
+    Gv = form.apply(v)
     K, B = singular_and_coupling(problem, u, v)
     return PairStats(norm2=float(u @ Gu + v @ Gv), K=K, B=B), Gu, Gv
 
@@ -117,35 +117,6 @@ def energy(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> En
     return EnergyParts(norm2=st.norm2, K=st.K, B=st.B, J=J)
 
 
-def _smoothed_primitive(t: np.ndarray, q: float, eps: float) -> np.ndarray:
-    """Primitive of max(t, eps)^{-q}, C^1 across t = eps."""
-    out = np.where(t >= eps,
-                   np.maximum(t, eps) ** (1 - q) / (1 - q),
-                   eps ** (1 - q) / (1 - q) + eps ** (-q) * (t - eps))
-    return out
-
-
-def energy_smoothed(problem: ValidatedProblem, form: GagliardoForm,
-                    pair: GridPair, eps: float) -> float:
-    """Energy with the singular term replaced by its eps-smoothed version.
-
-    Below eps the integrand continues linearly with slope eps^{-q}, so the
-    value is finite and the gradient formula of ``energy_gradient`` is its
-    exact derivative everywhere. The smoothed integrand is positive at 0,
-    so the boundary nodes contribute to the trapezoid sum.
-    """
-    if eps <= 0:
-        raise NonpositiveEpsilon(f"eps must be positive, got {eps}")
-    w = problem.quad_weights()
-    q = problem.q
-    st = pair_stats(problem, form, pair)
-    sing = (problem.lam * np.sum(w * problem.f_vals
-                                 * _smoothed_primitive(pair.u.values, q, eps))
-            + problem.mu * np.sum(w * problem.g_vals
-                                  * _smoothed_primitive(pair.w.values, q, eps)))
-    return float(st.norm2 / 2 - sing - st.B / (problem.alpha + problem.beta))
-
-
 def energy_gradient(problem: ValidatedProblem, form: GagliardoForm,
                     pair: GridPair, eps: float) -> GridPair:
     """Gradient of the eps-smoothed energy with respect to the nodal values.
@@ -156,7 +127,7 @@ def energy_gradient(problem: ValidatedProblem, form: GagliardoForm,
     if eps <= 0:
         raise NonpositiveEpsilon(f"eps must be positive, got {eps}")
     u, v = _interior(form, pair)
-    gu, gv = smoothed_gradient(problem, u, v, form.matrix @ u, form.matrix @ v, eps)
+    gu, gv = smoothed_gradient(problem, u, v, form.apply(u), form.apply(v), eps)
     return GridPair.from_arrays(pair.grid, np.pad(gu, 1), np.pad(gv, 1))
 
 

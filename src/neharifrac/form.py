@@ -1,4 +1,4 @@
-"""Assembly of the squared zero-exterior energy norm as an explicit matrix.
+"""The squared zero-exterior energy norm as a Toeplitz operator.
 
 For nodal values u on the grid (zero at the boundary), u' G u equals the
 double-integral energy
@@ -24,13 +24,17 @@ either loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
 from .errors import GridMismatch, InvalidOrder
 from .problem import GridFunction, GridPair, GridSpec
 
+# grids with at least this many cells apply G by FFT and invert it by PCG;
+# the README gives the timings behind the value
+MATRIX_FREE_CELLS = 1024
+PCG_RTOL = 1e-11  # residual reduction of a matrix-free riesz by default
 _DIRECT_INVERSE = 32  # triangular blocks up to this size go to np.linalg.inv
 SERIES_TERMS = 30  # powers m^{-4} ... m^{-62}; for m >= 3 the tail is below roundoff
 _FOURTH_DIFFERENCE = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
@@ -102,31 +106,108 @@ def form_symbol(s: float, h: float, count: int) -> np.ndarray:
     return h ** (1 - 2 * s) * c
 
 
-@dataclass
+def chan_eigenvalues(symbol: np.ndarray) -> np.ndarray:
+    """Eigenvalues of T. Chan's optimal circulant for the symmetric Toeplitz
+    matrix with first column symbol, in numpy.fft.rfft order.
+
+    The circulant closest to T in the Frobenius norm has first column
+    c_k = ((n-k) t_k + k t_{n-k}) / n (Chan & Ng, SIAM Rev. 1996). Its
+    eigenvalues are the Rayleigh quotients of T at the Fourier vectors, so
+    they are positive whenever T is positive definite.
+    """
+    n = len(symbol)
+    k = np.arange(1, n)
+    c = np.empty(n)
+    c[0] = symbol[0]
+    c[1:] = ((n - k) * symbol[1:] + k * symbol[:0:-1]) / n
+    return np.fft.rfft(c).real
+
+
 class GagliardoForm:
-    """Dense symmetric matrix of the squared energy norm over interior nodes."""
+    """The squared energy norm over interior nodes, as an operator.
 
-    matrix: np.ndarray
-    quad_weights: np.ndarray
-    s: float
-    grid: GridSpec
+    Built from the O(N) Toeplitz symbol. Below MATRIX_FREE_CELLS cells,
+    apply is a dense product and riesz goes through the cached dense
+    inverse. From MATRIX_FREE_CELLS on, apply is a circulant-embedding FFT
+    product and riesz is conjugate gradients preconditioned by Chan's
+    circulant, and neither builds an N x N array. The dense matrix and
+    inverse are built on first use at every size.
+    """
 
-    def __post_init__(self):
-        n = self.grid.cells - 1
-        if self.matrix.shape != (n, n):
-            raise GridMismatch("form matrix does not match the grid")
+    def __init__(self, grid: GridSpec, s: float):
+        n = grid.cells - 1
+        self.grid = grid
+        self.s = s
+        self.symbol = form_symbol(s, grid.h, n)
+        self.quad_weights = grid.trapezoid_weights()
+        self.matrix_free = grid.cells >= MATRIX_FREE_CELLS
+        self._inverse = None
+        if self.matrix_free:
+            # circulant of power-of-two length >= 2n - 1 with T as its
+            # leading block; a raw length 2n - 1 can factor badly for the FFT
+            self._length = 1 << (2 * n - 2).bit_length()
+            column = np.zeros(self._length)
+            column[:n] = self.symbol
+            column[self._length - n + 1:] = self.symbol[:0:-1]
+            self._embedding = np.fft.rfft(column).real
+            self._chan = chan_eigenvalues(self.symbol)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix G, built on first use."""
+        n = len(self.symbol)
+        # row i of the sliding windows over [c_{n-1} .. c_1, c_0, c_1 .. c_{n-1}],
+        # taken in reverse, is c[|i - j|] for j = 0 .. n-1
+        mirrored = np.concatenate([self.symbol[:0:-1], self.symbol])
+        return np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
+
+    def inverse(self) -> np.ndarray:
+        """The dense inverse of G, built by ``riesz_map`` on first call."""
+        if self._inverse is None:
+            self._inverse = riesz_map(self)
+        return self._inverse
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """G x for an array x over the interior nodes."""
+        if not self.matrix_free:
+            return self.matrix @ x
+        y = np.fft.irfft(np.fft.rfft(x, self._length) * self._embedding, self._length)
+        return y[:len(x)]
+
+    def riesz(self, x: np.ndarray, x0: np.ndarray | None = None,
+              rtol: float = PCG_RTOL) -> np.ndarray:
+        """G^{-1} x: the H^s Riesz representative of a nodal gradient.
+
+        Below MATRIX_FREE_CELLS this is a product with the dense inverse,
+        and x0 and rtol are unused. From there on it is conjugate gradients
+        preconditioned by Chan's circulant, started from x0 (zero if None),
+        which stop once the residual has fallen by the factor rtol.
+        """
+        if not self.matrix_free:
+            return self.inverse() @ x
+        n = len(x)
+        y = np.zeros(n) if x0 is None else x0.copy()
+        r = x.copy() if x0 is None else x - self.apply(y)
+        stop = rtol * rtol * (r @ r)
+        p = np.zeros(n)
+        rz_old = 1.0
+        for _ in range(n):
+            if r @ r <= stop:
+                break
+            z = np.fft.irfft(np.fft.rfft(r) / self._chan, n)
+            rz = r @ z
+            p = z + (rz / rz_old) * p
+            Gp = self.apply(p)
+            a = rz / (p @ Gp)
+            y += a * p
+            r -= a * Gp
+            rz_old = rz
+        return y
 
 
 def assemble_form(grid: GridSpec, s: float) -> GagliardoForm:
-    """Assemble the energy form matrix for piecewise-linear nodal functions."""
-    n = grid.cells - 1
-    c = form_symbol(s, grid.h, n)
-    # row i of the sliding windows over [c_{n-1} .. c_1, c_0, c_1 .. c_{n-1}],
-    # taken in reverse, is c[|i - j|] for j = 0 .. n-1
-    mirrored = np.concatenate([c[:0:-1], c])
-    matrix = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
-    return GagliardoForm(matrix=matrix, quad_weights=grid.trapezoid_weights(),
-                         s=s, grid=grid)
+    """The energy form operator for piecewise-linear nodal functions."""
+    return GagliardoForm(grid, s)
 
 
 def _interior(form: GagliardoForm, u: GridFunction) -> np.ndarray:
@@ -138,7 +219,7 @@ def _interior(form: GagliardoForm, u: GridFunction) -> np.ndarray:
 def seminorm_sq(form: GagliardoForm, u: GridFunction) -> float:
     """Squared energy norm u' G u of a single grid function."""
     v = _interior(form, u)
-    return float(v @ form.matrix @ v)
+    return float(v @ form.apply(v))
 
 
 def pair_norm_sq(form: GagliardoForm, p: GridPair) -> float:
@@ -181,7 +262,6 @@ def apply_form(form: GagliardoForm, u: GridFunction) -> GridFunction:
     nodal hat functions, so <Gu, v> over interior nodes equals the energy
     pairing of u with v.
     """
-    v = _interior(form, u)
     out = np.zeros(form.grid.node_count)
-    out[1:-1] = form.matrix @ v
+    out[1:-1] = form.apply(_interior(form, u))
     return GridFunction(form.grid, out)

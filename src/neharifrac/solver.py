@@ -11,7 +11,8 @@ to zero, reprojects the result onto the branch, and accepts only if the
 energy decreased (else halves the step). The Euclidean gradient carries
 the mesh-dependent scale of G, so its step count grows with the grid; the
 Riesz representative is measured in the energy norm, and the iteration
-count stays flat in N. The inverse of G is formed once per branch solve.
+count stays flat in N. The dense inverse of G is formed once per form
+(``GagliardoForm.inverse``), so once per solve and once per sweep.
 
 Every accepted iterate sits on its branch, so branch invariants are
 checkable at each step. Independent seeded restarts guard against bad
@@ -38,7 +39,7 @@ from .errors import (
     NotConvergedInput,
 )
 from .fiber import FiberCase, falling_root, project
-from .form import GagliardoForm, riesz_map
+from .form import GagliardoForm
 from .problem import GridPair, ValidatedProblem
 from .thresholds import ConstantsReport
 
@@ -61,9 +62,13 @@ class SolverOptions:
     restarts: int = 8
 
     def __post_init__(self):
-        if self.max_iters <= 0 or self.step <= 0 or self.tol_energy <= 0 \
-                or self.tol_manifold <= 0 or self.eps_singular <= 0:
-            raise ValueError("solver options must be positive")
+        if self.max_iters <= 0:
+            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+        for name in ("step", "tol_energy", "tol_manifold", "eps_singular"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"solver option {name} must be positive and finite, "
+                                 f"got {value}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
 
@@ -167,8 +172,8 @@ def _project_scaling(problem, stats, branch):
 def _descend(problem: ValidatedProblem, form: GagliardoForm, riesz: np.ndarray,
              branch: Branch, direction: GridPair, opts: SolverOptions):
     """One restart: returns a SolutionReport-shaped dict, or None if the
-    initial direction admits no branch scaling. riesz is the inverse of
-    form.matrix.
+    initial direction admits no branch scaling. riesz is the dense inverse
+    of the form, ``form.inverse()``.
 
     The loop runs on interior arrays. An accepted iterate is t * trial, so
     its products with G are t times the trial's, and each gradient costs
@@ -253,7 +258,7 @@ def _stationarity(problem: ValidatedProblem, form: GagliardoForm, riesz: np.ndar
                   pair: GridPair, norm: float, eps: float) -> float:
     """Dual norm sqrt(g' G^{-1} g) of the smoothed gradient over the pair norm."""
     u, v = pair.u.values[1:-1], pair.w.values[1:-1]
-    gu, gv = smoothed_gradient(problem, u, v, form.matrix @ u, form.matrix @ v, eps)
+    gu, gv = smoothed_gradient(problem, u, v, form.apply(u), form.apply(v), eps)
     dual2 = float(gu @ (riesz @ gu) + gv @ (riesz @ gv))
     return math.sqrt(max(dual2, 0.0)) / norm
 
@@ -267,7 +272,7 @@ def solve_branch(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
     iteration count. Raises NoAdmissibleDirection if every restart fails
     to find a direction admitting the branch scaling.
     """
-    riesz = riesz_map(form)
+    riesz = form.inverse()
     best = None
     completed = 0
     for i in range(opts.restarts):

@@ -81,8 +81,8 @@ def weak_residual(problem: ValidatedProblem, form: GagliardoForm,
     ab = al + be
     u = pair.u.values[1:-1]
     v = pair.w.values[1:-1]
-    Gu = form.matrix @ u
-    Gv = form.matrix @ v
+    Gu = form.apply(u)
+    Gv = form.apply(v)
 
     mask = (u > delta) & (v > delta)
     masked_fraction = 1.0 - float(mask.mean())

@@ -101,6 +101,32 @@ def reference_stats(problem, form, pair):
     return norm2, K, B
 
 
+def _smoothed_primitive(t, q, eps):
+    """Primitive of max(t, eps)^{-q}, C^1 across t = eps."""
+    return np.where(t >= eps,
+                    np.maximum(t, eps) ** (1 - q) / (1 - q),
+                    eps ** (1 - q) / (1 - q) + eps ** (-q) * (t - eps))
+
+
+def energy_smoothed(problem, form, pair, eps):
+    """Energy with the singular term replaced by its eps-smoothed version,
+    kept as the finite-difference oracle of ``energy_gradient``.
+
+    Below eps the integrand continues linearly with slope eps^{-q}, so the
+    value is finite and the gradient formula of ``energy_gradient`` is its
+    exact derivative everywhere. The smoothed integrand is positive at 0,
+    so the boundary nodes contribute to the trapezoid sum.
+    """
+    w = problem.quad_weights()
+    q = problem.q
+    st = nf.pair_stats(problem, form, pair)
+    sing = (problem.lam * np.sum(w * problem.f_vals
+                                 * _smoothed_primitive(pair.u.values, q, eps))
+            + problem.mu * np.sum(w * problem.g_vals
+                                  * _smoothed_primitive(pair.w.values, q, eps)))
+    return float(st.norm2 / 2 - sing - st.B / (problem.alpha + problem.beta))
+
+
 def reference_gradient(problem, form, pair, eps):
     """Nodal gradient of the eps-smoothed energy by the replaced formulas."""
     w = problem.quad_weights()

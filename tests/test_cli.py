@@ -3,11 +3,13 @@ import math
 import pathlib
 import re
 import shlex
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from neharifrac import cli
+from neharifrac import form as form_mod
 
 
 BASE_CONFIG = {
@@ -70,6 +72,15 @@ def test_nonfinite_parameter_is_a_validation_error(tmp_path, capsys, command, va
     assert cli.main(args) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("validation error:") and "lambda" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_nonfinite_solver_option_is_a_validation_error(tmp_path, capsys, value):
+    path = write_config(tmp_path, {"solver": {"step": value}})
+    assert cli.main(["solve", path, "--out", str(tmp_path / "run")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error:") and "step" in captured.err
     assert captured.out == ""
 
 
@@ -270,6 +281,32 @@ def test_sweep_assembles_the_form_once(tmp_path, monkeypatch):
     assert cli.main(["sweep", path, "--lambdas", "0.01,0.02", "--mus", "0.005,0.01",
                      "--out", str(tmp_path / "once.csv"), "--seed", "3"]) == 0
     assert len(calls) == 1
+
+
+def test_dense_inverse_is_built_once_per_solve_and_per_sweep(tmp_path, monkeypatch):
+    # both branches, and every sweep point, share the form and its inverse
+    path = write_config(tmp_path)
+    calls = []
+    build = form_mod.riesz_map
+    monkeypatch.setattr(form_mod, "riesz_map", lambda form: calls.append(form) or build(form))
+    assert cli.main(["solve", path, "--branch", "both", "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == 1
+    assert cli.main(["sweep", path, "--lambdas", "0.01,0.02", "--mus", "0.005,0.01",
+                     "--out", str(tmp_path / "once.csv"), "--seed", "3"]) == 0
+    assert len(calls) == 2
+
+
+def test_constants_builds_no_dense_matrix_at_large_n(tmp_path, capsys):
+    # a dense form at 2048 cells takes 2047^2 * 8 bytes = 33.5 MB
+    path = write_config(tmp_path, {"grid": {"cells": 2048}})
+    tracemalloc.start()
+    try:
+        assert cli.main(["constants", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert json.loads(capsys.readouterr().out)["S"] > 0
 
 
 def _sign_pattern(ts, vals, cuts):

@@ -5,7 +5,8 @@ from scipy.integrate import dblquad, quad
 
 import neharifrac as nf
 from neharifrac.errors import GridMismatch, InvalidOrder
-from neharifrac.form import form_symbol, riesz_map, same_cell_integral
+from neharifrac import form as form_mod
+from neharifrac.form import chan_eigenvalues, form_symbol, riesz_map, same_cell_integral
 
 
 def hat(grid, node=None):
@@ -259,3 +260,40 @@ def test_riesz_map_is_the_inverse(cells):
     assert np.abs(form.matrix @ riesz - np.eye(cells - 1)).max() <= 1e-13
     oracle = np.linalg.inv(form.matrix)
     assert np.abs(riesz - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+# ---------------------------------------------------------------------------
+# matrix-free path: FFT products and preconditioned conjugate gradients
+
+
+@pytest.mark.parametrize("s", [0.2, 0.4, 0.49])
+@pytest.mark.parametrize("cells", [512, 1024, 2048])
+def test_matrix_free_apply_and_riesz_match_dense(monkeypatch, cells, s):
+    monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", 2)
+    form = nf.assemble_form(nf.GridSpec(-1.0, 1.0, cells), s)
+    assert form.matrix_free
+    rng = np.random.default_rng(cells)
+    x = form.grid.nodes()[1:-1]
+    for v in (rng.standard_normal(cells - 1), np.cos(0.5 * np.pi * x)):
+        dense = form.matrix @ v
+        assert np.linalg.norm(form.apply(v) - dense) <= 1e-12 * np.linalg.norm(dense)
+        exact = form.inverse() @ v
+        for x0 in (None, 0.5 * exact):
+            err = np.linalg.norm(form.riesz(v, x0) - exact)
+            assert err <= 1e-9 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("cells", [16, 1024, 65536])
+def test_chan_preconditioner_is_positive_definite(cells):
+    for s in np.linspace(0.01, 0.4999, 9):
+        symbol = form_symbol(float(s), 2.0 / cells, cells - 1)
+        assert chan_eigenvalues(symbol).min() > 0, s
+
+
+def test_crossover_selects_the_path():
+    below = nf.assemble_form(nf.GridSpec(-1.0, 1.0, form_mod.MATRIX_FREE_CELLS - 1), 0.4)
+    at = nf.assemble_form(nf.GridSpec(-1.0, 1.0, form_mod.MATRIX_FREE_CELLS), 0.4)
+    assert not below.matrix_free and at.matrix_free
+    # the dense path applies the matrix itself
+    v = np.linspace(0.0, 1.0, below.grid.cells - 1)
+    assert np.array_equal(below.apply(v), below.matrix @ v)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import neharifrac as nf
 from neharifrac.errors import DirectionSearchFailed, NotConvergedInput
+from neharifrac import form as form_mod
 from neharifrac.form import riesz_map
 from neharifrac.solver import _descend, _project_scaling
 from neharifrac.thresholds import rho_coefficients
@@ -177,6 +180,30 @@ def test_solver_options_validation():
         nf.SolverOptions(restarts=0)
     with pytest.raises(ValueError):
         nf.SolverOptions(step=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("option", ["step", "tol_energy", "tol_manifold", "eps_singular"])
+def test_solver_options_reject_nonfinite(option, value):
+    with pytest.raises(ValueError, match=option):
+        nf.SolverOptions(**{option: value})
+
+
+@pytest.mark.parametrize("cells", [512, 1024])
+def test_matrix_free_form_solves_like_the_dense_one(monkeypatch, cells):
+    problem = nf.validate_params(make_spec(cells=cells))
+    opts = nf.SolverOptions(seed=0, restarts=1)
+    reports = {}
+    for matrix_free, crossover in ((True, 2), (False, 10**9)):
+        monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", crossover)
+        form = nf.assemble_form(problem.grid, problem.s)
+        assert form.matrix_free is matrix_free
+        reports[matrix_free] = [nf.solve_branch(problem, form, branch, opts)
+                                for branch in (nf.Branch.PLUS, nf.Branch.MINUS)]
+    for fast, dense in zip(reports[True], reports[False]):
+        assert fast.converged and dense.converged
+        assert fast.J == pytest.approx(dense.J, rel=1e-10)
+        assert fast.norm == pytest.approx(dense.norm, rel=1e-10)
 
 
 def _descend_euclidean_reference(problem, form, branch, direction, max_iters=2000,

@@ -235,6 +235,34 @@ def test_estimate_S_matches_reference_descent(form_name, r, request):
     assert nf.estimate_S(form, r, cands) == pytest.approx(reference, rel=1e-12)
 
 
+def test_estimate_S_at_most_the_euclidean_descent():
+    # the 200-step Euclidean descent stops short of the minimum at this N;
+    # the inverse iteration must do at least as well
+    form = nf.assemble_form(nf.GridSpec(-1.0, 1.0, 1024), 0.4)
+    cands = nf.default_candidates(form.grid)
+    euclidean = min(min(rayleigh_quotient(form, 3.0, c), _descend_quotient_reference(form, 3.0, c))
+                    for c in cands)
+    assert nf.estimate_S(form, 3.0, cands) <= euclidean * (1 + 1e-12)
+
+
+def test_inverse_iteration_count_is_flat_in_n(monkeypatch):
+    # one Riesz solve per outer iteration
+    counts = []
+    for cells in (128, 256, 512, 1024):
+        form = nf.assemble_form(nf.GridSpec(-1.0, 1.0, cells), 0.4)
+        solve = form.riesz
+        per_candidate = []
+        for cand in nf.default_candidates(form.grid):
+            calls = []
+            monkeypatch.setattr(form, "riesz",
+                                lambda *a, **k: calls.append(1) or solve(*a, **k))
+            nf.estimate_S(form, 3.0, [cand])
+            per_candidate.append(len(calls))
+        counts.append(per_candidate)
+    for per_n in zip(*counts):
+        assert max(per_n) - min(per_n) <= 2 and max(per_n) <= 40, counts
+
+
 def test_default_candidates_are_admissible(form64):
     cands = nf.default_candidates(form64.grid)
     assert len(cands) >= 3
