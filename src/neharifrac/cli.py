@@ -18,11 +18,10 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import verify as verify_mod
+from . import thresholds, verify as verify_mod
 from .energy import energy, pair_stats, phi_from_stats
 from .errors import (
     AllMasked,
@@ -43,7 +42,6 @@ from .problem import (
 )
 from .solver import (
     Branch,
-    GapReport,
     SolutionReport,
     SolverOptions,
     gap_check,
@@ -57,15 +55,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NO_DIRECTION = 4
 EXIT_NOT_CONVERGED = 5
-
-
-@dataclass
-class RunArtifacts:
-    problem_hash: str
-    constants: ConstantsReport | None = None
-    solutions: list[SolutionReport] = field(default_factory=list)
-    gap: GapReport | None = None
-    timings: dict[str, float] = field(default_factory=dict)
 
 
 def canonical_json(obj) -> str:
@@ -189,10 +178,8 @@ def cmd_solve(args) -> int:
 
     branches = {"plus": [Branch.PLUS], "minus": [Branch.MINUS],
                 "both": [Branch.PLUS, Branch.MINUS]}[args.branch]
-    artifacts = RunArtifacts(problem_hash=phash)
-    solutions, constants = _solve_pipeline(problem, branches, opts, artifacts.timings)
-    artifacts.constants = constants
-    artifacts.solutions = list(solutions.values())
+    timings: dict[str, float] = {}
+    solutions, constants = _solve_pipeline(problem, branches, opts, timings)
 
     os.makedirs(args.out, exist_ok=True)
     paths = {}
@@ -202,15 +189,16 @@ def cmd_solve(args) -> int:
         paths[branch.value] = path
 
     unconverged = [rep for rep in solutions.values() if not rep.converged]
+    gap = None
     if len(branches) == 2 and not unconverged:
-        artifacts.gap = gap_check(solutions[Branch.PLUS], solutions[Branch.MINUS], constants)
+        gap = gap_check(solutions[Branch.PLUS], solutions[Branch.MINUS], constants)
         gap_path = os.path.join(args.out, "gap.json")
         _write_json(gap_path, {
-            "norm_plus": artifacts.gap.norm_plus,
-            "norm_minus": artifacts.gap.norm_minus,
-            "A0": artifacts.gap.A0,
-            "A_lm": artifacts.gap.A_lm,
-            "ordering_ok": artifacts.gap.ordering_ok,
+            "norm_plus": gap.norm_plus,
+            "norm_minus": gap.norm_minus,
+            "A0": gap.A0,
+            "A_lm": gap.A_lm,
+            "ordering_ok": gap.ordering_ok,
         })
         paths["gap"] = gap_path
 
@@ -222,8 +210,8 @@ def cmd_solve(args) -> int:
                                 "iters": r.iters, "restarts_used": r.restarts_used,
                                 "stationarity": r.stationarity}
                       for b, r in solutions.items()},
-        "gap": None if artifacts.gap is None else artifacts.gap.ordering_ok,
-        "timings_ms": artifacts.timings,
+        "gap": None if gap is None else gap.ordering_ok,
+        "timings_ms": timings,
     }
     print(json.dumps(summary, indent=2))
 
@@ -401,9 +389,8 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"--delta must be positive, got {args.delta}")
     residual = verify_mod.weak_residual(problem, form, pair, delta)
 
-    from .thresholds import default_candidates, estimate_S
-    candidates = default_candidates(problem.grid) + [pair.u.values, pair.w.values]
-    S_est = estimate_S(form, problem.alpha + problem.beta, candidates)
+    candidates = thresholds.default_candidates(problem.grid) + [pair.u.values, pair.w.values]
+    S_est = thresholds.estimate_S(form, problem.alpha + problem.beta, candidates)
     checks = verify_mod.inequality_suite(problem, form, pair, S_est)
 
     residual_ok = (residual.res_u <= args.res_tol and residual.res_w <= args.res_tol)

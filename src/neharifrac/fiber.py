@@ -45,6 +45,7 @@ DEFAULT_ROOT_TOL = 1e-12
 DEFAULT_TOL = 1e-8
 DEFAULT_TOL2 = 1e-10
 _MAX_STEPS = 240
+_TINY = float(np.finfo(float).tiny)
 
 
 class FiberCase(enum.Enum):
@@ -80,7 +81,12 @@ def psi(stats: PairStats, q: float, ab: float, t: float) -> float:
     """Rescaled fiber derivative t^{2-ab} norm2 - t^{1-ab-q} K - B."""
     if t <= 0:
         raise NonpositiveT(f"psi requires t > 0, got {t}")
-    return t ** (2 - ab) * stats.norm2 - t ** (1 - ab - q) * stats.K - stats.B
+    return _psi(stats, 2 - ab, 1 - ab - q, t)
+
+
+def _psi(stats: PairStats, e_n: float, e_k: float, t: float) -> float:
+    # psi for t > 0, with its exponents e_n = 2 - ab and e_k = 1 - ab - q
+    return t ** e_n * stats.norm2 - t ** e_k * stats.K - stats.B
 
 
 def t_max(stats: PairStats, q: float, ab: float) -> float:
@@ -132,8 +138,8 @@ def project(stats: PairStats, q: float, ab: float, tol: float = DEFAULT_ROOT_TOL
     if tol <= 0:
         raise NonpositiveT(f"tol must be positive, got {tol}")
     tm = t_max(stats, q, ab)
-    p = lambda t: psi(stats, q, ab, t)
-    ptm = p(tm)
+    e_n, e_k = 2 - ab, 1 - ab - q
+    ptm = _psi(stats, e_n, e_k, tm)
 
     if stats.B > 0 and ptm <= 0:
         return FiberRoots(case=FiberCase.NO_ADMISSIBLE_ROOT, t1=None, t2=None,
@@ -146,9 +152,9 @@ def project(stats: PairStats, q: float, ab: float, tol: float = DEFAULT_ROOT_TOL
     width = tol * tm
     # t1: psi < 0 near 0, > 0 at t_max
     lo = tm
-    while p(lo) > 0.0:
+    while _psi(stats, e_n, e_k, lo) > 0.0:
         lo *= 0.5
-        if lo < np.finfo(float).tiny:
+        if lo < _TINY:
             raise NoBracket("no sign change below t_max; degenerate stats")
     t1 = _newton(stats, q, ab, lo, tm, increasing=True, width=width)
 
@@ -158,9 +164,9 @@ def project(stats: PairStats, q: float, ab: float, tol: float = DEFAULT_ROOT_TOL
 
     # t2: psi > 0 at t_max, -> -B < 0 at infinity
     hi = 2.0 * tm
-    while p(hi) > 0.0:
+    while _psi(stats, e_n, e_k, hi) > 0.0:
         hi *= 2.0
-        if not np.isfinite(hi):
+        if not math.isfinite(hi):
             raise NoBracket("no sign change above t_max; degenerate stats")
     t2 = _newton(stats, q, ab, max(tm, hi / 2), hi, increasing=False, width=width)
     return FiberRoots(case=FiberCase.TWO_ROOTS, t1=t1, t2=t2,

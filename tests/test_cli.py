@@ -10,6 +10,7 @@ import pytest
 
 from neharifrac import cli
 from neharifrac import form as form_mod
+from neharifrac import thresholds
 
 
 BASE_CONFIG = {
@@ -294,6 +295,27 @@ def test_dense_inverse_is_built_once_per_solve_and_per_sweep(tmp_path, monkeypat
     assert cli.main(["sweep", path, "--lambdas", "0.01,0.02", "--mus", "0.005,0.01",
                      "--out", str(tmp_path / "once.csv"), "--seed", "3"]) == 0
     assert len(calls) == 2
+
+
+def test_one_inverse_iteration_per_S_estimate(tmp_path, monkeypatch, capsys):
+    # the candidates only bound S; one refinement from a fixed start serves
+    # constants, a two-branch solve, each verify and each sweep point
+    path = write_config(tmp_path)
+    calls = []
+    refine = thresholds._inverse_iteration
+    monkeypatch.setattr(thresholds, "_inverse_iteration",
+                        lambda *a: calls.append(1) or refine(*a))
+    assert cli.main(["constants", path]) == 0
+    assert len(calls) == 1
+    out = tmp_path / "run"
+    assert cli.main(["solve", path, "--branch", "both", "--out", str(out)]) == 0
+    assert len(calls) == 2
+    for name in ("solution_plus.json", "solution_minus.json"):
+        assert cli.main(["verify", path, "--solution", str(out / name)]) == 0
+    assert len(calls) == 4
+    assert cli.main(["sweep", path, "--lambdas", "0.01,0.02", "--mus", "0.005,0.01",
+                     "--out", str(tmp_path / "sweep.csv"), "--seed", "3"]) == 0
+    assert len(calls) == 8
 
 
 def test_constants_builds_no_dense_matrix_at_large_n(tmp_path, capsys):

@@ -206,6 +206,17 @@ def test_matrix_free_form_solves_like_the_dense_one(monkeypatch, cells):
         assert fast.norm == pytest.approx(dense.norm, rel=1e-10)
 
 
+def test_solve_leaves_no_dense_matrix_above_the_crossover():
+    # the descent needs the dense inverse; the dense G it is factored from
+    # is not kept beside it
+    problem = nf.validate_params(make_spec(cells=form_mod.MATRIX_FREE_CELLS))
+    form = nf.assemble_form(problem.grid, problem.s)
+    assert form.matrix_free
+    report = nf.solve_branch(problem, form, nf.Branch.PLUS, nf.SolverOptions(seed=0, restarts=1))
+    assert report.converged
+    assert "matrix" not in vars(form)
+
+
 def _descend_euclidean_reference(problem, form, branch, direction, max_iters=2000,
                                  step0=0.1, tol_energy=1e-10, eps=1e-8):
     """The Euclidean-gradient descent the Sobolev one replaced, kept as an

@@ -11,7 +11,8 @@ from neharifrac.errors import (
     NonpositiveLambda,
     NonpositiveS,
 )
-from neharifrac.thresholds import rayleigh_quotient
+from neharifrac import form as form_mod
+from neharifrac.thresholds import _inverse_iteration, rayleigh_quotient
 
 
 def test_q_star_values():
@@ -261,6 +262,31 @@ def test_inverse_iteration_count_is_flat_in_n(monkeypatch):
         counts.append(per_candidate)
     for per_n in zip(*counts):
         assert max(per_n) - min(per_n) <= 2 and max(per_n) <= 40, counts
+
+
+def _estimate_S_per_candidate(form, r, candidates):
+    # oracle: every candidate refined by its own inverse iteration
+    return min(min(rayleigh_quotient(form, r, c), _inverse_iteration(form, r, c))
+               for c in candidates)
+
+
+# (s, r) with r inside the admissible window 2 < r < 2/(1-2s) - 1, so not
+# (0.2, 3). Near the top of the window the quotient can have a second,
+# concentrated local minimum that only the hat's refinement reaches: at
+# 1024 cells, s = 0.35, r = 5.3 it lies 11% below the one the cosine and
+# bump reach, and there this estimate reads S that much higher than the
+# per-candidate loop did.
+@pytest.mark.parametrize("s,r", [(0.2, 2.2), (0.4, 2.2), (0.4, 3.0), (0.47, 2.2), (0.47, 3.0)])
+@pytest.mark.parametrize("cells,matrix_free", [(128, False), (1024, False), (1024, True),
+                                               (2048, True)])
+def test_estimate_S_matches_per_candidate_refinement(monkeypatch, cells, matrix_free, s, r):
+    if not matrix_free:
+        monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", cells + 1)
+    form = nf.assemble_form(nf.GridSpec(-1.0, 1.0, cells), s)
+    assert form.matrix_free is matrix_free
+    cands = nf.default_candidates(form.grid)
+    oracle = _estimate_S_per_candidate(form, r, cands)
+    assert nf.estimate_S(form, r, cands) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_default_candidates_are_admissible(form64):
