@@ -187,9 +187,9 @@ def falling_root(stats: PairStats, q: float, ab: float,
         raise NoBracket(f"falling_root requires K <= 0 < B, got K={stats.K}, B={stats.B}")
     t0 = float((stats.norm2 / stats.B) ** (1 / (ab - 2)))
     hi = 2.0 * t0
-    while psi(stats, q, ab, hi) > 0.0:
+    while _psi(stats, 2 - ab, 1 - ab - q, hi) > 0.0:
         hi *= 2.0
-        if not np.isfinite(hi):
+        if not math.isfinite(hi):
             raise NoBracket("no sign change above t0; degenerate stats")
     return _newton(stats, q, ab, t0, hi, increasing=False, width=tol * t0)
 

@@ -33,7 +33,7 @@ from .problem import GridFunction, GridPair, GridSpec
 
 # grids with at least this many cells apply G by FFT and invert it by PCG;
 # the README gives the timings behind the value
-MATRIX_FREE_CELLS = 1024
+MATRIX_FREE_CELLS = 512
 PCG_RTOL = 1e-11  # residual reduction of a matrix-free riesz by default
 _DIRECT_INVERSE = 32  # triangular blocks up to this size go to np.linalg.inv
 SERIES_TERMS = 30  # powers m^{-4} ... m^{-62}; for m >= 3 the tail is below roundoff
@@ -164,37 +164,38 @@ class GagliardoForm:
         return self._inverse
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """G x for an array x over the interior nodes."""
+        """G x for an array x over the interior nodes, or for each row of x."""
         if not self.matrix_free:
-            return self.matrix @ x
+            return (self.matrix @ x.T).T
         y = np.fft.irfft(np.fft.rfft(x, self._length) * self._embedding, self._length)
-        return y[:len(x)]
+        return y[..., :x.shape[-1]]
 
     def riesz(self, x: np.ndarray, x0: np.ndarray | None = None,
               rtol: float = PCG_RTOL) -> np.ndarray:
-        """G^{-1} x: the H^s Riesz representative of a nodal gradient.
+        """G^{-1} x: the H^s Riesz representative of a nodal gradient, or of
+        each row of x (rows nonzero).
 
         Below MATRIX_FREE_CELLS this is a product with the dense inverse,
         and x0 and rtol are unused. From there on it is conjugate gradients
         preconditioned by Chan's circulant, started from x0 (zero if None),
-        which stop once the residual has fallen by the factor rtol.
+        which stop once each row's residual has fallen by the factor rtol.
         """
         if not self.matrix_free:
-            return self.inverse() @ x
-        n = len(x)
-        y = np.zeros(n) if x0 is None else x0.copy()
+            return (self.inverse() @ x.T).T
+        n = x.shape[-1]
+        y = np.zeros_like(x) if x0 is None else x0.copy()
         r = x.copy() if x0 is None else x - self.apply(y)
-        stop = rtol * rtol * (r @ r)
-        p = np.zeros(n)
+        stop = rtol * rtol * np.einsum("...i,...i->...", r, r)
+        p = np.zeros_like(x)
         rz_old = 1.0
         for _ in range(n):
-            if r @ r <= stop:
+            if np.all(np.einsum("...i,...i->...", r, r) <= stop):
                 break
             z = np.fft.irfft(np.fft.rfft(r) / self._chan, n)
-            rz = r @ z
-            p = z + (rz / rz_old) * p
+            rz = np.einsum("...i,...i->...", r, z)
+            p = z + (rz / rz_old)[..., None] * p
             Gp = self.apply(p)
-            a = rz / (p @ Gp)
+            a = (rz / np.einsum("...i,...i->...", p, Gp))[..., None]
             y += a * p
             r -= a * Gp
             rz_old = rz

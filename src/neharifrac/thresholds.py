@@ -7,7 +7,7 @@ the discrete Rayleigh-type quotient
     Q(u) = u' G u / (sum_i w_i |u_i|^r)^{2/r},        r = alpha + beta,
 
 over the nodal functions: the candidates bound it by their quotients, and
-one nonlinear inverse iteration from a start fixed by the grid refines it.
+one inverse iteration of two starts fixed by the grid refines it.
 The estimate is an upper bound for the discrete infimum and never exceeds
 the quotient of any supplied candidate, which the inequality checks use.
 """
@@ -154,8 +154,8 @@ def rayleigh_quotient(form: GagliardoForm, r: float, values: np.ndarray) -> floa
     return num / den
 
 
-def _inverse_iteration(form: GagliardoForm, r: float, values: np.ndarray) -> float:
-    """Quotient of the last iterate of v <- G^{-1}(w |v|^{r-2} v), normalized.
+def _inverse_iteration(form: GagliardoForm, r: float, *starts: np.ndarray) -> float:
+    """Least quotient of the starts' iterates v <- G^{-1}(w |v|^{r-2} v), normalized.
 
     This is the nonlinear inverse power method for the quotient (Hein &
     Buehler, NIPS 2010), a Sobolev-gradient step of length 1, and its
@@ -163,36 +163,39 @@ def _inverse_iteration(form: GagliardoForm, r: float, values: np.ndarray) -> flo
     quotient decreases at every step; the matrix-free solves are inexact,
     so only decreases are accepted. A fixed point satisfies
     G v = (v'Gv / sum w|v|^r) w |v|^{r-2} v, so that scaling of the
-    current iterate starts each Riesz solve.
+    current iterate starts each Riesz solve. The starts are the rows of
+    one block solve, which stops once no row's quotient drops by S_RTOL.
     """
     w = form.quad_weights[1:-1]
-    v = values[1:-1] / np.abs(values[1:-1]).max()
-    num, den_sum = float(v @ form.apply(v)), float(w @ np.abs(v) ** r)
+    v = np.array([values[1:-1] for values in starts])
+    v /= np.abs(v).max(axis=1, keepdims=True)
+    num, den_sum = np.einsum("ij,ij->i", v, form.apply(v)), np.abs(v) ** r @ w
     best = num / den_sum ** (2.0 / r)
     for _ in range(MAX_INVERSE_ITERATIONS):
-        y = form.riesz(w * np.copysign(np.abs(v) ** (r - 1), v), x0=(den_sum / num) * v,
-                       rtol=RIESZ_RTOL)
-        y /= np.abs(y).max()
-        y_num, y_den_sum = float(y @ form.apply(y)), float(w @ np.abs(y) ** r)
+        y = form.riesz(w * np.copysign(np.abs(v) ** (r - 1), v),
+                       x0=(den_sum / num)[:, None] * v, rtol=RIESZ_RTOL)
+        y /= np.abs(y).max(axis=1, keepdims=True)
+        y_num, y_den_sum = np.einsum("ij,ij->i", y, form.apply(y)), np.abs(y) ** r @ w
         quotient = y_num / y_den_sum ** (2.0 / r)
-        if not quotient < best:
-            break
         drop = (best - quotient) / best
-        v, num, den_sum, best = y, y_num, y_den_sum, quotient
-        if drop < S_RTOL:
+        fell = drop > 0
+        v[fell], num[fell], den_sum[fell], best[fell] = (y[fell], y_num[fell],
+                                                         y_den_sum[fell], quotient[fell])
+        if not np.any(drop >= S_RTOL):
             break
-    return best
+    return float(best.min())
 
 
 def estimate_S(form: GagliardoForm, r: float, candidates) -> float:
     """Upper estimate of the discrete embedding constant.
 
-    The smaller of the candidates' Rayleigh quotients and one inverse-
-    iteration refinement of the half-cosine. The start depends on the grid
-    alone, so S depends on the candidates only through their minimum and
-    adding one never raises it; other starts mostly refine to the same
-    quotient (the README says where not). A candidate that vanishes at
-    every interior node has no quotient and is skipped.
+    The smaller of the candidates' Rayleigh quotients and one inverse
+    iteration of two starts that depend on the grid alone: the hat, which
+    alone reaches a concentrated local minimum near the top of the
+    alpha+beta window, and the half-cosine, which alone reaches the spread
+    one there. So S depends on the candidates only through their minimum,
+    and adding one never raises it. A candidate that vanishes at every
+    interior node has no quotient and is skipped.
     """
     cand_list = [c.values if isinstance(c, GridFunction) else np.asarray(c, dtype=float)
                  for c in candidates]
@@ -200,16 +203,9 @@ def estimate_S(form: GagliardoForm, r: float, candidates) -> float:
     if not cand_list:
         raise EmptyCandidateSet("estimate_S needs at least one candidate that is "
                                 "nonzero at an interior node")
-    return min(_inverse_iteration(form, r, _half_cosine(form.grid)),
+    hat, _, cosine = default_candidates(form.grid)
+    return min(_inverse_iteration(form, r, hat, cosine),
                *(rayleigh_quotient(form, r, values) for values in cand_list))
-
-
-def _half_cosine(grid: GridSpec) -> np.ndarray:
-    # estimate_S's start: of the default candidates, the fewest iterations
-    mid, halfwidth = 0.5 * (grid.left + grid.right), 0.5 * (grid.right - grid.left)
-    cosine = np.cos(0.5 * np.pi * (grid.nodes() - mid) / halfwidth)
-    cosine[0] = cosine[-1] = 0.0
-    return cosine
 
 
 def default_candidates(grid: GridSpec) -> list[np.ndarray]:
@@ -220,7 +216,10 @@ def default_candidates(grid: GridSpec) -> list[np.ndarray]:
     hat = np.zeros(grid.node_count)
     hat[grid.cells // 2] = 1.0
     bump = np.maximum(0.0, 1 - ((x - mid) / (0.6 * halfwidth)) ** 2) ** 2
-    return [hat, bump, _half_cosine(grid)]
+    cosine = np.cos(0.5 * np.pi * (x - mid) / halfwidth)
+    for c in (bump, cosine):
+        c[0] = c[-1] = 0.0
+    return [hat, bump, cosine]
 
 
 # ---------------------------------------------------------------------------

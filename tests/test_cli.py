@@ -298,7 +298,7 @@ def test_dense_inverse_is_built_once_per_solve_and_per_sweep(tmp_path, monkeypat
 
 
 def test_one_inverse_iteration_per_S_estimate(tmp_path, monkeypatch, capsys):
-    # the candidates only bound S; one refinement from a fixed start serves
+    # the candidates only bound S; one refinement of two fixed starts serves
     # constants, a two-branch solve, each verify and each sweep point
     path = write_config(tmp_path)
     calls = []
