@@ -12,6 +12,7 @@ in the stdout summary.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -21,7 +22,7 @@ import time
 
 import numpy as np
 
-from . import thresholds, verify as verify_mod
+from . import verify as verify_mod
 from .energy import energy, pair_stats, phi_from_stats
 from .errors import (
     AllMasked,
@@ -42,6 +43,7 @@ from .problem import (
 )
 from .solver import (
     Branch,
+    GapReport,
     SolutionReport,
     SolverOptions,
     gap_check,
@@ -78,9 +80,12 @@ def load_config(path: str) -> dict:
 
 def problem_from_config(cfg: dict) -> ProblemSpec:
     try:
+        cells = cfg["grid"]["cells"]
+        if int(cells) != cells:
+            raise ConfigParseError(f"grid cells must be an integer, got {cells!r}")
         grid = GridSpec(left=float(cfg["grid"]["left"]),
                         right=float(cfg["grid"]["right"]),
-                        cells=int(cfg["grid"]["cells"]))
+                        cells=int(cells))
         return ProblemSpec(
             grid=grid,
             s=float(cfg["s"]), q=float(cfg["q"]),
@@ -90,9 +95,9 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
             g=WeightSpec.from_json(cfg["g"]),
             b=WeightSpec.from_json(cfg["b"]),
         )
-    except ValidationError:
+    except NehariError:
         raise
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ConfigParseError(f"config is missing or mistypes a field: {exc}") from exc
 
 
@@ -138,48 +143,55 @@ def _write_json(path: str, obj: dict) -> None:
 # subcommands
 
 
+def _load(path: str) -> tuple[dict, ValidatedProblem]:
+    cfg = load_config(path)
+    return cfg, validate_params(problem_from_config(cfg))
+
+
+def _constants_and_gap(problem: ValidatedProblem, form: GagliardoForm,
+                       solutions: dict[Branch, SolutionReport]
+                       ) -> tuple[ConstantsReport, GapReport | None]:
+    """The constants of a run, and its gap verdict if it has one.
+
+    The solution components join the quotient-search candidates, so the
+    reported constants are consistent with the computed norms. The gap
+    needs both branches present and converged; otherwise it is None.
+    """
+    extra = [c.values for rep in solutions.values() for c in (rep.pair.u, rep.pair.w)]
+    constants = compute_constants(problem, form, extra_candidates=extra)
+    plus, minus = solutions.get(Branch.PLUS), solutions.get(Branch.MINUS)
+    if plus is None or minus is None or not (plus.converged and minus.converged):
+        return constants, None
+    return constants, gap_check(plus, minus, constants)
+
+
 def cmd_constants(args) -> int:
-    cfg = load_config(args.config)
-    problem = validate_params(problem_from_config(cfg))
+    _, problem = _load(args.config)
     form = assemble_form(problem.grid, problem.s)
     report = compute_constants(problem, form)
     print(json.dumps(report.as_dict(), indent=2))
     return EXIT_OK
 
 
-def _solve_pipeline(problem: ValidatedProblem, branches: list[Branch],
-                    opts: SolverOptions, timings: dict) -> tuple[dict, ConstantsReport]:
-    t0 = time.perf_counter()
-    form = assemble_form(problem.grid, problem.s)
-    timings["assemble_ms"] = 1e3 * (time.perf_counter() - t0)
-
-    solutions: dict[Branch, SolutionReport] = {}
-    for branch in branches:
-        t0 = time.perf_counter()
-        solutions[branch] = solve_branch(problem, form, branch, opts)
-        timings[f"solve_{branch.value}_ms"] = 1e3 * (time.perf_counter() - t0)
-
-    # the solution components join the quotient-search candidates so the
-    # reported constants are consistent with the computed norms
-    extra = []
-    for rep in solutions.values():
-        extra.extend([rep.pair.u.values, rep.pair.w.values])
-    t0 = time.perf_counter()
-    constants = compute_constants(problem, form, extra_candidates=extra)
-    timings["constants_ms"] = 1e3 * (time.perf_counter() - t0)
-    return solutions, constants
-
-
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    problem = validate_params(problem_from_config(cfg))
+    cfg, problem = _load(args.config)
     opts = solver_options_from_config(cfg, args.seed)
     phash = problem_hash(cfg)
 
     branches = {"plus": [Branch.PLUS], "minus": [Branch.MINUS],
                 "both": [Branch.PLUS, Branch.MINUS]}[args.branch]
     timings: dict[str, float] = {}
-    solutions, constants = _solve_pipeline(problem, branches, opts, timings)
+    t0 = time.perf_counter()
+    form = assemble_form(problem.grid, problem.s)
+    timings["assemble_ms"] = 1e3 * (time.perf_counter() - t0)
+    solutions: dict[Branch, SolutionReport] = {}
+    for branch in branches:
+        t0 = time.perf_counter()
+        solutions[branch] = solve_branch(problem, form, branch, opts)
+        timings[f"solve_{branch.value}_ms"] = 1e3 * (time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    constants, gap = _constants_and_gap(problem, form, solutions)
+    timings["constants_ms"] = 1e3 * (time.perf_counter() - t0)
 
     os.makedirs(args.out, exist_ok=True)
     paths = {}
@@ -187,20 +199,9 @@ def cmd_solve(args) -> int:
         path = os.path.join(args.out, f"solution_{branch.value}.json")
         _write_json(path, solution_to_json(rep, phash))
         paths[branch.value] = path
-
-    unconverged = [rep for rep in solutions.values() if not rep.converged]
-    gap = None
-    if len(branches) == 2 and not unconverged:
-        gap = gap_check(solutions[Branch.PLUS], solutions[Branch.MINUS], constants)
-        gap_path = os.path.join(args.out, "gap.json")
-        _write_json(gap_path, {
-            "norm_plus": gap.norm_plus,
-            "norm_minus": gap.norm_minus,
-            "A0": gap.A0,
-            "A_lm": gap.A_lm,
-            "ordering_ok": gap.ordering_ok,
-        })
-        paths["gap"] = gap_path
+    if gap is not None:
+        paths["gap"] = os.path.join(args.out, "gap.json")
+        _write_json(paths["gap"], dataclasses.asdict(gap))
 
     summary = {
         "problem_hash": phash,
@@ -215,6 +216,7 @@ def cmd_solve(args) -> int:
     }
     print(json.dumps(summary, indent=2))
 
+    unconverged = [rep for rep in solutions.values() if not rep.converged]
     if unconverged and not args.allow_unconverged:
         print(f"{len(unconverged)} branch(es) did not converge", file=sys.stderr)
         return EXIT_NOT_CONVERGED
@@ -225,51 +227,36 @@ SWEEP_HEADER = ("lambda,mu,Lambda,C,in_gamma,plus_converged,minus_converged,"
                 "J_plus,J_minus,norm_plus,norm_minus,A0,A_lm,gap_ok")
 
 
-def _sweep_point(cfg: dict, form: GagliardoForm, lam: float, mu: float,
-                 seed: int | None):
+def _sweep_point(cfg: dict, form: GagliardoForm, opts: SolverOptions,
+                 lam: float, mu: float):
     """One sweep point; never raises, failures land in the status columns.
 
-    form is the sweep's shared form: it depends only on (grid, s), which
-    the points do not vary.
+    form and opts are the sweep's shared ones: they do not depend on
+    (lambda, mu), which is all the points vary.
     """
-    point_cfg = dict(cfg)
-    point_cfg["lambda"] = lam
-    point_cfg["mu"] = mu
     nan = float("nan")
     row = {"lambda": lam, "mu": mu, "Lambda": nan, "C": nan, "in_gamma": False,
            "plus_converged": False, "minus_converged": False,
            "J_plus": nan, "J_minus": nan, "norm_plus": nan, "norm_minus": nan,
            "A0": nan, "A_lm": nan, "gap_ok": False}
     try:
-        problem = validate_params(problem_from_config(point_cfg))
-        opts = solver_options_from_config(point_cfg, seed)
+        problem = validate_params(problem_from_config({**cfg, "lambda": lam, "mu": mu}))
     except NehariError:
         return row
 
     solutions: dict[Branch, SolutionReport] = {}
-    for branch in (Branch.PLUS, Branch.MINUS):
+    for branch in Branch:
         try:
             solutions[branch] = solve_branch(problem, form, branch, opts)
         except NehariError:
             pass
-
-    extra = []
-    for rep in solutions.values():
-        extra.extend([rep.pair.u.values, rep.pair.w.values])
-    constants = compute_constants(problem, form, extra_candidates=extra)
+    constants, gap = _constants_and_gap(problem, form, solutions)
     row.update({"Lambda": constants.Lambda, "C": constants.C,
-                "in_gamma": constants.in_gamma,
-                "A0": constants.A0, "A_lm": constants.A_lm})
-    plus = solutions.get(Branch.PLUS)
-    minus = solutions.get(Branch.MINUS)
-    if plus is not None:
-        row.update({"plus_converged": plus.converged, "J_plus": plus.J,
-                    "norm_plus": plus.norm})
-    if minus is not None:
-        row.update({"minus_converged": minus.converged, "J_minus": minus.J,
-                    "norm_minus": minus.norm})
-    if plus is not None and minus is not None and plus.converged and minus.converged:
-        row["gap_ok"] = gap_check(plus, minus, constants).ordering_ok
+                "in_gamma": constants.in_gamma, "A0": constants.A0,
+                "A_lm": constants.A_lm, "gap_ok": gap is not None and gap.ordering_ok})
+    for branch, rep in solutions.items():
+        row.update({f"{branch.value}_converged": rep.converged,
+                    f"J_{branch.value}": rep.J, f"norm_{branch.value}": rep.norm})
     return row
 
 
@@ -298,14 +285,14 @@ def _row_to_csv(row: dict) -> str:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    # fail early on structural problems shared by every point
-    shared = validate_params(problem_from_config(cfg))
+    # fail early on problems shared by every point
+    cfg, shared = _load(args.config)
+    opts = solver_options_from_config(cfg, args.seed)
     lambdas = _parse_grid_list(args.lambdas)
     mus = _parse_grid_list(args.mus)
     form = assemble_form(shared.grid, shared.s)
     # both grids are sorted, so the rows are too, whatever the input order
-    rows = [_sweep_point(cfg, form, lam, mu, args.seed) for lam in lambdas for mu in mus]
+    rows = [_sweep_point(cfg, form, opts, lam, mu) for lam in lambdas for mu in mus]
 
     lines = [SWEEP_HEADER] + [_row_to_csv(r) for r in rows]
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -315,8 +302,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fiber(args) -> int:
-    cfg = load_config(args.config)
-    problem = validate_params(problem_from_config(cfg))
+    _, problem = _load(args.config)
     form = assemble_form(problem.grid, problem.s)
     if not (math.isfinite(args.t_hi) and 0 < args.t_lo < args.t_hi):
         raise ValidationError(f"need finite 0 < t-lo < t-hi, got t-lo={args.t_lo}, "
@@ -325,23 +311,14 @@ def cmd_fiber(args) -> int:
         raise ValidationError("need at least 2 samples")
 
     rng = np.random.default_rng(args.direction_seed)
-    direction = None
     for _ in range(1000):
-        cand = initial_direction(problem, rng, Branch.PLUS)
-        st = pair_stats(problem, form, cand)
-        if args.coupling == "any":
-            direction = cand
-        elif args.coupling == "positive" and st.B > 0:
-            direction = cand
-        elif args.coupling == "negative" and st.B <= 0:
-            direction = cand
-        if direction is not None:
+        st = pair_stats(problem, form, initial_direction(problem, rng, Branch.PLUS))
+        if {"any": True, "positive": st.B > 0, "negative": st.B <= 0}[args.coupling]:
             break
-    if direction is None:
+    else:
         raise NoAdmissibleDirection(
             f"found no direction with coupling sign {args.coupling!r}")
 
-    st = pair_stats(problem, form, direction)
     roots = project(st, problem.q, problem.alpha + problem.beta)
     ts = np.exp(np.linspace(math.log(args.t_lo), math.log(args.t_hi), args.samples))
     lines = [
@@ -365,17 +342,16 @@ def _fmt_opt(v) -> str:
 
 
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    problem = validate_params(problem_from_config(cfg))
+    _, problem = _load(args.config)
     form = assemble_form(problem.grid, problem.s)
     try:
         with open(args.solution, "r", encoding="utf-8") as fh:
             sol = json.load(fh)
-        pair = GridPair.from_arrays(problem.grid,
-                                    np.asarray(sol["u"], dtype=float),
-                                    np.asarray(sol["w"], dtype=float))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        u, w = (np.asarray(sol[key], dtype=float) for key in ("u", "w"))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        # ValueError covers a JSON syntax error and a non-numeric entry
         raise ConfigParseError(f"cannot read solution {args.solution}: {exc}") from exc
+    pair = GridPair.from_arrays(problem.grid, u, w)
 
     parts = energy(problem, form, pair)
     if args.delta is None:
@@ -389,8 +365,7 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"--delta must be positive, got {args.delta}")
     residual = verify_mod.weak_residual(problem, form, pair, delta)
 
-    candidates = thresholds.default_candidates(problem.grid) + [pair.u.values, pair.w.values]
-    S_est = thresholds.estimate_S(form, problem.alpha + problem.beta, candidates)
+    S_est = compute_constants(problem, form, extra_candidates=[pair.u.values, pair.w.values]).S
     checks = verify_mod.inequality_suite(problem, form, pair, S_est)
 
     residual_ok = (residual.res_u <= args.res_tol and residual.res_w <= args.res_tol)
@@ -409,8 +384,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_assemble(args) -> int:
-    cfg = load_config(args.config)
-    problem = validate_params(problem_from_config(cfg))
+    _, problem = _load(args.config)
     form = assemble_form(problem.grid, problem.s)
     if args.dump_matrix:
         lines = [f"# N={problem.grid.cells}, s={_float_str(problem.s)}"]

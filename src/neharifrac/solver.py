@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,10 @@ class SolverOptions:
     restarts: int = 8
 
     def __post_init__(self):
+        for name in ("max_iters", "restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"solver option {name} must be an integer, got {value!r}")
         if self.max_iters <= 0:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         for name in ("step", "tol_energy", "tol_manifold", "eps_singular"):

@@ -16,7 +16,7 @@ from .energy import pair_stats
 from .errors import AllMasked, CandidateNotIncluded
 from .form import GagliardoForm, same_cell_integral
 from .problem import GridPair, GridSpec, ValidatedProblem
-from .thresholds import q_star, rayleigh_quotient, weight_norm
+from .thresholds import lambda_aggregate, q_star, rayleigh_quotient, weight_norm
 
 
 def brute_force_norm(grid: GridSpec, s: float, u: np.ndarray, refine: int) -> float:
@@ -165,8 +165,7 @@ def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
     qs = q_star(al, be, q)
     f_norm = weight_norm(qs, problem.f_vals, w)
     g_norm = weight_norm(qs, problem.g_vals, w)
-    Lambda = ((abs(problem.lam) * f_norm) ** (2 / (1 + q))
-              + (abs(problem.mu) * g_norm) ** (2 / (1 + q)))
+    Lambda = lambda_aggregate(problem.lam, problem.mu, f_norm, g_norm, q)
     b_sup = float(np.max(np.maximum(problem.b_vals, 0.0)))
 
     checks = []

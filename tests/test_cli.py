@@ -85,6 +85,26 @@ def test_nonfinite_solver_option_is_a_validation_error(tmp_path, capsys, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("override", [{"s": "abc"}, {"grid": {"cells": 12.7}},
+                                      {"grid": {"cells": math.inf}}])
+def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, override):
+    path = write_config(tmp_path, override)
+    assert cli.main(["constants", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("option,value", [("max_iters", 2.5), ("restarts", 1.5),
+                                          ("seed", 0.5), ("restarts", "3")])
+def test_non_integer_solver_option_is_a_validation_error(tmp_path, capsys, option, value):
+    path = write_config(tmp_path, {"solver": {option: value}})
+    assert cli.main(["solve", path, "--out", str(tmp_path / "run")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error:") and option in captured.err
+    assert captured.out == ""
+
+
 def test_solve_both_writes_files_and_gap(tmp_path, capsys):
     path = write_config(tmp_path)
     out = tmp_path / "run"
@@ -115,6 +135,14 @@ def test_solve_deterministic_bytes(tmp_path):
                      "--seed", "7"]) == 0
     for name in ("solution_plus.json", "solution_minus.json", "gap.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_gap_file_key_order(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["solve", path, "--branch", "both", "--out", str(out)]) == 0
+    gap = json.loads((out / "gap.json").read_text())
+    assert list(gap) == ["norm_plus", "norm_minus", "A0", "A_lm", "ordering_ok"]
 
 
 def test_solve_rejects_never_positive_coupling_weight(tmp_path):
@@ -272,6 +300,34 @@ def test_sweep_non_numeric_grid_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_row_with_one_failed_branch(tmp_path):
+    # far outside the admissible region the local-min branch has no
+    # direction; the row keeps the other branch and the constants
+    path = write_config(tmp_path, {"grid": {"cells": 32}})
+    out = tmp_path / "one.csv"
+    assert cli.main(["sweep", path, "--lambdas", "1e5", "--mus", "1e5",
+                     "--out", str(out), "--seed", "2"]) == 0
+    header, line = out.read_text().strip().split("\n")
+    row = dict(zip(header.split(","), line.split(",")))
+    assert row["plus_converged"] == "true"
+    for key in ("J_plus", "norm_plus", "Lambda", "C", "A0", "A_lm"):
+        assert math.isfinite(float(row[key]))
+    assert row["in_gamma"] == "false"
+    assert row["minus_converged"] == "false"
+    assert math.isnan(float(row["J_minus"])) and math.isnan(float(row["norm_minus"]))
+    assert row["gap_ok"] == "false"
+
+
+def test_sweep_rejects_a_bad_solver_block(tmp_path, capsys):
+    # the solver options are shared by every point, so they fail the sweep
+    path = write_config(tmp_path, {"grid": {"cells": 32}, "solver": {"restarts": 0}})
+    out = tmp_path / "bad.csv"
+    assert cli.main(["sweep", path, "--lambdas", "0.01,0.02", "--mus", "0.01",
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("validation error:")
+    assert not out.exists()
+
+
 def test_sweep_assembles_the_form_once(tmp_path, monkeypatch):
     # the form depends only on (grid, s), which every point shares
     path = write_config(tmp_path, {"grid": {"cells": 32}})
@@ -419,6 +475,15 @@ def test_verify_flags_noise(tmp_path, capsys):
     sol_path = tmp_path / "noise.json"
     sol_path.write_text(json.dumps(sol))
     assert cli.main(["verify", path, "--solution", str(sol_path)]) != 0
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '{"u": ["abc"], "w": [0.0]}'])
+def test_verify_malformed_solution_is_a_config_error(tmp_path, capsys, content):
+    path = write_config(tmp_path)
+    sol_path = tmp_path / "malformed.json"
+    sol_path.write_text(content)
+    assert cli.main(["verify", path, "--solution", str(sol_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read solution")
 
 
 def test_assemble_dump_matrix(tmp_path):
