@@ -31,11 +31,9 @@ import numpy as np
 from .errors import GridMismatch, InvalidOrder
 from .problem import GridFunction, GridPair, GridSpec
 
-# grids with at least this many cells apply G by FFT and invert it by PCG;
-# the README gives the timings behind the value
+# grids with at least this many cells apply G and its inverse by FFT; the
+# README gives the timings behind the value
 MATRIX_FREE_CELLS = 512
-PCG_RTOL = 1e-11  # residual reduction of a matrix-free riesz by default
-_DIRECT_INVERSE = 32  # triangular blocks up to this size go to np.linalg.inv
 SERIES_TERMS = 30  # powers m^{-4} ... m^{-62}; for m >= 3 the tail is below roundoff
 _FOURTH_DIFFERENCE = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
 
@@ -106,32 +104,15 @@ def form_symbol(s: float, h: float, count: int) -> np.ndarray:
     return h ** (1 - 2 * s) * c
 
 
-def chan_eigenvalues(symbol: np.ndarray) -> np.ndarray:
-    """Eigenvalues of T. Chan's optimal circulant for the symmetric Toeplitz
-    matrix with first column symbol, in numpy.fft.rfft order.
-
-    The circulant closest to T in the Frobenius norm has first column
-    c_k = ((n-k) t_k + k t_{n-k}) / n (Chan & Ng, SIAM Rev. 1996). Its
-    eigenvalues are the Rayleigh quotients of T at the Fourier vectors, so
-    they are positive whenever T is positive definite.
-    """
-    n = len(symbol)
-    k = np.arange(1, n)
-    c = np.empty(n)
-    c[0] = symbol[0]
-    c[1:] = ((n - k) * symbol[1:] + k * symbol[:0:-1]) / n
-    return np.fft.rfft(c).real
-
-
 class GagliardoForm:
     """The squared energy norm over interior nodes, as an operator.
 
     Built from the O(N) Toeplitz symbol. Below MATRIX_FREE_CELLS cells,
     apply is a dense product and riesz goes through the cached dense
     inverse. From MATRIX_FREE_CELLS on, apply is a circulant-embedding FFT
-    product and riesz is conjugate gradients preconditioned by Chan's
-    circulant, and neither builds an N x N array. The dense matrix and
-    inverse are built on first use at every size.
+    product and riesz applies the Gohberg-Semencul formula by FFT, and
+    neither builds an N x N array. The dense matrix and inverse are built
+    on first use at every size.
     """
 
     def __init__(self, grid: GridSpec, s: float):
@@ -150,7 +131,6 @@ class GagliardoForm:
             column[:n] = self.symbol
             column[self._length - n + 1:] = self.symbol[:0:-1]
             self._embedding = np.fft.rfft(column).real
-            self._chan = chan_eigenvalues(self.symbol)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -163,6 +143,14 @@ class GagliardoForm:
             self._inverse = riesz_map(self)
         return self._inverse
 
+    @functools.cached_property
+    def _inverse_factors(self) -> tuple[float, np.ndarray, np.ndarray]:
+        # x_0 and the transforms of the first columns x and z of the
+        # Gohberg-Semencul factors, on the circulant length
+        x = inverse_first_column(self.symbol)
+        z = np.concatenate([[0.0], x[:0:-1]])
+        return x[0], np.fft.rfft(x, self._length), np.fft.rfft(z, self._length)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """G x for an array x over the interior nodes, or for each row of x."""
         if not self.matrix_free:
@@ -170,36 +158,25 @@ class GagliardoForm:
         y = np.fft.irfft(np.fft.rfft(x, self._length) * self._embedding, self._length)
         return y[..., :x.shape[-1]]
 
-    def riesz(self, x: np.ndarray, x0: np.ndarray | None = None,
-              rtol: float = PCG_RTOL) -> np.ndarray:
+    def riesz(self, x: np.ndarray) -> np.ndarray:
         """G^{-1} x: the H^s Riesz representative of a nodal gradient, or of
-        each row of x (rows nonzero).
+        each row of x.
 
-        Below MATRIX_FREE_CELLS this is a product with the dense inverse,
-        and x0 and rtol are unused. From there on it is conjugate gradients
-        preconditioned by Chan's circulant, started from x0 (zero if None),
-        which stop once each row's residual has fallen by the factor rtol.
+        Below MATRIX_FREE_CELLS this is a product with the dense inverse.
+        From there on it applies the Gohberg-Semencul formula (see
+        ``inverse_first_column``), each triangular Toeplitz product a
+        convolution by FFT, with L' = J L J for the reversal J.
         """
         if not self.matrix_free:
             return (self.inverse() @ x.T).T
-        n = x.shape[-1]
-        y = np.zeros_like(x) if x0 is None else x0.copy()
-        r = x.copy() if x0 is None else x - self.apply(y)
-        stop = rtol * rtol * np.einsum("...i,...i->...", r, r)
-        p = np.zeros_like(x)
-        rz_old = 1.0
-        for _ in range(n):
-            if np.all(np.einsum("...i,...i->...", r, r) <= stop):
-                break
-            z = np.fft.irfft(np.fft.rfft(r) / self._chan, n)
-            rz = np.einsum("...i,...i->...", r, z)
-            p = z + (rz / rz_old)[..., None] * p
-            Gp = self.apply(p)
-            a = (rz / np.einsum("...i,...i->...", p, Gp))[..., None]
-            y += a * p
-            r -= a * Gp
-            rz_old = rz
-        return y
+        n, length = x.shape[-1], self._length
+        x0, low, shifted = self._inverse_factors
+        back = np.fft.rfft(x[..., ::-1], length)
+        low_t = np.fft.irfft(low * back, length)[..., n - 1::-1]
+        shifted_t = np.fft.irfft(shifted * back, length)[..., n - 1::-1]
+        y = np.fft.irfft(low * np.fft.rfft(low_t, length)
+                         - shifted * np.fft.rfft(shifted_t, length), length)
+        return y[..., :n] / x0
 
 
 def _toeplitz(symbol: np.ndarray) -> np.ndarray:
@@ -232,32 +209,41 @@ def pair_norm_sq(form: GagliardoForm, p: GridPair) -> float:
     return seminorm_sq(form, p.u) + seminorm_sq(form, p.w)
 
 
+def inverse_first_column(symbol: np.ndarray) -> np.ndarray:
+    """The first column x = G^{-1} e_1 of the inverse of the symmetric
+    positive-definite Toeplitz matrix G with first column symbol.
+
+    With r = symbol[1:] / symbol[0], Durbin's recursion (Golub & Van Loan,
+    Alg. 4.7.1) solves T y = -r for the unit-diagonal Toeplitz T of order
+    N - 1 with first column (1, r_1, ..., r_{N-2}); then G (1, y) is a
+    multiple of e_1. O(N^2) time and O(N) memory. By Gohberg & Semencul (1972), x determines all of
+    G^{-1} = (L(x) L(x)' - L(z) L(z)') / x_0, where L(c) is the lower
+    triangular Toeplitz matrix with first column c and
+    z = (0, x_{N-1}, ..., x_1).
+    """
+    r = symbol[1:] / symbol[0]
+    y = np.empty(len(r))
+    beta, a = 1.0, 0.0
+    for k in range(len(r)):
+        beta *= 1.0 - a * a
+        a = -(r[k] + r[:k][::-1] @ y[:k]) / beta
+        y[:k] += a * y[:k][::-1]
+        y[k] = a
+    return np.concatenate([[1.0], y]) / (symbol[0] + symbol[1:] @ y)
+
+
 def riesz_map(form: GagliardoForm) -> np.ndarray:
     """Inverse of the form matrix: takes a nodal gradient to its H^s Riesz
     representative.
 
-    Built as L^{-T} L^{-1} from the Cholesky factor L, with L^{-1} by
-    recursive halving, so the work is in triangular-block matrix products.
-    np.linalg.inv gives the same matrix, but its threaded LU stalled for
-    about 0.1 s in one call of ten at 127 interior nodes on a 2-core x86
-    host, against under 1 ms for this route. The G it factors is not kept.
+    Built from the first column by the Gohberg-Semencul formula (see
+    ``inverse_first_column``). Both products are symmetric, so the result
+    is exactly symmetric. The G it inverts is not built.
     """
-    inv_low = _lower_inverse(np.linalg.cholesky(_toeplitz(form.symbol)))
-    return inv_low.T @ inv_low
-
-
-def _lower_inverse(low: np.ndarray) -> np.ndarray:
-    n = low.shape[0]
-    if n <= _DIRECT_INVERSE:
-        return np.linalg.inv(low)
-    k = n // 2
-    head = _lower_inverse(low[:k, :k])
-    tail = _lower_inverse(low[k:, k:])
-    out = np.zeros_like(low)
-    out[:k, :k] = head
-    out[k:, k:] = tail
-    out[k:, :k] = -tail @ (low[k:, :k] @ head)
-    return out
+    x = inverse_first_column(form.symbol)
+    low = np.tril(_toeplitz(x))
+    shifted = np.tril(_toeplitz(np.concatenate([[0.0], x[:0:-1]])))
+    return (low @ low.T - shifted @ shifted.T) / x[0]
 
 
 def apply_form(form: GagliardoForm, u: GridFunction) -> GridFunction:

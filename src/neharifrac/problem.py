@@ -317,8 +317,9 @@ def validate_params(spec: ProblemSpec) -> ValidatedProblem:
         violations.append(("WeightSignViolation", "f must be strictly positive on interior nodes"))
     if np.min(g_vals[interior]) <= 0.0:
         violations.append(("WeightSignViolation", "g must be strictly positive on interior nodes"))
-    if np.max(b_vals) <= 0.0:
-        violations.append(("WeightSignViolation", "b must attain a strictly positive value"))
+    if np.max(b_vals[interior]) <= 0.0:
+        violations.append(("WeightSignViolation",
+                           "b must be strictly positive on some interior node"))
 
     if violations:
         kind, msg = violations[0]

@@ -11,8 +11,8 @@ to zero, reprojects the result onto the branch, and accepts only if the
 energy decreased (else halves the step). The Euclidean gradient carries
 the mesh-dependent scale of G, so its step count grows with the grid; the
 Riesz representative is measured in the energy norm, and the iteration
-count stays flat in N. The dense inverse of G is formed once per form
-(``GagliardoForm.inverse``), so once per solve and once per sweep.
+count stays flat in N. The Riesz map is ``GagliardoForm.riesz``, exact
+at every N and matrix-free from ``form.MATRIX_FREE_CELLS`` on.
 
 Every accepted iterate sits on its branch, so branch invariants are
 checkable at each step. Independent seeded restarts guard against bad
@@ -174,11 +174,10 @@ def _project_scaling(problem, stats, branch):
     return roots.t1
 
 
-def _descend(problem: ValidatedProblem, form: GagliardoForm, riesz: np.ndarray,
-             branch: Branch, direction: GridPair, opts: SolverOptions):
+def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
+             direction: GridPair, opts: SolverOptions):
     """One restart: returns a SolutionReport-shaped dict, or None if the
-    initial direction admits no branch scaling. riesz is the dense inverse
-    of the form, ``form.inverse()``.
+    initial direction admits no branch scaling.
 
     The loop runs on interior arrays. An accepted iterate is t * trial, so
     its products with G are t times the trial's, and each gradient costs
@@ -202,8 +201,7 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, riesz: np.ndarray,
     iters = 0
     for iters in range(1, opts.max_iters + 1):
         gu, gv = smoothed_gradient(problem, u, v, Gu, Gv, eps)
-        du = riesz @ gu
-        dv = riesz @ gv
+        du, dv = form.riesz(np.array([gu, gv]))
         accepted = False
         while step > _MIN_STEP:
             u_try = np.maximum(u - step * du, 0.0)
@@ -259,12 +257,13 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, riesz: np.ndarray,
     }
 
 
-def _stationarity(problem: ValidatedProblem, form: GagliardoForm, riesz: np.ndarray,
-                  pair: GridPair, norm: float, eps: float) -> float:
+def _stationarity(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair,
+                  norm: float, eps: float) -> float:
     """Dual norm sqrt(g' G^{-1} g) of the smoothed gradient over the pair norm."""
     u, v = pair.u.values[1:-1], pair.w.values[1:-1]
     gu, gv = smoothed_gradient(problem, u, v, form.apply(u), form.apply(v), eps)
-    dual2 = float(gu @ (riesz @ gu) + gv @ (riesz @ gv))
+    g = np.array([gu, gv])
+    dual2 = float(np.sum(g * form.riesz(g)))
     return math.sqrt(max(dual2, 0.0)) / norm
 
 
@@ -277,7 +276,6 @@ def solve_branch(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
     iteration count. Raises NoAdmissibleDirection if every restart fails
     to find a direction admitting the branch scaling.
     """
-    riesz = form.inverse()
     best = None
     completed = 0
     for i in range(opts.restarts):
@@ -286,7 +284,7 @@ def solve_branch(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
             direction = initial_direction(problem, rng, branch)
         except DirectionSearchFailed:
             continue
-        result = _descend(problem, form, riesz, branch, direction, opts)
+        result = _descend(problem, form, branch, direction, opts)
         if result is None:
             continue
         completed += 1
@@ -307,7 +305,7 @@ def solve_branch(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
                           norm=best["norm"], phi1=best["phi1"], phi2=best["phi2"],
                           t_used=best["t_used"], iters=best["iters"],
                           converged=best["converged"], restarts_used=completed,
-                          stationarity=_stationarity(problem, form, riesz, best["pair"],
+                          stationarity=_stationarity(problem, form, best["pair"],
                                                      best["norm"], opts.eps_singular),
                           trajectory=best["trajectory"])
 

@@ -32,10 +32,6 @@ from .problem import GridFunction, GridSpec, ValidatedProblem
 # relatively, in one step
 S_RTOL = 1e-13
 MAX_INVERSE_ITERATIONS = 500
-# residual reduction of each warm-started Riesz solve on the matrix-free
-# path; tighter solves gave the same S to 1e-13 and the same iteration
-# counts at N = 512..2048, s = 0.2..0.49, r = 2.2..10
-RIESZ_RTOL = 1e-2
 
 
 def q_star(alpha: float, beta: float, q: float) -> float:
@@ -159,28 +155,22 @@ def _inverse_iteration(form: GagliardoForm, r: float, *starts: np.ndarray) -> fl
 
     This is the nonlinear inverse power method for the quotient (Hein &
     Buehler, NIPS 2010), a Sobolev-gradient step of length 1, and its
-    iteration count does not grow with the grid. With exact solves the
-    quotient decreases at every step; the matrix-free solves are inexact,
-    so only decreases are accepted. A fixed point satisfies
-    G v = (v'Gv / sum w|v|^r) w |v|^{r-2} v, so that scaling of the
-    current iterate starts each Riesz solve. The starts are the rows of
-    one block solve, which stops once no row's quotient drops by S_RTOL.
+    iteration count does not grow with the grid. In exact arithmetic the
+    quotient decreases at every step; rounding can raise it near
+    convergence, so only decreases are accepted. The starts are the rows
+    of one block solve, which stops once no row's quotient drops by S_RTOL.
     """
     w = form.quad_weights[1:-1]
     v = np.array([values[1:-1] for values in starts])
     v /= np.abs(v).max(axis=1, keepdims=True)
-    num, den_sum = np.einsum("ij,ij->i", v, form.apply(v)), np.abs(v) ** r @ w
-    best = num / den_sum ** (2.0 / r)
+    best = np.einsum("ij,ij->i", v, form.apply(v)) / (np.abs(v) ** r @ w) ** (2.0 / r)
     for _ in range(MAX_INVERSE_ITERATIONS):
-        y = form.riesz(w * np.copysign(np.abs(v) ** (r - 1), v),
-                       x0=(den_sum / num)[:, None] * v, rtol=RIESZ_RTOL)
+        y = form.riesz(w * np.copysign(np.abs(v) ** (r - 1), v))
         y /= np.abs(y).max(axis=1, keepdims=True)
-        y_num, y_den_sum = np.einsum("ij,ij->i", y, form.apply(y)), np.abs(y) ** r @ w
-        quotient = y_num / y_den_sum ** (2.0 / r)
+        quotient = np.einsum("ij,ij->i", y, form.apply(y)) / (np.abs(y) ** r @ w) ** (2.0 / r)
         drop = (best - quotient) / best
         fell = drop > 0
-        v[fell], num[fell], den_sum[fell], best[fell] = (y[fell], y_num[fell],
-                                                         y_den_sum[fell], quotient[fell])
+        v[fell], best[fell] = y[fell], quotient[fell]
         if not np.any(drop >= S_RTOL):
             break
     return float(best.min())

@@ -150,6 +150,21 @@ def test_solve_rejects_never_positive_coupling_weight(tmp_path):
     assert cli.main(["solve", path, "--branch", "minus", "--out", str(tmp_path)]) == 3
 
 
+def test_coupling_weight_positive_only_on_the_boundary_is_rejected(tmp_path, capsys):
+    # b > 0 only at the node x = 1; the discrete B sums interior nodes, so
+    # no direction has B > 0 and the minus branch is unreachable
+    cfg = {"grid": {"cells": 32}, "solver": {"restarts": 8, "seed": 0},
+           "b": {"kind": "linear_x", "slope": 1.0, "offset": -0.95}}
+    path = write_config(tmp_path, cfg)
+    for args in (["constants", path],
+                 ["solve", path, "--branch", "minus", "--out", str(tmp_path / "run")]):
+        assert cli.main(args) == 3
+        assert capsys.readouterr().err.startswith("validation error:")
+    cfg["b"]["offset"] = -0.9
+    path = write_config(tmp_path, cfg, name="interior.json")
+    assert cli.main(["solve", path, "--branch", "both", "--out", str(tmp_path / "run")]) == 0
+
+
 def test_solve_exit_code_no_direction(tmp_path):
     # negative parameters pass validation but admit no descent direction
     path = write_config(tmp_path, {"lambda": -0.01, "mu": -0.01})

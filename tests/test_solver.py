@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,14 +208,30 @@ def test_matrix_free_form_solves_like_the_dense_one(monkeypatch, cells):
 
 
 def test_solve_leaves_no_dense_matrix_above_the_crossover():
-    # the descent needs the dense inverse; the dense G it is factored from
-    # is not kept beside it
+    # neither G nor its dense inverse is built or kept
     problem = nf.validate_params(make_spec(cells=form_mod.MATRIX_FREE_CELLS))
     form = nf.assemble_form(problem.grid, problem.s)
     assert form.matrix_free
     report = nf.solve_branch(problem, form, nf.Branch.PLUS, nf.SolverOptions(seed=0, restarts=1))
     assert report.converged
     assert "matrix" not in vars(form)
+    assert not any(getattr(value, "ndim", 0) == 2 for value in vars(form).values())
+
+
+def test_solve_runs_in_bounded_memory_above_the_crossover():
+    # one 4095 x 4095 array is 128 MB
+    problem = nf.validate_params(make_spec(cells=4096))
+    form = nf.assemble_form(problem.grid, problem.s)
+    opts = nf.SolverOptions(seed=0, restarts=1)
+    tracemalloc.start()
+    try:
+        reports = [nf.solve_branch(problem, form, branch, opts)
+                   for branch in (nf.Branch.PLUS, nf.Branch.MINUS)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(report.converged for report in reports)
+    assert peak < 8 * 2**20
 
 
 def _descend_euclidean_reference(problem, form, branch, direction, max_iters=2000,
@@ -372,7 +389,7 @@ def test_array_descent_against_gridpair_oracle(cells, problem64, form64):
             direction = nf.initial_direction(problem, np.random.default_rng(seed), branch)
             oracle = _descend_gridpair_reference(problem, form, riesz, branch,
                                                  direction, opts)
-            result = _descend(problem, form, riesz, branch, direction, opts)
+            result = _descend(problem, form, branch, direction, opts)
             assert oracle is not None and result is not None
             iters, J = oracle
             assert result["iters"] == iters
