@@ -13,7 +13,8 @@ discrete inequality checks are exact.
 
 The formulas live in three raw-array functions on the interior nodes
 (``singular_and_coupling``, ``stats_and_products``, ``smoothed_gradient``),
-which the descent loops call directly; the GridPair functions wrap them.
+which work row by row on a block of pairs; the block descent calls them
+directly, and the GridPair functions wrap them for one pair.
 """
 
 from __future__ import annotations
@@ -48,34 +49,43 @@ class EnergyParts:
 
 
 def singular_and_coupling(problem: ValidatedProblem, u: np.ndarray,
-                          v: np.ndarray) -> tuple[float, float]:
-    """(K, B) of interior nodal arrays (u, v): the integrals that need no form."""
+                          v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, B) of interior nodal arrays (u, v), or of each row pair of them:
+    the integrals that need no form.
+
+    Each row's sums run in the same order whatever the other rows are.
+    """
     lam_f, mu_g, b = problem.weighted_coefficients
     q, al, be = problem.q, problem.alpha, problem.beta
     up = np.maximum(u, 0.0)
     vp = np.maximum(v, 0.0)
-    K = float(lam_f @ up ** (1 - q) + mu_g @ vp ** (1 - q))
-    B = float(b @ (up**al * vp**be))
+    K = (np.einsum("...i,i->...", up ** (1 - q), lam_f)
+         + np.einsum("...i,i->...", vp ** (1 - q), mu_g))
+    B = np.einsum("...i,i->...", up**al * vp**be, b)
     return K, B
 
 
-def stats_and_products(problem: ValidatedProblem, form: GagliardoForm,
-                       u: np.ndarray, v: np.ndarray) -> tuple[PairStats, np.ndarray, np.ndarray]:
-    """Pair statistics of interior nodal arrays (u, v), with G u and G v.
+def stats_and_products(problem: ValidatedProblem, form: GagliardoForm, u: np.ndarray,
+                       v: np.ndarray) -> tuple[list[PairStats], np.ndarray, np.ndarray]:
+    """Pair statistics of each row pair of the interior nodal arrays (u, v),
+    with G u and G v.
 
-    The raw-array kernel behind ``pair_stats``: descent loops call it
-    directly and reuse the two products for the gradient.
+    The raw-array kernel behind ``pair_stats``: the block descent calls it
+    on all its trials at once and reuses the products for the gradient.
     """
     Gu = form.apply(u)
     Gv = form.apply(v)
     K, B = singular_and_coupling(problem, u, v)
-    return PairStats(norm2=float(u @ Gu + v @ Gv), K=K, B=B), Gu, Gv
+    norm2 = np.einsum("ij,ij->i", u, Gu) + np.einsum("ij,ij->i", v, Gv)
+    stats = [PairStats(*row) for row in zip(norm2.tolist(), K.tolist(), B.tolist())]
+    return stats, Gu, Gv
 
 
 def smoothed_gradient(problem: ValidatedProblem, u: np.ndarray, v: np.ndarray,
                       Gu: np.ndarray, Gv: np.ndarray,
                       eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Interior gradient of the eps-smoothed energy at (u, v), given G u and G v.
+    """Interior gradient of the eps-smoothed energy at (u, v), given G u and
+    G v, or at each row pair of them.
 
     The singular factor u^{-q} is floored at eps so descent always has a
     usable direction; where both components exceed eps this is the formal
@@ -99,16 +109,17 @@ def _interior(form: GagliardoForm, pair: GridPair) -> tuple[np.ndarray, np.ndarr
 
 def K_value(problem: ValidatedProblem, pair: GridPair) -> float:
     """Weighted singular-term integral lam*int f u_+^{1-q} + mu*int g w_+^{1-q}."""
-    return singular_and_coupling(problem, pair.u.values[1:-1], pair.w.values[1:-1])[0]
+    return float(singular_and_coupling(problem, pair.u.values[1:-1], pair.w.values[1:-1])[0])
 
 
 def B_value(problem: ValidatedProblem, pair: GridPair) -> float:
     """Coupling integral int b u_+^alpha w_+^beta (sign-indefinite)."""
-    return singular_and_coupling(problem, pair.u.values[1:-1], pair.w.values[1:-1])[1]
+    return float(singular_and_coupling(problem, pair.u.values[1:-1], pair.w.values[1:-1])[1])
 
 
 def pair_stats(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> PairStats:
-    return stats_and_products(problem, form, *_interior(form, pair))[0]
+    u, v = _interior(form, pair)
+    return stats_and_products(problem, form, u[None], v[None])[0][0]
 
 
 def energy(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> EnergyParts:

@@ -26,6 +26,8 @@ costs nothing beyond the two powers psi already needs. Monotonicity on
 each side of t_max gives a sign-change bracket around each root; every
 iterate shrinks it by the sign of psi, and a Newton step that would leave
 it is replaced by a bisection, so the iteration cannot diverge.
+``lower_root`` and ``upper_root`` find t1 and t2 one at a time, so a
+caller that needs one root computes only that one; ``project`` finds both.
 """
 
 from __future__ import annotations
@@ -129,6 +131,46 @@ def _newton(stats: PairStats, q: float, ab: float, lo: float, hi: float,
     return t
 
 
+def peak(stats: PairStats, q: float, ab: float) -> tuple[float, float]:
+    """t_max and psi(t_max), for K > 0.
+
+    psi(t_max) <= 0 means no admissible scaling when B > 0. When B <= 0 it
+    cannot happen in exact arithmetic, since psi(t_max) > -B >= 0; it means
+    rounding collapsed the maximum, and NoBracket is raised.
+    """
+    tm = t_max(stats, q, ab)
+    ptm = _psi(stats, 2 - ab, 1 - ab - q, tm)
+    if stats.B <= 0 and ptm <= 0:
+        raise NoBracket("psi has no positive maximum; degenerate stats")
+    return tm, ptm
+
+
+def lower_root(stats: PairStats, q: float, ab: float, tm: float,
+               tol: float = DEFAULT_ROOT_TOL) -> float:
+    """The root t1 < t_max of psi, the fiber minimum, given tm = t_max and
+    psi(t_max) > 0; tol is relative to tm."""
+    # psi < 0 near 0, > 0 at t_max
+    lo = tm
+    while _psi(stats, 2 - ab, 1 - ab - q, lo) > 0.0:
+        lo *= 0.5
+        if lo < _TINY:
+            raise NoBracket("no sign change below t_max; degenerate stats")
+    return _newton(stats, q, ab, lo, tm, increasing=True, width=tol * tm)
+
+
+def upper_root(stats: PairStats, q: float, ab: float, tm: float,
+               tol: float = DEFAULT_ROOT_TOL) -> float:
+    """The root t2 > t_max of psi, the fiber maximum, given tm = t_max,
+    psi(t_max) > 0 and B > 0; tol is relative to tm."""
+    # psi > 0 at t_max, -> -B < 0 at infinity
+    hi = 2.0 * tm
+    while _psi(stats, 2 - ab, 1 - ab - q, hi) > 0.0:
+        hi *= 2.0
+        if not math.isfinite(hi):
+            raise NoBracket("no sign change above t_max; degenerate stats")
+    return _newton(stats, q, ab, max(tm, hi / 2), hi, increasing=False, width=tol * tm)
+
+
 def project(stats: PairStats, q: float, ab: float, tol: float = DEFAULT_ROOT_TOL) -> FiberRoots:
     """Find the manifold scalings of a direction with K > 0.
 
@@ -137,38 +179,15 @@ def project(stats: PairStats, q: float, ab: float, tol: float = DEFAULT_ROOT_TOL
     """
     if tol <= 0:
         raise NonpositiveT(f"tol must be positive, got {tol}")
-    tm = t_max(stats, q, ab)
-    e_n, e_k = 2 - ab, 1 - ab - q
-    ptm = _psi(stats, e_n, e_k, tm)
-
-    if stats.B > 0 and ptm <= 0:
+    tm, ptm = peak(stats, q, ab)
+    if ptm <= 0:
         return FiberRoots(case=FiberCase.NO_ADMISSIBLE_ROOT, t1=None, t2=None,
                           t_max=tm, psi_at_tmax=ptm)
-    if ptm <= 0:
-        # B <= 0 forces psi(t_max) > -B >= 0; reaching here means the
-        # stats are degenerate (e.g. rounding collapsed the maximum)
-        raise NoBracket("psi has no positive maximum; degenerate stats")
-
-    width = tol * tm
-    # t1: psi < 0 near 0, > 0 at t_max
-    lo = tm
-    while _psi(stats, e_n, e_k, lo) > 0.0:
-        lo *= 0.5
-        if lo < _TINY:
-            raise NoBracket("no sign change below t_max; degenerate stats")
-    t1 = _newton(stats, q, ab, lo, tm, increasing=True, width=width)
-
+    t1 = lower_root(stats, q, ab, tm, tol)
     if stats.B <= 0:
         return FiberRoots(case=FiberCase.SINGLE_ROOT, t1=t1, t2=None,
                           t_max=tm, psi_at_tmax=ptm)
-
-    # t2: psi > 0 at t_max, -> -B < 0 at infinity
-    hi = 2.0 * tm
-    while _psi(stats, e_n, e_k, hi) > 0.0:
-        hi *= 2.0
-        if not math.isfinite(hi):
-            raise NoBracket("no sign change above t_max; degenerate stats")
-    t2 = _newton(stats, q, ab, max(tm, hi / 2), hi, increasing=False, width=width)
+    t2 = upper_root(stats, q, ab, tm, tol)
     return FiberRoots(case=FiberCase.TWO_ROOTS, t1=t1, t2=t2,
                       t_max=tm, psi_at_tmax=ptm)
 

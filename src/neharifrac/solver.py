@@ -16,7 +16,10 @@ at every N and matrix-free from ``form.MATRIX_FREE_CELLS`` on.
 
 Every accepted iterate sits on its branch, so branch invariants are
 checkable at each step. Independent seeded restarts guard against bad
-initial directions; the best energy wins.
+initial directions; the best energy wins. The restarts are the rows of one
+block descent: each iteration applies G and the Riesz map to all of them at
+once, while each row keeps its own step, acceptance and stopping rule, so
+a row comes out as it would from a descent of its own.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .errors import (
     NoAdmissibleDirection,
     NotConvergedInput,
 )
-from .fiber import FiberCase, falling_root, project
+from .fiber import falling_root, lower_root, peak, upper_root
 from .form import GagliardoForm
 from .problem import GridPair, ValidatedProblem
 from .thresholds import ConstantsReport
@@ -156,105 +159,128 @@ def initial_direction(problem: ValidatedProblem, rng: np.random.Generator,
 
 
 def _project_scaling(problem, stats, branch):
-    """Branch scaling of a direction, or None if inadmissible."""
+    """Branch scaling of a direction, or None if inadmissible.
+
+    Only the root the branch uses is computed: t1 for the local-min branch,
+    t2 for the local-max branch.
+    """
     if stats.norm2 <= 0:
         return None
+    q, ab = problem.q, problem.alpha + problem.beta
     if stats.K <= 0:
         # a negative parameter can get here; the fiber then has no minimum
         if branch is Branch.MINUS and stats.B > 0:
-            return falling_root(stats, problem.q, problem.alpha + problem.beta)
+            return falling_root(stats, q, ab)
         return None
-    roots = project(stats, problem.q, problem.alpha + problem.beta)
+    if branch is Branch.MINUS and stats.B <= 0:
+        return None  # a single root, the fiber minimum
+    tm, ptm = peak(stats, q, ab)
+    if ptm <= 0:
+        return None
     if branch is Branch.MINUS:
-        if roots.case is not FiberCase.TWO_ROOTS:
-            return None
-        return roots.t2
-    if roots.case is FiberCase.NO_ADMISSIBLE_ROOT:
-        return None
-    return roots.t1
+        return upper_root(stats, q, ab, tm)
+    return lower_root(stats, q, ab, tm)
+
+
+def _record(stats, t, q, ab):
+    # (J, norm, K, B) of the direction with these stats, scaled by t
+    n2, K, B = stats.norm2 * t**2, stats.K * t ** (1 - q), stats.B * t**ab
+    return n2 / 2 - K / (1 - q) - B / ab, math.sqrt(n2), K, B
 
 
 def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
-             direction: GridPair, opts: SolverOptions):
-    """One restart: returns a SolutionReport-shaped dict, or None if the
-    initial direction admits no branch scaling.
+             directions: list[GridPair], opts: SolverOptions) -> list[dict | None]:
+    """All restarts as the rows of one block descent: one
+    SolutionReport-shaped dict per direction, or None where the direction
+    admits no branch scaling.
 
-    The loop runs on interior arrays. An accepted iterate is t * trial, so
-    its products with G are t times the trial's, and each gradient costs
-    no product of its own.
+    Each row keeps its own step halving, acceptance, stopping rule,
+    iteration count and trajectory, as if it ran alone; a row leaves the
+    block when it stops. Every iteration takes one gradient and one Riesz
+    map for all active rows, and every round of step halving one product
+    per component for all rows still trying. An accepted iterate is
+    t * trial, so its products with G are t times the trial's, and each
+    gradient costs no product of its own.
     """
     q, ab = problem.q, problem.alpha + problem.beta
-    eps = opts.eps_singular
+    u = np.array([d.u.values[1:-1] for d in directions])
+    v = np.array([d.w.values[1:-1] for d in directions])
+    stats, Gu, Gv = stats_and_products(problem, form, u, v)
+    scalings = [_project_scaling(problem, st, branch) for st in stats]
+    live = [i for i, t in enumerate(scalings) if t is not None]
 
-    u, v = direction.u.values[1:-1], direction.w.values[1:-1]
-    st, Gu, Gv = stats_and_products(problem, form, u, v)
-    t_used = _project_scaling(problem, st, branch)
-    if t_used is None:
-        return None
-    u, v, Gu, Gv = t_used * u, t_used * v, t_used * Gu, t_used * Gv
-    n2, K, B = st.norm2 * t_used**2, st.K * t_used ** (1 - q), st.B * t_used**ab
-    J_cur = n2 / 2 - K / (1 - q) - B / ab
+    # the block holds the live rows only; row r is direction live[r]
+    t_used = [scalings[i] for i in live]
+    t = np.array(t_used).reshape(-1, 1)
+    u, v, Gu, Gv = t * u[live], t * v[live], t * Gu[live], t * Gv[live]
+    trajectories = [[_record(stats[i], scalings[i], q, ab)] for i in live]
+    iters = [opts.max_iters] * len(live)
+    hit_tol = [False] * len(live)
 
-    trajectory = [(J_cur, math.sqrt(n2), K, B)]
-    step = opts.step
-    hit_tol = False
-    iters = 0
-    for iters in range(1, opts.max_iters + 1):
-        gu, gv = smoothed_gradient(problem, u, v, Gu, Gv, eps)
-        du, dv = form.riesz(np.array([gu, gv]))
-        accepted = False
-        while step > _MIN_STEP:
-            u_try = np.maximum(u - step * du, 0.0)
-            v_try = np.maximum(v - step * dv, 0.0)
+    active = np.arange(len(live))
+    for it in range(1, opts.max_iters + 1):
+        if not active.size:
+            break
+        gu, gv = smoothed_gradient(problem, u[active], v[active], Gu[active], Gv[active],
+                                   opts.eps_singular)
+        d = form.riesz(np.concatenate([gu, gv]))
+        du, dv = d[:len(active)], d[len(active):]
+        step = np.full(len(active), opts.step)
+        rel_drop = [None] * len(active)
+        trying = np.flatnonzero(step > _MIN_STEP)
+        while trying.size:
+            rows = active[trying]
+            u_try = np.maximum(u[rows] - step[trying, None] * du[trying], 0.0)
+            v_try = np.maximum(v[rows] - step[trying, None] * dv[trying], 0.0)
             tstats, Gu_try, Gv_try = stats_and_products(problem, form, u_try, v_try)
-            t_sel = _project_scaling(problem, tstats, branch)
-            if t_sel is None:
-                step *= 0.5
-                continue
-            n2 = tstats.norm2 * t_sel**2
-            K = tstats.K * t_sel ** (1 - q)
-            B = tstats.B * t_sel**ab
-            J_new = n2 / 2 - K / (1 - q) - B / ab
-            if J_new < J_cur:
-                rel_drop = (J_cur - J_new) / max(abs(J_cur), 1e-300)
-                u, v = t_sel * u_try, t_sel * v_try
-                Gu, Gv = t_sel * Gu_try, t_sel * Gv_try
-                t_used = t_sel
-                J_cur = J_new
-                trajectory.append((J_cur, math.sqrt(n2), K, B))
-                step = opts.step
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            hit_tol = True  # no strictly decreasing step exists at float resolution
-            break
-        if rel_drop < opts.tol_energy:
-            hit_tol = True
-            break
+            accepted = np.zeros(len(trying))  # the scaling of each accepted trial
+            for k, (j, r) in enumerate(zip(trying.tolist(), rows.tolist())):
+                t_sel = _project_scaling(problem, tstats[k], branch)
+                J_cur = trajectories[r][-1][0]
+                if t_sel is not None and (record := _record(tstats[k], t_sel, q, ab))[0] < J_cur:
+                    rel_drop[j] = (J_cur - record[0]) / max(abs(J_cur), 1e-300)
+                    accepted[k] = t_used[r] = t_sel
+                    trajectories[r].append(record)
+                else:
+                    step[j] *= 0.5
+            k = np.flatnonzero(accepted)
+            t = accepted[k, None]
+            u[rows[k]], v[rows[k]] = t * u_try[k], t * v_try[k]
+            Gu[rows[k]], Gv[rows[k]] = t * Gu_try[k], t * Gv_try[k]
+            trying = trying[(accepted == 0) & (step[trying] > _MIN_STEP)]
+        # a row stops when no strictly decreasing step exists at float
+        # resolution, or when its relative drop falls below tol_energy
+        stopped = np.array([drop is None or drop < opts.tol_energy for drop in rel_drop])
+        for r in active[stopped].tolist():
+            hit_tol[r] = True
+            iters[r] = it
+        active = active[~stopped]
 
-    # the checks run on the returned iterate itself, not on scaled stats
-    st, _, _ = stats_and_products(problem, form, u, v)
-    _, phi1, phi2 = phi_from_stats(st, q, ab, 1.0)
-    scale = st.scale()
-    on_branch = (phi2 > 0) if branch is Branch.PLUS else (phi2 < 0)
-    # the system asks for u, w > 0: a component that vanished at every
-    # interior node (a negative parameter drives it there) is no solution
-    both_alive = bool(u.max() > 0 and v.max() > 0)
-    converged = (hit_tol and abs(phi1) <= opts.tol_manifold * scale and on_branch
-                 and both_alive)
-    return {
-        "pair": GridPair.from_arrays(problem.grid, np.pad(u, 1), np.pad(v, 1)),
-        "J": J_cur,
-        "norm": math.sqrt(st.norm2),
-        "phi1": phi1,
-        "phi2": phi2,
-        "t_used": t_used,
-        "iters": iters,
-        "converged": converged,
-        "trajectory": trajectory,
-        "residual": abs(phi1) / scale if scale > 0 else abs(phi1),
-    }
+    # the checks run on the returned iterates themselves, not on scaled stats
+    stats, _, _ = stats_and_products(problem, form, u, v)
+    results: list[dict | None] = [None] * len(directions)
+    for r, i in enumerate(live):
+        _, phi1, phi2 = phi_from_stats(stats[r], q, ab, 1.0)
+        scale = stats[r].scale()
+        on_branch = (phi2 > 0) if branch is Branch.PLUS else (phi2 < 0)
+        # the system asks for u, w > 0: a component that vanished at every
+        # interior node (a negative parameter drives it there) is no solution
+        both_alive = bool(u[r].max() > 0 and v[r].max() > 0)
+        converged = (hit_tol[r] and abs(phi1) <= opts.tol_manifold * scale and on_branch
+                     and both_alive)
+        results[i] = {
+            "pair": GridPair.from_arrays(problem.grid, np.pad(u[r], 1), np.pad(v[r], 1)),
+            "J": trajectories[r][-1][0],
+            "norm": math.sqrt(stats[r].norm2),
+            "phi1": phi1,
+            "phi2": phi2,
+            "t_used": t_used[r],
+            "iters": iters[r],
+            "converged": converged,
+            "trajectory": trajectories[r],
+            "residual": abs(phi1) / scale if scale > 0 else abs(phi1),
+        }
+    return results
 
 
 def _stationarity(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair,
@@ -271,30 +297,22 @@ def solve_branch(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
                  opts: SolverOptions = SolverOptions()) -> SolutionReport:
     """Minimize the energy over one manifold branch, best over restarts.
 
-    Restart i uses the deterministic generator seeded with seed + i. Ties
-    on energy break toward the smaller manifold residual, then the lower
-    iteration count. Raises NoAdmissibleDirection if every restart fails
-    to find a direction admitting the branch scaling.
+    Restart i uses the deterministic generator seeded with seed + i, and
+    all restarts descend together as the rows of one block. Ties on energy
+    break toward the smaller manifold residual, then the lower iteration
+    count, then the lower restart. Raises NoAdmissibleDirection if every
+    restart fails to find a direction admitting the branch scaling.
     """
-    best = None
-    completed = 0
+    directions = []
     for i in range(opts.restarts):
         rng = np.random.default_rng(opts.seed + i)
         try:
-            direction = initial_direction(problem, rng, branch)
+            directions.append(initial_direction(problem, rng, branch))
         except DirectionSearchFailed:
-            continue
-        result = _descend(problem, form, branch, direction, opts)
-        if result is None:
-            continue
-        completed += 1
-        if best is None:
-            best = result
-            continue
-        key_new = (result["J"], result["residual"], result["iters"])
-        key_old = (best["J"], best["residual"], best["iters"])
-        if key_new < key_old:
-            best = result
+            pass
+    results = [r for r in _descend(problem, form, branch, directions, opts)
+               if r is not None] if directions else []
+    best = min(results, key=lambda r: (r["J"], r["residual"], r["iters"]), default=None)
 
     if best is None:
         raise NoAdmissibleDirection(
@@ -304,7 +322,7 @@ def solve_branch(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
     return SolutionReport(branch=branch, pair=best["pair"], J=best["J"],
                           norm=best["norm"], phi1=best["phi1"], phi2=best["phi2"],
                           t_used=best["t_used"], iters=best["iters"],
-                          converged=best["converged"], restarts_used=completed,
+                          converged=best["converged"], restarts_used=len(results),
                           stationarity=_stationarity(problem, form, best["pair"],
                                                      best["norm"], opts.eps_singular),
                           trajectory=best["trajectory"])

@@ -259,12 +259,12 @@ def test_kernel_against_gridpair_oracle(problem64, form64, asymmetric):
             assert new[0] == new[-1] == 0.0
             assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-        # the raw kernel returns the products it used
+        # the raw kernel, on a one-row block, returns the products it used
         u, v = pair.u.values[1:-1], pair.w.values[1:-1]
-        st_raw, Gu, Gv = stats_and_products(problem, form64, u, v)
-        assert st_raw == st
-        assert np.array_equal(Gu, form64.matrix @ u)
-        assert np.array_equal(Gv, form64.matrix @ v)
-        raw_u, raw_v = smoothed_gradient(problem, u, v, Gu, Gv, eps)
+        st_raw, Gu, Gv = stats_and_products(problem, form64, u[None], v[None])
+        assert st_raw == [st]
+        assert np.array_equal(Gu, (form64.matrix @ u)[None])
+        assert np.array_equal(Gv, (form64.matrix @ v)[None])
+        raw_u, raw_v = smoothed_gradient(problem, u, v, Gu[0], Gv[0], eps)
         assert np.array_equal(raw_u, grad.u.values[1:-1])
         assert np.array_equal(raw_v, grad.w.values[1:-1])

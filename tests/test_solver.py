@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import neharifrac as nf
-from neharifrac.errors import DirectionSearchFailed, NotConvergedInput
+from neharifrac.errors import DirectionSearchFailed, NoBracket, NotConvergedInput
+from neharifrac.fiber import falling_root
 from neharifrac import form as form_mod
 from neharifrac.form import riesz_map
 from neharifrac.solver import _descend, _project_scaling
@@ -49,7 +50,8 @@ def test_solve_branch_raises_when_no_direction_exists():
     from neharifrac.errors import NoAdmissibleDirection
     p = nf.validate_params(make_spec(cells=32, lam=-0.01, mu=-0.01))
     form = nf.assemble_form(p.grid, p.s)
-    with pytest.raises(NoAdmissibleDirection):
+    with pytest.raises(NoAdmissibleDirection,
+                       match="^all 2 restarts failed to reach branch plus; "):
         nf.solve_branch(p, form, nf.Branch.PLUS, nf.SolverOptions(restarts=2))
 
 
@@ -375,7 +377,8 @@ def _descend_gridpair_reference(problem, form, riesz, branch, direction, opts):
 @pytest.mark.parametrize("cells", [64, 128])
 def test_array_descent_against_gridpair_oracle(cells, problem64, form64):
     # every restart of the 64-cell fixture and of the README config at 128
-    # cells: the same iteration count and the same energy up to roundoff
+    # cells, descended as the rows of one block: each row takes the same
+    # iteration count as its lone oracle and the same energy up to roundoff
     if cells == 64:
         problem, form, seeds = problem64, form64, range(42, 50)
     else:
@@ -385,12 +388,118 @@ def test_array_descent_against_gridpair_oracle(cells, problem64, form64):
     riesz = riesz_map(form)
     opts = nf.SolverOptions()
     for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
-        for seed in seeds:
-            direction = nf.initial_direction(problem, np.random.default_rng(seed), branch)
+        directions = [nf.initial_direction(problem, np.random.default_rng(seed), branch)
+                      for seed in seeds]
+        results = _descend(problem, form, branch, directions, opts)
+        assert len(results) == len(directions)
+        for direction, result in zip(directions, results):
             oracle = _descend_gridpair_reference(problem, form, riesz, branch,
                                                  direction, opts)
-            result = _descend(problem, form, branch, direction, opts)
             assert oracle is not None and result is not None
             iters, J = oracle
             assert result["iters"] == iters
             assert result["J"] == pytest.approx(J, rel=1e-12)
+
+
+def _zero_direction(problem):
+    zeros = np.zeros(problem.grid.node_count)
+    return nf.GridPair.from_arrays(problem.grid, zeros, zeros)
+
+
+@pytest.mark.parametrize("step", [0.5, 8.0])
+@pytest.mark.parametrize("matrix_free", [False, True])
+def test_block_rows_do_not_depend_on_each_other(monkeypatch, problem64, matrix_free, step):
+    # a row that admits no scaling (the zero direction) and rows that stop
+    # before the others leave every other row as it was. The FFT path
+    # treats the rows independently, so there it is bit for bit; a dense
+    # product rounds by the block's width, so there it is to roundoff. A
+    # first step of 8 makes the rows halve it, each by its own count
+    monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", 2 if matrix_free else 10**9)
+    form = nf.assemble_form(problem64.grid, problem64.s)
+    assert form.matrix_free is matrix_free
+    opts = nf.SolverOptions(step=step)
+    for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
+        directions = [nf.initial_direction(problem64, np.random.default_rng(seed), branch)
+                      for seed in range(8, 12)]
+        block = _descend(problem64, form, branch, directions, opts)
+        assert len({result["iters"] for result in block}) > 1  # rows stop apart
+        padded = _descend(problem64, form, branch,
+                          directions[:2] + [_zero_direction(problem64)] + directions[2:], opts)
+        assert padded[2] is None
+        assert _descend(problem64, form, branch, [_zero_direction(problem64)], opts) == [None]
+        lone = [_descend(problem64, form, branch, [d], opts)[0] for d in directions]
+        for other in (padded[:2] + padded[3:], lone):
+            for a, b in zip(block, other):
+                assert a["iters"] == b["iters"] and a["converged"] == b["converged"]
+                if matrix_free:
+                    assert a["J"] == b["J"] and a["trajectory"] == b["trajectory"]
+                    assert np.array_equal(a["pair"].u.values, b["pair"].u.values)
+                    assert np.array_equal(a["pair"].w.values, b["pair"].w.values)
+                else:
+                    assert a["J"] == pytest.approx(b["J"], rel=1e-12)
+
+
+def test_block_stops_rows_at_the_step_floor_and_at_max_iters(problem64, form64):
+    directions = [nf.initial_direction(problem64, np.random.default_rng(seed), nf.Branch.MINUS)
+                  for seed in range(3)]
+    # a first step at the floor tries nothing: each row stops at once on
+    # its projected start
+    start = _descend(problem64, form64, nf.Branch.MINUS, directions,
+                     nf.SolverOptions(step=1e-16))
+    for result in start:
+        assert result["iters"] == 1 and len(result["trajectory"]) == 1
+    # a row cut off by max_iters reports exactly max_iters, unconverged
+    capped = _descend(problem64, form64, nf.Branch.MINUS, directions,
+                      nf.SolverOptions(max_iters=3))
+    for result in capped:
+        assert result["iters"] == 3 and len(result["trajectory"]) == 4
+        assert not result["converged"]
+
+
+def test_restarts_used_counts_only_rows_that_reach_the_branch(monkeypatch, problem64, form64):
+    # the first restart's direction admits no scaling; the other two descend
+    from neharifrac import solver
+    zero = [_zero_direction(problem64)]
+    draw = solver.initial_direction
+    monkeypatch.setattr(solver, "initial_direction",
+                        lambda problem, rng, branch: zero.pop() if zero
+                        else draw(problem, rng, branch))
+    report = nf.solve_branch(problem64, form64, nf.Branch.PLUS,
+                             nf.SolverOptions(seed=42, restarts=3))
+    assert report.restarts_used == 2 and report.converged
+
+
+def test_one_root_projection_matches_project(problem64):
+    # the branch scaling computes only the root its branch uses, by the
+    # arithmetic project uses for that root: bit for bit t1 (plus) or t2
+    # (minus), over seeded stats covering every case of the fiber
+    q, ab = problem64.q, problem64.alpha + problem64.beta
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(400):
+        norm2 = 10.0 ** rng.uniform(-3, 3)
+        K = rng.choice([-1.0, 1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+        B = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4, 4)
+        stats = nf.PairStats(norm2, K, B)
+        plus = _project_scaling(problem64, stats, nf.Branch.PLUS)
+        minus = _project_scaling(problem64, stats, nf.Branch.MINUS)
+        if K <= 0:
+            seen.add("K <= 0 < B" if B > 0 else "K, B <= 0")
+            assert plus is None
+            assert minus == (falling_root(stats, q, ab) if B > 0 else None)
+            continue
+        roots = nf.project(stats, q, ab)
+        seen.add(roots.case)
+        if roots.case is nf.FiberCase.NO_ADMISSIBLE_ROOT:
+            assert plus is None and minus is None
+        else:
+            assert plus == roots.t1
+            assert minus == (roots.t2 if roots.case is nf.FiberCase.TWO_ROOTS else None)
+    assert seen >= {nf.FiberCase.SINGLE_ROOT, nf.FiberCase.TWO_ROOTS,
+                    nf.FiberCase.NO_ADMISSIBLE_ROOT, "K <= 0 < B"}
+    # a B so small that t2's bracket overflows: project raises, but the
+    # local-min branch never looks for t2
+    stats = nf.PairStats(1.0, 0.5, 1e-310)
+    with pytest.raises(NoBracket):
+        nf.project(stats, q, ab)
+    assert _project_scaling(problem64, stats, nf.Branch.PLUS) == pytest.approx(0.5 ** (2 / 3))
