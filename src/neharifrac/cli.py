@@ -102,7 +102,10 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
 
 
 def solver_options_from_config(cfg: dict, seed_override: int | None = None) -> SolverOptions:
-    overrides = dict(cfg.get("solver", {}))
+    block = cfg.get("solver", {})
+    if not isinstance(block, dict):
+        raise ConfigParseError(f"solver block must be a JSON object, got {block!r}")
+    overrides = dict(block)
     if seed_override is not None:
         overrides["seed"] = seed_override
     try:
@@ -349,6 +352,8 @@ def _fmt_opt(v) -> str:
 
 def cmd_verify(args) -> int:
     _, problem = _load(args.config)
+    if not (math.isfinite(args.res_tol) and args.res_tol > 0):
+        raise ValidationError(f"--res-tol must be positive and finite, got {args.res_tol}")
     form = assemble_form(problem.grid, problem.s)
     try:
         with open(args.solution, "r", encoding="utf-8") as fh:

@@ -16,18 +16,21 @@ root structure:
 
 A negative parameter can make K <= 0. Both powers then fall, so psi falls
 from +infinity to -B: for B > 0 its one root is a fiber maximum
-(local-max branch, ``falling_root``), and for B <= 0 there is none.
+(local-max branch), and for B <= 0 there is none.
 
-Roots are found by Newton's method in x = log t, where
+``branch_root`` holds this case analysis and finds one root: t1, or the
+fiber maximum. psi is nonnegative at an anchor (t_max, or the root t0 of
+the K = 0 part when K <= 0) and changes sign once on the root's side of
+it. The bracket starts at t = 1, clipped to that side, since a descent
+trial lies one step from the manifold, and widens geometrically in
+x = log t until psi changes sign. Newton's method in x, where
 
     dpsi/dx = (2-a) t^{2-a} norm2 - (1-a-q) t^{1-a-q} K
 
-costs nothing beyond the two powers psi already needs. Monotonicity on
-each side of t_max gives a sign-change bracket around each root; every
-iterate shrinks it by the sign of psi, and a Newton step that would leave
-it is replaced by a bisection, so the iteration cannot diverge.
-``lower_root`` and ``upper_root`` find t1 and t2 one at a time, so a
-caller that needs one root computes only that one; ``project`` finds both.
+costs nothing beyond the two powers psi already needs, then shrinks the
+bracket by the sign of psi; a step that would leave it is replaced by a
+bisection, so the iteration cannot diverge. ``project`` finds both roots
+with two calls.
 """
 
 from __future__ import annotations
@@ -36,18 +39,15 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .energy import PairStats, pair_stats, phi_from_stats
 from .errors import NoBracket, NonpositiveK, NonpositiveNorm, NonpositiveT
 from .form import GagliardoForm
 from .problem import GridPair, ValidatedProblem
 
-DEFAULT_ROOT_TOL = 1e-12
 DEFAULT_TOL = 1e-8
 DEFAULT_TOL2 = 1e-10
+_ROOT_TOL = 1e-12  # a root is final once its Newton step in log t is shorter
 _MAX_STEPS = 240
-_TINY = float(np.finfo(float).tiny)
 
 
 class FiberCase(enum.Enum):
@@ -100,117 +100,87 @@ def t_max(stats: PairStats, q: float, ab: float) -> float:
     return float(((ab - 1 + q) * stats.K / ((ab - 2) * stats.norm2)) ** (1 / (1 + q)))
 
 
-def _newton(stats: PairStats, q: float, ab: float, lo: float, hi: float,
-            increasing: bool, width: float) -> float:
-    # root of psi in [lo, hi], where psi changes sign; `increasing` tells
-    # which end is negative
+def branch_root(stats: PairStats, q: float, ab: float, upper: bool) -> float | None:
+    """The scaling that puts a direction on one branch, or None if none does.
+
+    upper=False asks for the fiber minimum t1 (local-min branch), upper=True
+    for the fiber maximum: t2 for K > 0, the falling root for K <= 0.
+    Raises NoBracket when rounding collapsed psi(t_max) although B <= 0, or
+    when psi changes no sign within the float range.
+    """
+    norm2, K, B = stats.norm2, stats.K, stats.B
+    if norm2 <= 0:
+        return None
     e_n, e_k = 2 - ab, 1 - ab - q
-    x_lo, x_hi = math.log(lo), math.log(hi)
-    x = 0.5 * (x_lo + x_hi)
-    t = math.exp(x)
+    if K <= 0:
+        # a negative parameter can get here; the fiber then has no minimum,
+        # and psi(t0) = -t0^{e_k} K >= 0 at t0 = (norm2 / B)^{1/(a-2)}
+        if not upper or B <= 0:
+            return None
+        x_in = (math.log(norm2) - math.log(B)) / (ab - 2)
+    else:
+        if upper and B <= 0:
+            return None  # a single root, the fiber minimum
+        tm = t_max(stats, q, ab)
+        if _psi(stats, e_n, e_k, tm) <= 0:
+            # exact arithmetic gives psi(t_max) > -B, so for B <= 0 only
+            # rounding gets here
+            if B <= 0:
+                raise NoBracket("psi has no positive maximum; degenerate stats")
+            return None
+        x_in = math.log(tm)
+    # psi >= 0 at the anchor x_in and changes sign once on the root's side
+    # of it. Start at t = 1, clipped to that side (a descent trial lies one
+    # step from the manifold), and widen geometrically in x = log t until
+    # the sign changes.
+    side = 1.0 if upper else -1.0
+    x = side * max(side * x_in, 0.0)
+    width = 1.0
+    try:
+        while True:
+            t = math.exp(x)
+            pn, pk = t**e_n * norm2, t**e_k * K
+            val = pn - pk - B
+            if val <= 0.0:
+                break
+            x_in, x = x, x + side * width
+            width *= 2.0
+    except (OverflowError, ZeroDivisionError):
+        # t left the float range: exp overflows above it, and below it a
+        # negative power of t overflows or t itself underflows to 0
+        raise NoBracket("psi changes no sign in the float range; degenerate stats") from None
+    # Newton from the first point past the sign change: t = 1 itself unless
+    # the bracket had to widen
+    x_out = x
     for _ in range(_MAX_STEPS):
-        pn = t**e_n * stats.norm2
-        pk = t**e_k * stats.K
-        val = pn - pk - stats.B
-        if val == 0.0:
-            break
-        if (val < 0.0) == increasing:
-            x_lo = x
-        else:
-            x_hi = x
         slope = e_n * pn - e_k * pk
         x_new = x - val / slope if slope != 0.0 else math.nan
-        # a step that rounds to nothing stays on its bracket end
-        if not x_lo <= x_new <= x_hi:  # also catches nan: bisect
-            x_new = 0.5 * (x_lo + x_hi)
-        t_new = math.exp(x_new)
-        done = abs(t_new - t) < width
-        x, t = x_new, t_new
-        if done:
-            break
-    return t
+        if not (x_new - x_in) * (x_new - x_out) <= 0.0:  # also catches nan: bisect
+            x_new = 0.5 * (x_in + x_out)
+        if abs(x_new - x) < _ROOT_TOL:
+            return math.exp(x_new)
+        x = x_new
+        t = math.exp(x)
+        pn, pk = t**e_n * norm2, t**e_k * K
+        val = pn - pk - B
+        if val > 0.0:
+            x_in = x
+        else:
+            x_out = x
+    return math.exp(x)
 
 
-def peak(stats: PairStats, q: float, ab: float) -> tuple[float, float]:
-    """t_max and psi(t_max), for K > 0.
-
-    psi(t_max) <= 0 means no admissible scaling when B > 0. When B <= 0 it
-    cannot happen in exact arithmetic, since psi(t_max) > -B >= 0; it means
-    rounding collapsed the maximum, and NoBracket is raised.
-    """
+def project(stats: PairStats, q: float, ab: float) -> FiberRoots:
+    """Both manifold scalings of a direction with K > 0."""
     tm = t_max(stats, q, ab)
     ptm = _psi(stats, 2 - ab, 1 - ab - q, tm)
-    if stats.B <= 0 and ptm <= 0:
-        raise NoBracket("psi has no positive maximum; degenerate stats")
-    return tm, ptm
-
-
-def lower_root(stats: PairStats, q: float, ab: float, tm: float,
-               tol: float = DEFAULT_ROOT_TOL) -> float:
-    """The root t1 < t_max of psi, the fiber minimum, given tm = t_max and
-    psi(t_max) > 0; tol is relative to tm."""
-    # psi < 0 near 0, > 0 at t_max
-    lo = tm
-    while _psi(stats, 2 - ab, 1 - ab - q, lo) > 0.0:
-        lo *= 0.5
-        if lo < _TINY:
-            raise NoBracket("no sign change below t_max; degenerate stats")
-    return _newton(stats, q, ab, lo, tm, increasing=True, width=tol * tm)
-
-
-def upper_root(stats: PairStats, q: float, ab: float, tm: float,
-               tol: float = DEFAULT_ROOT_TOL) -> float:
-    """The root t2 > t_max of psi, the fiber maximum, given tm = t_max,
-    psi(t_max) > 0 and B > 0; tol is relative to tm."""
-    # psi > 0 at t_max, -> -B < 0 at infinity
-    hi = 2.0 * tm
-    while _psi(stats, 2 - ab, 1 - ab - q, hi) > 0.0:
-        hi *= 2.0
-        if not math.isfinite(hi):
-            raise NoBracket("no sign change above t_max; degenerate stats")
-    return _newton(stats, q, ab, max(tm, hi / 2), hi, increasing=False, width=tol * tm)
-
-
-def project(stats: PairStats, q: float, ab: float, tol: float = DEFAULT_ROOT_TOL) -> FiberRoots:
-    """Find the manifold scalings of a direction with K > 0.
-
-    tol is relative to t_max: the root iteration stops once its step is
-    shorter than tol * t_max.
-    """
-    if tol <= 0:
-        raise NonpositiveT(f"tol must be positive, got {tol}")
-    tm, ptm = peak(stats, q, ab)
-    if ptm <= 0:
+    t1 = branch_root(stats, q, ab, upper=False)
+    if t1 is None:
         return FiberRoots(case=FiberCase.NO_ADMISSIBLE_ROOT, t1=None, t2=None,
                           t_max=tm, psi_at_tmax=ptm)
-    t1 = lower_root(stats, q, ab, tm, tol)
-    if stats.B <= 0:
-        return FiberRoots(case=FiberCase.SINGLE_ROOT, t1=t1, t2=None,
-                          t_max=tm, psi_at_tmax=ptm)
-    t2 = upper_root(stats, q, ab, tm, tol)
-    return FiberRoots(case=FiberCase.TWO_ROOTS, t1=t1, t2=t2,
-                      t_max=tm, psi_at_tmax=ptm)
-
-
-def falling_root(stats: PairStats, q: float, ab: float,
-                 tol: float = DEFAULT_ROOT_TOL) -> float:
-    """The root of psi for K <= 0 < B, a fiber maximum.
-
-    psi falls monotonically, and it is nonnegative at the root
-    t0 = (norm2 / B)^{1/(a-2)} of its K = 0 part, so the root lies above
-    t0; tol is relative to t0.
-    """
-    if stats.norm2 <= 0:
-        raise NonpositiveNorm(f"falling_root requires norm2 > 0, got {stats.norm2}")
-    if stats.K > 0 or stats.B <= 0:
-        raise NoBracket(f"falling_root requires K <= 0 < B, got K={stats.K}, B={stats.B}")
-    t0 = float((stats.norm2 / stats.B) ** (1 / (ab - 2)))
-    hi = 2.0 * t0
-    while _psi(stats, 2 - ab, 1 - ab - q, hi) > 0.0:
-        hi *= 2.0
-        if not math.isfinite(hi):
-            raise NoBracket("no sign change above t0; degenerate stats")
-    return _newton(stats, q, ab, t0, hi, increasing=False, width=tol * t0)
+    t2 = branch_root(stats, q, ab, upper=True)
+    case = FiberCase.SINGLE_ROOT if t2 is None else FiberCase.TWO_ROOTS
+    return FiberRoots(case=case, t1=t1, t2=t2, t_max=tm, psi_at_tmax=ptm)
 
 
 def classify(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair,

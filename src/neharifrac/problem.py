@@ -76,10 +76,12 @@ class WeightSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
-    KINDS = ("constant", "gaussian", "cos_pi_x", "linear_x", "samples")
+    # the numeric parameters of each kind; samples takes a list of values
+    PARAMS = {"constant": ("value",), "gaussian": ("center", "width", "amplitude"),
+              "cos_pi_x": ("amplitude",), "linear_x": ("slope", "offset"), "samples": ()}
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in self.PARAMS:
             raise ValidationError(f"unknown weight kind {self.kind!r}")
 
     @classmethod
@@ -109,8 +111,12 @@ class WeightSpec:
         kind = d.pop("kind", None)
         if kind is None:
             raise ValidationError("weight spec needs a 'kind' field")
-        if kind == "samples" and "values" in d:
+        # a missing or non-numeric parameter raises KeyError, TypeError or
+        # ValueError here, while the config is read, not when it is sampled
+        if kind == "samples":
             d["values"] = [float(v) for v in d["values"]]
+        for name in cls.PARAMS.get(kind, ()):
+            d[name] = float(d[name])
         return cls(kind, d)
 
     def to_json(self) -> dict:

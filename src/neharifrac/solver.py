@@ -42,7 +42,7 @@ from .errors import (
     NoAdmissibleDirection,
     NotConvergedInput,
 )
-from .fiber import falling_root, lower_root, peak, upper_root
+from .fiber import branch_root
 from .form import GagliardoForm
 from .problem import GridPair, ValidatedProblem
 from .thresholds import ConstantsReport
@@ -158,30 +158,6 @@ def initial_direction(problem: ValidatedProblem, rng: np.random.Generator,
     )
 
 
-def _project_scaling(problem, stats, branch):
-    """Branch scaling of a direction, or None if inadmissible.
-
-    Only the root the branch uses is computed: t1 for the local-min branch,
-    t2 for the local-max branch.
-    """
-    if stats.norm2 <= 0:
-        return None
-    q, ab = problem.q, problem.alpha + problem.beta
-    if stats.K <= 0:
-        # a negative parameter can get here; the fiber then has no minimum
-        if branch is Branch.MINUS and stats.B > 0:
-            return falling_root(stats, q, ab)
-        return None
-    if branch is Branch.MINUS and stats.B <= 0:
-        return None  # a single root, the fiber minimum
-    tm, ptm = peak(stats, q, ab)
-    if ptm <= 0:
-        return None
-    if branch is Branch.MINUS:
-        return upper_root(stats, q, ab, tm)
-    return lower_root(stats, q, ab, tm)
-
-
 def _record(stats, t, q, ab):
     # (J, norm, K, B) of the direction with these stats, scaled by t
     n2, K, B = stats.norm2 * t**2, stats.K * t ** (1 - q), stats.B * t**ab
@@ -203,10 +179,11 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
     gradient costs no product of its own.
     """
     q, ab = problem.q, problem.alpha + problem.beta
+    upper = branch is Branch.MINUS
     u = np.array([d.u.values[1:-1] for d in directions])
     v = np.array([d.w.values[1:-1] for d in directions])
     stats, Gu, Gv = stats_and_products(problem, form, u, v)
-    scalings = [_project_scaling(problem, st, branch) for st in stats]
+    scalings = [branch_root(st, q, ab, upper) for st in stats]
     live = [i for i, t in enumerate(scalings) if t is not None]
 
     # the block holds the live rows only; row r is direction live[r]
@@ -235,7 +212,7 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
             tstats, Gu_try, Gv_try = stats_and_products(problem, form, u_try, v_try)
             accepted = np.zeros(len(trying))  # the scaling of each accepted trial
             for k, (j, r) in enumerate(zip(trying.tolist(), rows.tolist())):
-                t_sel = _project_scaling(problem, tstats[k], branch)
+                t_sel = branch_root(tstats[k], q, ab, upper)
                 J_cur = trajectories[r][-1][0]
                 if t_sel is not None and (record := _record(tstats[k], t_sel, q, ab))[0] < J_cur:
                     rel_drop[j] = (J_cur - record[0]) / max(abs(J_cur), 1e-300)

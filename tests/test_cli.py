@@ -85,14 +85,28 @@ def test_nonfinite_solver_option_is_a_validation_error(tmp_path, capsys, value):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("override", [{"s": "abc"}, {"grid": {"cells": 12.7}},
-                                      {"grid": {"cells": math.inf}}])
+@pytest.mark.parametrize("override", [
+    {"s": "abc"}, {"grid": {"cells": 12.7}}, {"grid": {"cells": math.inf}},
+    # weight parameters: missing or non-numeric (b starts as cos_pi_x)
+    {"b": {"kind": "constant"}}, {"f": {"value": "abc"}},
+    {"g": {"kind": "gaussian", "center": 0.0, "width": 1.0}},
+    {"b": {"kind": "samples"}}, {"b": {"kind": "samples", "values": 5}},
+    # a solver block that is no JSON object
+    {"solver": 5}, {"solver": "ab"}, {"solver": [1, 2]},
+])
 def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, override):
     path = write_config(tmp_path, override)
-    assert cli.main(["constants", path]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("config error:")
-    assert captured.out == ""
+    commands = [["solve", path, "--out", str(tmp_path / "run")],
+                ["sweep", path, "--lambdas", "0.01", "--mus", "0.01",
+                 "--out", str(tmp_path / "sweep.csv")]]
+    if "solver" not in override:  # the other commands read no solver block
+        commands += [["constants", path], ["fiber", path, "--out", str(tmp_path / "f.csv")]]
+    for argv in commands:
+        assert cli.main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert captured.out == ""
+    assert not (tmp_path / "run").exists() and not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("option,value", [("max_iters", 2.5), ("restarts", 1.5),
@@ -232,6 +246,19 @@ def test_verify_rejects_nonpositive_delta(tmp_path):
     assert cli.main(["solve", path, "--branch", "plus", "--out", str(out)]) == 0
     assert cli.main(["verify", path, "--solution", str(out / "solution_plus.json"),
                      "--delta", "0"]) == 3
+
+
+@pytest.mark.parametrize("res_tol", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_a_bad_residual_tolerance(tmp_path, capsys, res_tol):
+    path = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["solve", path, "--branch", "plus", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", path, "--solution", str(out / "solution_plus.json"),
+                     "--res-tol", res_tol]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error:") and "--res-tol" in captured.err
+    assert captured.out == ""
 
 
 def test_sweep_grid(tmp_path):

@@ -4,7 +4,7 @@ from scipy.optimize import brentq
 
 import neharifrac as nf
 from neharifrac.errors import NoBracket, NonpositiveK, NonpositiveNorm, NonpositiveT
-from neharifrac.fiber import falling_root
+from neharifrac.fiber import branch_root
 
 from conftest import bump_pair
 
@@ -164,6 +164,44 @@ def test_project_roots_over_wide_stats():
                 hi *= 1e10
             oracle = brentq(f, tm, hi, xtol=1e-300, rtol=1e-15, maxiter=1000)
             assert roots.t2 == pytest.approx(oracle, rel=1e-10)
+    # K <= 0 < B over the same ranges: the falling root, at or above the
+    # root t0 of the K = 0 part
+    for _ in range(200):
+        q = float(rng.uniform(0.05, 0.95))
+        ab = float(rng.uniform(2.05, 6.0))
+        n2, K, B = 10 ** rng.uniform(-4.0, 4.0, size=3)
+        st = nf.PairStats(float(n2), -float(K), float(B))
+        t = branch_root(st, q, ab, upper=True)
+        assert branch_root(st, q, ab, upper=False) is None
+        f = lambda t: nf.psi(st, q, ab, t)
+        # psi(t0 / 2) > 2^{a-2} B - B > 0, while psi(t0) may round to 0
+        lo = (n2 / B) ** (1 / (ab - 2)) / 2
+        hi = 4 * lo
+        while f(hi) > 0:
+            hi *= 1e10
+        oracle = brentq(f, lo, hi, xtol=1e-300, rtol=1e-15, maxiter=1000)
+        assert t == pytest.approx(oracle, rel=1e-10)
+
+
+def test_branch_root_is_scale_covariant():
+    # a projected pair projects to t = 1, and scaling the direction by c
+    # divides its root by c: the bracket starts at t = 1 and widens below
+    # (c = 1e3) or above (c = 1e-3) it
+    rng = np.random.default_rng(4)
+    for upper in (False, True):
+        for _ in range(50):
+            q = float(rng.uniform(0.05, 0.95))
+            ab = float(rng.uniform(2.05, 6.0))
+            n2, K, B = 10 ** rng.uniform(-2.0, 2.0, size=3)
+            st = nf.PairStats(float(n2), float(K), float(B))
+            t = branch_root(st, q, ab, upper)
+            if t is None:
+                continue
+            on = nf.PairStats(t**2 * st.norm2, t ** (1 - q) * st.K, t**ab * st.B)
+            assert branch_root(on, q, ab, upper) == pytest.approx(1.0, rel=1e-12)
+            for c in (1e-3, 1e3):
+                scaled = nf.PairStats(c**2 * on.norm2, c ** (1 - q) * on.K, c**ab * on.B)
+                assert branch_root(scaled, q, ab, upper) == pytest.approx(1 / c, rel=1e-12)
 
 
 def test_falling_root_against_brentq():
@@ -173,15 +211,14 @@ def test_falling_root_against_brentq():
         n2 = float(rng.uniform(0.2, 5.0))
         K = -float(rng.uniform(0.0, 2.0))
         B = float(rng.uniform(0.01, 2.0))
-        t = falling_root(nf.PairStats(n2, K, B), Q, AB)
+        t = branch_root(nf.PairStats(n2, K, B), Q, AB, upper=True)
         oracle = brentq(lambda t: psi_explicit(t, n2, K, B), 1e-12, 1e12,
                         xtol=1e-300, rtol=1e-15)
         assert t == pytest.approx(oracle, rel=1e-10)
         assert psi_prime_explicit(t, n2, K) < 0
-    with pytest.raises(NoBracket):
-        falling_root(nf.PairStats(1.0, 0.1, 0.5), Q, AB)
-    with pytest.raises(NoBracket):
-        falling_root(nf.PairStats(1.0, -0.1, 0.0), Q, AB)
+    # K <= 0 and B <= 0: psi stays positive, no scaling on either branch
+    for upper in (False, True):
+        assert branch_root(nf.PairStats(1.0, -0.1, 0.0), Q, AB, upper) is None
 
 
 def test_project_rejects_nonpositive_k():

@@ -6,10 +6,10 @@ import pytest
 
 import neharifrac as nf
 from neharifrac.errors import DirectionSearchFailed, NoBracket, NotConvergedInput
-from neharifrac.fiber import falling_root
+from neharifrac.fiber import branch_root
 from neharifrac import form as form_mod
 from neharifrac.form import riesz_map
-from neharifrac.solver import _descend, _project_scaling
+from neharifrac.solver import _descend
 from neharifrac.thresholds import rho_coefficients
 
 from conftest import make_spec, reference_gradient, reference_stats
@@ -243,7 +243,7 @@ def _descend_euclidean_reference(problem, form, branch, direction, max_iters=200
     the nodal gradient as the direction. Returns the final energy."""
     q, ab = problem.q, problem.alpha + problem.beta
     stats = nf.pair_stats(problem, form, direction)
-    pair = direction.scaled(_project_scaling(problem, stats, branch))
+    pair = direction.scaled(branch_root(stats, q, ab, branch is nf.Branch.MINUS))
     st = nf.pair_stats(problem, form, pair)
     J_cur = st.norm2 / 2 - st.K / (1 - q) - st.B / ab
     step = step0
@@ -257,7 +257,7 @@ def _descend_euclidean_reference(problem, form, branch, direction, max_iters=200
             tstats = nf.pair_stats(problem, form, trial)
             t_sel = None
             if tstats.norm2 > 0 and tstats.K > 0:
-                t_sel = _project_scaling(problem, tstats, branch)
+                t_sel = branch_root(tstats, q, ab, branch is nf.Branch.MINUS)
             if t_sel is not None:
                 J_new = (tstats.norm2 * t_sel**2 / 2 - tstats.K * t_sel ** (1 - q) / (1 - q)
                          - tstats.B * t_sel**ab / ab)
@@ -336,7 +336,7 @@ def _descend_gridpair_reference(problem, form, riesz, branch, direction, opts):
     def stats(pair):
         return nf.PairStats(*reference_stats(problem, form, pair))
 
-    t_used = _project_scaling(problem, stats(direction), branch)
+    t_used = branch_root(stats(direction), q, ab, branch is nf.Branch.MINUS)
     if t_used is None:
         return None
     pair = direction.scaled(t_used)
@@ -356,7 +356,7 @@ def _descend_gridpair_reference(problem, form, riesz, branch, direction, opts):
             v_try = np.maximum(pair.w.values - step * dv, 0.0)
             trial = nf.GridPair.from_arrays(problem.grid, u_try, v_try)
             tstats = stats(trial)
-            t_sel = _project_scaling(problem, tstats, branch)
+            t_sel = branch_root(tstats, q, ab, branch is nf.Branch.MINUS)
             if t_sel is None:
                 step *= 0.5
                 continue
@@ -470,8 +470,8 @@ def test_restarts_used_counts_only_rows_that_reach_the_branch(monkeypatch, probl
 
 
 def test_one_root_projection_matches_project(problem64):
-    # the branch scaling computes only the root its branch uses, by the
-    # arithmetic project uses for that root: bit for bit t1 (plus) or t2
+    # the branch scaling computes only the root its branch uses, and project
+    # finds each of its roots by the same call: bit for bit t1 (plus) or t2
     # (minus), over seeded stats covering every case of the fiber
     q, ab = problem64.q, problem64.alpha + problem64.beta
     rng = np.random.default_rng(5)
@@ -481,12 +481,13 @@ def test_one_root_projection_matches_project(problem64):
         K = rng.choice([-1.0, 1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
         B = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4, 4)
         stats = nf.PairStats(norm2, K, B)
-        plus = _project_scaling(problem64, stats, nf.Branch.PLUS)
-        minus = _project_scaling(problem64, stats, nf.Branch.MINUS)
+        plus = branch_root(stats, q, ab, upper=False)
+        minus = branch_root(stats, q, ab, upper=True)
         if K <= 0:
+            # the falling root, against brentq in tests/test_fiber.py
             seen.add("K <= 0 < B" if B > 0 else "K, B <= 0")
             assert plus is None
-            assert minus == (falling_root(stats, q, ab) if B > 0 else None)
+            assert (minus is None) == (B <= 0)
             continue
         roots = nf.project(stats, q, ab)
         seen.add(roots.case)
@@ -497,9 +498,11 @@ def test_one_root_projection_matches_project(problem64):
             assert minus == (roots.t2 if roots.case is nf.FiberCase.TWO_ROOTS else None)
     assert seen >= {nf.FiberCase.SINGLE_ROOT, nf.FiberCase.TWO_ROOTS,
                     nf.FiberCase.NO_ADMISSIBLE_ROOT, "K <= 0 < B"}
-    # a B so small that t2's bracket overflows: project raises, but the
-    # local-min branch never looks for t2
+    # a B so small that t2's bracket leaves the float range: project
+    # raises, but the local-min branch never looks for t2
     stats = nf.PairStats(1.0, 0.5, 1e-310)
     with pytest.raises(NoBracket):
         nf.project(stats, q, ab)
-    assert _project_scaling(problem64, stats, nf.Branch.PLUS) == pytest.approx(0.5 ** (2 / 3))
+    with pytest.raises(NoBracket):
+        branch_root(stats, q, ab, upper=True)
+    assert branch_root(stats, q, ab, upper=False) == pytest.approx(0.5 ** (2 / 3))
