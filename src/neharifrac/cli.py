@@ -58,6 +58,9 @@ EXIT_VALIDATION = 3
 EXIT_NO_DIRECTION = 4
 EXIT_NOT_CONVERGED = 5
 
+# fiber samples above this are refused before the t grid is allocated
+MAX_FIBER_SAMPLES = 1_000_000
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -316,8 +319,8 @@ def cmd_fiber(args) -> int:
     if not (math.isfinite(args.t_hi) and 0 < args.t_lo < args.t_hi):
         raise ValidationError(f"need finite 0 < t-lo < t-hi, got t-lo={args.t_lo}, "
                               f"t-hi={args.t_hi}")
-    if args.samples < 2:
-        raise ValidationError("need at least 2 samples")
+    if not 2 <= args.samples <= MAX_FIBER_SAMPLES:
+        raise ValidationError(f"need 2 to {MAX_FIBER_SAMPLES} samples, got {args.samples}")
 
     rng = np.random.default_rng(args.direction_seed)
     for _ in range(1000):
@@ -370,10 +373,10 @@ def cmd_verify(args) -> int:
         if delta <= 0:
             raise AllMasked("a solution component vanishes at every node; "
                             "the stationarity residual has nothing to test")
-    elif args.delta > 0:
+    elif math.isfinite(args.delta) and args.delta > 0:
         delta = args.delta
     else:
-        raise ValidationError(f"--delta must be positive, got {args.delta}")
+        raise ValidationError(f"--delta must be positive and finite, got {args.delta}")
     residual = verify_mod.weak_residual(problem, form, pair, delta)
 
     S_est = compute_constants(problem, form, extra_candidates=[pair.u.values, pair.w.values]).S

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigParseError,
     GridMismatch,
     InvalidExponent,
     InvalidOrder,
@@ -111,6 +112,13 @@ class WeightSpec:
         kind = d.pop("kind", None)
         if kind is None:
             raise ValidationError("weight spec needs a 'kind' field")
+        # a key the kind does not read would be dropped without a word;
+        # samples reads its values and nothing else
+        if kind in cls.PARAMS:
+            extra = sorted(set(d) - set(cls.PARAMS[kind] or ("values",)))
+            if extra:
+                raise ConfigParseError(f"weight kind {kind!r} takes no key "
+                                       f"{', '.join(map(repr, extra))}")
         # a missing or non-numeric parameter raises KeyError, TypeError or
         # ValueError here, while the config is read, not when it is sampled
         if kind == "samples":

@@ -19,7 +19,8 @@ checkable at each step. Independent seeded restarts guard against bad
 initial directions; the best energy wins. The restarts are the rows of one
 block descent: each iteration applies G and the Riesz map to all of them at
 once, while each row keeps its own step, acceptance and stopping rule, so
-a row comes out as it would from a descent of its own.
+a row ends as it would in a descent of its own. Each row comes out as its
+own report, with the stationarity of its returned iterate.
 """
 
 from __future__ import annotations
@@ -66,19 +67,18 @@ class SolverOptions:
     restarts: int = 8
 
     def __post_init__(self):
-        for name in ("max_iters", "restarts", "seed"):
+        # a negative seed would reach numpy's generator, which rejects it
+        for name, least in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"solver option {name} must be an integer, got {value!r}")
-        if self.max_iters <= 0:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+            if value < least:
+                raise ValueError(f"solver option {name} must be at least {least}, got {value}")
         for name in ("step", "tol_energy", "tol_manifold", "eps_singular"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"solver option {name} must be positive and finite, "
                                  f"got {value}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
 
 
 @dataclass
@@ -165,10 +165,9 @@ def _record(stats, t, q, ab):
 
 
 def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
-             directions: list[GridPair], opts: SolverOptions) -> list[dict | None]:
-    """All restarts as the rows of one block descent: one
-    SolutionReport-shaped dict per direction, or None where the direction
-    admits no branch scaling.
+             directions: list[GridPair], opts: SolverOptions) -> list[SolutionReport | None]:
+    """All restarts as the rows of one block descent: the report of each
+    direction, or None where the direction admits no branch scaling.
 
     Each row keeps its own step halving, acceptance, stopping rule,
     iteration count and trajectory, as if it ran alone; a row leaves the
@@ -233,41 +232,34 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
             iters[r] = it
         active = active[~stopped]
 
-    # the checks run on the returned iterates themselves, not on scaled stats
-    stats, _, _ = stats_and_products(problem, form, u, v)
-    results: list[dict | None] = [None] * len(directions)
+    # the checks and the stationarity run on the returned iterates, not on
+    # scaled stats; a row's g' G^{-1} g sums its u and w halves
+    stats, Gu, Gv = stats_and_products(problem, form, u, v)
+    g = np.concatenate(smoothed_gradient(problem, u, v, Gu, Gv, opts.eps_singular))
+    dual2 = np.einsum("ij,ij->i", g, form.riesz(g)).reshape(2, -1).sum(axis=0)
+    reports: list[SolutionReport | None] = [None] * len(directions)
     for r, i in enumerate(live):
         _, phi1, phi2 = phi_from_stats(stats[r], q, ab, 1.0)
-        scale = stats[r].scale()
-        on_branch = (phi2 > 0) if branch is Branch.PLUS else (phi2 < 0)
+        norm = math.sqrt(stats[r].norm2)
         # the system asks for u, w > 0: a component that vanished at every
         # interior node (a negative parameter drives it there) is no solution
-        both_alive = bool(u[r].max() > 0 and v[r].max() > 0)
-        converged = (hit_tol[r] and abs(phi1) <= opts.tol_manifold * scale and on_branch
-                     and both_alive)
-        results[i] = {
-            "pair": GridPair.from_arrays(problem.grid, np.pad(u[r], 1), np.pad(v[r], 1)),
-            "J": trajectories[r][-1][0],
-            "norm": math.sqrt(stats[r].norm2),
-            "phi1": phi1,
-            "phi2": phi2,
-            "t_used": t_used[r],
-            "iters": iters[r],
-            "converged": converged,
-            "trajectory": trajectories[r],
-            "residual": abs(phi1) / scale if scale > 0 else abs(phi1),
-        }
-    return results
+        converged = bool(hit_tol[r] and abs(phi1) <= opts.tol_manifold * stats[r].scale()
+                         and (phi2 < 0 if upper else phi2 > 0)
+                         and u[r].max() > 0 and v[r].max() > 0)
+        reports[i] = SolutionReport(
+            branch=branch,
+            pair=GridPair.from_arrays(problem.grid, np.pad(u[r], 1), np.pad(v[r], 1)),
+            J=trajectories[r][-1][0], norm=norm, phi1=phi1, phi2=phi2, t_used=t_used[r],
+            iters=iters[r], converged=converged, restarts_used=len(live),
+            stationarity=math.sqrt(max(float(dual2[r]), 0.0)) / norm,
+            trajectory=trajectories[r])
+    return reports
 
 
-def _stationarity(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair,
-                  norm: float, eps: float) -> float:
-    """Dual norm sqrt(g' G^{-1} g) of the smoothed gradient over the pair norm."""
-    u, v = pair.u.values[1:-1], pair.w.values[1:-1]
-    gu, gv = smoothed_gradient(problem, u, v, form.apply(u), form.apply(v), eps)
-    g = np.array([gu, gv])
-    dual2 = float(np.sum(g * form.riesz(g)))
-    return math.sqrt(max(dual2, 0.0)) / norm
+def _residual(report: SolutionReport) -> float:
+    """|phi'(1)| over the scale norm^2 + |K| + |B| of the last record."""
+    _, norm, K, B = report.trajectory[-1]
+    return abs(report.phi1) / (norm**2 + abs(K) + abs(B))
 
 
 def solve_branch(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
@@ -287,22 +279,14 @@ def solve_branch(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
             directions.append(initial_direction(problem, rng, branch))
         except DirectionSearchFailed:
             pass
-    results = [r for r in _descend(problem, form, branch, directions, opts)
+    reports = [r for r in _descend(problem, form, branch, directions, opts)
                if r is not None] if directions else []
-    best = min(results, key=lambda r: (r["J"], r["residual"], r["iters"]), default=None)
-
-    if best is None:
+    if not reports:
         raise NoAdmissibleDirection(
             f"all {opts.restarts} restarts failed to reach branch {branch.value}; "
             "the parameter pair may be far outside the admissible region"
         )
-    return SolutionReport(branch=branch, pair=best["pair"], J=best["J"],
-                          norm=best["norm"], phi1=best["phi1"], phi2=best["phi2"],
-                          t_used=best["t_used"], iters=best["iters"],
-                          converged=best["converged"], restarts_used=len(results),
-                          stationarity=_stationarity(problem, form, best["pair"],
-                                                     best["norm"], opts.eps_singular),
-                          trajectory=best["trajectory"])
+    return min(reports, key=lambda r: (r.J, _residual(r), r.iters))
 
 
 def gap_check(plus: SolutionReport, minus: SolutionReport,

@@ -25,9 +25,11 @@ BASE_CONFIG = {
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
+    # a dict updates the block it names, except that a weight given with its
+    # kind replaces the whole weight: a new kind takes none of the old keys
     cfg = json.loads(json.dumps(BASE_CONFIG))
     for key, value in (overrides or {}).items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+        if isinstance(value, dict) and isinstance(cfg.get(key), dict) and "kind" not in value:
             cfg[key].update(value)
         else:
             cfg[key] = value
@@ -91,6 +93,8 @@ def test_nonfinite_solver_option_is_a_validation_error(tmp_path, capsys, value):
     {"b": {"kind": "constant"}}, {"f": {"value": "abc"}},
     {"g": {"kind": "gaussian", "center": 0.0, "width": 1.0}},
     {"b": {"kind": "samples"}}, {"b": {"kind": "samples", "values": 5}},
+    # a key the weight's kind does not read
+    {"f": {"amplitude": 7}}, {"b": {"kind": "samples", "values": [1.0] * 49, "scale": 2.0}},
     # a solver block that is no JSON object
     {"solver": 5}, {"solver": "ab"}, {"solver": [1, 2]},
 ])
@@ -110,13 +114,25 @@ def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, override):
 
 
 @pytest.mark.parametrize("option,value", [("max_iters", 2.5), ("restarts", 1.5),
-                                          ("seed", 0.5), ("restarts", "3")])
+                                          ("seed", 0.5), ("restarts", "3"), ("seed", -1)])
 def test_non_integer_solver_option_is_a_validation_error(tmp_path, capsys, option, value):
     path = write_config(tmp_path, {"solver": {option: value}})
     assert cli.main(["solve", path, "--out", str(tmp_path / "run")]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("validation error:") and option in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_negative_seed_flag_is_a_validation_error(tmp_path, capsys, command):
+    # numpy's generator rejects a negative seed; the options reject it first
+    path = write_config(tmp_path)
+    out = tmp_path / ("run" if command == "solve" else "sweep.csv")
+    extra = ["--lambdas", "0.01", "--mus", "0.01"] if command == "sweep" else []
+    assert cli.main([command, path, *extra, "--seed", "-5", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error:") and "seed" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_solve_both_writes_files_and_gap(tmp_path, capsys):
@@ -240,12 +256,18 @@ def test_verify_vanished_component_is_a_named_error(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_verify_rejects_nonpositive_delta(tmp_path):
+@pytest.mark.parametrize("delta", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_a_bad_delta(tmp_path, capsys, delta):
+    # an infinite delta would pass a bare > 0 test and mask every node
     path = write_config(tmp_path)
     out = tmp_path / "run"
     assert cli.main(["solve", path, "--branch", "plus", "--out", str(out)]) == 0
+    capsys.readouterr()
     assert cli.main(["verify", path, "--solution", str(out / "solution_plus.json"),
-                     "--delta", "0"]) == 3
+                     "--delta", delta]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error:") and "--delta" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("res_tol", ["nan", "inf", "0", "-1"])
@@ -500,6 +522,15 @@ def test_fiber_rejects_bad_t_range(tmp_path, capsys, t_lo, t_hi):
     path = write_config(tmp_path)
     out = tmp_path / "bad_range.csv"
     assert cli.main(["fiber", path, "--t-lo", t_lo, "--t-hi", t_hi, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("validation error:")
+    assert not out.exists()
+
+
+def test_fiber_rejects_more_samples_than_the_ceiling(tmp_path, capsys):
+    # 10**11 samples would ask np.linspace for 745 GiB; the check comes first
+    path = write_config(tmp_path)
+    out = tmp_path / "huge.csv"
+    assert cli.main(["fiber", path, "--samples", str(10**11), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("validation error:")
     assert not out.exists()
 

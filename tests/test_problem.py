@@ -5,6 +5,7 @@ import pytest
 
 import neharifrac as nf
 from neharifrac.errors import (
+    ConfigParseError,
     InvalidExponent,
     InvalidOrder,
     SampleLengthMismatch,
@@ -137,6 +138,16 @@ def test_sample_weight_samples_roundtrip_and_mismatch():
     assert vals == pytest.approx([1, 2, 3, 2, 1])
     with pytest.raises(SampleLengthMismatch):
         nf.sample_weight(nf.WeightSpec.samples([1, 2, 3]), grid)
+
+
+def test_weight_spec_json_round_trip():
+    specs = [nf.WeightSpec.constant(1.5), nf.WeightSpec.gaussian(0.1, 0.5, 2.0),
+             nf.WeightSpec.cos_pi_x(1.0), nf.WeightSpec.linear_x(1.0, -0.5),
+             nf.WeightSpec.samples([0.0, 1.0, 0.0])]
+    for spec in specs:
+        assert nf.WeightSpec.from_json(spec.to_json()) == spec
+    with pytest.raises(ConfigParseError, match="'offset'"):
+        nf.WeightSpec.from_json({"kind": "samples", "values": [1.0], "offset": 0.0})
 
 
 def test_sample_weight_deterministic():

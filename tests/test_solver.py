@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import neharifrac as nf
+from neharifrac.energy import smoothed_gradient
 from neharifrac.errors import DirectionSearchFailed, NoBracket, NotConvergedInput
 from neharifrac.fiber import branch_root
 from neharifrac import form as form_mod
@@ -183,6 +184,9 @@ def test_solver_options_validation():
         nf.SolverOptions(restarts=0)
     with pytest.raises(ValueError):
         nf.SolverOptions(step=-1.0)
+    # numpy's generator would reject a negative seed with its own error
+    with pytest.raises(ValueError, match="seed"):
+        nf.SolverOptions(seed=-1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -397,8 +401,8 @@ def test_array_descent_against_gridpair_oracle(cells, problem64, form64):
                                                  direction, opts)
             assert oracle is not None and result is not None
             iters, J = oracle
-            assert result["iters"] == iters
-            assert result["J"] == pytest.approx(J, rel=1e-12)
+            assert result.iters == iters
+            assert result.J == pytest.approx(J, rel=1e-12)
 
 
 def _zero_direction(problem):
@@ -411,7 +415,8 @@ def _zero_direction(problem):
 def test_block_rows_do_not_depend_on_each_other(monkeypatch, problem64, matrix_free, step):
     # a row that admits no scaling (the zero direction) and rows that stop
     # before the others leave every other row as it was. The FFT path
-    # treats the rows independently, so there it is bit for bit; a dense
+    # treats the rows independently, so there it is bit for bit, the
+    # stationarity included; a dense
     # product rounds by the block's width, so there it is to roundoff. A
     # first step of 8 makes the rows halve it, each by its own count
     monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", 2 if matrix_free else 10**9)
@@ -422,7 +427,7 @@ def test_block_rows_do_not_depend_on_each_other(monkeypatch, problem64, matrix_f
         directions = [nf.initial_direction(problem64, np.random.default_rng(seed), branch)
                       for seed in range(8, 12)]
         block = _descend(problem64, form, branch, directions, opts)
-        assert len({result["iters"] for result in block}) > 1  # rows stop apart
+        assert len({result.iters for result in block}) > 1  # rows stop apart
         padded = _descend(problem64, form, branch,
                           directions[:2] + [_zero_direction(problem64)] + directions[2:], opts)
         assert padded[2] is None
@@ -430,13 +435,38 @@ def test_block_rows_do_not_depend_on_each_other(monkeypatch, problem64, matrix_f
         lone = [_descend(problem64, form, branch, [d], opts)[0] for d in directions]
         for other in (padded[:2] + padded[3:], lone):
             for a, b in zip(block, other):
-                assert a["iters"] == b["iters"] and a["converged"] == b["converged"]
+                assert a.iters == b.iters and a.converged == b.converged
                 if matrix_free:
-                    assert a["J"] == b["J"] and a["trajectory"] == b["trajectory"]
-                    assert np.array_equal(a["pair"].u.values, b["pair"].u.values)
-                    assert np.array_equal(a["pair"].w.values, b["pair"].w.values)
+                    assert a.J == b.J and a.trajectory == b.trajectory
+                    assert a.stationarity == b.stationarity
+                    assert np.array_equal(a.pair.u.values, b.pair.u.values)
+                    assert np.array_equal(a.pair.w.values, b.pair.w.values)
                 else:
-                    assert a["J"] == pytest.approx(b["J"], rel=1e-12)
+                    assert a.J == pytest.approx(b.J, rel=1e-12)
+
+
+@pytest.mark.parametrize("matrix_free", [False, True], ids=["dense", "FFT"])
+def test_every_row_reports_its_stationarity(monkeypatch, problem64, matrix_free):
+    # each row's stationarity, against the formula recomputed on that row
+    # alone: a fresh product with G, the smoothed gradient, one Riesz map.
+    # At 40 iterations the plus rows stop on the energy tolerance and the
+    # minus rows are cut off before it
+    monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", 2 if matrix_free else 10**9)
+    form = nf.assemble_form(problem64.grid, problem64.s)
+    assert form.matrix_free is matrix_free
+    opts = nf.SolverOptions(max_iters=40)
+    for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
+        directions = [nf.initial_direction(problem64, np.random.default_rng(seed), branch)
+                      for seed in range(4)]
+        reports = _descend(problem64, form, branch, directions, opts)
+        for report in reports:
+            assert report.branch is branch and report.restarts_used == len(directions)
+            u, v = report.pair.u.values[1:-1], report.pair.w.values[1:-1]
+            gu, gv = smoothed_gradient(problem64, u, v, form.apply(u), form.apply(v),
+                                       opts.eps_singular)
+            g = np.array([gu, gv])
+            expected = math.sqrt(float(np.sum(g * form.riesz(g)))) / report.norm
+            assert report.stationarity == pytest.approx(expected, rel=1e-9)
 
 
 def test_block_stops_rows_at_the_step_floor_and_at_max_iters(problem64, form64):
@@ -447,13 +477,13 @@ def test_block_stops_rows_at_the_step_floor_and_at_max_iters(problem64, form64):
     start = _descend(problem64, form64, nf.Branch.MINUS, directions,
                      nf.SolverOptions(step=1e-16))
     for result in start:
-        assert result["iters"] == 1 and len(result["trajectory"]) == 1
+        assert result.iters == 1 and len(result.trajectory) == 1
     # a row cut off by max_iters reports exactly max_iters, unconverged
     capped = _descend(problem64, form64, nf.Branch.MINUS, directions,
                       nf.SolverOptions(max_iters=3))
     for result in capped:
-        assert result["iters"] == 3 and len(result["trajectory"]) == 4
-        assert not result["converged"]
+        assert result.iters == 3 and len(result.trajectory) == 4
+        assert not result.converged
 
 
 def test_restarts_used_counts_only_rows_that_reach_the_branch(monkeypatch, problem64, form64):
