@@ -321,6 +321,9 @@ def cmd_fiber(args) -> int:
                               f"t-hi={args.t_hi}")
     if not 2 <= args.samples <= MAX_FIBER_SAMPLES:
         raise ValidationError(f"need 2 to {MAX_FIBER_SAMPLES} samples, got {args.samples}")
+    # numpy's generator would reject a negative seed with its own error
+    if args.direction_seed < 0:
+        raise ValidationError(f"--direction-seed must be at least 0, got {args.direction_seed}")
 
     rng = np.random.default_rng(args.direction_seed)
     for _ in range(1000):

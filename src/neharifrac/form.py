@@ -123,6 +123,9 @@ class GagliardoForm:
         self.quad_weights = grid.trapezoid_weights()
         self.matrix_free = grid.cells >= MATRIX_FREE_CELLS
         self._inverse = None
+        # the least quotient of the grid's own S starts, by exponent r: it
+        # depends on the form alone, so thresholds.estimate_S keeps it here
+        self.refined_quotients: dict[float, float] = {}
         if self.matrix_free:
             # circulant of power-of-two length >= 2n - 1 with T as its
             # leading block; a raw length 2n - 1 can factor badly for the FFT

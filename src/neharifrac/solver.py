@@ -14,6 +14,15 @@ Riesz representative is measured in the energy norm, and the iteration
 count stays flat in N. The Riesz map is ``GagliardoForm.riesz``, exact
 at every N and matrix-free from ``form.MATRIX_FREE_CELLS`` on.
 
+The first trial step alternates (the cyclic Barzilai-Borwein method of
+Dai, Hager, Schittkowski & Zhang, IMA J. Numer. Anal. 26, 2006): the base
+step ``SolverOptions.step`` on iteration 1 and every even iteration, and
+on the odd ones from the third on the BB2 step in the G inner product
+(Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988), floored at the base
+step. The base step damps the stiff antisymmetric mode u - w of the
+local-max branch, which a BB step, sized by the soft curvature, would
+leave undamped; the floor keeps a small BB step from crawling.
+
 Every accepted iterate sits on its branch, so branch invariants are
 checkable at each step. Independent seeded restarts guard against bad
 initial directions; the best energy wins. The restarts are the rows of one
@@ -59,6 +68,8 @@ class Branch(enum.Enum):
 @dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 2000
+    # the base step: iteration 1, every even iteration, and the floor of
+    # the BB step
     step: float = 0.5
     tol_energy: float = 1e-10
     tol_manifold: float = 1e-8
@@ -164,14 +175,19 @@ def _record(stats, t, q, ab):
     return n2 / 2 - K / (1 - q) - B / ab, math.sqrt(n2), K, B
 
 
+def _row_dots(a, b):
+    # one dot per row of a block that stacks its u rows over its w rows
+    return np.einsum("ij,ij->i", a, b).reshape(2, -1).sum(axis=0)
+
+
 def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
              directions: list[GridPair], opts: SolverOptions) -> list[SolutionReport | None]:
     """All restarts as the rows of one block descent: the report of each
     direction, or None where the direction admits no branch scaling.
 
-    Each row keeps its own step halving, acceptance, stopping rule,
-    iteration count and trajectory, as if it ran alone; a row leaves the
-    block when it stops. Every iteration takes one gradient and one Riesz
+    Each row keeps its own first step, step halving, acceptance, stopping
+    rule, iteration count and trajectory, as if it ran alone; a row leaves
+    the block when it stops. Every iteration takes one gradient and one Riesz
     map for all active rows, and every round of step halving one product
     per component for all rows still trying. An accepted iterate is
     t * trial, so its products with G are t times the trial's, and each
@@ -194,14 +210,26 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
     hit_tol = [False] * len(live)
 
     active = np.arange(len(live))
+    previous = None  # the last iteration's x, g and d of the rows still active
     for it in range(1, opts.max_iters + 1):
         if not active.size:
             break
-        gu, gv = smoothed_gradient(problem, u[active], v[active], Gu[active], Gv[active],
-                                   opts.eps_singular)
-        d = form.riesz(np.concatenate([gu, gv]))
+        x = np.concatenate([u[active], v[active]])
+        g = np.concatenate(smoothed_gradient(problem, u[active], v[active], Gu[active],
+                                             Gv[active], opts.eps_singular))
+        d = form.riesz(g)
         du, dv = d[:len(active)], d[len(active):]
         step = np.full(len(active), opts.step)
+        if it % 2 and it > 1:
+            # BB2 step <s, dd>_G / <dd, dd>_G with s = x - x_prev; since
+            # G d = g, the G inner products are s'dg and dd'dg
+            x_prev, g_prev, d_prev = previous
+            dg = g - g_prev
+            sy, yy = _row_dots(x - x_prev, dg), _row_dots(d - d_prev, dg)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tau = sy / yy
+            bb = (sy > 0) & (yy > 0) & np.isfinite(tau)
+            step[bb] = np.maximum(tau[bb], opts.step)
         rel_drop = [None] * len(active)
         trying = np.flatnonzero(step > _MIN_STEP)
         while trying.size:
@@ -230,13 +258,15 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
         for r in active[stopped].tolist():
             hit_tol[r] = True
             iters[r] = it
+        keep = np.tile(~stopped, 2)
+        previous = x[keep], g[keep], d[keep]
         active = active[~stopped]
 
     # the checks and the stationarity run on the returned iterates, not on
     # scaled stats; a row's g' G^{-1} g sums its u and w halves
     stats, Gu, Gv = stats_and_products(problem, form, u, v)
     g = np.concatenate(smoothed_gradient(problem, u, v, Gu, Gv, opts.eps_singular))
-    dual2 = np.einsum("ij,ij->i", g, form.riesz(g)).reshape(2, -1).sum(axis=0)
+    dual2 = _row_dots(g, form.riesz(g))
     reports: list[SolutionReport | None] = [None] * len(directions)
     for r, i in enumerate(live):
         _, phi1, phi2 = phi_from_stats(stats[r], q, ab, 1.0)

@@ -185,7 +185,9 @@ def estimate_S(form: GagliardoForm, r: float, candidates) -> float:
     alpha+beta window, and the half-cosine, which alone reaches the spread
     one there. So S depends on the candidates only through their minimum,
     and adding one never raises it. A candidate that vanishes at every
-    interior node has no quotient and is skipped.
+    interior node has no quotient and is skipped. The refinement depends on
+    the form and r alone; it runs once per form and r, and the form keeps
+    it, so every point of a sweep shares it.
     """
     cand_list = [c.values if isinstance(c, GridFunction) else np.asarray(c, dtype=float)
                  for c in candidates]
@@ -193,9 +195,11 @@ def estimate_S(form: GagliardoForm, r: float, candidates) -> float:
     if not cand_list:
         raise EmptyCandidateSet("estimate_S needs at least one candidate that is "
                                 "nonzero at an interior node")
-    hat, _, cosine = default_candidates(form.grid)
-    return min(_inverse_iteration(form, r, hat, cosine),
-               *(rayleigh_quotient(form, r, values) for values in cand_list))
+    refined = form.refined_quotients.get(r)
+    if refined is None:
+        hat, _, cosine = default_candidates(form.grid)
+        refined = form.refined_quotients[r] = _inverse_iteration(form, r, hat, cosine)
+    return min(refined, *(rayleigh_quotient(form, r, values) for values in cand_list))
 
 
 def default_candidates(grid: GridSpec) -> list[np.ndarray]:

@@ -123,13 +123,14 @@ def test_non_integer_solver_option_is_a_validation_error(tmp_path, capsys, optio
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("command", ["solve", "sweep", "fiber"])
 def test_negative_seed_flag_is_a_validation_error(tmp_path, capsys, command):
     # numpy's generator rejects a negative seed; the options reject it first
     path = write_config(tmp_path)
-    out = tmp_path / ("run" if command == "solve" else "sweep.csv")
+    out = tmp_path / ("run" if command == "solve" else f"{command}.csv")
     extra = ["--lambdas", "0.01", "--mus", "0.01"] if command == "sweep" else []
-    assert cli.main([command, path, *extra, "--seed", "-5", "--out", str(out)]) == 3
+    flag = "--direction-seed" if command == "fiber" else "--seed"
+    assert cli.main([command, path, *extra, flag, "-5", "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("validation error:") and "seed" in captured.err
     assert captured.out == "" and not out.exists()
@@ -439,7 +440,8 @@ def test_dense_inverse_is_built_once_per_solve_and_per_sweep(tmp_path, monkeypat
 
 def test_one_inverse_iteration_per_S_estimate(tmp_path, monkeypatch, capsys):
     # the candidates only bound S; one refinement of two fixed starts serves
-    # constants, a two-branch solve, each verify and each sweep point
+    # constants, a two-branch solve, each verify, and all points of a sweep,
+    # which share the form and alpha + beta
     path = write_config(tmp_path)
     calls = []
     refine = thresholds._inverse_iteration
@@ -455,7 +457,7 @@ def test_one_inverse_iteration_per_S_estimate(tmp_path, monkeypatch, capsys):
     assert len(calls) == 4
     assert cli.main(["sweep", path, "--lambdas", "0.01,0.02", "--mus", "0.005,0.01",
                      "--out", str(tmp_path / "sweep.csv"), "--seed", "3"]) == 0
-    assert len(calls) == 8
+    assert len(calls) == 5
 
 
 def test_constants_builds_no_dense_matrix_at_large_n(tmp_path, capsys):

@@ -308,6 +308,36 @@ def test_iteration_count_is_mesh_independent(cells):
     assert minus.converged and minus.iters <= 60
 
 
+@pytest.mark.parametrize("cells", [64, 128, 256, 512])
+def test_every_restart_stops_within_the_bb_iteration_bounds(cells):
+    # the README config with its 8 restarts: the fixed step 0.5 took up to
+    # 14 (plus) and 55 (minus) iterations per row, the alternating BB step
+    # takes 10 and 24 at every N
+    p = nf.validate_params(make_spec(cells=cells))
+    form = nf.assemble_form(p.grid, p.s)
+    opts = nf.SolverOptions()
+    for branch, bound in ((nf.Branch.PLUS, 12), (nf.Branch.MINUS, 28)):
+        directions = [nf.initial_direction(p, np.random.default_rng(opts.seed + i), branch)
+                      for i in range(opts.restarts)]
+        for report in _descend(p, form, branch, directions, opts):
+            assert report.converged and report.iters <= bound
+
+
+def test_alternation_damps_the_stiff_antisymmetric_mode(problem128, form128):
+    # on the minus branch the antisymmetric mode u - w has curvature about 2
+    # in the G metric, which the base step 0.5 annihilates; a BB step sized
+    # by the soft symmetric curvature leaves it undamped (sup|u - w| stayed
+    # at 4e-8 without the alternation)
+    opts = nf.SolverOptions(restarts=1)
+    start = nf.initial_direction(problem128, np.random.default_rng(opts.seed), nf.Branch.MINUS)
+    u = start.u.values
+    w = u * (1 + 1e-8 * np.sin(np.pi * problem128.grid.nodes()))
+    [report] = _descend(problem128, form128, nf.Branch.MINUS,
+                        [nf.GridPair.from_arrays(problem128.grid, u, w)], opts)
+    assert report.converged
+    assert np.max(np.abs(report.pair.u.values - report.pair.w.values)) <= 1e-10
+
+
 def test_negative_parameter_branches():
     # lambda < 0 drives u to zero on the local-min branch, which is then
     # no positive solution; the local-max branch passes through directions
@@ -332,9 +362,12 @@ def test_negative_parameter_branches():
 def _descend_gridpair_reference(problem, form, riesz, branch, direction, opts):
     """The Sobolev descent as it ran on GridPair objects before the loop
     moved to raw arrays, kept as an oracle: every trial and every gradient
-    recomputed from the full nodal arrays by the replaced formulas.
-    Returns (iterations, final energy), or None if the direction admits no
-    branch scaling."""
+    recomputed from the full nodal arrays by the replaced formulas. The
+    first trial step follows the solver's rule: opts.step, and on odd
+    iterations from the third on the BB2 step s'dg / dd'dg of the pair's
+    changes in iterate, gradient and Riesz representative, floored at
+    opts.step. Returns (iterations, final energy), or None if the direction
+    admits no branch scaling."""
     q, ab = problem.q, problem.alpha + problem.beta
 
     def stats(pair):
@@ -346,14 +379,24 @@ def _descend_gridpair_reference(problem, form, riesz, branch, direction, opts):
     pair = direction.scaled(t_used)
     st = stats(pair)
     J_cur = st.norm2 / 2 - st.K / (1 - q) - st.B / ab
-    step = opts.step
     iters = 0
-    du = np.zeros(problem.grid.node_count)
-    dv = np.zeros(problem.grid.node_count)
+    previous = None
     for iters in range(1, opts.max_iters + 1):
         gu, gv = reference_gradient(problem, form, pair, opts.eps_singular)
+        du = np.zeros(problem.grid.node_count)
+        dv = np.zeros(problem.grid.node_count)
         du[1:-1] = riesz @ gu[1:-1]
         dv[1:-1] = riesz @ gv[1:-1]
+        x = np.concatenate([pair.u.values, pair.w.values])
+        g, d = np.concatenate([gu, gv]), np.concatenate([du, dv])
+        step = opts.step
+        if iters % 2 == 1 and iters >= 3:
+            x_prev, g_prev, d_prev = previous
+            sy = float((x - x_prev) @ (g - g_prev))
+            yy = float((d - d_prev) @ (g - g_prev))
+            if sy > 0 and yy > 0 and math.isfinite(sy / yy):
+                step = max(sy / yy, opts.step)
+        previous = x, g, d
         rel_drop = None
         while step > 1e-16:
             u_try = np.maximum(pair.u.values - step * du, 0.0)
@@ -370,7 +413,6 @@ def _descend_gridpair_reference(problem, form, riesz, branch, direction, opts):
                 rel_drop = (J_cur - J_new) / max(abs(J_cur), 1e-300)
                 pair = trial.scaled(t_sel)
                 J_cur = J_new
-                step = opts.step
                 break
             step *= 0.5
         if rel_drop is None or rel_drop < opts.tol_energy:
