@@ -69,6 +69,7 @@ from .solver import (
     GapReport,
     initial_direction,
     solve_branch,
+    solve_points,
     gap_check,
 )
 from .verify import (

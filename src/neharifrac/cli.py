@@ -49,6 +49,7 @@ from .solver import (
     gap_check,
     initial_direction,
     solve_branch,
+    solve_points,
 )
 from .thresholds import ConstantsReport, compute_constants
 
@@ -239,39 +240,6 @@ SWEEP_HEADER = ("lambda,mu,Lambda,C,in_gamma,plus_converged,minus_converged,"
                 "J_plus,J_minus,norm_plus,norm_minus,A0,A_lm,gap_ok")
 
 
-def _sweep_point(cfg: dict, form: GagliardoForm, opts: SolverOptions,
-                 lam: float, mu: float):
-    """One sweep point; never raises, failures land in the status columns.
-
-    form and opts are the sweep's shared ones: they do not depend on
-    (lambda, mu), which is all the points vary.
-    """
-    nan = float("nan")
-    row = {"lambda": lam, "mu": mu, "Lambda": nan, "C": nan, "in_gamma": False,
-           "plus_converged": False, "minus_converged": False,
-           "J_plus": nan, "J_minus": nan, "norm_plus": nan, "norm_minus": nan,
-           "A0": nan, "A_lm": nan, "gap_ok": False}
-    try:
-        problem = validate_params(problem_from_config({**cfg, "lambda": lam, "mu": mu}))
-    except NehariError:
-        return row
-
-    solutions: dict[Branch, SolutionReport] = {}
-    for branch in Branch:
-        try:
-            solutions[branch] = solve_branch(problem, form, branch, opts)
-        except NehariError:
-            pass
-    constants, gap = _constants_and_gap(problem, form, solutions)
-    row.update({"Lambda": constants.Lambda, "C": constants.C,
-                "in_gamma": constants.in_gamma, "A0": constants.A0,
-                "A_lm": constants.A_lm, "gap_ok": gap is not None and gap.ordering_ok})
-    for branch, rep in solutions.items():
-        row.update({f"{branch.value}_converged": rep.converged,
-                    f"J_{branch.value}": rep.J, f"norm_{branch.value}": rep.norm})
-    return row
-
-
 def _parse_grid_list(text: str) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
@@ -303,8 +271,36 @@ def cmd_sweep(args) -> int:
     lambdas = _parse_grid_list(args.lambdas)
     mus = _parse_grid_list(args.mus)
     form = assemble_form(shared.grid, shared.s)
-    # both grids are sorted, so the rows are too, whatever the input order
-    rows = [_sweep_point(cfg, form, opts, lam, mu) for lam in lambdas for mu in mus]
+    # both grids are sorted, so the rows are too, whatever the input order;
+    # a point that fails validation keeps its failure columns
+    nan = float("nan")
+    rows, points = [], []  # every point's row; the row and problem of each valid one
+    for lam in lambdas:
+        for mu in mus:
+            rows.append({"lambda": lam, "mu": mu, "Lambda": nan, "C": nan, "in_gamma": False,
+                         "plus_converged": False, "minus_converged": False,
+                         "J_plus": nan, "J_minus": nan, "norm_plus": nan, "norm_minus": nan,
+                         "A0": nan, "A_lm": nan, "gap_ok": False})
+            try:
+                points.append((rows[-1], validate_params(
+                    problem_from_config({**cfg, "lambda": lam, "mu": mu}))))
+            except NehariError:
+                pass
+    # form and opts do not depend on (lambda, mu), which is all the points
+    # vary, so one block descent per branch solves every valid point; a
+    # branch a point does not reach keeps its failure columns
+    solved = {branch: solve_points([p for _, p in points], form, branch, opts)
+              for branch in Branch}
+    for k, (row, problem) in enumerate(points):
+        solutions = {branch: results[k] for branch, results in solved.items()
+                     if isinstance(results[k], SolutionReport)}
+        constants, gap = _constants_and_gap(problem, form, solutions)
+        row.update({"Lambda": constants.Lambda, "C": constants.C,
+                    "in_gamma": constants.in_gamma, "A0": constants.A0,
+                    "A_lm": constants.A_lm, "gap_ok": gap is not None and gap.ordering_ok})
+        for branch, rep in solutions.items():
+            row.update({f"{branch.value}_converged": rep.converged,
+                        f"J_{branch.value}": rep.J, f"norm_{branch.value}": rep.norm})
 
     lines = [SWEEP_HEADER] + [_row_to_csv(r) for r in rows]
     with open(args.out, "w", encoding="utf-8") as fh:

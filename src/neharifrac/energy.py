@@ -14,7 +14,10 @@ discrete inequality checks are exact.
 The formulas live in three raw-array functions on the interior nodes
 (``singular_and_coupling``, ``stats_and_products``, ``smoothed_gradient``),
 which work row by row on a block of pairs; the block descent calls them
-directly, and the GridPair functions wrap them for one pair.
+directly, and the GridPair functions wrap them for one pair. Lambda and mu
+enter only through the singular factors (lambda w f, mu w g), which the
+kernels take per row, so the rows of one block may belong to problems that
+differ in lambda, mu, f and g alone.
 """
 
 from __future__ import annotations
@@ -48,50 +51,60 @@ class EnergyParts:
     J: float
 
 
-def singular_and_coupling(problem: ValidatedProblem, u: np.ndarray,
-                          v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _factors(problem: ValidatedProblem, factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (lambda w f, mu w g, w b): the given singular factors, or the problem's
+    lam_f, mu_g, b = problem.weighted_coefficients
+    return (lam_f, mu_g, b) if factors is None else (*factors, b)
+
+
+def singular_and_coupling(problem: ValidatedProblem, u: np.ndarray, v: np.ndarray,
+                          factors=None) -> tuple[np.ndarray, np.ndarray]:
     """(K, B) of interior nodal arrays (u, v), or of each row pair of them:
     the integrals that need no form.
 
-    Each row's sums run in the same order whatever the other rows are.
+    factors, if given, are the singular factors (lambda w f, mu w g) with
+    one row per row of (u, v), or one row for all; by default the
+    problem's own. Each row's sums run in the same order whatever the other
+    rows are.
     """
-    lam_f, mu_g, b = problem.weighted_coefficients
+    lam_f, mu_g, b = _factors(problem, factors)
     q, al, be = problem.q, problem.alpha, problem.beta
     up = np.maximum(u, 0.0)
     vp = np.maximum(v, 0.0)
-    K = (np.einsum("...i,i->...", up ** (1 - q), lam_f)
-         + np.einsum("...i,i->...", vp ** (1 - q), mu_g))
+    K = (np.einsum("...i,...i->...", up ** (1 - q), lam_f)
+         + np.einsum("...i,...i->...", vp ** (1 - q), mu_g))
     B = np.einsum("...i,i->...", up**al * vp**be, b)
     return K, B
 
 
 def stats_and_products(problem: ValidatedProblem, form: GagliardoForm, u: np.ndarray,
-                       v: np.ndarray) -> tuple[list[PairStats], np.ndarray, np.ndarray]:
+                       v: np.ndarray, factors=None
+                       ) -> tuple[list[PairStats], np.ndarray, np.ndarray]:
     """Pair statistics of each row pair of the interior nodal arrays (u, v),
-    with G u and G v.
+    with G u and G v; factors as in ``singular_and_coupling``.
 
     The raw-array kernel behind ``pair_stats``: the block descent calls it
     on all its trials at once and reuses the products for the gradient.
     """
     Gu = form.apply(u)
     Gv = form.apply(v)
-    K, B = singular_and_coupling(problem, u, v)
+    K, B = singular_and_coupling(problem, u, v, factors)
     norm2 = np.einsum("ij,ij->i", u, Gu) + np.einsum("ij,ij->i", v, Gv)
     stats = [PairStats(*row) for row in zip(norm2.tolist(), K.tolist(), B.tolist())]
     return stats, Gu, Gv
 
 
 def smoothed_gradient(problem: ValidatedProblem, u: np.ndarray, v: np.ndarray,
-                      Gu: np.ndarray, Gv: np.ndarray,
-                      eps: float) -> tuple[np.ndarray, np.ndarray]:
+                      Gu: np.ndarray, Gv: np.ndarray, eps: float,
+                      factors=None) -> tuple[np.ndarray, np.ndarray]:
     """Interior gradient of the eps-smoothed energy at (u, v), given G u and
-    G v, or at each row pair of them.
+    G v, or at each row pair of them; factors as in ``singular_and_coupling``.
 
     The singular factor u^{-q} is floored at eps so descent always has a
     usable direction; where both components exceed eps this is the formal
     gradient of the energy itself.
     """
-    lam_f, mu_g, b = problem.weighted_coefficients
+    lam_f, mu_g, b = _factors(problem, factors)
     q, al, be = problem.q, problem.alpha, problem.beta
     ab = al + be
     up = np.maximum(u, 0.0)

@@ -240,13 +240,19 @@ def riesz_map(form: GagliardoForm) -> np.ndarray:
     representative.
 
     Built from the first column by the Gohberg-Semencul formula (see
-    ``inverse_first_column``). Both products are symmetric, so the result
-    is exactly symmetric. The G it inverts is not built.
+    ``inverse_first_column``), whose entries obey the diagonal recurrence
+    M[i, j] = M[i-1, j-1] + (x_i x_j - z_i z_j) / x_0 with M[0, j] = x_j:
+    O(N^2) elementwise work, one row at a time, and no matrix product (a
+    threaded BLAS product stalls on a shared host). The terms are exactly
+    symmetric and each diagonal sums them in the same order as its mirror,
+    so the result is exactly symmetric. The G it inverts is not built.
     """
     x = inverse_first_column(form.symbol)
-    low = np.tril(_toeplitz(x))
-    shifted = np.tril(_toeplitz(np.concatenate([[0.0], x[:0:-1]])))
-    return (low @ low.T - shifted @ shifted.T) / x[0]
+    z = np.concatenate([[0.0], x[:0:-1]])
+    inverse = (np.outer(x, x) - np.outer(z, z)) / x[0]
+    for i in range(1, len(x)):
+        inverse[i, 1:] += inverse[i - 1, :-1]
+    return inverse
 
 
 def apply_form(form: GagliardoForm, u: GridFunction) -> GridFunction:

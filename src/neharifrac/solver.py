@@ -29,11 +29,16 @@ initial directions; the best energy wins. The restarts are the rows of one
 block descent: each iteration applies G and the Riesz map to all of them at
 once, while each row keeps its own step, acceptance and stopping rule, so
 a row ends as it would in a descent of its own. Each row comes out as its
-own report, with the stationarity of its returned iterate.
+own report, with the stationarity of its returned iterate. The rows may
+come from several points (lambda, mu) of a sweep: the points share the
+grid, s, q, alpha, beta and b, and lambda and mu enter the energy only as
+per-row factors of the singular integrals, so one block descends every
+restart of every point (``solve_points``).
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
 import numbers
@@ -49,6 +54,7 @@ from .energy import (
 )
 from .errors import (
     DirectionSearchFailed,
+    NehariError,
     NoAdmissibleDirection,
     NotConvergedInput,
 )
@@ -180,31 +186,64 @@ def _row_dots(a, b):
     return np.einsum("ij,ij->i", a, b).reshape(2, -1).sum(axis=0)
 
 
-def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
-             directions: list[GridPair], opts: SolverOptions) -> list[SolutionReport | None]:
-    """All restarts as the rows of one block descent: the report of each
-    direction, or None where the direction admits no branch scaling.
+def _take(factors, rows):
+    # the singular factors of some rows of the block: shared ones as they are
+    return factors if factors[0].ndim == 1 else tuple(f[rows] for f in factors)
 
-    Each row keeps its own first step, step halving, acceptance, stopping
-    rule, iteration count and trajectory, as if it ran alone; a row leaves
-    the block when it stops. Every iteration takes one gradient and one Riesz
-    map for all active rows, and every round of step halving one product
-    per component for all rows still trying. An accepted iterate is
-    t * trial, so its products with G are t times the trial's, and each
-    gradient costs no product of its own.
+
+def _descend(problems: list[ValidatedProblem], points: list[int], form: GagliardoForm,
+             branch: Branch, directions: list[GridPair], opts: SolverOptions
+             ) -> list[SolutionReport | NehariError | None]:
+    """The rows of one block descent, direction i a restart of the point
+    problems[points[i]]: the report of each direction, None where the
+    direction admits no branch scaling, or the first error that a row of
+    its point raised.
+
+    The problems may differ only where the energy reads them through each
+    row's singular factors (lambda w f, mu w g). Each row keeps its own first
+    step, step halving, acceptance, stopping rule, iteration count and
+    trajectory, as if it ran alone; a row leaves the block when it stops.
+    Every iteration takes one gradient and one Riesz map for all active
+    rows, and every round of step halving one product per component for all
+    rows still trying. An accepted iterate is t * trial, so its products
+    with G are t times the trial's, and each gradient costs no product of
+    its own.
     """
-    q, ab = problem.q, problem.alpha + problem.beta
+    first = problems[0]
+    q, ab = first.q, first.alpha + first.beta
     upper = branch is Branch.MINUS
+    for p in problems:
+        if ((p.grid, p.s, p.q, p.alpha, p.beta) != (first.grid, first.s, first.q,
+                                                     first.alpha, first.beta)
+                or not np.array_equal(p.b_vals, first.b_vals)):
+            raise ValueError("the problems of one block may differ in lambda, mu, f and g alone")
+    if len(problems) == 1:
+        factors = first.weighted_coefficients[:2]
+    else:
+        factors = tuple(np.array([p.weighted_coefficients[k] for p in problems])[points]
+                        for k in (0, 1))
+    # a row whose projection raises ends its point, as the error would end
+    # a descent of that point alone; the other points go on
+    failed: dict[int, NehariError] = {}
+
+    def scaling(st, i):
+        try:
+            return branch_root(st, q, ab, upper)
+        except NehariError as exc:
+            failed.setdefault(points[i], exc)
+            return None
+
     u = np.array([d.u.values[1:-1] for d in directions])
     v = np.array([d.w.values[1:-1] for d in directions])
-    stats, Gu, Gv = stats_and_products(problem, form, u, v)
-    scalings = [branch_root(st, q, ab, upper) for st in stats]
+    stats, Gu, Gv = stats_and_products(first, form, u, v, factors)
+    scalings = [scaling(st, i) for i, st in enumerate(stats)]
     live = [i for i, t in enumerate(scalings) if t is not None]
 
     # the block holds the live rows only; row r is direction live[r]
     t_used = [scalings[i] for i in live]
     t = np.array(t_used).reshape(-1, 1)
     u, v, Gu, Gv = t * u[live], t * v[live], t * Gu[live], t * Gv[live]
+    factors = _take(factors, live)
     trajectories = [[_record(stats[i], scalings[i], q, ab)] for i in live]
     iters = [opts.max_iters] * len(live)
     hit_tol = [False] * len(live)
@@ -215,8 +254,9 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
         if not active.size:
             break
         x = np.concatenate([u[active], v[active]])
-        g = np.concatenate(smoothed_gradient(problem, u[active], v[active], Gu[active],
-                                             Gv[active], opts.eps_singular))
+        g = np.concatenate(smoothed_gradient(first, u[active], v[active], Gu[active],
+                                             Gv[active], opts.eps_singular,
+                                             _take(factors, active)))
         d = form.riesz(g)
         du, dv = d[:len(active)], d[len(active):]
         step = np.full(len(active), opts.step)
@@ -236,10 +276,11 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
             rows = active[trying]
             u_try = np.maximum(u[rows] - step[trying, None] * du[trying], 0.0)
             v_try = np.maximum(v[rows] - step[trying, None] * dv[trying], 0.0)
-            tstats, Gu_try, Gv_try = stats_and_products(problem, form, u_try, v_try)
+            tstats, Gu_try, Gv_try = stats_and_products(first, form, u_try, v_try,
+                                                        _take(factors, rows))
             accepted = np.zeros(len(trying))  # the scaling of each accepted trial
             for k, (j, r) in enumerate(zip(trying.tolist(), rows.tolist())):
-                t_sel = branch_root(tstats[k], q, ab, upper)
+                t_sel = scaling(tstats[k], live[r])
                 J_cur = trajectories[r][-1][0]
                 if t_sel is not None and (record := _record(tstats[k], t_sel, q, ab))[0] < J_cur:
                     rel_drop[j] = (J_cur - record[0]) / max(abs(J_cur), 1e-300)
@@ -264,11 +305,14 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
 
     # the checks and the stationarity run on the returned iterates, not on
     # scaled stats; a row's g' G^{-1} g sums its u and w halves
-    stats, Gu, Gv = stats_and_products(problem, form, u, v)
-    g = np.concatenate(smoothed_gradient(problem, u, v, Gu, Gv, opts.eps_singular))
+    stats, Gu, Gv = stats_and_products(first, form, u, v, factors)
+    g = np.concatenate(smoothed_gradient(first, u, v, Gu, Gv, opts.eps_singular, factors))
     dual2 = _row_dots(g, form.riesz(g))
-    reports: list[SolutionReport | None] = [None] * len(directions)
+    restarts_used = collections.Counter(points[i] for i in live)
+    reports: list[SolutionReport | NehariError | None] = [failed.get(k) for k in points]
     for r, i in enumerate(live):
+        if reports[i] is not None:
+            continue
         _, phi1, phi2 = phi_from_stats(stats[r], q, ab, 1.0)
         norm = math.sqrt(stats[r].norm2)
         # the system asks for u, w > 0: a component that vanished at every
@@ -278,9 +322,10 @@ def _descend(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
                          and u[r].max() > 0 and v[r].max() > 0)
         reports[i] = SolutionReport(
             branch=branch,
-            pair=GridPair.from_arrays(problem.grid, np.pad(u[r], 1), np.pad(v[r], 1)),
+            pair=GridPair.from_arrays(first.grid, np.pad(u[r], 1), np.pad(v[r], 1)),
             J=trajectories[r][-1][0], norm=norm, phi1=phi1, phi2=phi2, t_used=t_used[r],
-            iters=iters[r], converged=converged, restarts_used=len(live),
+            iters=iters[r], converged=converged,
+            restarts_used=restarts_used[points[i]],
             stationarity=math.sqrt(max(float(dual2[r]), 0.0)) / norm,
             trajectory=trajectories[r])
     return reports
@@ -292,31 +337,57 @@ def _residual(report: SolutionReport) -> float:
     return abs(report.phi1) / (norm**2 + abs(K) + abs(B))
 
 
+def solve_points(problems: list[ValidatedProblem], form: GagliardoForm, branch: Branch,
+                 opts: SolverOptions = SolverOptions()) -> list[SolutionReport | NehariError]:
+    """Minimize the energy over one manifold branch for each problem, best
+    over its restarts; or, where a problem has no solution, the error its
+    lone solve raises (NoAdmissibleDirection when every restart fails to
+    find a direction admitting the branch scaling).
+
+    The problems may differ in (lambda, mu) and the weights f and g alone,
+    as the points of a sweep differ in (lambda, mu). Restart i of each
+    problem uses the deterministic generator seeded with seed + i, and
+    every restart of every problem descends as a row of one block, each as
+    if alone. Ties on energy break toward the smaller manifold residual,
+    then the lower iteration count, then the lower restart.
+    """
+    points, directions = [], []  # the problem index and direction of each row
+    for k, problem in enumerate(problems):
+        for i in range(opts.restarts):
+            rng = np.random.default_rng(opts.seed + i)
+            try:
+                directions.append(initial_direction(problem, rng, branch))
+                points.append(k)
+            except DirectionSearchFailed:
+                pass
+    rows = _descend(problems, points, form, branch, directions, opts) if directions else []
+    found: list[list] = [[] for _ in problems]
+    for k, row in zip(points, rows):
+        if row is not None:
+            found[k].append(row)
+    results: list[SolutionReport | NehariError] = []
+    for reports in found:
+        if not reports:
+            results.append(NoAdmissibleDirection(
+                f"all {opts.restarts} restarts failed to reach branch {branch.value}; "
+                "the parameter pair may be far outside the admissible region"))
+        elif isinstance(reports[0], NehariError):
+            results.append(reports[0])
+        else:
+            results.append(min(reports, key=lambda r: (r.J, _residual(r), r.iters)))
+    return results
+
+
 def solve_branch(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
                  opts: SolverOptions = SolverOptions()) -> SolutionReport:
-    """Minimize the energy over one manifold branch, best over restarts.
-
-    Restart i uses the deterministic generator seeded with seed + i, and
-    all restarts descend together as the rows of one block. Ties on energy
-    break toward the smaller manifold residual, then the lower iteration
-    count, then the lower restart. Raises NoAdmissibleDirection if every
+    """Minimize the energy over one manifold branch, best over restarts:
+    ``solve_points`` on one problem. Raises NoAdmissibleDirection if every
     restart fails to find a direction admitting the branch scaling.
     """
-    directions = []
-    for i in range(opts.restarts):
-        rng = np.random.default_rng(opts.seed + i)
-        try:
-            directions.append(initial_direction(problem, rng, branch))
-        except DirectionSearchFailed:
-            pass
-    reports = [r for r in _descend(problem, form, branch, directions, opts)
-               if r is not None] if directions else []
-    if not reports:
-        raise NoAdmissibleDirection(
-            f"all {opts.restarts} restarts failed to reach branch {branch.value}; "
-            "the parameter pair may be far outside the admissible region"
-        )
-    return min(reports, key=lambda r: (r.J, _residual(r), r.iters))
+    [result] = solve_points([problem], form, branch, opts)
+    if isinstance(result, NehariError):
+        raise result
+    return result
 
 
 def gap_check(plus: SolutionReport, minus: SolutionReport,

@@ -8,8 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import neharifrac as nf
 from neharifrac import cli
 from neharifrac import form as form_mod
+from neharifrac.errors import NehariError
 from neharifrac import thresholds
 
 
@@ -401,6 +403,81 @@ def test_sweep_row_with_one_failed_branch(tmp_path):
     assert row["minus_converged"] == "false"
     assert math.isnan(float(row["J_minus"])) and math.isnan(float(row["norm_minus"]))
     assert row["gap_ok"] == "false"
+
+
+def _read_sweep(path):
+    header, *lines = path.read_text().strip().split("\n")
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+@pytest.mark.parametrize("matrix_free", [False, True], ids=["dense", "FFT"])
+def test_sweep_rows_are_their_points_lone_solves(tmp_path, monkeypatch, matrix_free):
+    # one sweep whose grid holds an invalid point (0, 0), mixed-sign points,
+    # points at 1e5 where the local-max branch finds no direction, and
+    # admissible points. Every valid point's restarts descend in one block
+    # per branch, and each point comes out as from a solve of its own: on
+    # the FFT path bit for bit, on the dense path (whose products round by
+    # the block's width) with the same iterations and verdicts
+    monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", 2 if matrix_free else 10**9)
+    path = write_config(tmp_path, {"grid": {"cells": 32}})
+    blocks = {}
+    solve_points = cli.solve_points
+
+    def record(problems, form, branch, opts):
+        blocks[branch] = problems, form, opts, solve_points(problems, form, branch, opts)
+        return blocks[branch][-1]
+
+    monkeypatch.setattr(cli, "solve_points", record)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", path, "--lambdas=0,0.01,1e5", "--mus=-0.01,0,0.01,1e5",
+                     "--out", str(out), "--seed", "1"]) == 0
+    rows = {(float(r["lambda"]), float(r["mu"])): r for r in _read_sweep(out)}
+    assert len(rows) == 12
+    assert rows[0.0, 0.0]["plus_converged"] == rows[0.0, 0.0]["minus_converged"] == "false"
+    assert math.isnan(float(rows[0.0, 0.0]["C"]))
+
+    seen = set()
+    for branch, (problems, form, opts, results) in blocks.items():
+        assert form.matrix_free is matrix_free
+        assert sorted((p.lam, p.mu) for p in problems) == sorted(set(rows) - {(0.0, 0.0)})
+        for problem, result in zip(problems, results):
+            row = rows[problem.lam, problem.mu]
+            try:
+                lone = nf.solve_branch(problem, form, branch, opts)
+            except NehariError as exc:
+                assert type(result) is type(exc) and str(result) == str(exc)
+                assert row[f"{branch.value}_converged"] == "false"
+                assert math.isnan(float(row[f"J_{branch.value}"]))
+                seen.add("no direction")
+                continue
+            assert result.iters == lone.iters and result.converged == lone.converged
+            assert row[f"{branch.value}_converged"] == str(lone.converged).lower()
+            assert float(row[f"J_{branch.value}"]) == result.J
+            if matrix_free:
+                assert result.J == lone.J and result.stationarity == lone.stationarity
+                assert result.restarts_used == lone.restarts_used
+                assert np.array_equal(result.pair.u.values, lone.pair.u.values)
+                assert np.array_equal(result.pair.w.values, lone.pair.w.values)
+            else:
+                assert result.J == pytest.approx(lone.J, rel=1e-12)
+            if problem.lam * problem.mu < 0:
+                seen.add("mixed sign")
+            if lone.converged:
+                seen.add("converged")
+    assert seen == {"no direction", "mixed sign", "converged"}
+
+
+def test_one_block_descent_per_branch_per_sweep(tmp_path, monkeypatch):
+    # a 3x3 sweep with 2 restarts: one descent of 18 rows per branch
+    from neharifrac import solver
+    widths = []
+    descend = solver._descend
+    monkeypatch.setattr(solver, "_descend", lambda problems, points, *rest: widths.append(
+        (len(problems), len(points))) or descend(problems, points, *rest))
+    path = write_config(tmp_path, {"grid": {"cells": 32}})
+    assert cli.main(["sweep", path, "--lambdas", "0.005,0.01,0.02", "--mus", "0.005,0.01,0.02",
+                     "--out", str(tmp_path / "sweep.csv"), "--seed", "3"]) == 0
+    assert widths == [(9, 18), (9, 18)]
 
 
 def test_sweep_rejects_a_bad_solver_block(tmp_path, capsys):

@@ -10,10 +10,15 @@ from neharifrac.errors import DirectionSearchFailed, NoBracket, NotConvergedInpu
 from neharifrac.fiber import branch_root
 from neharifrac import form as form_mod
 from neharifrac.form import riesz_map
-from neharifrac.solver import _descend
+from neharifrac import solver
 from neharifrac.thresholds import rho_coefficients
 
 from conftest import make_spec, reference_gradient, reference_stats
+
+
+def _descend_point(problem, form, branch, directions, opts):
+    # the block descent with every direction a restart of one problem
+    return solver._descend([problem], [0] * len(directions), form, branch, directions, opts)
 
 
 def test_initial_direction_properties(problem64, form64):
@@ -319,7 +324,7 @@ def test_every_restart_stops_within_the_bb_iteration_bounds(cells):
     for branch, bound in ((nf.Branch.PLUS, 12), (nf.Branch.MINUS, 28)):
         directions = [nf.initial_direction(p, np.random.default_rng(opts.seed + i), branch)
                       for i in range(opts.restarts)]
-        for report in _descend(p, form, branch, directions, opts):
+        for report in _descend_point(p, form, branch, directions, opts):
             assert report.converged and report.iters <= bound
 
 
@@ -332,7 +337,7 @@ def test_alternation_damps_the_stiff_antisymmetric_mode(problem128, form128):
     start = nf.initial_direction(problem128, np.random.default_rng(opts.seed), nf.Branch.MINUS)
     u = start.u.values
     w = u * (1 + 1e-8 * np.sin(np.pi * problem128.grid.nodes()))
-    [report] = _descend(problem128, form128, nf.Branch.MINUS,
+    [report] = _descend_point(problem128, form128, nf.Branch.MINUS,
                         [nf.GridPair.from_arrays(problem128.grid, u, w)], opts)
     assert report.converged
     assert np.max(np.abs(report.pair.u.values - report.pair.w.values)) <= 1e-10
@@ -436,7 +441,7 @@ def test_array_descent_against_gridpair_oracle(cells, problem64, form64):
     for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
         directions = [nf.initial_direction(problem, np.random.default_rng(seed), branch)
                       for seed in seeds]
-        results = _descend(problem, form, branch, directions, opts)
+        results = _descend_point(problem, form, branch, directions, opts)
         assert len(results) == len(directions)
         for direction, result in zip(directions, results):
             oracle = _descend_gridpair_reference(problem, form, riesz, branch,
@@ -468,13 +473,14 @@ def test_block_rows_do_not_depend_on_each_other(monkeypatch, problem64, matrix_f
     for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
         directions = [nf.initial_direction(problem64, np.random.default_rng(seed), branch)
                       for seed in range(8, 12)]
-        block = _descend(problem64, form, branch, directions, opts)
+        block = _descend_point(problem64, form, branch, directions, opts)
         assert len({result.iters for result in block}) > 1  # rows stop apart
-        padded = _descend(problem64, form, branch,
+        padded = _descend_point(problem64, form, branch,
                           directions[:2] + [_zero_direction(problem64)] + directions[2:], opts)
         assert padded[2] is None
-        assert _descend(problem64, form, branch, [_zero_direction(problem64)], opts) == [None]
-        lone = [_descend(problem64, form, branch, [d], opts)[0] for d in directions]
+        zero = [_zero_direction(problem64)]
+        assert _descend_point(problem64, form, branch, zero, opts) == [None]
+        lone = [_descend_point(problem64, form, branch, [d], opts)[0] for d in directions]
         for other in (padded[:2] + padded[3:], lone):
             for a, b in zip(block, other):
                 assert a.iters == b.iters and a.converged == b.converged
@@ -500,7 +506,7 @@ def test_every_row_reports_its_stationarity(monkeypatch, problem64, matrix_free)
     for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
         directions = [nf.initial_direction(problem64, np.random.default_rng(seed), branch)
                       for seed in range(4)]
-        reports = _descend(problem64, form, branch, directions, opts)
+        reports = _descend_point(problem64, form, branch, directions, opts)
         for report in reports:
             assert report.branch is branch and report.restarts_used == len(directions)
             u, v = report.pair.u.values[1:-1], report.pair.w.values[1:-1]
@@ -516,12 +522,12 @@ def test_block_stops_rows_at_the_step_floor_and_at_max_iters(problem64, form64):
                   for seed in range(3)]
     # a first step at the floor tries nothing: each row stops at once on
     # its projected start
-    start = _descend(problem64, form64, nf.Branch.MINUS, directions,
+    start = _descend_point(problem64, form64, nf.Branch.MINUS, directions,
                      nf.SolverOptions(step=1e-16))
     for result in start:
         assert result.iters == 1 and len(result.trajectory) == 1
     # a row cut off by max_iters reports exactly max_iters, unconverged
-    capped = _descend(problem64, form64, nf.Branch.MINUS, directions,
+    capped = _descend_point(problem64, form64, nf.Branch.MINUS, directions,
                       nf.SolverOptions(max_iters=3))
     for result in capped:
         assert result.iters == 3 and len(result.trajectory) == 4
@@ -530,7 +536,6 @@ def test_block_stops_rows_at_the_step_floor_and_at_max_iters(problem64, form64):
 
 def test_restarts_used_counts_only_rows_that_reach_the_branch(monkeypatch, problem64, form64):
     # the first restart's direction admits no scaling; the other two descend
-    from neharifrac import solver
     zero = [_zero_direction(problem64)]
     draw = solver.initial_direction
     monkeypatch.setattr(solver, "initial_direction",
@@ -539,6 +544,56 @@ def test_restarts_used_counts_only_rows_that_reach_the_branch(monkeypatch, probl
     report = nf.solve_branch(problem64, form64, nf.Branch.PLUS,
                              nf.SolverOptions(seed=42, restarts=3))
     assert report.restarts_used == 2 and report.converged
+
+
+def test_a_point_whose_projection_raises_leaves_the_others(monkeypatch):
+    # in a block of two points, a projection that raises on the second
+    # point's rows ends that point with the error a solve of it alone
+    # raises; the first point comes out as alone, bit for bit on the FFT path
+    monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", 2)
+    small = nf.validate_params(make_spec(cells=32))
+    large = nf.validate_params(make_spec(cells=32, lam=100.0, mu=100.0))
+    form = nf.assemble_form(small.grid, small.s)
+    opts = nf.SolverOptions(restarts=2)
+    calls = []
+    root = solver.branch_root
+
+    def fragile(stats, q, ab, upper):
+        # past the first projections, every large-K stats (the second point's) raises
+        calls.append(stats)
+        if stats.K > 1.0 and len(calls) > 8:
+            raise NoBracket("degenerate stats")
+        return root(stats, q, ab, upper)
+
+    monkeypatch.setattr(solver, "branch_root", fragile)
+    for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
+        calls.clear()
+        first, second = solver.solve_points([small, large], form, branch, opts)
+        assert isinstance(second, NoBracket)
+        calls.clear()
+        with pytest.raises(NoBracket):
+            nf.solve_branch(large, form, branch, opts)
+        lone = nf.solve_branch(small, form, branch, opts)
+        assert first.converged and first.iters == lone.iters
+        assert first.J == lone.J and first.stationarity == lone.stationarity
+        assert np.array_equal(first.pair.u.values, lone.pair.u.values)
+
+
+def test_a_block_takes_points_that_differ_in_lambda_mu_f_and_g_alone(problem64, form64):
+    # f and g enter the energy only through each row's singular factors, so
+    # a point with other f and g joins the block and comes out as alone;
+    # a point that differs in q or b is refused
+    opts = nf.SolverOptions(restarts=2)
+    other = nf.validate_params(make_spec(cells=64, lam=0.02, f=nf.WeightSpec.constant(2.0),
+                                         g=nf.WeightSpec.gaussian(0.1, 0.5, 1.5)))
+    _, report = solver.solve_points([problem64, other], form64, nf.Branch.MINUS, opts)
+    lone = nf.solve_branch(other, form64, nf.Branch.MINUS, opts)
+    assert report.iters == lone.iters and report.converged and lone.converged
+    assert report.J == pytest.approx(lone.J, rel=1e-12)
+    for spec in (make_spec(cells=64, q=0.4), make_spec(cells=64, b=nf.WeightSpec.constant(1.0))):
+        with pytest.raises(ValueError, match="lambda, mu, f and g alone"):
+            solver.solve_points([problem64, nf.validate_params(spec)], form64,
+                                nf.Branch.PLUS, opts)
 
 
 def test_one_root_projection_matches_project(problem64):
