@@ -48,7 +48,6 @@ from .solver import (
     SolverOptions,
     gap_check,
     initial_direction,
-    solve_branch,
     solve_points,
 )
 from .thresholds import ConstantsReport, compute_constants
@@ -61,6 +60,9 @@ EXIT_NOT_CONVERGED = 5
 
 # fiber samples above this are refused before the t grid is allocated
 MAX_FIBER_SAMPLES = 1_000_000
+# grids above this many cells are refused a matrix dump before the dense
+# matrix is built (128 MiB at 4096 cells, before its CSV lines)
+MAX_DUMP_CELLS = 4096
 
 
 def canonical_json(obj) -> str:
@@ -193,15 +195,22 @@ def cmd_solve(args) -> int:
     timings["assemble_ms"] = 1e3 * (time.perf_counter() - t0)
     # the first Riesz map builds the factors every later one reuses (the
     # first column of G^{-1}, and below the crossover the dense inverse),
-    # so the branch timings below are the descents alone
+    # so the descent timing below is the descent alone
     t0 = time.perf_counter()
     form.riesz(np.zeros(problem.grid.cells - 1))
     timings["riesz_setup_ms"] = 1e3 * (time.perf_counter() - t0)
+    # every branch's restarts descend as the rows of one block; a branch
+    # without a solution fails the run, the first one asked for first,
+    # before any file is written
+    t0 = time.perf_counter()
+    solved = solve_points([problem], form, branches, opts)
+    timings["descent_ms"] = 1e3 * (time.perf_counter() - t0)
     solutions: dict[Branch, SolutionReport] = {}
     for branch in branches:
-        t0 = time.perf_counter()
-        solutions[branch] = solve_branch(problem, form, branch, opts)
-        timings[f"solve_{branch.value}_ms"] = 1e3 * (time.perf_counter() - t0)
+        [result] = solved[branch]
+        if isinstance(result, NehariError):
+            raise result
+        solutions[branch] = result
     t0 = time.perf_counter()
     constants, gap = _constants_and_gap(problem, form, solutions)
     timings["constants_ms"] = 1e3 * (time.perf_counter() - t0)
@@ -287,10 +296,9 @@ def cmd_sweep(args) -> int:
             except NehariError:
                 pass
     # form and opts do not depend on (lambda, mu), which is all the points
-    # vary, so one block descent per branch solves every valid point; a
-    # branch a point does not reach keeps its failure columns
-    solved = {branch: solve_points([p for _, p in points], form, branch, opts)
-              for branch in Branch}
+    # vary, so one block descent solves every valid point on both
+    # branches; a branch a point does not reach keeps its failure columns
+    solved = solve_points([p for _, p in points], form, list(Branch), opts)
     for k, (row, problem) in enumerate(points):
         solutions = {branch: results[k] for branch, results in solved.items()
                      if isinstance(results[k], SolutionReport)}
@@ -364,6 +372,12 @@ def cmd_verify(args) -> int:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         # ValueError covers a JSON syntax error and a non-numeric entry
         raise ConfigParseError(f"cannot read solution {args.solution}: {exc}") from exc
+    nodes = problem.grid.node_count
+    for key, values in (("u", u), ("w", w)):
+        if values.shape != (nodes,):
+            got = len(values) if values.ndim == 1 else f"an array of shape {values.shape} of"
+            raise ConfigParseError(f"solution {args.solution} does not fit the config's grid: "
+                                   f"{key} has {got} nodal values, the grid has {nodes}")
     pair = GridPair.from_arrays(problem.grid, u, w)
 
     parts = energy(problem, form, pair)
@@ -398,6 +412,9 @@ def cmd_verify(args) -> int:
 
 def cmd_assemble(args) -> int:
     _, problem = _load(args.config)
+    if args.dump_matrix and problem.grid.cells > MAX_DUMP_CELLS:
+        raise ValidationError(f"--dump-matrix writes the dense matrix, so at most "
+                              f"{MAX_DUMP_CELLS} cells, got {problem.grid.cells}")
     form = assemble_form(problem.grid, problem.s)
     if args.dump_matrix:
         lines = [f"# N={problem.grid.cells}, s={_float_str(problem.s)}"]

@@ -32,8 +32,12 @@ a row ends as it would in a descent of its own. Each row comes out as its
 own report, with the stationarity of its returned iterate. The rows may
 come from several points (lambda, mu) of a sweep: the points share the
 grid, s, q, alpha, beta and b, and lambda and mu enter the energy only as
-per-row factors of the singular integrals, so one block descends every
-restart of every point (``solve_points``).
+per-row factors of the singular integrals. The two branches differ only in
+the root a row's projection takes and in the sign of phi''(1) its verdict
+asks for, so each row carries its own branch, and one block descends every
+restart of every point on every branch (``solve_points``). Rows beyond
+``BLOCK_ELEMENTS`` elements descend as consecutive blocks, which bounds the
+memory and changes no row.
 """
 
 from __future__ import annotations
@@ -64,6 +68,10 @@ from .problem import GridPair, ValidatedProblem
 from .thresholds import ConstantsReport
 
 _MIN_STEP = 1e-16
+# rows x interior nodes above this many elements descend as consecutive
+# blocks of at most this many, which bounds the block's memory; the README
+# gives the measurement behind the value
+BLOCK_ELEMENTS = 2**18
 
 
 class Branch(enum.Enum):
@@ -192,26 +200,22 @@ def _take(factors, rows):
 
 
 def _descend(problems: list[ValidatedProblem], points: list[int], form: GagliardoForm,
-             branch: Branch, directions: list[GridPair], opts: SolverOptions
+             branches: list[Branch], directions: list[GridPair], opts: SolverOptions
              ) -> list[SolutionReport | NehariError | None]:
     """The rows of one block descent, direction i a restart of the point
-    problems[points[i]]: the report of each direction, None where the
-    direction admits no branch scaling, or the first error that a row of
-    its point raised.
+    problems[points[i]] on the branch branches[i]: the report of each
+    direction, None where the direction admits no branch scaling, or the
+    first error that a row of its point and branch raised.
 
     The problems may differ only where the energy reads them through each
-    row's singular factors (lambda w f, mu w g). Each row keeps its own first
-    step, step halving, acceptance, stopping rule, iteration count and
-    trajectory, as if it ran alone; a row leaves the block when it stops.
-    Every iteration takes one gradient and one Riesz map for all active
-    rows, and every round of step halving one product per component for all
-    rows still trying. An accepted iterate is t * trial, so its products
-    with G are t times the trial's, and each gradient costs no product of
-    its own.
+    row's singular factors (lambda w f, mu w g). Each row keeps its own
+    branch, first step, step halving, acceptance, stopping rule, iteration
+    count and trajectory, as if it ran alone; a row leaves the block when it
+    stops. Rows beyond BLOCK_ELEMENTS elements descend as consecutive
+    blocks, which changes no row.
     """
     first = problems[0]
     q, ab = first.q, first.alpha + first.beta
-    upper = branch is Branch.MINUS
     for p in problems:
         if ((p.grid, p.s, p.q, p.alpha, p.beta) != (first.grid, first.s, first.q,
                                                      first.alpha, first.beta)
@@ -220,31 +224,65 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
     if len(problems) == 1:
         factors = first.weighted_coefficients[:2]
     else:
-        factors = tuple(np.array([p.weighted_coefficients[k] for p in problems])[points]
+        factors = tuple(np.array([p.weighted_coefficients[k] for p in problems])
                         for k in (0, 1))
-    # a row whose projection raises ends its point, as the error would end
-    # a descent of that point alone; the other points go on
-    failed: dict[int, NehariError] = {}
+    # a row whose projection raises ends its point on its branch, as the
+    # error would end a descent of that point alone; the other points go on.
+    # The error kept is the one raised first, by (iteration, halving round,
+    # row), however the rows are split into blocks
+    errors = []
 
-    def scaling(st, i):
+    def scaling(st, i, when):
         try:
-            return branch_root(st, q, ab, upper)
+            return branch_root(st, q, ab, branches[i] is Branch.MINUS)
         except NehariError as exc:
-            failed.setdefault(points[i], exc)
+            errors.append(((*when, i), (points[i], branches[i]), exc))
             return None
 
-    u = np.array([d.u.values[1:-1] for d in directions])
-    v = np.array([d.w.values[1:-1] for d in directions])
-    stats, Gu, Gv = stats_and_products(first, form, u, v, factors)
-    scalings = [scaling(st, i) for i, st in enumerate(stats)]
-    live = [i for i, t in enumerate(scalings) if t is not None]
+    size = max(1, BLOCK_ELEMENTS // (first.grid.cells - 1))
+    reports: list[SolutionReport | None] = []
+    for start in range(0, len(directions), size):
+        rows = range(start, min(start + size, len(directions)))
+        reports += _descend_block(first, form, _take(factors, [points[i] for i in rows]),
+                                  rows, branches, directions, opts, scaling)
 
-    # the block holds the live rows only; row r is direction live[r]
-    t_used = [scalings[i] for i in live]
+    failed: dict[tuple[int, Branch], NehariError] = {}
+    for _, key, exc in sorted(errors, key=lambda e: e[0]):
+        failed.setdefault(key, exc)
+    keys = list(zip(points, branches))
+    restarts_used = collections.Counter(key for key, rep in zip(keys, reports)
+                                        if rep is not None)
+    for key, rep in zip(keys, reports):
+        if rep is not None:
+            rep.restarts_used = restarts_used[key]
+    return [failed.get(key, rep) for key, rep in zip(keys, reports)]
+
+
+def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: range,
+                   branches: list[Branch], directions: list[GridPair], opts: SolverOptions,
+                   scaling) -> list[SolutionReport | None]:
+    """The reports of the rows of one block, before their restarts are
+    counted, or None where a row admits no branch scaling.
+
+    Every iteration takes one gradient and one Riesz map for all active
+    rows, and every round of step halving one product per component for all
+    rows still trying. An accepted iterate is t * trial, so its products
+    with G are t times the trial's, and each gradient costs no product of
+    its own.
+    """
+    q, ab = first.q, first.alpha + first.beta
+    u = np.array([directions[i].u.values[1:-1] for i in rows])
+    v = np.array([directions[i].w.values[1:-1] for i in rows])
+    stats, Gu, Gv = stats_and_products(first, form, u, v, factors)
+    scalings = [scaling(st, i, (0, 0)) for i, st in zip(rows, stats)]
+    live = [j for j, t in enumerate(scalings) if t is not None]
+
+    # the block holds the live rows only; row r is rows[live[r]]
+    t_used = [scalings[j] for j in live]
     t = np.array(t_used).reshape(-1, 1)
     u, v, Gu, Gv = t * u[live], t * v[live], t * Gu[live], t * Gv[live]
     factors = _take(factors, live)
-    trajectories = [[_record(stats[i], scalings[i], q, ab)] for i in live]
+    trajectories = [[_record(stats[j], scalings[j], q, ab)] for j in live]
     iters = [opts.max_iters] * len(live)
     hit_tol = [False] * len(live)
 
@@ -272,15 +310,16 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
             step[bb] = np.maximum(tau[bb], opts.step)
         rel_drop = [None] * len(active)
         trying = np.flatnonzero(step > _MIN_STEP)
+        halving = 0
         while trying.size:
-            rows = active[trying]
-            u_try = np.maximum(u[rows] - step[trying, None] * du[trying], 0.0)
-            v_try = np.maximum(v[rows] - step[trying, None] * dv[trying], 0.0)
+            block = active[trying]
+            u_try = np.maximum(u[block] - step[trying, None] * du[trying], 0.0)
+            v_try = np.maximum(v[block] - step[trying, None] * dv[trying], 0.0)
             tstats, Gu_try, Gv_try = stats_and_products(first, form, u_try, v_try,
-                                                        _take(factors, rows))
+                                                        _take(factors, block))
             accepted = np.zeros(len(trying))  # the scaling of each accepted trial
-            for k, (j, r) in enumerate(zip(trying.tolist(), rows.tolist())):
-                t_sel = scaling(tstats[k], live[r])
+            for k, (j, r) in enumerate(zip(trying.tolist(), block.tolist())):
+                t_sel = scaling(tstats[k], rows[live[r]], (it, halving))
                 J_cur = trajectories[r][-1][0]
                 if t_sel is not None and (record := _record(tstats[k], t_sel, q, ab))[0] < J_cur:
                     rel_drop[j] = (J_cur - record[0]) / max(abs(J_cur), 1e-300)
@@ -290,9 +329,10 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
                     step[j] *= 0.5
             k = np.flatnonzero(accepted)
             t = accepted[k, None]
-            u[rows[k]], v[rows[k]] = t * u_try[k], t * v_try[k]
-            Gu[rows[k]], Gv[rows[k]] = t * Gu_try[k], t * Gv_try[k]
+            u[block[k]], v[block[k]] = t * u_try[k], t * v_try[k]
+            Gu[block[k]], Gv[block[k]] = t * Gu_try[k], t * Gv_try[k]
             trying = trying[(accepted == 0) & (step[trying] > _MIN_STEP)]
+            halving += 1
         # a row stops when no strictly decreasing step exists at float
         # resolution, or when its relative drop falls below tol_energy
         stopped = np.array([drop is None or drop < opts.tol_energy for drop in rel_drop])
@@ -308,24 +348,21 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
     stats, Gu, Gv = stats_and_products(first, form, u, v, factors)
     g = np.concatenate(smoothed_gradient(first, u, v, Gu, Gv, opts.eps_singular, factors))
     dual2 = _row_dots(g, form.riesz(g))
-    restarts_used = collections.Counter(points[i] for i in live)
-    reports: list[SolutionReport | NehariError | None] = [failed.get(k) for k in points]
-    for r, i in enumerate(live):
-        if reports[i] is not None:
-            continue
+    reports: list[SolutionReport | None] = [None] * len(rows)
+    for r, j in enumerate(live):
+        branch = branches[rows[j]]
         _, phi1, phi2 = phi_from_stats(stats[r], q, ab, 1.0)
         norm = math.sqrt(stats[r].norm2)
         # the system asks for u, w > 0: a component that vanished at every
         # interior node (a negative parameter drives it there) is no solution
         converged = bool(hit_tol[r] and abs(phi1) <= opts.tol_manifold * stats[r].scale()
-                         and (phi2 < 0 if upper else phi2 > 0)
+                         and (phi2 < 0 if branch is Branch.MINUS else phi2 > 0)
                          and u[r].max() > 0 and v[r].max() > 0)
-        reports[i] = SolutionReport(
+        reports[j] = SolutionReport(
             branch=branch,
             pair=GridPair.from_arrays(first.grid, np.pad(u[r], 1), np.pad(v[r], 1)),
             J=trajectories[r][-1][0], norm=norm, phi1=phi1, phi2=phi2, t_used=t_used[r],
-            iters=iters[r], converged=converged,
-            restarts_used=restarts_used[points[i]],
+            iters=iters[r], converged=converged, restarts_used=0,
             stationarity=math.sqrt(max(float(dual2[r]), 0.0)) / norm,
             trajectory=trajectories[r])
     return reports
@@ -337,54 +374,62 @@ def _residual(report: SolutionReport) -> float:
     return abs(report.phi1) / (norm**2 + abs(K) + abs(B))
 
 
-def solve_points(problems: list[ValidatedProblem], form: GagliardoForm, branch: Branch,
-                 opts: SolverOptions = SolverOptions()) -> list[SolutionReport | NehariError]:
-    """Minimize the energy over one manifold branch for each problem, best
-    over its restarts; or, where a problem has no solution, the error its
-    lone solve raises (NoAdmissibleDirection when every restart fails to
-    find a direction admitting the branch scaling).
+def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
+                 branches: list[Branch], opts: SolverOptions = SolverOptions()
+                 ) -> dict[Branch, list[SolutionReport | NehariError]]:
+    """Minimize the energy over each given manifold branch for each problem,
+    best over its restarts; or, where a problem has no solution on a
+    branch, the error its lone solve raises (NoAdmissibleDirection when
+    every restart fails to find a direction admitting the branch scaling).
 
     The problems may differ in (lambda, mu) and the weights f and g alone,
     as the points of a sweep differ in (lambda, mu). Restart i of each
     problem uses the deterministic generator seeded with seed + i, and
-    every restart of every problem descends as a row of one block, each as
-    if alone. Ties on energy break toward the smaller manifold residual,
-    then the lower iteration count, then the lower restart.
+    every restart of every problem on every branch descends as a row of one
+    block, each as if alone. Ties on energy break toward the smaller
+    manifold residual, then the lower iteration count, then the lower
+    restart.
     """
-    points, directions = [], []  # the problem index and direction of each row
-    for k, problem in enumerate(problems):
-        for i in range(opts.restarts):
-            rng = np.random.default_rng(opts.seed + i)
-            try:
-                directions.append(initial_direction(problem, rng, branch))
+    # the problem, branch and direction of each row
+    points, row_branches, directions = [], [], []
+    for branch in branches:
+        for k, problem in enumerate(problems):
+            for i in range(opts.restarts):
+                rng = np.random.default_rng(opts.seed + i)
+                try:
+                    directions.append(initial_direction(problem, rng, branch))
+                except DirectionSearchFailed:
+                    continue
                 points.append(k)
-            except DirectionSearchFailed:
-                pass
-    rows = _descend(problems, points, form, branch, directions, opts) if directions else []
-    found: list[list] = [[] for _ in problems]
-    for k, row in zip(points, rows):
+                row_branches.append(branch)
+    rows = (_descend(problems, points, form, row_branches, directions, opts)
+            if directions else [])
+    found: dict[tuple[Branch, int], list] = {(b, k): [] for b in branches
+                                             for k in range(len(problems))}
+    for k, branch, row in zip(points, row_branches, rows):
         if row is not None:
-            found[k].append(row)
-    results: list[SolutionReport | NehariError] = []
-    for reports in found:
+            found[branch, k].append(row)
+    results: dict[Branch, list[SolutionReport | NehariError]] = {b: [] for b in branches}
+    for (branch, _), reports in found.items():
         if not reports:
-            results.append(NoAdmissibleDirection(
+            results[branch].append(NoAdmissibleDirection(
                 f"all {opts.restarts} restarts failed to reach branch {branch.value}; "
                 "the parameter pair may be far outside the admissible region"))
         elif isinstance(reports[0], NehariError):
-            results.append(reports[0])
+            results[branch].append(reports[0])
         else:
-            results.append(min(reports, key=lambda r: (r.J, _residual(r), r.iters)))
+            results[branch].append(min(reports, key=lambda r: (r.J, _residual(r), r.iters)))
     return results
 
 
 def solve_branch(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
                  opts: SolverOptions = SolverOptions()) -> SolutionReport:
     """Minimize the energy over one manifold branch, best over restarts:
-    ``solve_points`` on one problem. Raises NoAdmissibleDirection if every
-    restart fails to find a direction admitting the branch scaling.
+    ``solve_points`` on one problem and one branch. Raises
+    NoAdmissibleDirection if every restart fails to find a direction
+    admitting the branch scaling.
     """
-    [result] = solve_points([problem], form, branch, opts)
+    [result] = solve_points([problem], form, [branch], opts)[branch]
     if isinstance(result, NehariError):
         raise result
     return result

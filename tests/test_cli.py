@@ -167,13 +167,11 @@ def test_solve_times_the_riesz_setup_apart_from_the_descents(tmp_path, capsys, c
     out = tmp_path / "run"
     assert cli.main(["solve", path, "--branch", "both", "--out", str(out)]) == 0
     timings = json.loads(capsys.readouterr().out)["timings_ms"]
-    assert list(timings) == ["assemble_ms", "riesz_setup_ms", "solve_plus_ms",
-                             "solve_minus_ms", "constants_ms"]
+    assert list(timings) == ["assemble_ms", "riesz_setup_ms", "descent_ms", "constants_ms"]
     cfg, problem = cli._load(path)
     opts = cli.solver_options_from_config(cfg)
     form = cli.assemble_form(problem.grid, problem.s)
-    for branch in cli.Branch:
-        report = cli.solve_branch(problem, form, branch, opts)
+    for branch, [report] in cli.solve_points([problem], form, list(cli.Branch), opts).items():
         expected = tmp_path / f"expected_{branch.value}.json"
         cli._write_json(str(expected), cli.solution_to_json(report, cli.problem_hash(cfg)))
         assert (out / f"solution_{branch.value}.json").read_bytes() == expected.read_bytes()
@@ -218,10 +216,16 @@ def test_coupling_weight_positive_only_on_the_boundary_is_rejected(tmp_path, cap
     assert cli.main(["solve", path, "--branch", "both", "--out", str(tmp_path / "run")]) == 0
 
 
-def test_solve_exit_code_no_direction(tmp_path):
-    # negative parameters pass validation but admit no descent direction
+@pytest.mark.parametrize("branch", ["plus", "both"])
+def test_solve_exit_code_no_direction(tmp_path, capsys, branch):
+    # negative parameters pass validation but admit no descent direction;
+    # the first branch asked for fails the run before any file is written
     path = write_config(tmp_path, {"lambda": -0.01, "mu": -0.01})
-    assert cli.main(["solve", path, "--branch", "plus", "--out", str(tmp_path)]) == 4
+    out = tmp_path / "run"
+    assert cli.main(["solve", path, "--branch", branch, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(
+        "no admissible direction: all 2 restarts failed to reach branch plus; ")
+    assert not out.exists()
 
 
 def test_solve_exit_code_not_converged(tmp_path):
@@ -414,18 +418,19 @@ def _read_sweep(path):
 def test_sweep_rows_are_their_points_lone_solves(tmp_path, monkeypatch, matrix_free):
     # one sweep whose grid holds an invalid point (0, 0), mixed-sign points,
     # points at 1e5 where the local-max branch finds no direction, and
-    # admissible points. Every valid point's restarts descend in one block
-    # per branch, and each point comes out as from a solve of its own: on
-    # the FFT path bit for bit, on the dense path (whose products round by
-    # the block's width) with the same iterations and verdicts
+    # admissible points. Every valid point's restarts on both branches
+    # descend in one block, and each point comes out as from a solve of its
+    # own: on the FFT path bit for bit, on the dense path (whose products
+    # round by the block's width) with the same iterations and verdicts
     monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", 2 if matrix_free else 10**9)
     path = write_config(tmp_path, {"grid": {"cells": 32}})
-    blocks = {}
+    calls = []
     solve_points = cli.solve_points
 
-    def record(problems, form, branch, opts):
-        blocks[branch] = problems, form, opts, solve_points(problems, form, branch, opts)
-        return blocks[branch][-1]
+    def record(problems, form, branches, opts):
+        calls.append((problems, form, branches, opts, solve_points(problems, form, branches,
+                                                                   opts)))
+        return calls[-1][-1]
 
     monkeypatch.setattr(cli, "solve_points", record)
     out = tmp_path / "sweep.csv"
@@ -437,9 +442,11 @@ def test_sweep_rows_are_their_points_lone_solves(tmp_path, monkeypatch, matrix_f
     assert math.isnan(float(rows[0.0, 0.0]["C"]))
 
     seen = set()
-    for branch, (problems, form, opts, results) in blocks.items():
-        assert form.matrix_free is matrix_free
-        assert sorted((p.lam, p.mu) for p in problems) == sorted(set(rows) - {(0.0, 0.0)})
+    [(problems, form, branches, opts, solved)] = calls
+    assert branches == list(nf.Branch) and list(solved) == branches
+    assert form.matrix_free is matrix_free
+    assert sorted((p.lam, p.mu) for p in problems) == sorted(set(rows) - {(0.0, 0.0)})
+    for branch, results in solved.items():
         for problem, result in zip(problems, results):
             row = rows[problem.lam, problem.mu]
             try:
@@ -467,8 +474,9 @@ def test_sweep_rows_are_their_points_lone_solves(tmp_path, monkeypatch, matrix_f
     assert seen == {"no direction", "mixed sign", "converged"}
 
 
-def test_one_block_descent_per_branch_per_sweep(tmp_path, monkeypatch):
-    # a 3x3 sweep with 2 restarts: one descent of 18 rows per branch
+def test_one_block_descent_per_command(tmp_path, monkeypatch):
+    # with 2 restarts, a 3x3 sweep descends once, 36 rows of both branches,
+    # and so does solve --branch both, 4 rows
     from neharifrac import solver
     widths = []
     descend = solver._descend
@@ -477,7 +485,10 @@ def test_one_block_descent_per_branch_per_sweep(tmp_path, monkeypatch):
     path = write_config(tmp_path, {"grid": {"cells": 32}})
     assert cli.main(["sweep", path, "--lambdas", "0.005,0.01,0.02", "--mus", "0.005,0.01,0.02",
                      "--out", str(tmp_path / "sweep.csv"), "--seed", "3"]) == 0
-    assert widths == [(9, 18), (9, 18)]
+    assert widths == [(9, 36)]
+    widths.clear()
+    assert cli.main(["solve", path, "--branch", "both", "--out", str(tmp_path / "run")]) == 0
+    assert widths == [(1, 2 * BASE_CONFIG["solver"]["restarts"])]
 
 
 def test_sweep_rejects_a_bad_solver_block(tmp_path, capsys):
@@ -656,6 +667,28 @@ def test_verify_malformed_solution_is_a_config_error(tmp_path, capsys, content):
     sol_path.write_text(content)
     assert cli.main(["verify", path, "--solution", str(sol_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: cannot read solution")
+
+
+def test_verify_solution_of_another_grid_is_a_config_error(tmp_path, capsys):
+    # a 64-cell solution checked against the 32-cell config names both lengths
+    out = tmp_path / "run"
+    fine = write_config(tmp_path, {"grid": {"cells": 64}}, name="fine.json")
+    assert cli.main(["solve", fine, "--branch", "plus", "--out", str(out)]) == 0
+    coarse = write_config(tmp_path, {"grid": {"cells": 32}}, name="coarse.json")
+    capsys.readouterr()
+    assert cli.main(["verify", coarse, "--solution", str(out / "solution_plus.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: solution ")
+    assert "u has 65 nodal values, the grid has 33" in err
+
+
+def test_assemble_dump_matrix_above_the_ceiling_is_refused(tmp_path, monkeypatch):
+    # refused before the form is assembled, and no file is written
+    path = write_config(tmp_path, {"grid": {"cells": cli.MAX_DUMP_CELLS + 2}})
+    monkeypatch.setattr(cli, "assemble_form", lambda grid, s: pytest.fail("assembled"))
+    out = tmp_path / "matrix.csv"
+    assert cli.main(["assemble", path, "--dump-matrix", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_assemble_dump_matrix(tmp_path):

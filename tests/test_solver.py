@@ -17,8 +17,9 @@ from conftest import make_spec, reference_gradient, reference_stats
 
 
 def _descend_point(problem, form, branch, directions, opts):
-    # the block descent with every direction a restart of one problem
-    return solver._descend([problem], [0] * len(directions), form, branch, directions, opts)
+    # the block descent with every direction a restart of one problem on one branch
+    return solver._descend([problem], [0] * len(directions), form, [branch] * len(directions),
+                           directions, opts)
 
 
 def test_initial_direction_properties(problem64, form64):
@@ -568,7 +569,7 @@ def test_a_point_whose_projection_raises_leaves_the_others(monkeypatch):
     monkeypatch.setattr(solver, "branch_root", fragile)
     for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
         calls.clear()
-        first, second = solver.solve_points([small, large], form, branch, opts)
+        first, second = solver.solve_points([small, large], form, [branch], opts)[branch]
         assert isinstance(second, NoBracket)
         calls.clear()
         with pytest.raises(NoBracket):
@@ -586,14 +587,15 @@ def test_a_block_takes_points_that_differ_in_lambda_mu_f_and_g_alone(problem64, 
     opts = nf.SolverOptions(restarts=2)
     other = nf.validate_params(make_spec(cells=64, lam=0.02, f=nf.WeightSpec.constant(2.0),
                                          g=nf.WeightSpec.gaussian(0.1, 0.5, 1.5)))
-    _, report = solver.solve_points([problem64, other], form64, nf.Branch.MINUS, opts)
+    _, report = solver.solve_points([problem64, other], form64, [nf.Branch.MINUS],
+                                    opts)[nf.Branch.MINUS]
     lone = nf.solve_branch(other, form64, nf.Branch.MINUS, opts)
     assert report.iters == lone.iters and report.converged and lone.converged
     assert report.J == pytest.approx(lone.J, rel=1e-12)
     for spec in (make_spec(cells=64, q=0.4), make_spec(cells=64, b=nf.WeightSpec.constant(1.0))):
         with pytest.raises(ValueError, match="lambda, mu, f and g alone"):
             solver.solve_points([problem64, nf.validate_params(spec)], form64,
-                                nf.Branch.PLUS, opts)
+                                [nf.Branch.PLUS], opts)
 
 
 def test_one_root_projection_matches_project(problem64):
@@ -633,3 +635,61 @@ def test_one_root_projection_matches_project(problem64):
     with pytest.raises(NoBracket):
         branch_root(stats, q, ab, upper=True)
     assert branch_root(stats, q, ab, upper=False) == pytest.approx(0.5 ** (2 / 3))
+
+
+def test_rows_split_into_blocks_come_out_as_unsplit(monkeypatch):
+    # rows beyond the element budget descend as consecutive blocks, three
+    # rows each here, and on the FFT path every report comes out bit for bit
+    # as from one block. The second point's first plus restart raises at its
+    # first trial, in the first block, and its second at its projected
+    # start, in the second block: as unsplit, the point keeps the error
+    # raised first in the descent, the second restart's
+    monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", 2)
+    problems = [nf.validate_params(make_spec(cells=32)),
+                nf.validate_params(make_spec(cells=32, lam=100.0, mu=100.0))]
+    form = nf.assemble_form(problems[0].grid, problems[0].s)
+    opts = nf.SolverOptions(restarts=2)
+    points, branches, directions = [], [], []
+    for branch in nf.Branch:
+        for k, problem in enumerate(problems):
+            for seed in range(2):
+                directions.append(nf.initial_direction(problem, np.random.default_rng(seed),
+                                                       branch))
+                points.append(k)
+                branches.append(branch)
+    seen = []
+    root = solver.branch_root
+    monkeypatch.setattr(solver, "branch_root",
+                        lambda stats, *rest: seen.append(stats) or root(stats, *rest))
+    solver._descend(problems, points, form, branches, directions, opts)
+    # the projected starts of the second point's rows 2, 3, 6 and 7
+    starts = [stats for stats in seen[:len(directions)] if stats.K > 1.0]
+    assert len(starts) == 4
+
+    def fragile(stats, q, ab, upper):
+        if stats.K > 1.0 and stats != starts[0]:
+            raise NoBracket(repr(stats))
+        return root(stats, q, ab, upper)
+
+    monkeypatch.setattr(solver, "branch_root", fragile)
+    whole = solver._descend(problems, points, form, branches, directions, opts)
+    widths = []
+    descend_block = solver._descend_block
+    monkeypatch.setattr(solver, "_descend_block", lambda *args: widths.append(len(args[3]))
+                        or descend_block(*args))
+    monkeypatch.setattr(solver, "BLOCK_ELEMENTS", 3 * (32 - 1))
+    split = solver._descend(problems, points, form, branches, directions, opts)
+    assert widths == [3, 3, 2]
+    assert [str(split[i]) for i in (2, 3)] == [repr(starts[1])] * 2
+    assert [str(split[i]) for i in (6, 7)] == [repr(starts[2])] * 2
+    for a, b in zip(whole, split):
+        if isinstance(a, NoBracket):
+            assert type(b) is NoBracket and str(a) == str(b)
+            continue
+        assert a.branch is b.branch and a.converged and b.converged
+        assert (a.iters, a.J, a.norm, a.phi1, a.phi2, a.t_used) == (
+            b.iters, b.J, b.norm, b.phi1, b.phi2, b.t_used)
+        assert a.restarts_used == b.restarts_used == 2
+        assert a.stationarity == b.stationarity and a.trajectory == b.trajectory
+        assert np.array_equal(a.pair.u.values, b.pair.u.values)
+        assert np.array_equal(a.pair.w.values, b.pair.w.values)
