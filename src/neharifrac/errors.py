@@ -91,6 +91,10 @@ class NotConvergedInput(NehariError):
     pass
 
 
+class FirstColumnNotConverged(NehariError):
+    pass
+
+
 class AllMasked(NehariError):
     pass
 

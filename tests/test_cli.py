@@ -561,6 +561,17 @@ def test_constants_builds_no_dense_matrix_at_large_n(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["S"] > 0
 
 
+def test_constants_refuses_an_unconverged_first_column(tmp_path, capsys, monkeypatch):
+    # one CG iteration cannot reach roundoff, so the Riesz map would be wrong
+    monkeypatch.setattr(form_mod, "CG_MAX_ITERS", 1)
+    path = write_config(tmp_path, {"grid": {"cells": 1024}})
+    assert cli.main(["constants", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: CG for the first column of G^-1 left a residual")
+    assert "Traceback" not in captured.err
+
+
 def _sign_pattern(ts, vals, cuts):
     """Signs of vals on the segments of ts delimited by the cut points."""
     signs = []

@@ -2,11 +2,13 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.linalg import solve_toeplitz
 
 import neharifrac as nf
 from neharifrac.errors import GridMismatch, InvalidOrder
 from neharifrac import form as form_mod
-from neharifrac.form import form_symbol, inverse_first_column, riesz_map, same_cell_integral
+from neharifrac.form import (
+    form_symbol, inverse_first_column, riesz_map, same_cell_integral, strang_eigenvalues)
 
 
 def hat(grid, node=None):
@@ -282,16 +284,57 @@ def test_matrix_free_apply_and_riesz_match_dense(monkeypatch, cells, s):
         assert err <= 1e-12 * np.linalg.norm(exact)
 
 
-@pytest.mark.parametrize("cells", [16, 1024, 8192])
+@pytest.mark.parametrize("cells", [16, 1024, 8192, 65536])
 def test_inverse_first_column_solves_for_e1(cells):
-    # Durbin's recursion is O(N^2); 65536 cells would take seconds per s
-    for s in (0.17, 0.4, 0.4999):
+    for s in (0.01, 0.17, 0.4, 0.4999):
         form = nf.assemble_form(nf.GridSpec(-1.0, 1.0, cells), s)
-        x = inverse_first_column(form.symbol)
+        x = inverse_first_column(form)
         assert x[0] > 0, s
         residual = form.apply(x)
         residual[0] -= 1.0
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(form.symbol), s
+
+
+@pytest.mark.parametrize("cells", [4, 5, 64, 511, 512, 1024, 4096])
+def test_inverse_first_column_matches_levinson(cells):
+    # oracle: scipy's Levinson solver on the same symbol. s = 0.4999 stops at
+    # 1024 cells: at 4096 G's condition number is 2e3, and Durbin's
+    # recursion, Levinson's and CG each miss an extended-precision solution
+    # by 2e-14 to 1.3e-13
+    for s in (0.01, 0.17, 0.4) + ((0.4999,) if cells <= 1024 else ()):
+        form = nf.assemble_form(nf.GridSpec(-1.0, 1.0, cells), s)
+        e1 = np.zeros(cells - 1)
+        e1[0] = 1.0
+        oracle = solve_toeplitz(form.symbol, e1)
+        x = inverse_first_column(form)
+        assert np.linalg.norm(x - oracle) <= 1e-13 * np.linalg.norm(oracle), s
+
+
+@pytest.mark.parametrize("cells", [64, 1024, 8192, 65536])
+def test_inverse_first_column_iterations_stay_flat(monkeypatch, cells):
+    for s in (0.01, 0.17, 0.4, 0.4999):
+        form = nf.assemble_form(nf.GridSpec(-1.0, 1.0, cells), s)
+        products = []
+        apply = form.apply
+
+        def counted(v):
+            products.append(1)
+            return apply(v)
+
+        monkeypatch.setattr(form, "apply", counted)
+        inverse_first_column(form)
+        assert 0 < len(products) <= 20, s
+
+
+@pytest.mark.parametrize("cells", [4, 5, 64, 1024, 65536])
+def test_strang_circulant_is_positive_definite(cells):
+    # odd and even orders; the least ratio to c_0 was 2.2e-5, at s = 0.4999
+    # and 65536 cells
+    for s in (0.001, 0.01, 0.17, 0.4, 0.4999):
+        symbol = form_symbol(s, 2.0 / cells, cells - 1)
+        eigenvalues = strang_eigenvalues(symbol)
+        assert len(eigenvalues) == cells // 2 + 1
+        assert eigenvalues.min() > 0, s
 
 
 def test_crossover_selects_the_path():
