@@ -95,6 +95,10 @@ class FirstColumnNotConverged(NehariError):
     pass
 
 
+class InverseIterationNotConverged(NehariError):
+    pass
+
+
 class AllMasked(NehariError):
     pass
 

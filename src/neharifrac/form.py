@@ -156,12 +156,12 @@ class GagliardoForm:
         return self._inverse
 
     @functools.cached_property
-    def _inverse_factors(self) -> tuple[float, np.ndarray, np.ndarray]:
+    def _inverse_factors(self) -> tuple[float, np.ndarray]:
         # x_0 and the transforms of the first columns x and z of the
-        # Gohberg-Semencul factors, on the circulant length
+        # Gohberg-Semencul factors, stacked, on the circulant length
         x = inverse_first_column(self)
         z = np.concatenate([[0.0], x[:0:-1]])
-        return x[0], np.fft.rfft(x, self._length), np.fft.rfft(z, self._length)
+        return x[0], np.fft.rfft(np.stack([x, z]), self._length)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """G x for an array x over the interior nodes, or for each row of x."""
@@ -177,18 +177,25 @@ class GagliardoForm:
         Below MATRIX_FREE_CELLS this is a product with the dense inverse.
         From there on it applies the Gohberg-Semencul formula (see
         ``inverse_first_column``), each triangular Toeplitz product a
-        convolution by FFT, with L' = J L J for the reversal J. Either way
-        the first call computes x = G^{-1} e_1 by preconditioned CG.
+        convolution by FFT, with L' = J L J for the reversal J. The products
+        by L(x) and by L(z) run as one stacked transform each way, four FFT
+        calls in all. Every row of x meets the same arithmetic whatever the
+        rows beside it: the second products are taken in place with the
+        factor first, since numpy computes a product with a temporary of
+        the same shape and 256 KiB or more into that temporary with the
+        operands swapped, and a complex product rounds differently when
+        they are. Either way the first call computes x = G^{-1} e_1 by
+        preconditioned CG.
         """
         if not self.matrix_free:
             return (self.inverse() @ x.T).T
         n, length = x.shape[-1], self._length
-        x0, low, shifted = self._inverse_factors
+        x0, factors = self._inverse_factors
+        factors = factors.reshape((2,) + (1,) * (x.ndim - 1) + factors.shape[-1:])
         back = np.fft.rfft(x[..., ::-1], length)
-        low_t = np.fft.irfft(low * back, length)[..., n - 1::-1]
-        shifted_t = np.fft.irfft(shifted * back, length)[..., n - 1::-1]
-        y = np.fft.irfft(low * np.fft.rfft(low_t, length)
-                         - shifted * np.fft.rfft(shifted_t, length), length)
+        spectrum = np.fft.rfft(np.fft.irfft(factors * back, length)[..., n - 1::-1], length)
+        low, shifted = np.multiply(factors, spectrum, out=spectrum)
+        y = np.fft.irfft(np.subtract(low, shifted, out=low), length)
         return y[..., :n] / x0
 
 

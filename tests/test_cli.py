@@ -572,6 +572,18 @@ def test_constants_refuses_an_unconverged_first_column(tmp_path, capsys, monkeyp
     assert "Traceback" not in captured.err
 
 
+def test_constants_refuses_an_unfinished_S_refinement(tmp_path, capsys, monkeypatch):
+    # two inverse iterations leave S, and so C, too high
+    monkeypatch.setattr(thresholds, "MAX_INVERSE_ITERATIONS", 2)
+    path = write_config(tmp_path)
+    assert cli.main(["constants", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the inverse iteration for S still dropped by")
+    assert "after 2 iterations" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def _sign_pattern(ts, vals, cuts):
     """Signs of vals on the segments of ts delimited by the cut points."""
     signs = []

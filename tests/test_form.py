@@ -284,6 +284,26 @@ def test_matrix_free_apply_and_riesz_match_dense(monkeypatch, cells, s):
         assert err <= 1e-12 * np.linalg.norm(exact)
 
 
+@pytest.mark.parametrize("cells", [512, 1000, 2048, 16384])
+def test_riesz_rows_do_not_depend_on_the_block(cells):
+    # the stacked transforms give a row the same bytes alone, as a one-row
+    # block and among fifteen others; solving one branch alone relies on it.
+    # From 16384 cells a lone vector's temporaries reach the size at which
+    # numpy computes a product in place with its operands swapped, which
+    # rounds a complex product differently
+    form = nf.assemble_form(nf.GridSpec(-1.0, 1.0, cells), 0.4)
+    assert form.matrix_free
+    rows = np.random.default_rng(cells).standard_normal((16, cells - 1))
+    block = form.riesz(rows)
+    assert block.shape == rows.shape
+    for i in (0, 7, 15):
+        assert form.riesz(rows[i]).tobytes() == block[i].tobytes()
+        assert form.riesz(rows[i:i + 1])[0].tobytes() == block[i].tobytes()
+    if cells <= 2048:  # a dense solve beyond that is too large for a test
+        exact = np.linalg.solve(form.matrix, rows.T).T
+        assert np.linalg.norm(block - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
 @pytest.mark.parametrize("cells", [16, 1024, 8192, 65536])
 def test_inverse_first_column_solves_for_e1(cells):
     for s in (0.01, 0.17, 0.4, 0.4999):

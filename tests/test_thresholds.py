@@ -7,12 +7,15 @@ from scipy.optimize import minimize_scalar
 import neharifrac as nf
 from neharifrac.errors import (
     EmptyCandidateSet,
+    InverseIterationNotConverged,
     NonpositiveBSup,
     NonpositiveLambda,
     NonpositiveS,
 )
 from neharifrac import form as form_mod
-from neharifrac.thresholds import _inverse_iteration, rayleigh_quotient
+from neharifrac import thresholds
+from neharifrac.thresholds import (
+    MAX_INVERSE_ITERATIONS, S_RTOL, _inverse_iteration, rayleigh_quotient)
 
 
 def test_q_star_values():
@@ -265,6 +268,85 @@ def test_inverse_iteration_count_is_flat_in_n(monkeypatch):
         nf.estimate_S(form, 2.5, [first])
         assert len(calls) > counts[-1]
     assert max(counts) - min(counts) <= 2 and max(counts) <= 40, counts
+
+
+def _refine_alone_reference(form, r, start):
+    # oracle: one start refined alone, every quotient's numerator y'Gy taken
+    # by a product with G; returns the least quotient and the iterations
+    w = form.quad_weights[1:-1]
+    v = start[1:-1] / np.abs(start[1:-1]).max()
+    best = float(v @ form.apply(v)) / float(np.abs(v) ** r @ w) ** (2.0 / r)
+    for iterations in range(1, MAX_INVERSE_ITERATIONS + 1):
+        y = form.riesz(w * np.sign(v) * np.abs(v) ** (r - 1))
+        y /= np.abs(y).max()
+        quotient = float(y @ form.apply(y)) / float(np.abs(y) ** r @ w) ** (2.0 / r)
+        drop = (best - quotient) / best
+        if drop > 0:
+            v, best = y, quotient
+        if drop < S_RTOL:
+            return best, iterations
+    raise AssertionError("the reference refinement did not stop")
+
+
+def _window_ends(s):
+    # 1% inside each end of the admissible window 2 < r < 2/(1-2s) - 1
+    top = 2.0 / (1.0 - 2.0 * s) - 1.0
+    return 2.0 + 0.01 * (top - 2.0), top - 0.01 * (top - 2.0)
+
+
+def _form_on_path(monkeypatch, cells, s, matrix_free):
+    monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", 2 if matrix_free else cells + 1)
+    form = nf.assemble_form(nf.GridSpec(-1.0, 1.0, cells), s)
+    assert form.matrix_free is matrix_free
+    return form
+
+
+@pytest.mark.parametrize("s", [0.17, 0.4, 0.4999])
+@pytest.mark.parametrize("matrix_free", [False, True])
+@pytest.mark.parametrize("cells", [64, 128, 1024, 4096])
+def test_refinement_matches_the_reference_with_a_product(monkeypatch, cells, matrix_free, s):
+    form = _form_on_path(monkeypatch, cells, s, matrix_free)
+    hat, _, cosine = nf.default_candidates(form.grid)
+    for r in _window_ends(s):
+        oracle = min(_refine_alone_reference(form, r, start)[0] for start in (hat, cosine))
+        assert _inverse_iteration(form, r, hat, cosine) == pytest.approx(oracle, rel=1e-12), r
+
+
+@pytest.mark.parametrize("s,r", [(0.4, 3.0), (0.4, 5.5), (0.3, 3.9)])
+@pytest.mark.parametrize("cells,matrix_free", [(128, False), (1024, True)])
+def test_refinement_takes_one_riesz_map_per_iteration(monkeypatch, cells, matrix_free, s, r):
+    # one product with G for the starts' first quotients, then one Riesz map
+    # per iteration, over the rows that have not stopped: a row leaves as
+    # its reference run alone stops
+    form = _form_on_path(monkeypatch, cells, s, matrix_free)
+    hat, _, cosine = nf.default_candidates(form.grid)
+    lone = [_refine_alone_reference(form, r, start)[1] for start in (hat, cosine)]
+    apply, riesz = form.apply, form.riesz
+    products, maps = [], []
+    monkeypatch.setattr(form, "apply", lambda x: products.append(len(x)) or apply(x))
+    monkeypatch.setattr(form, "riesz", lambda x: maps.append(len(x)) or riesz(x))
+    _inverse_iteration(form, r, hat, cosine)
+    assert products == [2]
+    assert maps == [2] * min(lone) + [1] * (max(lone) - min(lone)), lone
+
+
+@pytest.mark.parametrize("s,r", [(0.4, 3.0), (0.4, 5.5), (0.3, 3.9), (0.4999, 40.0)])
+@pytest.mark.parametrize("cells,matrix_free", [(128, False), (1024, False), (1024, True),
+                                               (2048, True)])
+def test_refinement_is_its_rows_refined_alone(monkeypatch, cells, matrix_free, s, r):
+    # the rows differ from lone runs only by the rounding of block reductions
+    form = _form_on_path(monkeypatch, cells, s, matrix_free)
+    hat, _, cosine = nf.default_candidates(form.grid)
+    alone = min(_inverse_iteration(form, r, hat), _inverse_iteration(form, r, cosine))
+    assert _inverse_iteration(form, r, hat, cosine) == pytest.approx(alone, rel=1e-14)
+
+
+def test_unfinished_refinement_raises(monkeypatch, form64):
+    # two iterations cannot reach S_RTOL, and an S read there is too high
+    monkeypatch.setattr(thresholds, "MAX_INVERSE_ITERATIONS", 2)
+    hat, _, cosine = nf.default_candidates(form64.grid)
+    with pytest.raises(InverseIterationNotConverged, match="after 2 iterations"):
+        _inverse_iteration(form64, 3.0, hat, cosine)
 
 
 def _estimate_S_per_candidate(form, r, candidates):
