@@ -45,6 +45,6 @@ print(f"norm ordering: {gap.norm_minus:.4f} > {gap.A0:.4f} > "
 
 # the inequality chains hold for both solutions with the shared estimate
 for rep in (plus, minus):
-    checks = nf.inequality_suite(problem, form, rep.pair, constants.S)
+    checks = nf.inequality_suite(problem, form, rep.pair, constants)
     names = ", ".join(f"{c.name}={'ok' if c.ok else 'FAIL'}" for c in checks.checks)
     print(f"{rep.branch.value}: {names}")

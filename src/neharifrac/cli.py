@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -392,14 +393,14 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"--delta must be positive and finite, got {args.delta}")
     residual = verify_mod.weak_residual(problem, form, pair, delta)
 
-    S_est = compute_constants(problem, form, extra_candidates=[pair.u.values, pair.w.values]).S
-    checks = verify_mod.inequality_suite(problem, form, pair, S_est)
+    constants = compute_constants(problem, form, extra_candidates=[pair.u.values, pair.w.values])
+    checks = verify_mod.inequality_suite(problem, form, pair, constants)
 
     residual_ok = (residual.res_u <= args.res_tol and residual.res_w <= args.res_tol)
     out = {
         "J_recomputed": parts.J,
         "J_file": sol.get("J"),
-        "S_estimate": S_est,
+        "S_estimate": constants.S,
         "residual": {"res_u": residual.res_u, "res_w": residual.res_w,
                      "masked_fraction": residual.masked_fraction,
                      "delta": residual.delta, "tol": args.res_tol,
@@ -434,7 +435,10 @@ def cmd_assemble(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: a build costs about a tenth of a constants
+    # report at 1024 cells, and a parse leaves the parser as it was
     parser = argparse.ArgumentParser(
         prog="neharifrac",
         description="Two-branch constrained minimization for a singular "

@@ -65,15 +65,15 @@ def singular_and_coupling(problem: ValidatedProblem, u: np.ndarray, v: np.ndarra
     factors, if given, are the singular factors (lambda w f, mu w g) with
     one row per row of (u, v), or one row for all; by default the
     problem's own. Each row's sums run in the same order whatever the other
-    rows are.
+    rows are: a product summed along the row, never einsum, which buffers
+    rows of more than 8192 elements and then sums them by the block's shape.
     """
     lam_f, mu_g, b = _factors(problem, factors)
     q, al, be = problem.q, problem.alpha, problem.beta
     up = np.maximum(u, 0.0)
     vp = np.maximum(v, 0.0)
-    K = (np.einsum("...i,...i->...", up ** (1 - q), lam_f)
-         + np.einsum("...i,...i->...", vp ** (1 - q), mu_g))
-    B = np.einsum("...i,i->...", up**al * vp**be, b)
+    K = (up ** (1 - q) * lam_f).sum(axis=-1) + (vp ** (1 - q) * mu_g).sum(axis=-1)
+    B = (up**al * vp**be * b).sum(axis=-1)
     return K, B
 
 
@@ -89,7 +89,7 @@ def stats_and_products(problem: ValidatedProblem, form: GagliardoForm, u: np.nda
     Gu = form.apply(u)
     Gv = form.apply(v)
     K, B = singular_and_coupling(problem, u, v, factors)
-    norm2 = np.einsum("ij,ij->i", u, Gu) + np.einsum("ij,ij->i", v, Gv)
+    norm2 = (u * Gu).sum(axis=-1) + (v * Gv).sum(axis=-1)
     stats = [PairStats(*row) for row in zip(norm2.tolist(), K.tolist(), B.tolist())]
     return stats, Gu, Gv
 

@@ -44,8 +44,11 @@ from .errors import NoBracket, NonpositiveK, NonpositiveNorm, NonpositiveT
 from .form import GagliardoForm
 from .problem import GridPair, ValidatedProblem
 
-DEFAULT_TOL = 1e-8
-DEFAULT_TOL2 = 1e-10
+# the bands of classify, relative to norm2 + |K| + |B|: |phi'(1)| within
+# MANIFOLD_TOL is on the manifold (the band the solver's converged verdict
+# reads too), and phi''(1) within DEGENERATE_TOL is degenerate
+MANIFOLD_TOL = 1e-8
+DEGENERATE_TOL = 1e-10
 _ROOT_TOL = 1e-12  # a root is final once its Newton step in log t is shorter
 _MAX_STEPS = 240
 
@@ -183,23 +186,21 @@ def project(stats: PairStats, q: float, ab: float) -> FiberRoots:
     return FiberRoots(case=case, t1=t1, t2=t2, t_max=tm, psi_at_tmax=ptm)
 
 
-def classify(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair,
-             tol: float = DEFAULT_TOL, tol2: float = DEFAULT_TOL2) -> Membership:
+def classify(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> Membership:
     """Manifold membership from the signs of phi'(1) and phi''(1).
 
-    Tolerance bands scale with norm2 + |K| + |B|; exact equality is
-    measure-zero in floating point, so membership in the degenerate set
-    is a band, not a point.
+    The bands MANIFOLD_TOL and DEGENERATE_TOL scale with norm2 + |K| + |B|;
+    exact equality is measure-zero in floating point, so membership in the
+    manifold and in its degenerate set is a band, not a point.
     """
     st = pair_stats(problem, form, pair)
     _, d1, d2 = phi_from_stats(st, problem.q, problem.alpha + problem.beta, 1.0)
     scale = st.scale()
-    on_manifold = abs(d1) <= tol * scale
-    if not on_manifold:
+    if not abs(d1) <= MANIFOLD_TOL * scale:  # also catches nan
         label = MembershipLabel.OFF_MANIFOLD
-    elif d2 > tol2 * scale:
+    elif d2 > DEGENERATE_TOL * scale:
         label = MembershipLabel.N_PLUS
-    elif d2 < -tol2 * scale:
+    elif d2 < -DEGENERATE_TOL * scale:
         label = MembershipLabel.N_MINUS
     else:
         label = MembershipLabel.N_ZERO

@@ -16,12 +16,12 @@ at every N and matrix-free from ``form.MATRIX_FREE_CELLS`` on.
 
 The first trial step alternates (the cyclic Barzilai-Borwein method of
 Dai, Hager, Schittkowski & Zhang, IMA J. Numer. Anal. 26, 2006): the base
-step ``SolverOptions.step`` on iteration 1 and every even iteration, and
-on the odd ones from the third on the BB2 step in the G inner product
-(Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988), floored at the base
-step. The base step damps the stiff antisymmetric mode u - w of the
-local-max branch, which a BB step, sized by the soft curvature, would
-leave undamped; the floor keeps a small BB step from crawling.
+step ``STEP`` on iteration 1 and every even iteration, and on the odd ones
+from the third on the BB2 step in the G inner product (Barzilai & Borwein,
+IMA J. Numer. Anal. 8, 1988), floored at the base step. The base step
+damps the stiff antisymmetric mode u - w of the local-max branch, which a
+BB step, sized by the soft curvature, would leave undamped; the floor
+keeps a small BB step from crawling.
 
 Every accepted iterate sits on its branch, so branch invariants are
 checkable at each step. Independent seeded restarts guard against bad
@@ -42,7 +42,6 @@ memory and changes no row.
 
 from __future__ import annotations
 
-import collections
 import enum
 import math
 import numbers
@@ -62,12 +61,19 @@ from .errors import (
     NoAdmissibleDirection,
     NotConvergedInput,
 )
-from .fiber import branch_root
+from .fiber import MANIFOLD_TOL, branch_root
 from .form import GagliardoForm
 from .problem import GridPair, ValidatedProblem
 from .thresholds import ConstantsReport
 
 _MIN_STEP = 1e-16
+# the descent's fixed settings: the iteration cap; the base step (iteration
+# 1, every even iteration, and the floor of the BB step); the relative energy
+# drop below which a row stops; and the floor of u^{-q} inside gradients
+MAX_ITERS = 2000
+STEP = 0.5
+TOL_ENERGY = 1e-10
+EPS_SINGULAR = 1e-8
 # rows x interior nodes above this many elements descend as consecutive
 # blocks of at most this many, which bounds the block's memory; the README
 # gives the measurement behind the value
@@ -81,29 +87,22 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    max_iters: int = 2000
-    # the base step: iteration 1, every even iteration, and the floor of
-    # the BB step
-    step: float = 0.5
-    tol_energy: float = 1e-10
-    tol_manifold: float = 1e-8
-    eps_singular: float = 1e-8
+    """What a caller varies: restart i draws its direction from the
+    generator seeded with seed + i. The descent's other settings are the
+    module constants MAX_ITERS, STEP, TOL_ENERGY and EPS_SINGULAR, and its
+    on-manifold band is ``fiber.MANIFOLD_TOL``."""
+
     seed: int = 0
     restarts: int = 8
 
     def __post_init__(self):
         # a negative seed would reach numpy's generator, which rejects it
-        for name, least in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
+        for name, least in (("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"solver option {name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"solver option {name} must be at least {least}, got {value}")
-        for name in ("step", "tol_energy", "tol_manifold", "eps_singular"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"solver option {name} must be positive and finite, "
-                                 f"got {value}")
 
 
 @dataclass
@@ -190,22 +189,18 @@ def _record(stats, t, q, ab):
 
 
 def _row_dots(a, b):
-    # one dot per row of a block that stacks its u rows over its w rows
-    return np.einsum("ij,ij->i", a, b).reshape(2, -1).sum(axis=0)
-
-
-def _take(factors, rows):
-    # the singular factors of some rows of the block: shared ones as they are
-    return factors if factors[0].ndim == 1 else tuple(f[rows] for f in factors)
+    # one dot per row of a block that stacks its u rows over its w rows,
+    # summed as in energy.singular_and_coupling
+    return (a * b).sum(axis=-1).reshape(2, -1).sum(axis=0)
 
 
 def _descend(problems: list[ValidatedProblem], points: list[int], form: GagliardoForm,
-             branches: list[Branch], directions: list[GridPair], opts: SolverOptions
-             ) -> list[SolutionReport | NehariError | None]:
+             branches: list[Branch], directions: list[GridPair]
+             ) -> tuple[list[SolutionReport | None], dict[tuple[int, Branch], NehariError]]:
     """The rows of one block descent, direction i a restart of the point
     problems[points[i]] on the branch branches[i]: the report of each
-    direction, None where the direction admits no branch scaling, or the
-    first error that a row of its point and branch raised.
+    direction, or None where it admits no branch scaling; and the first
+    error that a row raised, for each (point, branch) that raised one.
 
     The problems may differ only where the energy reads them through each
     row's singular factors (lambda w f, mu w g). Each row keeps its own
@@ -221,11 +216,8 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
                                                      first.alpha, first.beta)
                 or not np.array_equal(p.b_vals, first.b_vals)):
             raise ValueError("the problems of one block may differ in lambda, mu, f and g alone")
-    if len(problems) == 1:
-        factors = first.weighted_coefficients[:2]
-    else:
-        factors = tuple(np.array([p.weighted_coefficients[k] for p in problems])
-                        for k in (0, 1))
+    # the singular factors lambda w f and mu w g of each point, stacked
+    factors = np.array([[p.weighted_coefficients[k] for p in problems] for k in (0, 1)])
     # a row whose projection raises ends its point on its branch, as the
     # error would end a descent of that point alone; the other points go on.
     # The error kept is the one raised first, by (iteration, halving round,
@@ -243,26 +235,19 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
     reports: list[SolutionReport | None] = []
     for start in range(0, len(directions), size):
         rows = range(start, min(start + size, len(directions)))
-        reports += _descend_block(first, form, _take(factors, [points[i] for i in rows]),
-                                  rows, branches, directions, opts, scaling)
-
+        reports += _descend_block(first, form, factors[:, [points[i] for i in rows]],
+                                  rows, branches, directions, scaling)
     failed: dict[tuple[int, Branch], NehariError] = {}
     for _, key, exc in sorted(errors, key=lambda e: e[0]):
         failed.setdefault(key, exc)
-    keys = list(zip(points, branches))
-    restarts_used = collections.Counter(key for key, rep in zip(keys, reports)
-                                        if rep is not None)
-    for key, rep in zip(keys, reports):
-        if rep is not None:
-            rep.restarts_used = restarts_used[key]
-    return [failed.get(key, rep) for key, rep in zip(keys, reports)]
+    return reports, failed
 
 
 def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: range,
-                   branches: list[Branch], directions: list[GridPair], opts: SolverOptions,
+                   branches: list[Branch], directions: list[GridPair],
                    scaling) -> list[SolutionReport | None]:
-    """The reports of the rows of one block, before their restarts are
-    counted, or None where a row admits no branch scaling.
+    """The report of each row of one block, the report of its one restart,
+    or None where the row admits no branch scaling.
 
     Every iteration takes one gradient and one Riesz map for all active
     rows, and every round of step halving one product per component for all
@@ -281,23 +266,23 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
     t_used = [scalings[j] for j in live]
     t = np.array(t_used).reshape(-1, 1)
     u, v, Gu, Gv = t * u[live], t * v[live], t * Gu[live], t * Gv[live]
-    factors = _take(factors, live)
+    factors = factors[:, live]
     trajectories = [[_record(stats[j], scalings[j], q, ab)] for j in live]
-    iters = [opts.max_iters] * len(live)
+    iters = [MAX_ITERS] * len(live)
     hit_tol = [False] * len(live)
 
     active = np.arange(len(live))
     previous = None  # the last iteration's x, g and d of the rows still active
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         if not active.size:
             break
         x = np.concatenate([u[active], v[active]])
         g = np.concatenate(smoothed_gradient(first, u[active], v[active], Gu[active],
-                                             Gv[active], opts.eps_singular,
-                                             _take(factors, active)))
+                                             Gv[active], EPS_SINGULAR,
+                                             factors[:, active]))
         d = form.riesz(g)
         du, dv = d[:len(active)], d[len(active):]
-        step = np.full(len(active), opts.step)
+        step = np.full(len(active), STEP)
         if it % 2 and it > 1:
             # BB2 step <s, dd>_G / <dd, dd>_G with s = x - x_prev; since
             # G d = g, the G inner products are s'dg and dd'dg
@@ -307,7 +292,7 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
             with np.errstate(divide="ignore", invalid="ignore"):
                 tau = sy / yy
             bb = (sy > 0) & (yy > 0) & np.isfinite(tau)
-            step[bb] = np.maximum(tau[bb], opts.step)
+            step[bb] = np.maximum(tau[bb], STEP)
         rel_drop = [None] * len(active)
         trying = np.flatnonzero(step > _MIN_STEP)
         halving = 0
@@ -316,7 +301,7 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
             u_try = np.maximum(u[block] - step[trying, None] * du[trying], 0.0)
             v_try = np.maximum(v[block] - step[trying, None] * dv[trying], 0.0)
             tstats, Gu_try, Gv_try = stats_and_products(first, form, u_try, v_try,
-                                                        _take(factors, block))
+                                                        factors[:, block])
             accepted = np.zeros(len(trying))  # the scaling of each accepted trial
             for k, (j, r) in enumerate(zip(trying.tolist(), block.tolist())):
                 t_sel = scaling(tstats[k], rows[live[r]], (it, halving))
@@ -334,8 +319,8 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
             trying = trying[(accepted == 0) & (step[trying] > _MIN_STEP)]
             halving += 1
         # a row stops when no strictly decreasing step exists at float
-        # resolution, or when its relative drop falls below tol_energy
-        stopped = np.array([drop is None or drop < opts.tol_energy for drop in rel_drop])
+        # resolution, or when its relative drop falls below TOL_ENERGY
+        stopped = np.array([drop is None or drop < TOL_ENERGY for drop in rel_drop])
         for r in active[stopped].tolist():
             hit_tol[r] = True
             iters[r] = it
@@ -346,7 +331,7 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
     # the checks and the stationarity run on the returned iterates, not on
     # scaled stats; a row's g' G^{-1} g sums its u and w halves
     stats, Gu, Gv = stats_and_products(first, form, u, v, factors)
-    g = np.concatenate(smoothed_gradient(first, u, v, Gu, Gv, opts.eps_singular, factors))
+    g = np.concatenate(smoothed_gradient(first, u, v, Gu, Gv, EPS_SINGULAR, factors))
     dual2 = _row_dots(g, form.riesz(g))
     reports: list[SolutionReport | None] = [None] * len(rows)
     for r, j in enumerate(live):
@@ -355,14 +340,14 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
         norm = math.sqrt(stats[r].norm2)
         # the system asks for u, w > 0: a component that vanished at every
         # interior node (a negative parameter drives it there) is no solution
-        converged = bool(hit_tol[r] and abs(phi1) <= opts.tol_manifold * stats[r].scale()
+        converged = bool(hit_tol[r] and abs(phi1) <= MANIFOLD_TOL * stats[r].scale()
                          and (phi2 < 0 if branch is Branch.MINUS else phi2 > 0)
                          and u[r].max() > 0 and v[r].max() > 0)
         reports[j] = SolutionReport(
             branch=branch,
             pair=GridPair.from_arrays(first.grid, np.pad(u[r], 1), np.pad(v[r], 1)),
             J=trajectories[r][-1][0], norm=norm, phi1=phi1, phi2=phi2, t_used=t_used[r],
-            iters=iters[r], converged=converged, restarts_used=0,
+            iters=iters[r], converged=converged, restarts_used=1,
             stationarity=math.sqrt(max(float(dual2[r]), 0.0)) / norm,
             trajectory=trajectories[r])
     return reports
@@ -402,23 +387,25 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
                     continue
                 points.append(k)
                 row_branches.append(branch)
-    rows = (_descend(problems, points, form, row_branches, directions, opts)
-            if directions else [])
-    found: dict[tuple[Branch, int], list] = {(b, k): [] for b in branches
-                                             for k in range(len(problems))}
-    for k, branch, row in zip(points, row_branches, rows):
-        if row is not None:
-            found[branch, k].append(row)
+    reports, failed = (_descend(problems, points, form, row_branches, directions)
+                       if directions else ([], {}))
+    found: dict[tuple[int, Branch], list[SolutionReport]] = {
+        (k, b): [] for b in branches for k in range(len(problems))}
+    for key, report in zip(zip(points, row_branches), reports):
+        if report is not None:
+            found[key].append(report)
     results: dict[Branch, list[SolutionReport | NehariError]] = {b: [] for b in branches}
-    for (branch, _), reports in found.items():
-        if not reports:
-            results[branch].append(NoAdmissibleDirection(
+    for (k, branch), reached in found.items():
+        if (k, branch) in failed:
+            result = failed[k, branch]
+        elif not reached:
+            result = NoAdmissibleDirection(
                 f"all {opts.restarts} restarts failed to reach branch {branch.value}; "
-                "the parameter pair may be far outside the admissible region"))
-        elif isinstance(reports[0], NehariError):
-            results[branch].append(reports[0])
+                "the parameter pair may be far outside the admissible region")
         else:
-            results[branch].append(min(reports, key=lambda r: (r.J, _residual(r), r.iters)))
+            result = min(reached, key=lambda r: (r.J, _residual(r), r.iters))
+            result.restarts_used = len(reached)
+        results[branch].append(result)
     return results
 
 

@@ -3,7 +3,7 @@ and the discrete inequality chains.
 
 Nothing here reuses the assembly path of the form module: the norm oracle
 is a punctured midpoint double sum on a refined grid, and the inequality
-suite evaluates both sides of each bound from raw nodal data.
+suite evaluates each bound from raw nodal data and the constants report.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .energy import pair_stats
 from .errors import AllMasked, CandidateNotIncluded
 from .form import GagliardoForm, same_cell_integral
 from .problem import GridPair, GridSpec, ValidatedProblem
-from .thresholds import lambda_aggregate, q_star, rayleigh_quotient, weight_norm
+from .thresholds import ConstantsReport, rayleigh_quotient, weight_norm
 
 
 def brute_force_norm(grid: GridSpec, s: float, u: np.ndarray, refine: int) -> float:
@@ -139,17 +139,18 @@ _SLACK = 1e-12
 
 
 def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
-                     pair: GridPair, S_est: float) -> CheckList:
-    """Evaluate the discrete inequality chains on one pair.
+                     pair: GridPair, constants: ConstantsReport) -> CheckList:
+    """Evaluate the discrete inequality chains on one pair, with the
+    problem's constants report (S, the weight norm of f, Lambda, b_sup).
 
-    Requires S_est not to exceed the Rayleigh quotient of either component
-    (guaranteed when both were included in the estimate's candidate set);
-    raises CandidateNotIncluded otherwise. The energy lower bound is only
-    asserted for pairs on the manifold; off-manifold pairs record it as
-    trivially satisfied.
+    Requires the report's S not to exceed the Rayleigh quotient of either
+    component (guaranteed when both were included in the estimate's
+    candidate set); raises CandidateNotIncluded otherwise. The energy lower
+    bound is only asserted for pairs on the manifold; off-manifold pairs
+    record it as trivially satisfied.
     """
-    q, al, be = problem.q, problem.alpha, problem.beta
-    ab = al + be
+    q, ab = problem.q, problem.alpha + problem.beta
+    S_est, f_norm, Lambda = constants.S, constants.f_norm, constants.Lambda
     w = problem.quad_weights()
     st = pair_stats(problem, form, pair)
     norm = np.sqrt(st.norm2)
@@ -162,12 +163,6 @@ def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
                     f"S estimate {S_est} exceeds the quotient {quot} of component {name}"
                 )
 
-    qs = q_star(al, be, q)
-    f_norm = weight_norm(qs, problem.f_vals, w)
-    g_norm = weight_norm(qs, problem.g_vals, w)
-    Lambda = lambda_aggregate(problem.lam, problem.mu, f_norm, g_norm, q)
-    b_sup = float(np.max(np.maximum(problem.b_vals, 0.0)))
-
     checks = []
 
     def add(name, ok, lhs, rhs):
@@ -178,7 +173,7 @@ def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
     add("singular_term_bound", st.K <= rhs_e2 * (1 + _SLACK) + _SLACK, st.K, rhs_e2)
 
     # coupling integral against the sup-weight embedding bound
-    rhs_e3 = b_sup * (norm / np.sqrt(S_est)) ** ab
+    rhs_e3 = constants.b_sup * (norm / np.sqrt(S_est)) ** ab
     add("coupling_term_bound", st.B <= rhs_e3 * (1 + _SLACK) + _SLACK, st.B, rhs_e3)
 
     # energy lower bound on the manifold

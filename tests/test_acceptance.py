@@ -6,6 +6,7 @@ s = 0.4, q = 0.5, alpha = beta = 1.5, lambda = mu = 0.01, f = g = 1,
 b = cos(pi x).
 """
 
+import dataclasses
 import json
 import math
 
@@ -240,7 +241,7 @@ def test_criterion_8_inequality_chains(fixture128):
 
     # final solutions and 50 random manifold members, full check list
     for rep in (plus, minus):
-        if not nf.inequality_suite(problem, form, rep.pair, constants.S).all_ok:
+        if not nf.inequality_suite(problem, form, rep.pair, constants).all_ok:
             violations += 1
     rng = np.random.default_rng(8)
     done = 0
@@ -258,7 +259,8 @@ def test_criterion_8_inequality_chains(fixture128):
         member = pair.scaled(roots.t1)
         S_est = nf.estimate_S(form, ab, nf.default_candidates(problem.grid)
                               + [member.u.values, member.w.values])
-        if not nf.inequality_suite(problem, form, member, S_est).all_ok:
+        if not nf.inequality_suite(problem, form, member,
+                                   dataclasses.replace(constants, S=S_est)).all_ok:
             violations += 1
     n_iter = len(plus.trajectory) + len(minus.trajectory)
     verdict(8, violations == 0,

@@ -12,6 +12,7 @@ import neharifrac as nf
 from neharifrac import cli
 from neharifrac import form as form_mod
 from neharifrac.errors import NehariError
+from neharifrac import solver
 from neharifrac import thresholds
 
 
@@ -82,11 +83,12 @@ def test_nonfinite_parameter_is_a_validation_error(tmp_path, capsys, command, va
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_nonfinite_solver_option_is_a_validation_error(tmp_path, capsys, value):
-    path = write_config(tmp_path, {"solver": {"step": value}})
-    assert cli.main(["solve", path, "--out", str(tmp_path / "run")]) == 3
-    captured = capsys.readouterr()
-    assert captured.err.startswith("validation error:") and "step" in captured.err
-    assert captured.out == ""
+    for option in ("seed", "restarts"):
+        path = write_config(tmp_path, {"solver": {option: value}})
+        assert cli.main(["solve", path, "--out", str(tmp_path / "run")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("validation error:") and option in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("override", [
@@ -115,14 +117,33 @@ def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, override):
     assert not (tmp_path / "run").exists() and not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("option,value", [("max_iters", 2.5), ("restarts", 1.5),
-                                          ("seed", 0.5), ("restarts", "3"), ("seed", -1)])
+@pytest.mark.parametrize("option,value", [("restarts", 1.5), ("seed", 0.5), ("restarts", "3"),
+                                          ("seed", -1)])
 def test_non_integer_solver_option_is_a_validation_error(tmp_path, capsys, option, value):
     path = write_config(tmp_path, {"solver": {option: value}})
     assert cli.main(["solve", path, "--out", str(tmp_path / "run")]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("validation error:") and option in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("option,value", [("max_iters", 2000), ("step", 0.5),
+                                          ("tol_energy", 1e-10), ("tol_manifold", 1e-8),
+                                          ("eps_singular", 1e-8)])
+def test_removed_solver_option_is_a_config_error(tmp_path, capsys, option, value):
+    # the solver block takes seed and restarts alone; the descent's other
+    # settings are module constants, so a config that sets one, even to the
+    # value it used to default to, fails before anything is written
+    path = write_config(tmp_path, {"solver": {option: value}})
+    commands = [["solve", path, "--out", str(tmp_path / "run")],
+                ["sweep", path, "--lambdas", "0.01", "--mus", "0.01",
+                 "--out", str(tmp_path / "sweep.csv")]]
+    for argv in commands:
+        assert cli.main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: unknown solver option:")
+        assert repr(option) in captured.err and captured.out == ""
+    assert not (tmp_path / "run").exists() and not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep", "fiber"])
@@ -228,9 +249,10 @@ def test_solve_exit_code_no_direction(tmp_path, capsys, branch):
     assert not out.exists()
 
 
-def test_solve_exit_code_not_converged(tmp_path):
-    path = write_config(tmp_path, {"solver": {"max_iters": 1, "restarts": 1,
-                                              "tol_manifold": 1e-300}})
+def test_solve_exit_code_not_converged(monkeypatch, tmp_path):
+    # one iteration stops no row on its energy tolerance
+    monkeypatch.setattr(solver, "MAX_ITERS", 1)
+    path = write_config(tmp_path, {"solver": {"restarts": 1}})
     out = tmp_path / "u"
     assert cli.main(["solve", path, "--branch", "plus", "--out", str(out)]) == 5
     assert cli.main(["solve", path, "--branch", "plus", "--out", str(out),
@@ -732,6 +754,18 @@ def test_problem_hash_canonicalization():
     assert cli.problem_hash(a) == cli.problem_hash(b)
     c = {"s": 0.41, "grid": {"left": -1.0, "right": 1.0, "cells": 8}}
     assert cli.problem_hash(a) != cli.problem_hash(c)
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys):
+    # every call after the first parses with the parser the first one built
+    path = write_config(tmp_path)
+    cli.build_parser.cache_clear()
+    assert cli.main(["assemble", path]) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == 48
+    assert cli.main(["constants", path]) == 0
+    assert "Lambda" in json.loads(capsys.readouterr().out)
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_readme_command_lines_parse():

@@ -268,3 +268,24 @@ def test_kernel_against_gridpair_oracle(problem64, form64, asymmetric):
         raw_u, raw_v = smoothed_gradient(problem, u, v, Gu[0], Gv[0], eps)
         assert np.array_equal(raw_u, grad.u.values[1:-1])
         assert np.array_equal(raw_v, grad.w.values[1:-1])
+
+
+def test_row_sums_do_not_depend_on_the_block():
+    # numpy's einsum buffers a reduction over rows of more than 8192
+    # elements, and then row 0 of a one-row block summed in another order
+    # than in a wider one; every per-row sum of the descent (K, B, norm2
+    # and the stacked dots) must give a row the same bytes in any block
+    from neharifrac import solver
+    problem = nf.validate_params(make_spec(cells=16384))
+    form = nf.assemble_form(problem.grid, problem.s)
+    n = problem.grid.cells - 1
+    u, v = np.random.default_rng(0).uniform(0.5, 1.5, (2, 16, n))
+    factors = tuple(np.tile(f, (16, 1)) for f in problem.weighted_coefficients[:2])
+    firsts = []
+    for rows in (1, 2, 16):
+        stats, _, _ = stats_and_products(problem, form, u[:rows], v[:rows],
+                                         tuple(f[:rows] for f in factors))
+        dots = solver._row_dots(np.concatenate([u[:rows], v[:rows]]),
+                                np.concatenate([v[:rows], u[:rows]]))
+        firsts.append((stats[0], dots[0]))
+    assert firsts[0] == firsts[1] == firsts[2]

@@ -16,10 +16,12 @@ from neharifrac.thresholds import rho_coefficients
 from conftest import make_spec, reference_gradient, reference_stats
 
 
-def _descend_point(problem, form, branch, directions, opts):
+def _descend_point(problem, form, branch, directions):
     # the block descent with every direction a restart of one problem on one branch
-    return solver._descend([problem], [0] * len(directions), form, [branch] * len(directions),
-                           directions, opts)
+    reports, failed = solver._descend([problem], [0] * len(directions), form,
+                                      [branch] * len(directions), directions)
+    assert not failed
+    return reports
 
 
 def test_initial_direction_properties(problem64, form64):
@@ -115,7 +117,7 @@ def test_norm_bounds_vs_gap_radii(solved64, constants64):
 
 
 def test_determinism_identical_reports(problem64, form64):
-    opts = nf.SolverOptions(seed=11, restarts=2, max_iters=400)
+    opts = nf.SolverOptions(seed=11, restarts=2)
     a = nf.solve_branch(problem64, form64, nf.Branch.PLUS, opts)
     b = nf.solve_branch(problem64, form64, nf.Branch.PLUS, opts)
     assert a.J == b.J
@@ -127,7 +129,7 @@ def test_determinism_identical_reports(problem64, form64):
 
 def test_symmetric_problem_keeps_components_equal(problem64, form64):
     # f = g, lambda = mu, alpha = beta and a symmetric seed
-    opts = nf.SolverOptions(seed=3, restarts=1, max_iters=600)
+    opts = nf.SolverOptions(seed=3, restarts=1)
     rep = nf.solve_branch(problem64, form64, nf.Branch.PLUS, opts)
     assert np.max(np.abs(rep.pair.u.values - rep.pair.w.values)) <= 1e-12
     rep_m = nf.solve_branch(problem64, form64, nf.Branch.MINUS, opts)
@@ -184,21 +186,29 @@ def test_no_iterate_lands_in_degenerate_set(problem64, form64, solved64):
 
 
 def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        nf.SolverOptions(max_iters=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="restarts"):
         nf.SolverOptions(restarts=0)
-    with pytest.raises(ValueError):
-        nf.SolverOptions(step=-1.0)
     # numpy's generator would reject a negative seed with its own error
     with pytest.raises(ValueError, match="seed"):
         nf.SolverOptions(seed=-1)
 
 
+@pytest.mark.parametrize("option,value", [("max_iters", 2000), ("step", 0.5),
+                                          ("tol_energy", 1e-10), ("tol_manifold", 1e-8),
+                                          ("eps_singular", 1e-8)])
+def test_removed_solver_options_are_refused(option, value):
+    # the descent's fixed settings are module constants, not options, so
+    # even the value an option used to default to is refused
+    with pytest.raises(TypeError, match=option):
+        nf.SolverOptions(**{option: value})
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("option", ["step", "tol_energy", "tol_manifold", "eps_singular"])
 def test_solver_options_reject_nonfinite(option, value):
-    with pytest.raises(ValueError, match=option):
+    # these settings are module constants now, so a non-finite value for one
+    # is refused as an unknown option rather than reaching the descent
+    with pytest.raises(TypeError, match=option):
         nf.SolverOptions(**{option: value})
 
 
@@ -325,7 +335,7 @@ def test_every_restart_stops_within_the_bb_iteration_bounds(cells):
     for branch, bound in ((nf.Branch.PLUS, 12), (nf.Branch.MINUS, 28)):
         directions = [nf.initial_direction(p, np.random.default_rng(opts.seed + i), branch)
                       for i in range(opts.restarts)]
-        for report in _descend_point(p, form, branch, directions, opts):
+        for report in _descend_point(p, form, branch, directions):
             assert report.converged and report.iters <= bound
 
 
@@ -339,7 +349,7 @@ def test_alternation_damps_the_stiff_antisymmetric_mode(problem128, form128):
     u = start.u.values
     w = u * (1 + 1e-8 * np.sin(np.pi * problem128.grid.nodes()))
     [report] = _descend_point(problem128, form128, nf.Branch.MINUS,
-                        [nf.GridPair.from_arrays(problem128.grid, u, w)], opts)
+                              [nf.GridPair.from_arrays(problem128.grid, u, w)])
     assert report.converged
     assert np.max(np.abs(report.pair.u.values - report.pair.w.values)) <= 1e-10
 
@@ -365,15 +375,15 @@ def test_negative_parameter_branches():
     assert minus.J <= J_oracle + 1e-8 * abs(J_oracle)
 
 
-def _descend_gridpair_reference(problem, form, riesz, branch, direction, opts):
+def _descend_gridpair_reference(problem, form, riesz, branch, direction):
     """The Sobolev descent as it ran on GridPair objects before the loop
     moved to raw arrays, kept as an oracle: every trial and every gradient
     recomputed from the full nodal arrays by the replaced formulas. The
-    first trial step follows the solver's rule: opts.step, and on odd
+    first trial step follows the solver's rule: solver.STEP, and on odd
     iterations from the third on the BB2 step s'dg / dd'dg of the pair's
     changes in iterate, gradient and Riesz representative, floored at
-    opts.step. Returns (iterations, final energy), or None if the direction
-    admits no branch scaling."""
+    solver.STEP. Returns (iterations, final energy), or None if the
+    direction admits no branch scaling."""
     q, ab = problem.q, problem.alpha + problem.beta
 
     def stats(pair):
@@ -387,21 +397,21 @@ def _descend_gridpair_reference(problem, form, riesz, branch, direction, opts):
     J_cur = st.norm2 / 2 - st.K / (1 - q) - st.B / ab
     iters = 0
     previous = None
-    for iters in range(1, opts.max_iters + 1):
-        gu, gv = reference_gradient(problem, form, pair, opts.eps_singular)
+    for iters in range(1, solver.MAX_ITERS + 1):
+        gu, gv = reference_gradient(problem, form, pair, solver.EPS_SINGULAR)
         du = np.zeros(problem.grid.node_count)
         dv = np.zeros(problem.grid.node_count)
         du[1:-1] = riesz @ gu[1:-1]
         dv[1:-1] = riesz @ gv[1:-1]
         x = np.concatenate([pair.u.values, pair.w.values])
         g, d = np.concatenate([gu, gv]), np.concatenate([du, dv])
-        step = opts.step
+        step = solver.STEP
         if iters % 2 == 1 and iters >= 3:
             x_prev, g_prev, d_prev = previous
             sy = float((x - x_prev) @ (g - g_prev))
             yy = float((d - d_prev) @ (g - g_prev))
             if sy > 0 and yy > 0 and math.isfinite(sy / yy):
-                step = max(sy / yy, opts.step)
+                step = max(sy / yy, solver.STEP)
         previous = x, g, d
         rel_drop = None
         while step > 1e-16:
@@ -421,7 +431,7 @@ def _descend_gridpair_reference(problem, form, riesz, branch, direction, opts):
                 J_cur = J_new
                 break
             step *= 0.5
-        if rel_drop is None or rel_drop < opts.tol_energy:
+        if rel_drop is None or rel_drop < solver.TOL_ENERGY:
             break
     return iters, J_cur
 
@@ -438,15 +448,13 @@ def test_array_descent_against_gridpair_oracle(cells, problem64, form64):
         form = nf.assemble_form(problem.grid, problem.s)
         seeds = range(8)
     riesz = riesz_map(form)
-    opts = nf.SolverOptions()
     for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
         directions = [nf.initial_direction(problem, np.random.default_rng(seed), branch)
                       for seed in seeds]
-        results = _descend_point(problem, form, branch, directions, opts)
+        results = _descend_point(problem, form, branch, directions)
         assert len(results) == len(directions)
         for direction, result in zip(directions, results):
-            oracle = _descend_gridpair_reference(problem, form, riesz, branch,
-                                                 direction, opts)
+            oracle = _descend_gridpair_reference(problem, form, riesz, branch, direction)
             assert oracle is not None and result is not None
             iters, J = oracle
             assert result.iters == iters
@@ -468,20 +476,20 @@ def test_block_rows_do_not_depend_on_each_other(monkeypatch, problem64, matrix_f
     # product rounds by the block's width, so there it is to roundoff. A
     # first step of 8 makes the rows halve it, each by its own count
     monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", 2 if matrix_free else 10**9)
+    monkeypatch.setattr(solver, "STEP", step)
     form = nf.assemble_form(problem64.grid, problem64.s)
     assert form.matrix_free is matrix_free
-    opts = nf.SolverOptions(step=step)
     for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
         directions = [nf.initial_direction(problem64, np.random.default_rng(seed), branch)
                       for seed in range(8, 12)]
-        block = _descend_point(problem64, form, branch, directions, opts)
+        block = _descend_point(problem64, form, branch, directions)
         assert len({result.iters for result in block}) > 1  # rows stop apart
         padded = _descend_point(problem64, form, branch,
-                          directions[:2] + [_zero_direction(problem64)] + directions[2:], opts)
+                                directions[:2] + [_zero_direction(problem64)] + directions[2:])
         assert padded[2] is None
         zero = [_zero_direction(problem64)]
-        assert _descend_point(problem64, form, branch, zero, opts) == [None]
-        lone = [_descend_point(problem64, form, branch, [d], opts)[0] for d in directions]
+        assert _descend_point(problem64, form, branch, zero) == [None]
+        lone = [_descend_point(problem64, form, branch, [d])[0] for d in directions]
         for other in (padded[:2] + padded[3:], lone):
             for a, b in zip(block, other):
                 assert a.iters == b.iters and a.converged == b.converged
@@ -501,35 +509,37 @@ def test_every_row_reports_its_stationarity(monkeypatch, problem64, matrix_free)
     # At 40 iterations the plus rows stop on the energy tolerance and the
     # minus rows are cut off before it
     monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", 2 if matrix_free else 10**9)
+    monkeypatch.setattr(solver, "MAX_ITERS", 40)
     form = nf.assemble_form(problem64.grid, problem64.s)
     assert form.matrix_free is matrix_free
-    opts = nf.SolverOptions(max_iters=40)
     for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
         directions = [nf.initial_direction(problem64, np.random.default_rng(seed), branch)
                       for seed in range(4)]
-        reports = _descend_point(problem64, form, branch, directions, opts)
+        reports = _descend_point(problem64, form, branch, directions)
         for report in reports:
-            assert report.branch is branch and report.restarts_used == len(directions)
+            # a row's report is that of its one restart
+            assert report.branch is branch and report.restarts_used == 1
             u, v = report.pair.u.values[1:-1], report.pair.w.values[1:-1]
             gu, gv = smoothed_gradient(problem64, u, v, form.apply(u), form.apply(v),
-                                       opts.eps_singular)
+                                       solver.EPS_SINGULAR)
             g = np.array([gu, gv])
             expected = math.sqrt(float(np.sum(g * form.riesz(g)))) / report.norm
             assert report.stationarity == pytest.approx(expected, rel=1e-9)
 
 
-def test_block_stops_rows_at_the_step_floor_and_at_max_iters(problem64, form64):
+def test_block_stops_rows_at_the_step_floor_and_at_max_iters(monkeypatch, problem64, form64):
     directions = [nf.initial_direction(problem64, np.random.default_rng(seed), nf.Branch.MINUS)
                   for seed in range(3)]
     # a first step at the floor tries nothing: each row stops at once on
     # its projected start
-    start = _descend_point(problem64, form64, nf.Branch.MINUS, directions,
-                     nf.SolverOptions(step=1e-16))
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "STEP", 1e-16)
+        start = _descend_point(problem64, form64, nf.Branch.MINUS, directions)
     for result in start:
         assert result.iters == 1 and len(result.trajectory) == 1
-    # a row cut off by max_iters reports exactly max_iters, unconverged
-    capped = _descend_point(problem64, form64, nf.Branch.MINUS, directions,
-                      nf.SolverOptions(max_iters=3))
+    # a row cut off by MAX_ITERS reports exactly MAX_ITERS, unconverged
+    monkeypatch.setattr(solver, "MAX_ITERS", 3)
+    capped = _descend_point(problem64, form64, nf.Branch.MINUS, directions)
     for result in capped:
         assert result.iters == 3 and len(result.trajectory) == 4
         assert not result.converged
@@ -648,7 +658,6 @@ def test_rows_split_into_blocks_come_out_as_unsplit(monkeypatch):
     problems = [nf.validate_params(make_spec(cells=32)),
                 nf.validate_params(make_spec(cells=32, lam=100.0, mu=100.0))]
     form = nf.assemble_form(problems[0].grid, problems[0].s)
-    opts = nf.SolverOptions(restarts=2)
     points, branches, directions = [], [], []
     for branch in nf.Branch:
         for k, problem in enumerate(problems):
@@ -661,7 +670,7 @@ def test_rows_split_into_blocks_come_out_as_unsplit(monkeypatch):
     root = solver.branch_root
     monkeypatch.setattr(solver, "branch_root",
                         lambda stats, *rest: seen.append(stats) or root(stats, *rest))
-    solver._descend(problems, points, form, branches, directions, opts)
+    solver._descend(problems, points, form, branches, directions)
     # the projected starts of the second point's rows 2, 3, 6 and 7
     starts = [stats for stats in seen[:len(directions)] if stats.K > 1.0]
     assert len(starts) == 4
@@ -672,24 +681,29 @@ def test_rows_split_into_blocks_come_out_as_unsplit(monkeypatch):
         return root(stats, q, ab, upper)
 
     monkeypatch.setattr(solver, "branch_root", fragile)
-    whole = solver._descend(problems, points, form, branches, directions, opts)
+    whole, whole_failed = solver._descend(problems, points, form, branches, directions)
     widths = []
     descend_block = solver._descend_block
     monkeypatch.setattr(solver, "_descend_block", lambda *args: widths.append(len(args[3]))
                         or descend_block(*args))
     monkeypatch.setattr(solver, "BLOCK_ELEMENTS", 3 * (32 - 1))
-    split = solver._descend(problems, points, form, branches, directions, opts)
+    split, split_failed = solver._descend(problems, points, form, branches, directions)
     assert widths == [3, 3, 2]
-    assert [str(split[i]) for i in (2, 3)] == [repr(starts[1])] * 2
-    assert [str(split[i]) for i in (6, 7)] == [repr(starts[2])] * 2
-    for a, b in zip(whole, split):
-        if isinstance(a, NoBracket):
-            assert type(b) is NoBracket and str(a) == str(b)
+    expected = {(1, nf.Branch.PLUS): repr(starts[1]), (1, nf.Branch.MINUS): repr(starts[2])}
+    for failed in (whole_failed, split_failed):
+        assert all(type(exc) is NoBracket for exc in failed.values())
+        assert {key: str(exc) for key, exc in failed.items()} == expected
+    # the rows that raised at their projected start reach no branch
+    assert [i for i, a in enumerate(split) if a is None] == [3, 6, 7]
+    for i, (a, b) in enumerate(zip(whole, split)):
+        if a is None:
+            assert b is None
             continue
-        assert a.branch is b.branch and a.converged and b.converged
+        assert a.branch is b.branch and a.converged == b.converged
+        assert a.converged or points[i] == 1
         assert (a.iters, a.J, a.norm, a.phi1, a.phi2, a.t_used) == (
             b.iters, b.J, b.norm, b.phi1, b.phi2, b.t_used)
-        assert a.restarts_used == b.restarts_used == 2
+        assert a.restarts_used == b.restarts_used == 1
         assert a.stationarity == b.stationarity and a.trajectory == b.trajectory
         assert np.array_equal(a.pair.u.values, b.pair.u.values)
         assert np.array_equal(a.pair.w.values, b.pair.w.values)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -93,32 +95,20 @@ def test_weak_residual_all_masked(problem64, form64):
         nf.weak_residual(problem64, form64, pair, delta=1e9)
 
 
-def test_weak_residual_not_larger_at_stricter_tolerance(problem64, form64):
-    loose = nf.SolverOptions(seed=5, restarts=1, tol_manifold=1e-6)
-    strict = nf.SolverOptions(seed=5, restarts=1, tol_manifold=1e-8)
-    a = nf.solve_branch(problem64, form64, nf.Branch.PLUS, loose)
-    b = nf.solve_branch(problem64, form64, nf.Branch.PLUS, strict)
-    delta = 1e-4 * float(np.max(b.pair.u.values))
-    res_a = nf.weak_residual(problem64, form64, a.pair, delta)
-    res_b = nf.weak_residual(problem64, form64, b.pair, delta)
-    assert res_b.res_u <= res_a.res_u
-    assert res_b.res_w <= res_a.res_w
-
-
 def test_inequality_suite_on_solutions(problem64, form64, solved64, constants64):
     for rep in solved64:
-        checks = nf.inequality_suite(problem64, form64, rep.pair, constants64.S)
+        checks = nf.inequality_suite(problem64, form64, rep.pair, constants64)
         assert checks.all_ok, checks.as_dict()
 
 
 def test_inequality_suite_zero_pair(problem64, form64, constants64):
     pair = nf.GridPair(nf.GridFunction.zero(problem64.grid),
                        nf.GridFunction.zero(problem64.grid))
-    checks = nf.inequality_suite(problem64, form64, pair, constants64.S)
+    checks = nf.inequality_suite(problem64, form64, pair, constants64)
     assert checks.all_ok
 
 
-def test_inequality_suite_random_projected_pairs(problem64, form64):
+def test_inequality_suite_random_projected_pairs(problem64, form64, constants64):
     # manifold members built by projection; the estimate must include the
     # components for the embedding step to be guaranteed
     rng = np.random.default_rng(3)
@@ -140,16 +130,18 @@ def test_inequality_suite_random_projected_pairs(problem64, form64):
         S_est = nf.estimate_S(form64, ab,
                               nf.default_candidates(problem64.grid)
                               + [member.u.values, member.w.values])
-        checks = nf.inequality_suite(problem64, form64, member, S_est)
+        checks = nf.inequality_suite(problem64, form64, member,
+                                     dataclasses.replace(constants64, S=S_est))
         assert checks.all_ok, checks.as_dict()
 
 
-def test_inequality_suite_rejects_bad_estimate(problem64, form64):
+def test_inequality_suite_rejects_bad_estimate(problem64, form64, constants64):
     pair = bump_pair(problem64, 0.0, 0.35)
     quot = min(rayleigh_quotient(form64, 3.0, pair.u.values),
                rayleigh_quotient(form64, 3.0, pair.w.values))
+    bad = dataclasses.replace(constants64, S=quot * 2.0)
     with pytest.raises(CandidateNotIncluded):
-        nf.inequality_suite(problem64, form64, pair, S_est=quot * 2.0)
+        nf.inequality_suite(problem64, form64, pair, bad)
 
 
 def test_discrete_hoelder_on_random_functions(problem64):
