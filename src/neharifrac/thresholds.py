@@ -7,9 +7,12 @@ the discrete Rayleigh-type quotient
     Q(u) = u' G u / (sum_i w_i |u_i|^r)^{2/r},        r = alpha + beta,
 
 over the nodal functions: the candidates bound it by their quotients, and
-one inverse iteration of two starts fixed by the grid refines it.
-The estimate is an upper bound for the discrete infimum and never exceeds
-the quotient of any supplied candidate, which the inequality checks use.
+one inverse iteration of two starts fixed by the grid refines it (Hein &
+Buehler, NIPS 2010), each iteration extrapolated by a secant step, which is
+Anderson's method of depth 1 (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM
+J. Numer. Anal. 49, 2011). The estimate is an upper bound for the discrete
+infimum and never exceeds the quotient of any supplied candidate, which
+the inequality checks use.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ from .form import GagliardoForm
 from .problem import GridFunction, GridSpec, ValidatedProblem
 
 # a row of the inverse iteration stops once its quotient drops by less than
-# this, relatively, in one step. Probes over the edges of the admissible
-# (s, alpha+beta) window took at most 93 iterations at 512 cells and 122 at
-# 16384, so reaching the cap means something is wrong
+# this, relatively, in one step. Probes 1% inside either end of the
+# admissible (s, alpha+beta) window, s from 0.17 to 0.4999 and alpha+beta
+# capped at 40, took at most 26 iterations at 512 cells and 38 at 16384 (91
+# and 142 without the secant step), so reaching the cap means something is
+# wrong
 S_RTOL = 1e-13
 MAX_INVERSE_ITERATIONS = 500
 
@@ -153,48 +158,91 @@ def rayleigh_quotient(form: GagliardoForm, r: float, values: np.ndarray) -> floa
     return num / den
 
 
+def _quotients(x: np.ndarray, gx: np.ndarray, w: np.ndarray, r: float
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's quotient from its product gx with G, and |x|^{r-1}.
+
+    Every sum is a product summed along the row, never einsum or a matrix
+    product, so a row's quotient does not depend on the other rows.
+    """
+    magnitude = np.abs(x)
+    power = magnitude ** (r - 1)
+    magnitude *= power
+    magnitude *= w
+    return (x * gx).sum(axis=1) / magnitude.sum(axis=1) ** (2.0 / r), power
+
+
+def _secant_step(y: np.ndarray, gy: np.ndarray, f: np.ndarray, previous, w: np.ndarray,
+                 r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's quotient, next iterate and |iterate|^{r-1}: y, or the
+    secant candidate z = y - gamma (y - y') if its quotient is lower, so S
+    stays the quotient of an actual vector.
+
+    f = y - v is the map's residual, and previous the rows' (y', G y', f')
+    of the last iteration (None on the first). gamma = <f - f', f> /
+    |f - f'|^2 least-squares the extrapolated residual, and G z = G y -
+    gamma (G y - G y') by linearity. A gamma that is not finite gives z a
+    NaN quotient, so y stays.
+    """
+    if previous is None:
+        quotient, power = _quotients(y, gy, w, r)
+        return quotient, y, power
+    y_prev, gy_prev, f_prev = previous
+    df = f - f_prev
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = ((df * f).sum(axis=1) / (df * df).sum(axis=1))[:, None]
+        x = np.concatenate([y, y - gamma * (y - y_prev)])
+        gx = np.concatenate([gy, gy - gamma * (gy - gy_prev)])
+    quotients, powers = _quotients(x, gx, w, r)
+    k = len(y)
+    pick = np.arange(k) + k * (quotients[k:] < quotients[:k])
+    return quotients[pick], x[pick], powers[pick]
+
+
 def _inverse_iteration(form: GagliardoForm, r: float, *starts: np.ndarray) -> float:
     """Least quotient of the starts' iterates v <- G^{-1}(w |v|^{r-2} v), normalized.
 
     This is the nonlinear inverse power method for the quotient (Hein &
     Buehler, NIPS 2010), a Sobolev-gradient step of length 1, and its
-    iteration count does not grow with the grid. In exact arithmetic the
-    quotient decreases at every step; rounding can raise it near
-    convergence, so only decreases are accepted. The starts are the rows
-    of one block solve, and a row leaves the block once its own quotient
-    drops by less than S_RTOL, so it ends as it would alone.
+    iteration count does not grow with the grid. It converges linearly at a
+    steady rate, so every iteration takes _secant_step, Anderson's
+    extrapolation of depth 1 (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM
+    J. Numer. Anal. 49, 2011). Rounding can raise the quotient near
+    convergence, so only decreases are accepted. The starts are the rows of
+    one block solve; a row leaves it once its own quotient drops by less
+    than S_RTOL, and its sums do not depend on the other rows, so it ends
+    as it would alone.
 
     Each iteration costs one Riesz map and no product with G: for
-    y = G^{-1} rhs scaled by c = max|y|, G (y/c) = rhs/c, so the quotient's
-    numerator is y.rhs/c with y the scaled iterate. Only the starts' first
-    quotients take a product. A row that has not stopped after
+    y = G^{-1} rhs scaled by c = max|y|, G (y/c) = rhs/c. Only the starts'
+    first quotients take a product. A row that has not stopped after
     MAX_INVERSE_ITERATIONS raises InverseIterationNotConverged: S read from
     an unfinished iteration is too high, and so is the threshold C.
     """
     w = form.quad_weights[1:-1]
     v = np.array([values[1:-1] for values in starts])
     v /= np.abs(v).max(axis=1, keepdims=True)
-    magnitude = np.abs(v)
-    power = magnitude ** (r - 1)
-    best = np.einsum("ij,ij->i", v, form.apply(v)) / ((power * magnitude) @ w) ** (2.0 / r)
+    best, power = _quotients(v, form.apply(v), w, r)
     rows = np.arange(len(v))  # the rows still refining
     rhs = w * np.copysign(power, v)
+    previous = None
     for _ in range(MAX_INVERSE_ITERATIONS):
         y = form.riesz(rhs)
-        peak = np.abs(y).max(axis=1)
-        y /= peak[:, None]
-        magnitude = np.abs(y)
-        power = magnitude ** (r - 1)
-        quotient = (np.einsum("ij,ij->i", y, rhs) / peak
-                    / ((power * magnitude) @ w) ** (2.0 / r))
-        drop = (best[rows] - quotient) / best[rows]
-        fell = drop > 0
-        best[rows[fell]] = quotient[fell]
+        peak = np.abs(y).max(axis=1, keepdims=True)
+        y /= peak
+        rhs /= peak  # now G y
+        f = y - v
+        quotient, v, power = _secant_step(y, rhs, f, previous, w, r)
+        last = best[rows]
+        drop = (last - quotient) / last
+        best[rows] = np.fmin(last, quotient)
         going = drop >= S_RTOL
         if not np.any(going):
             return float(best.min())
-        rows = rows[going]
-        rhs = w * np.copysign(power[going], y[going])
+        if not np.all(going):
+            rows, v, power, y, rhs, f = (a[going] for a in (rows, v, power, y, rhs, f))
+        previous = y, rhs, f
+        rhs = w * np.copysign(power, v)
     raise InverseIterationNotConverged(
         f"the inverse iteration for S still dropped by {drop.max():.3g} relatively after "
         f"{MAX_INVERSE_ITERATIONS} iterations (cells={form.grid.cells}, s={form.s}, r={r}); "
