@@ -79,19 +79,20 @@ def singular_and_coupling(problem: ValidatedProblem, u: np.ndarray, v: np.ndarra
 
 def stats_and_products(problem: ValidatedProblem, form: GagliardoForm, u: np.ndarray,
                        v: np.ndarray, factors=None
-                       ) -> tuple[list[PairStats], np.ndarray, np.ndarray]:
-    """Pair statistics of each row pair of the interior nodal arrays (u, v),
-    with G u and G v; factors as in ``singular_and_coupling``.
+                       ) -> tuple[list[float], list[float], list[float], np.ndarray, np.ndarray]:
+    """The pair statistics norm2, K and B of each row pair of the interior
+    nodal arrays (u, v), as three lists of floats, with G u and G v; factors
+    as in ``singular_and_coupling``.
 
     The raw-array kernel behind ``pair_stats``: the block descent calls it
-    on all its trials at once and reuses the products for the gradient.
+    on all its trials at once, reads each row's three floats without an
+    object per row, and reuses the products for the gradient.
     """
     Gu = form.apply(u)
     Gv = form.apply(v)
     K, B = singular_and_coupling(problem, u, v, factors)
     norm2 = (u * Gu).sum(axis=-1) + (v * Gv).sum(axis=-1)
-    stats = [PairStats(*row) for row in zip(norm2.tolist(), K.tolist(), B.tolist())]
-    return stats, Gu, Gv
+    return norm2.tolist(), K.tolist(), B.tolist(), Gu, Gv
 
 
 def smoothed_gradient(problem: ValidatedProblem, u: np.ndarray, v: np.ndarray,
@@ -132,7 +133,8 @@ def B_value(problem: ValidatedProblem, pair: GridPair) -> float:
 
 def pair_stats(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> PairStats:
     u, v = _interior(form, pair)
-    return stats_and_products(problem, form, u[None], v[None])[0][0]
+    norm2, K, B, _, _ = stats_and_products(problem, form, u[None], v[None])
+    return PairStats(norm2[0], K[0], B[0])
 
 
 def energy(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> EnergyParts:

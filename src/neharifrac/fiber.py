@@ -19,9 +19,10 @@ from +infinity to -B: for B > 0 its one root is a fiber maximum
 (local-max branch), and for B <= 0 there is none.
 
 ``branch_root`` holds this case analysis and finds one root: t1, or the
-fiber maximum. psi is nonnegative at an anchor (t_max, or the root t0 of
-the K = 0 part when K <= 0) and changes sign once on the root's side of
-it. The bracket starts at t = 1, clipped to that side, since a descent
+fiber maximum (``root`` does the same from the statistics as three
+floats). psi is nonnegative at an anchor (t_max, or the root t0 of the
+K = 0 part when K <= 0) and changes sign once on the root's side of it.
+The bracket starts at t = 1, clipped to that side, since a descent
 trial lies one step from the manifold, and widens geometrically in
 x = log t until psi changes sign. Newton's method in x, where
 
@@ -109,9 +110,17 @@ def branch_root(stats: PairStats, q: float, ab: float, upper: bool) -> float | N
     upper=False asks for the fiber minimum t1 (local-min branch), upper=True
     for the fiber maximum: t2 for K > 0, the falling root for K <= 0.
     Raises NoBracket when rounding collapsed psi(t_max) although B <= 0, or
-    when psi changes no sign within the float range.
+    when psi changes no sign within the float range. ``root`` of the
+    stats' three floats.
     """
-    norm2, K, B = stats.norm2, stats.K, stats.B
+    return root(stats.norm2, stats.K, stats.B, q, ab, upper)
+
+
+def root(norm2: float, K: float, B: float, q: float, ab: float, upper: bool) -> float | None:
+    """``branch_root`` of the pair statistics given as floats: the block
+    descent calls it once per trial row, with no object per row. t_max and
+    psi(t_max) are inlined with the same operations as ``t_max`` and
+    ``psi``, so both give the same bytes."""
     if norm2 <= 0:
         return None
     e_n, e_k = 2 - ab, 1 - ab - q
@@ -124,8 +133,8 @@ def branch_root(stats: PairStats, q: float, ab: float, upper: bool) -> float | N
     else:
         if upper and B <= 0:
             return None  # a single root, the fiber minimum
-        tm = t_max(stats, q, ab)
-        if _psi(stats, e_n, e_k, tm) <= 0:
+        tm = ((ab - 1 + q) * K / ((ab - 2) * norm2)) ** (1 / (1 + q))
+        if tm ** e_n * norm2 - tm ** e_k * K - B <= 0:
             # exact arithmetic gives psi(t_max) > -B, so for B <= 0 only
             # rounding gets here
             if B <= 0:

@@ -25,11 +25,15 @@ keeps a small BB step from crawling.
 
 Every accepted iterate sits on its branch, so branch invariants are
 checkable at each step. Independent seeded restarts guard against bad
-initial directions; the best energy wins. The restarts are the rows of one
-block descent: each iteration applies G and the Riesz map to all of them at
+initial directions; the best energy wins. One sampler draws the
+directions of all restarts of a point and branch, each from its own seeded
+generator (``sample_directions``). The restarts are the rows of one block
+descent: each iteration applies G and the Riesz map to all of them at
 once, while each row keeps its own step, acceptance and stopping rule, so
-a row ends as it would in a descent of its own. Each row comes out as its
-own report, with the stationarity of its returned iterate. The rows may
+a row ends as it would in a descent of its own. A row's trial statistics
+stay floats, and each row comes out as arrays and floats, with the
+stationarity of its returned iterate; only the row that wins its point and
+branch becomes a ``SolutionReport`` with a ``GridPair``. The rows may
 come from several points (lambda, mu) of a sweep: the points share the
 grid, s, q, alpha, beta and b, and lambda and mu enter the energy only as
 per-row factors of the singular integrals. The two branches differ only in
@@ -50,6 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import (
+    PairStats,
     phi_from_stats,
     singular_and_coupling,
     smoothed_gradient,
@@ -61,7 +66,7 @@ from .errors import (
     NoAdmissibleDirection,
     NotConvergedInput,
 )
-from .fiber import MANIFOLD_TOL, branch_root
+from .fiber import MANIFOLD_TOL, root
 from .form import GagliardoForm
 from .problem import GridPair, ValidatedProblem
 from .thresholds import ConstantsReport
@@ -133,58 +138,106 @@ class GapReport:
     ordering_ok: bool
 
 
-def initial_direction(problem: ValidatedProblem, rng: np.random.Generator,
-                      branch: Branch = Branch.PLUS) -> GridPair:
-    """Random nonnegative direction pair with positive singular integral.
+def sample_directions(problem: ValidatedProblem, rngs: list[np.random.Generator],
+                      branch: Branch = Branch.PLUS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One random nonnegative direction pair with positive singular integral
+    per generator: the interior nodal arrays (u, w), a row per generator,
+    and whether each row found its direction within 1000 attempts (a row
+    that did not stays zero).
 
     Both components share one smooth bump profile (a symmetric seed), so a
     fully symmetric problem keeps u = w along the whole descent. For the
     local-max branch the bump is centered where the coupling weight is
-    positive so the coupling integral starts positive.
+    positive so the coupling integral starts positive. Each attempt draws a
+    center, a width and an amplitude from each pending row's own generator,
+    so a row's draws, and its direction, do not depend on the other rows;
+    the pending rows' profiles form one array, and each damping round takes
+    one ``singular_and_coupling`` call for the rows still damping.
     """
     grid = problem.grid
     x = grid.nodes()
     width_scale = grid.right - grid.left
     b_peak = x[int(np.argmax(problem.b_vals))]
-
+    x = x[1:-1]  # the boundary values stay zero
+    lo, hi = grid.left + 0.1 * width_scale, grid.right - 0.1 * width_scale
+    u = np.zeros((len(rngs), x.size))
+    v = np.zeros_like(u)
+    found = np.zeros(len(rngs), dtype=bool)
+    pending = np.arange(len(rngs))
     for _ in range(1000):
-        if branch is Branch.MINUS:
-            center = b_peak + 0.1 * width_scale * rng.standard_normal()
-        else:
-            center = rng.uniform(grid.left + 0.1 * width_scale,
-                                 grid.right - 0.1 * width_scale)
-        width = rng.uniform(0.08, 0.25) * width_scale
-        amp = rng.uniform(0.5, 1.5)
+        if not pending.size:
+            break
+        draws = []
+        for i in pending.tolist():
+            rng = rngs[i]
+            if branch is Branch.MINUS:
+                center = b_peak + 0.1 * width_scale * rng.standard_normal()
+            else:
+                center = rng.uniform(lo, hi)
+            draws.append((center, rng.uniform(0.08, 0.25) * width_scale, rng.uniform(0.5, 1.5)))
+        center, width, amp = np.array(draws).T[:, :, None]
         prof = amp * np.maximum(0.0, 1 - ((x - center) / width) ** 2) ** 2
-        prof[0] = prof[-1] = 0.0
-        if not np.any(prof[1:-1] > 0):
-            continue
+        bumped = (prof > 0).any(axis=1)
+        rows, pu = pending[bumped], prof[bumped]
+        pv = pu.copy()
         # a component tied to a negative parameter shrinks the singular
         # integral; damp that side until the total comes out positive
-        u = prof.copy()
-        v = prof.copy()
+        side = pu if problem.lam < problem.mu else pv
+        admitted = np.zeros(len(rows), dtype=bool)
+        B = np.zeros(len(rows))
+        damping = np.arange(len(rows))
         for _damp in range(8):
-            K, B = singular_and_coupling(problem, u[1:-1], v[1:-1])
-            if K > 0:
+            K, B[damping] = singular_and_coupling(problem, pu[damping], pv[damping])
+            positive = K > 0
+            admitted[damping[positive]] = True
+            damping = damping[~positive]
+            if not damping.size:
                 break
-            if problem.lam < problem.mu:
-                u *= 0.25
-            else:
-                v *= 0.25
-        else:
-            continue
-        if branch is Branch.MINUS and B <= 0:
-            continue
-        return GridPair.from_arrays(grid, u, v)
-
-    raise DirectionSearchFailed(
-        f"no admissible initial direction for branch {branch.value} in 1000 samples"
-    )
+            side[damping] *= 0.25
+        if branch is Branch.MINUS:
+            admitted &= B > 0
+        u[rows[admitted]], v[rows[admitted]] = pu[admitted], pv[admitted]
+        found[rows[admitted]] = True
+        pending = pending[~found[pending]]
+    return u, v, found
 
 
-def _record(stats, t, q, ab):
+def initial_direction(problem: ValidatedProblem, rng: np.random.Generator,
+                      branch: Branch = Branch.PLUS) -> GridPair:
+    """Random nonnegative direction pair with positive singular integral:
+    ``sample_directions`` with the one generator rng, which it draws from as
+    the solver draws from each restart's generator. Raises
+    DirectionSearchFailed when 1000 attempts find none."""
+    u, v, found = sample_directions(problem, [rng], branch)
+    if not found[0]:
+        raise DirectionSearchFailed(
+            f"no admissible initial direction for branch {branch.value} in 1000 samples")
+    return GridPair.from_arrays(problem.grid, np.pad(u[0], 1), np.pad(v[0], 1))
+
+
+@dataclass
+class _Row:
+    """The outcome of one restart, a row of a block descent: the fields of
+    its report but the pair and restarts_used, with the interior nodal
+    arrays u and w of its returned iterate in place of the pair."""
+
+    branch: Branch
+    u: np.ndarray
+    w: np.ndarray
+    J: float
+    norm: float
+    phi1: float
+    phi2: float
+    t_used: float
+    iters: int
+    converged: bool
+    stationarity: float
+    trajectory: list[tuple[float, float, float, float]]
+
+
+def _record(norm2, K, B, t, q, ab):
     # (J, norm, K, B) of the direction with these stats, scaled by t
-    n2, K, B = stats.norm2 * t**2, stats.K * t ** (1 - q), stats.B * t**ab
+    n2, K, B = norm2 * t**2, K * t ** (1 - q), B * t**ab
     return n2 / 2 - K / (1 - q) - B / ab, math.sqrt(n2), K, B
 
 
@@ -195,12 +248,13 @@ def _row_dots(a, b):
 
 
 def _descend(problems: list[ValidatedProblem], points: list[int], form: GagliardoForm,
-             branches: list[Branch], directions: list[GridPair]
-             ) -> tuple[list[SolutionReport | None], dict[tuple[int, Branch], NehariError]]:
-    """The rows of one block descent, direction i a restart of the point
-    problems[points[i]] on the branch branches[i]: the report of each
-    direction, or None where it admits no branch scaling; and the first
-    error that a row raised, for each (point, branch) that raised one.
+             branches: list[Branch], u: np.ndarray, w: np.ndarray
+             ) -> tuple[list[_Row | None], dict[tuple[int, Branch], NehariError]]:
+    """The rows of one block descent, row i of the interior nodal arrays
+    (u, w) the direction of a restart of the point problems[points[i]] on
+    the branch branches[i]: the outcome of each row, or None where it admits
+    no branch scaling; and the first error that a row raised, for each
+    (point, branch) that raised one.
 
     The problems may differ only where the energy reads them through each
     row's singular factors (lambda w f, mu w g). Each row keeps its own
@@ -222,52 +276,55 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
     # error would end a descent of that point alone; the other points go on.
     # The error kept is the one raised first, by (iteration, halving round,
     # row), however the rows are split into blocks
-    errors = []
-
-    def scaling(st, i, when):
-        try:
-            return branch_root(st, q, ab, branches[i] is Branch.MINUS)
-        except NehariError as exc:
-            errors.append(((*when, i), (points[i], branches[i]), exc))
-            return None
-
+    errors: list[tuple[tuple[int, int, int], NehariError]] = []
     size = max(1, BLOCK_ELEMENTS // (first.grid.cells - 1))
-    reports: list[SolutionReport | None] = []
-    for start in range(0, len(directions), size):
-        rows = range(start, min(start + size, len(directions)))
-        reports += _descend_block(first, form, factors[:, [points[i] for i in rows]],
-                                  rows, branches, directions, scaling)
+    results: list[_Row | None] = []
+    for start in range(0, len(points), size):
+        rows = range(start, min(start + size, len(points)))
+        results += _descend_block(first, form, factors[:, [points[i] for i in rows]],
+                                  rows, branches, u[rows.start:rows.stop],
+                                  w[rows.start:rows.stop], errors)
     failed: dict[tuple[int, Branch], NehariError] = {}
-    for _, key, exc in sorted(errors, key=lambda e: e[0]):
-        failed.setdefault(key, exc)
-    return reports, failed
+    for (_, _, i), exc in sorted(errors, key=lambda e: e[0]):
+        failed.setdefault((points[i], branches[i]), exc)
+    return results, failed
 
 
 def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: range,
-                   branches: list[Branch], directions: list[GridPair],
-                   scaling) -> list[SolutionReport | None]:
-    """The report of each row of one block, the report of its one restart,
-    or None where the row admits no branch scaling.
+                   branches: list[Branch], u: np.ndarray, v: np.ndarray,
+                   errors: list) -> list[_Row | None]:
+    """The outcome of each row of one block, or None where the row admits
+    no branch scaling; (u, v) are the block's rows of the directions. A
+    projection that raises appends ((iteration, halving round, row), error)
+    to errors, and its row stops trying.
 
     Every iteration takes one gradient and one Riesz map for all active
     rows, and every round of step halving one product per component for all
     rows still trying. An accepted iterate is t * trial, so its products
     with G are t times the trial's, and each gradient costs no product of
-    its own.
+    its own. A trial's statistics stay three floats from the kernel to the
+    projection and the acceptance test, which run in the loop over its rows.
     """
     q, ab = first.q, first.alpha + first.beta
-    u = np.array([directions[i].u.values[1:-1] for i in rows])
-    v = np.array([directions[i].w.values[1:-1] for i in rows])
-    stats, Gu, Gv = stats_and_products(first, form, u, v, factors)
-    scalings = [scaling(st, i, (0, 0)) for i, st in zip(rows, stats)]
-    live = [j for j, t in enumerate(scalings) if t is not None]
-
-    # the block holds the live rows only; row r is rows[live[r]]
-    t_used = [scalings[j] for j in live]
+    n2, K, B, Gu, Gv = stats_and_products(first, form, u, v, factors)
+    # the block holds the rows that reach their branch; row r is rows[live[r]]
+    live, t_used, trajectories = [], [], []
+    for j, i in enumerate(rows):
+        try:
+            t = root(n2[j], K[j], B[j], q, ab, branches[i] is Branch.MINUS)
+        except NehariError as exc:
+            errors.append(((0, 0, i), exc))
+            continue
+        if t is not None:
+            live.append(j)
+            t_used.append(t)
+            trajectories.append([_record(n2[j], K[j], B[j], t, q, ab)])
     t = np.array(t_used).reshape(-1, 1)
     u, v, Gu, Gv = t * u[live], t * v[live], t * Gu[live], t * Gv[live]
     factors = factors[:, live]
-    trajectories = [[_record(stats[j], scalings[j], q, ab)] for j in live]
+    # each row's branch flag and energy
+    upper = [branches[rows[j]] is Branch.MINUS for j in live]
+    J_cur = [trajectory[0][0] for trajectory in trajectories]
     iters = [MAX_ITERS] * len(live)
     hit_tol = [False] * len(live)
 
@@ -300,23 +357,33 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
             block = active[trying]
             u_try = np.maximum(u[block] - step[trying, None] * du[trying], 0.0)
             v_try = np.maximum(v[block] - step[trying, None] * dv[trying], 0.0)
-            tstats, Gu_try, Gv_try = stats_and_products(first, form, u_try, v_try,
-                                                        factors[:, block])
-            accepted = np.zeros(len(trying))  # the scaling of each accepted trial
+            n2, K, B, Gu_try, Gv_try = stats_and_products(first, form, u_try, v_try,
+                                                          factors[:, block])
+            took, took_t = [], []  # the accepted trials and their scalings
             for k, (j, r) in enumerate(zip(trying.tolist(), block.tolist())):
-                t_sel = scaling(tstats[k], rows[live[r]], (it, halving))
-                J_cur = trajectories[r][-1][0]
-                if t_sel is not None and (record := _record(tstats[k], t_sel, q, ab))[0] < J_cur:
-                    rel_drop[j] = (J_cur - record[0]) / max(abs(J_cur), 1e-300)
-                    accepted[k] = t_used[r] = t_sel
+                try:
+                    t = root(n2[k], K[k], B[k], q, ab, upper[r])
+                except NehariError as exc:
+                    errors.append(((it, halving, rows[live[r]]), exc))
+                    continue
+                if t is None:
+                    continue
+                record = _record(n2[k], K[k], B[k], t, q, ab)
+                if record[0] < J_cur[r]:
+                    rel_drop[j] = (J_cur[r] - record[0]) / max(abs(J_cur[r]), 1e-300)
+                    J_cur[r], t_used[r] = record[0], t
                     trajectories[r].append(record)
-                else:
-                    step[j] *= 0.5
-            k = np.flatnonzero(accepted)
-            t = accepted[k, None]
+                    took.append(k)
+                    took_t.append(t)
+            k = np.array(took, dtype=np.intp)
+            t = np.array(took_t).reshape(-1, 1)
             u[block[k]], v[block[k]] = t * u_try[k], t * v_try[k]
             Gu[block[k]], Gv[block[k]] = t * Gu_try[k], t * Gv_try[k]
-            trying = trying[(accepted == 0) & (step[trying] > _MIN_STEP)]
+            rejected = np.ones(len(trying), dtype=bool)
+            rejected[k] = False
+            trying = trying[rejected]
+            step[trying] *= 0.5
+            trying = trying[step[trying] > _MIN_STEP]
             halving += 1
         # a row stops when no strictly decreasing step exists at float
         # resolution, or when its relative drop falls below TOL_ENERGY
@@ -330,33 +397,30 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
 
     # the checks and the stationarity run on the returned iterates, not on
     # scaled stats; a row's g' G^{-1} g sums its u and w halves
-    stats, Gu, Gv = stats_and_products(first, form, u, v, factors)
+    n2, K, B, Gu, Gv = stats_and_products(first, form, u, v, factors)
     g = np.concatenate(smoothed_gradient(first, u, v, Gu, Gv, EPS_SINGULAR, factors))
-    dual2 = _row_dots(g, form.riesz(g))
-    reports: list[SolutionReport | None] = [None] * len(rows)
+    dual2 = _row_dots(g, form.riesz(g)).tolist()
+    # the system asks for u, w > 0: a component that vanished at every
+    # interior node (a negative parameter drives it there) is no solution
+    positive = ((u.max(axis=1) > 0) & (v.max(axis=1) > 0)).tolist()
+    results: list[_Row | None] = [None] * len(rows)
     for r, j in enumerate(live):
-        branch = branches[rows[j]]
-        _, phi1, phi2 = phi_from_stats(stats[r], q, ab, 1.0)
-        norm = math.sqrt(stats[r].norm2)
-        # the system asks for u, w > 0: a component that vanished at every
-        # interior node (a negative parameter drives it there) is no solution
-        converged = bool(hit_tol[r] and abs(phi1) <= MANIFOLD_TOL * stats[r].scale()
-                         and (phi2 < 0 if branch is Branch.MINUS else phi2 > 0)
-                         and u[r].max() > 0 and v[r].max() > 0)
-        reports[j] = SolutionReport(
-            branch=branch,
-            pair=GridPair.from_arrays(first.grid, np.pad(u[r], 1), np.pad(v[r], 1)),
-            J=trajectories[r][-1][0], norm=norm, phi1=phi1, phi2=phi2, t_used=t_used[r],
-            iters=iters[r], converged=converged, restarts_used=1,
-            stationarity=math.sqrt(max(float(dual2[r]), 0.0)) / norm,
-            trajectory=trajectories[r])
-    return reports
+        stats = PairStats(n2[r], K[r], B[r])
+        _, phi1, phi2 = phi_from_stats(stats, q, ab, 1.0)
+        norm = math.sqrt(n2[r])
+        converged = bool(hit_tol[r] and abs(phi1) <= MANIFOLD_TOL * stats.scale()
+                         and (phi2 < 0 if upper[r] else phi2 > 0) and positive[r])
+        results[j] = _Row(branch=branches[rows[j]], u=u[r], w=v[r], J=J_cur[r], norm=norm,
+                          phi1=phi1, phi2=phi2, t_used=t_used[r], iters=iters[r],
+                          converged=converged, trajectory=trajectories[r],
+                          stationarity=math.sqrt(max(dual2[r], 0.0)) / norm)
+    return results
 
 
-def _residual(report: SolutionReport) -> float:
+def _residual(row: _Row) -> float:
     """|phi'(1)| over the scale norm^2 + |K| + |B| of the last record."""
-    _, norm, K, B = report.trajectory[-1]
-    return abs(report.phi1) / (norm**2 + abs(K) + abs(B))
+    _, norm, K, B = row.trajectory[-1]
+    return abs(row.phi1) / (norm**2 + abs(K) + abs(B))
 
 
 def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
@@ -375,36 +439,44 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
     manifold residual, then the lower iteration count, then the lower
     restart.
     """
-    # the problem, branch and direction of each row
-    points, row_branches, directions = [], [], []
+    # the point, branch and direction of each row; every (point, branch)
+    # draws from the restarts' generators in their seeded state
+    rngs = [np.random.default_rng(opts.seed + i) for i in range(opts.restarts)]
+    seeded = [rng.bit_generator.state for rng in rngs]
+    points, row_branches, us, ws = [], [], [], []
     for branch in branches:
         for k, problem in enumerate(problems):
-            for i in range(opts.restarts):
-                rng = np.random.default_rng(opts.seed + i)
-                try:
-                    directions.append(initial_direction(problem, rng, branch))
-                except DirectionSearchFailed:
-                    continue
-                points.append(k)
-                row_branches.append(branch)
-    reports, failed = (_descend(problems, points, form, row_branches, directions)
-                       if directions else ([], {}))
-    found: dict[tuple[int, Branch], list[SolutionReport]] = {
+            for rng, state in zip(rngs, seeded):
+                rng.bit_generator.state = state
+            u, w, found = sample_directions(problem, rngs, branch)
+            us.append(u[found])
+            ws.append(w[found])
+            points += [k] * int(found.sum())
+            row_branches += [branch] * int(found.sum())
+    rows, failed = (_descend(problems, points, form, row_branches, np.concatenate(us),
+                             np.concatenate(ws)) if points else ([], {}))
+    reached: dict[tuple[int, Branch], list[_Row]] = {
         (k, b): [] for b in branches for k in range(len(problems))}
-    for key, report in zip(zip(points, row_branches), reports):
-        if report is not None:
-            found[key].append(report)
+    for key, row in zip(zip(points, row_branches), rows):
+        if row is not None:
+            reached[key].append(row)
     results: dict[Branch, list[SolutionReport | NehariError]] = {b: [] for b in branches}
-    for (k, branch), reached in found.items():
+    for (k, branch), candidates in reached.items():
         if (k, branch) in failed:
             result = failed[k, branch]
-        elif not reached:
+        elif not candidates:
             result = NoAdmissibleDirection(
                 f"all {opts.restarts} restarts failed to reach branch {branch.value}; "
                 "the parameter pair may be far outside the admissible region")
         else:
-            result = min(reached, key=lambda r: (r.J, _residual(r), r.iters))
-            result.restarts_used = len(reached)
+            # only the row returned gets a GridPair
+            best = min(candidates, key=lambda r: (r.J, _residual(r), r.iters))
+            pair = GridPair.from_arrays(problems[k].grid, np.pad(best.u, 1), np.pad(best.w, 1))
+            result = SolutionReport(
+                branch=branch, pair=pair, J=best.J, norm=best.norm, phi1=best.phi1,
+                phi2=best.phi2, t_used=best.t_used, iters=best.iters, converged=best.converged,
+                restarts_used=len(candidates), stationarity=best.stationarity,
+                trajectory=best.trajectory)
         results[branch].append(result)
     return results
 

@@ -548,6 +548,31 @@ def test_dense_inverse_is_built_once_per_solve_and_per_sweep(tmp_path, monkeypat
     assert len(calls) == 2
 
 
+def test_only_the_returned_reports_get_a_grid_pair(tmp_path, monkeypatch):
+    # the block descent keeps every row's iterate as arrays: a 2x2 sweep
+    # with 2 restarts descends 16 rows, and solve_points builds a GridPair
+    # only for the report it returns for each point and branch
+    path = write_config(tmp_path)
+    built, counts = [], []
+    post_init = nf.GridPair.__post_init__
+    monkeypatch.setattr(nf.GridPair, "__post_init__",
+                        lambda pair: built.append(pair) or post_init(pair))
+    solve = cli.solve_points
+
+    def counted(*args):
+        built.clear()
+        results = solve(*args)
+        reports = [r for rs in results.values() for r in rs if isinstance(r, nf.SolutionReport)]
+        counts.append((len(built), len(reports)))
+        assert [id(r.pair) for r in reports] == [id(pair) for pair in built]
+        return results
+
+    monkeypatch.setattr(cli, "solve_points", counted)
+    assert cli.main(["sweep", path, "--lambdas", "0.01,0.02", "--mus", "0.005,0.01",
+                     "--out", str(tmp_path / "once.csv"), "--seed", "3"]) == 0
+    assert counts == [(8, 8)]
+
+
 def test_one_inverse_iteration_per_S_estimate(tmp_path, monkeypatch, capsys):
     # the candidates only bound S; one refinement of two fixed starts serves
     # constants, a two-branch solve, each verify, and all points of a sweep,

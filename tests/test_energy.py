@@ -261,8 +261,9 @@ def test_kernel_against_gridpair_oracle(problem64, form64, asymmetric):
 
         # the raw kernel, on a one-row block, returns the products it used
         u, v = pair.u.values[1:-1], pair.w.values[1:-1]
-        st_raw, Gu, Gv = stats_and_products(problem, form64, u[None], v[None])
-        assert st_raw == [st]
+        norm2_raw, K_raw, B_raw, Gu, Gv = stats_and_products(problem, form64, u[None], v[None])
+        assert (norm2_raw, K_raw, B_raw) == ([st.norm2], [st.K], [st.B])
+        assert all(type(x) is float for x in norm2_raw + K_raw + B_raw)
         assert np.array_equal(Gu, (form64.matrix @ u)[None])
         assert np.array_equal(Gv, (form64.matrix @ v)[None])
         raw_u, raw_v = smoothed_gradient(problem, u, v, Gu[0], Gv[0], eps)
@@ -283,9 +284,9 @@ def test_row_sums_do_not_depend_on_the_block():
     factors = tuple(np.tile(f, (16, 1)) for f in problem.weighted_coefficients[:2])
     firsts = []
     for rows in (1, 2, 16):
-        stats, _, _ = stats_and_products(problem, form, u[:rows], v[:rows],
-                                         tuple(f[:rows] for f in factors))
+        norm2, K, B, _, _ = stats_and_products(problem, form, u[:rows], v[:rows],
+                                               tuple(f[:rows] for f in factors))
         dots = solver._row_dots(np.concatenate([u[:rows], v[:rows]]),
                                 np.concatenate([v[:rows], u[:rows]]))
-        firsts.append((stats[0], dots[0]))
+        firsts.append((norm2[0], K[0], B[0], dots[0]))
     assert firsts[0] == firsts[1] == firsts[2]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import neharifrac as nf
-from neharifrac.energy import smoothed_gradient
+from neharifrac.energy import singular_and_coupling, smoothed_gradient
 from neharifrac.errors import DirectionSearchFailed, NoBracket, NotConvergedInput
 from neharifrac.fiber import branch_root
 from neharifrac import form as form_mod
@@ -16,12 +16,18 @@ from neharifrac.thresholds import rho_coefficients
 from conftest import make_spec, reference_gradient, reference_stats
 
 
+def _interiors(directions):
+    # the interior nodal arrays (u, w) of GridPair directions, a row each
+    return (np.array([d.u.values[1:-1] for d in directions]),
+            np.array([d.w.values[1:-1] for d in directions]))
+
+
 def _descend_point(problem, form, branch, directions):
     # the block descent with every direction a restart of one problem on one branch
-    reports, failed = solver._descend([problem], [0] * len(directions), form,
-                                      [branch] * len(directions), directions)
+    rows, failed = solver._descend([problem], [0] * len(directions), form,
+                                   [branch] * len(directions), *_interiors(directions))
     assert not failed
-    return reports
+    return rows
 
 
 def test_initial_direction_properties(problem64, form64):
@@ -53,6 +59,78 @@ def test_initial_direction_fails_when_no_positive_coupling_possible():
     p = nf.validate_params(spec)
     with pytest.raises(DirectionSearchFailed):
         nf.initial_direction(p, np.random.default_rng(0))
+
+
+def _initial_direction_reference(problem, rng, branch):
+    """The direction search as it ran one restart at a time, kept as an
+    oracle: the same draws, profile, damping and rejection on full nodal
+    arrays. Returns (u, w), or None after 1000 attempts."""
+    grid = problem.grid
+    x = grid.nodes()
+    width_scale = grid.right - grid.left
+    b_peak = x[int(np.argmax(problem.b_vals))]
+    for _ in range(1000):
+        if branch is nf.Branch.MINUS:
+            center = b_peak + 0.1 * width_scale * rng.standard_normal()
+        else:
+            center = rng.uniform(grid.left + 0.1 * width_scale, grid.right - 0.1 * width_scale)
+        width = rng.uniform(0.08, 0.25) * width_scale
+        amp = rng.uniform(0.5, 1.5)
+        prof = amp * np.maximum(0.0, 1 - ((x - center) / width) ** 2) ** 2
+        prof[0] = prof[-1] = 0.0
+        if not np.any(prof[1:-1] > 0):
+            continue
+        u, v = prof.copy(), prof.copy()
+        for _damp in range(8):
+            K, B = singular_and_coupling(problem, u[1:-1], v[1:-1])
+            if K > 0:
+                break
+            if problem.lam < problem.mu:
+                u *= 0.25
+            else:
+                v *= 0.25
+        else:
+            continue
+        if branch is nf.Branch.MINUS and B <= 0:
+            continue
+        return u, v
+    return None
+
+
+@pytest.mark.parametrize("case", ["readme", "mixed_sign", "narrow_b"])
+def test_block_sampler_draws_each_restart_as_alone(monkeypatch, case):
+    # seeds 0-15 on both branches: the block sampler, initial_direction with
+    # one generator and the restart-by-restart search give the same arrays.
+    # lambda < 0 < mu takes the damping path; a b positive only for x > 0.8
+    # makes some minus draws fail the coupling test and draw again
+    spec = {"readme": make_spec(cells=256),
+            "mixed_sign": make_spec(cells=64, lam=-0.01, mu=0.01),
+            "narrow_b": make_spec(cells=64, b=nf.WeightSpec.linear_x(1.0, -0.8))}[case]
+    problem = nf.validate_params(spec)
+    kernel = solver.singular_and_coupling
+    for branch in nf.Branch:
+        scored = []  # (K, B) of the rows of each damping round
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "singular_and_coupling",
+                          lambda *args: scored.append(kernel(*args)) or scored[-1])
+            u, w, found = solver.sample_directions(
+                problem, [np.random.default_rng(seed) for seed in range(16)], branch)
+        assert found.all()
+        for seed in range(16):
+            pair = nf.initial_direction(problem, np.random.default_rng(seed), branch)
+            ref_u, ref_w = _initial_direction_reference(problem, np.random.default_rng(seed),
+                                                        branch)
+            for values in (np.pad(u[seed], 1), pair.u.values):
+                assert np.array_equal(values, ref_u)
+            for values in (np.pad(w[seed], 1), pair.w.values):
+                assert np.array_equal(values, ref_w)
+        damped = any((K <= 0).any() for K, _ in scored)
+        rejected = any(((K > 0) & (B <= 0)).any() for K, B in scored)
+        assert damped is (case == "mixed_sign")
+        if case == "mixed_sign":
+            assert not np.array_equal(u, w)
+        if branch is nf.Branch.MINUS:
+            assert rejected is (case == "narrow_b")
 
 
 def test_solve_branch_raises_when_no_direction_exists():
@@ -351,7 +429,7 @@ def test_alternation_damps_the_stiff_antisymmetric_mode(problem128, form128):
     [report] = _descend_point(problem128, form128, nf.Branch.MINUS,
                               [nf.GridPair.from_arrays(problem128.grid, u, w)])
     assert report.converged
-    assert np.max(np.abs(report.pair.u.values - report.pair.w.values)) <= 1e-10
+    assert np.max(np.abs(report.u - report.w)) <= 1e-10
 
 
 def test_negative_parameter_branches():
@@ -496,8 +574,7 @@ def test_block_rows_do_not_depend_on_each_other(monkeypatch, problem64, matrix_f
                 if matrix_free:
                     assert a.J == b.J and a.trajectory == b.trajectory
                     assert a.stationarity == b.stationarity
-                    assert np.array_equal(a.pair.u.values, b.pair.u.values)
-                    assert np.array_equal(a.pair.w.values, b.pair.w.values)
+                    assert np.array_equal(a.u, b.u) and np.array_equal(a.w, b.w)
                 else:
                     assert a.J == pytest.approx(b.J, rel=1e-12)
 
@@ -507,7 +584,8 @@ def test_every_row_reports_its_stationarity(monkeypatch, problem64, matrix_free)
     # each row's stationarity, against the formula recomputed on that row
     # alone: a fresh product with G, the smoothed gradient, one Riesz map.
     # At 40 iterations the plus rows stop on the energy tolerance and the
-    # minus rows are cut off before it
+    # minus rows are cut off before it. The report of a solve over the same
+    # restarts is its winning row's, and counts every restart
     monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", 2 if matrix_free else 10**9)
     monkeypatch.setattr(solver, "MAX_ITERS", 40)
     form = nf.assemble_form(problem64.grid, problem64.s)
@@ -515,16 +593,21 @@ def test_every_row_reports_its_stationarity(monkeypatch, problem64, matrix_free)
     for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
         directions = [nf.initial_direction(problem64, np.random.default_rng(seed), branch)
                       for seed in range(4)]
-        reports = _descend_point(problem64, form, branch, directions)
-        for report in reports:
-            # a row's report is that of its one restart
-            assert report.branch is branch and report.restarts_used == 1
-            u, v = report.pair.u.values[1:-1], report.pair.w.values[1:-1]
-            gu, gv = smoothed_gradient(problem64, u, v, form.apply(u), form.apply(v),
-                                       solver.EPS_SINGULAR)
+        rows = _descend_point(problem64, form, branch, directions)
+        for row in rows:
+            assert row.branch is branch
+            gu, gv = smoothed_gradient(problem64, row.u, row.w, form.apply(row.u),
+                                       form.apply(row.w), solver.EPS_SINGULAR)
             g = np.array([gu, gv])
-            expected = math.sqrt(float(np.sum(g * form.riesz(g)))) / report.norm
-            assert report.stationarity == pytest.approx(expected, rel=1e-9)
+            expected = math.sqrt(float(np.sum(g * form.riesz(g)))) / row.norm
+            assert row.stationarity == pytest.approx(expected, rel=1e-9)
+        report = nf.solve_branch(problem64, form, branch, nf.SolverOptions(seed=0, restarts=4))
+        winner = min(rows, key=lambda row: row.J)
+        assert report.branch is branch and report.restarts_used == len(rows) == 4
+        assert (report.J, report.iters, report.stationarity) == (
+            winner.J, winner.iters, winner.stationarity)
+        assert np.array_equal(report.pair.u.values, np.pad(winner.u, 1))
+        assert np.array_equal(report.pair.w.values, np.pad(winner.w, 1))
 
 
 def test_block_stops_rows_at_the_step_floor_and_at_max_iters(monkeypatch, problem64, form64):
@@ -547,11 +630,14 @@ def test_block_stops_rows_at_the_step_floor_and_at_max_iters(monkeypatch, proble
 
 def test_restarts_used_counts_only_rows_that_reach_the_branch(monkeypatch, problem64, form64):
     # the first restart's direction admits no scaling; the other two descend
-    zero = [_zero_direction(problem64)]
-    draw = solver.initial_direction
-    monkeypatch.setattr(solver, "initial_direction",
-                        lambda problem, rng, branch: zero.pop() if zero
-                        else draw(problem, rng, branch))
+    sample = solver.sample_directions
+
+    def first_zero(problem, rngs, branch):
+        u, w, found = sample(problem, rngs, branch)
+        u[0] = w[0] = 0.0
+        return u, w, found
+
+    monkeypatch.setattr(solver, "sample_directions", first_zero)
     report = nf.solve_branch(problem64, form64, nf.Branch.PLUS,
                              nf.SolverOptions(seed=42, restarts=3))
     assert report.restarts_used == 2 and report.converged
@@ -567,16 +653,16 @@ def test_a_point_whose_projection_raises_leaves_the_others(monkeypatch):
     form = nf.assemble_form(small.grid, small.s)
     opts = nf.SolverOptions(restarts=2)
     calls = []
-    root = solver.branch_root
+    root = solver.root
 
-    def fragile(stats, q, ab, upper):
+    def fragile(norm2, K, B, q, ab, upper):
         # past the first projections, every large-K stats (the second point's) raises
-        calls.append(stats)
-        if stats.K > 1.0 and len(calls) > 8:
+        calls.append(K)
+        if K > 1.0 and len(calls) > 8:
             raise NoBracket("degenerate stats")
-        return root(stats, q, ab, upper)
+        return root(norm2, K, B, q, ab, upper)
 
-    monkeypatch.setattr(solver, "branch_root", fragile)
+    monkeypatch.setattr(solver, "root", fragile)
     for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
         calls.clear()
         first, second = solver.solve_points([small, large], form, [branch], opts)[branch]
@@ -666,28 +752,30 @@ def test_rows_split_into_blocks_come_out_as_unsplit(monkeypatch):
                                                        branch))
                 points.append(k)
                 branches.append(branch)
+    u, w = _interiors(directions)
     seen = []
-    root = solver.branch_root
-    monkeypatch.setattr(solver, "branch_root",
-                        lambda stats, *rest: seen.append(stats) or root(stats, *rest))
-    solver._descend(problems, points, form, branches, directions)
+    root = solver.root
+    monkeypatch.setattr(solver, "root",
+                        lambda norm2, K, B, *rest: seen.append((norm2, K, B))
+                        or root(norm2, K, B, *rest))
+    solver._descend(problems, points, form, branches, u, w)
     # the projected starts of the second point's rows 2, 3, 6 and 7
-    starts = [stats for stats in seen[:len(directions)] if stats.K > 1.0]
+    starts = [stats for stats in seen[:len(directions)] if stats[1] > 1.0]
     assert len(starts) == 4
 
-    def fragile(stats, q, ab, upper):
-        if stats.K > 1.0 and stats != starts[0]:
-            raise NoBracket(repr(stats))
-        return root(stats, q, ab, upper)
+    def fragile(norm2, K, B, q, ab, upper):
+        if K > 1.0 and (norm2, K, B) != starts[0]:
+            raise NoBracket(repr((norm2, K, B)))
+        return root(norm2, K, B, q, ab, upper)
 
-    monkeypatch.setattr(solver, "branch_root", fragile)
-    whole, whole_failed = solver._descend(problems, points, form, branches, directions)
+    monkeypatch.setattr(solver, "root", fragile)
+    whole, whole_failed = solver._descend(problems, points, form, branches, u, w)
     widths = []
     descend_block = solver._descend_block
     monkeypatch.setattr(solver, "_descend_block", lambda *args: widths.append(len(args[3]))
                         or descend_block(*args))
     monkeypatch.setattr(solver, "BLOCK_ELEMENTS", 3 * (32 - 1))
-    split, split_failed = solver._descend(problems, points, form, branches, directions)
+    split, split_failed = solver._descend(problems, points, form, branches, u, w)
     assert widths == [3, 3, 2]
     expected = {(1, nf.Branch.PLUS): repr(starts[1]), (1, nf.Branch.MINUS): repr(starts[2])}
     for failed in (whole_failed, split_failed):
@@ -703,7 +791,5 @@ def test_rows_split_into_blocks_come_out_as_unsplit(monkeypatch):
         assert a.converged or points[i] == 1
         assert (a.iters, a.J, a.norm, a.phi1, a.phi2, a.t_used) == (
             b.iters, b.J, b.norm, b.phi1, b.phi2, b.t_used)
-        assert a.restarts_used == b.restarts_used == 1
         assert a.stationarity == b.stationarity and a.trajectory == b.trajectory
-        assert np.array_equal(a.pair.u.values, b.pair.u.values)
-        assert np.array_equal(a.pair.w.values, b.pair.w.values)
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.w, b.w)
