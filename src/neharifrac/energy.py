@@ -13,11 +13,15 @@ discrete inequality checks are exact.
 
 The formulas live in three raw-array functions on the interior nodes
 (``singular_and_coupling``, ``stats_and_products``, ``smoothed_gradient``),
-which work row by row on a block of pairs; the block descent calls them
-directly, and the GridPair functions wrap them for one pair. Lambda and mu
-enter only through the singular factors (lambda w f, mu w g), which the
-kernels take per row, so the rows of one block may belong to problems that
-differ in lambda, mu, f and g alone.
+which work row by row on a block of pairs stacked as one C-ordered array
+X = [U; V]: the u rows over the w rows in the same order. A power or a
+clip that both components take runs once over the whole block, and every
+per-row sum runs along its row, the u half first, so a row gets the same
+bytes in any block. The block descent calls them directly, and the
+GridPair functions wrap them for one pair, the block of two rows. Lambda
+and mu enter only through the singular factors (lambda w f, mu w g), which
+the kernels take per row, so the rows of one block may belong to problems
+that differ in lambda, mu, f and g alone.
 """
 
 from __future__ import annotations
@@ -51,89 +55,103 @@ class EnergyParts:
     J: float
 
 
-def _factors(problem: ValidatedProblem, factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (lambda w f, mu w g, w b): the given singular factors, or the problem's
-    lam_f, mu_g, b = problem.weighted_coefficients
-    return (lam_f, mu_g, b) if factors is None else (*factors, b)
+def _own_factors(problem: ValidatedProblem) -> np.ndarray:
+    # the problem's singular factors (lambda w f, mu w g), shaped to
+    # broadcast over the rows of either half of a stacked block
+    return np.stack(problem.weighted_coefficients[:2])[:, None]
 
 
-def singular_and_coupling(problem: ValidatedProblem, u: np.ndarray, v: np.ndarray,
+def singular_and_coupling(problem: ValidatedProblem, X: np.ndarray,
                           factors=None) -> tuple[np.ndarray, np.ndarray]:
-    """(K, B) of interior nodal arrays (u, v), or of each row pair of them:
-    the integrals that need no form.
+    """(K, B) of each row pair of the stacked block X = [U; V]: the
+    integrals that need no form.
 
-    factors, if given, are the singular factors (lambda w f, mu w g) with
-    one row per row of (u, v), or one row for all; by default the
-    problem's own. Each row's sums run in the same order whatever the other
-    rows are: a product summed along the row, never einsum, which buffers
-    rows of more than 8192 elements and then sums them by the block's shape.
+    X stacks A rows of interior nodal u values over the A rows of their w
+    values, shape (2A, n); one pair is the block of shape (2, n). factors,
+    if given, are the singular factors (lambda w f, mu w g) of each row,
+    shape (2, A, n); by default the problem's own for every row. Each row's
+    sums run in the same order whatever the other rows are: a product
+    summed along the row, never einsum, which buffers rows of more than
+    8192 elements and then sums them by the block's shape; K sums the u
+    half, then adds the w half.
     """
-    lam_f, mu_g, b = _factors(problem, factors)
-    q, al, be = problem.q, problem.alpha, problem.beta
-    up = np.maximum(u, 0.0)
-    vp = np.maximum(v, 0.0)
-    K = (up ** (1 - q) * lam_f).sum(axis=-1) + (vp ** (1 - q) * mu_g).sum(axis=-1)
-    B = (up**al * vp**be * b).sum(axis=-1)
-    return K, B
+    if factors is None:
+        factors = _own_factors(problem)
+    q, al, be, b = problem.q, problem.alpha, problem.beta, problem.weighted_coefficients[2]
+    A = len(X) // 2
+    P = np.maximum(X, 0.0)
+    halves = ((P ** (1 - q)).reshape(2, A, X.shape[-1]) * factors).sum(axis=-1)
+    B = (P[:A] ** al * P[A:] ** be * b).sum(axis=-1)
+    return halves[0] + halves[1], B
 
 
-def stats_and_products(problem: ValidatedProblem, form: GagliardoForm, u: np.ndarray,
-                       v: np.ndarray, factors=None
-                       ) -> tuple[list[float], list[float], list[float], np.ndarray, np.ndarray]:
-    """The pair statistics norm2, K and B of each row pair of the interior
-    nodal arrays (u, v), as three lists of floats, with G u and G v; factors
-    as in ``singular_and_coupling``.
+def stats_and_products(problem: ValidatedProblem, form: GagliardoForm, X: np.ndarray,
+                       factors=None) -> tuple[list[float], list[float], list[float], np.ndarray]:
+    """The pair statistics norm2, K and B of each row pair of the stacked
+    block X = [U; V], as three lists of floats, with G X stacked the same
+    way; X and factors as in ``singular_and_coupling``.
 
     The raw-array kernel behind ``pair_stats``: the block descent calls it
     on all its trials at once, reads each row's three floats without an
-    object per row, and reuses the products for the gradient.
+    object per row, and reuses the products for the gradient. G is applied
+    to each half on its own: below ``form.MATRIX_FREE_CELLS`` a dense
+    product's rows depend on how many rows it has, so a product over both
+    halves would change a row's bytes.
     """
-    Gu = form.apply(u)
-    Gv = form.apply(v)
-    K, B = singular_and_coupling(problem, u, v, factors)
-    norm2 = (u * Gu).sum(axis=-1) + (v * Gv).sum(axis=-1)
-    return norm2.tolist(), K.tolist(), B.tolist(), Gu, Gv
+    A = len(X) // 2
+    GX = np.concatenate([form.apply(X[:A]), form.apply(X[A:])])
+    K, B = singular_and_coupling(problem, X, factors)
+    halves = (X * GX).sum(axis=-1)
+    return (halves[:A] + halves[A:]).tolist(), K.tolist(), B.tolist(), GX
 
 
-def smoothed_gradient(problem: ValidatedProblem, u: np.ndarray, v: np.ndarray,
-                      Gu: np.ndarray, Gv: np.ndarray, eps: float,
-                      factors=None) -> tuple[np.ndarray, np.ndarray]:
-    """Interior gradient of the eps-smoothed energy at (u, v), given G u and
-    G v, or at each row pair of them; factors as in ``singular_and_coupling``.
+def smoothed_gradient(problem: ValidatedProblem, X: np.ndarray, GX: np.ndarray, eps: float,
+                      factors=None) -> np.ndarray:
+    """Interior gradient of the eps-smoothed energy at each row pair of the
+    stacked block X = [U; V], given G X, stacked the same way; X and
+    factors as in ``singular_and_coupling``.
 
     The singular factor u^{-q} is floored at eps so descent always has a
     usable direction; where both components exceed eps this is the formal
     gradient of the energy itself.
     """
-    lam_f, mu_g, b = _factors(problem, factors)
-    q, al, be = problem.q, problem.alpha, problem.beta
+    if factors is None:
+        factors = _own_factors(problem)
+    q, al, be, b = problem.q, problem.alpha, problem.beta, problem.weighted_coefficients[2]
     ab = al + be
-    up = np.maximum(u, 0.0)
-    vp = np.maximum(v, 0.0)
-    gu = Gu - lam_f * np.maximum(u, eps) ** (-q) - (al / ab) * b * up ** (al - 1) * vp**be
-    gv = Gv - mu_g * np.maximum(v, eps) ** (-q) - (be / ab) * b * up**al * vp ** (be - 1)
-    return gu, gv
+    A = len(X) // 2
+    singular = factors * (np.maximum(X, eps) ** (-q)).reshape(2, A, X.shape[-1])
+    g = GX - singular.reshape(X.shape)
+    P = np.maximum(X, 0.0)
+    up, vp = P[:A], P[A:]
+    g[:A] -= (al / ab) * b * up ** (al - 1) * vp**be
+    g[A:] -= (be / ab) * b * up**al * vp ** (be - 1)
+    return g
 
 
-def _interior(form: GagliardoForm, pair: GridPair) -> tuple[np.ndarray, np.ndarray]:
+def _block(pair: GridPair) -> np.ndarray:
+    # the pair's interior values as a one-pair stacked block
+    return np.stack([pair.u.values[1:-1], pair.w.values[1:-1]])
+
+
+def _interior(form: GagliardoForm, pair: GridPair) -> np.ndarray:
     if pair.grid != form.grid:
         raise GridMismatch("pair does not match the form's grid")
-    return pair.u.values[1:-1], pair.w.values[1:-1]
+    return _block(pair)
 
 
 def K_value(problem: ValidatedProblem, pair: GridPair) -> float:
     """Weighted singular-term integral lam*int f u_+^{1-q} + mu*int g w_+^{1-q}."""
-    return float(singular_and_coupling(problem, pair.u.values[1:-1], pair.w.values[1:-1])[0])
+    return float(singular_and_coupling(problem, _block(pair))[0][0])
 
 
 def B_value(problem: ValidatedProblem, pair: GridPair) -> float:
     """Coupling integral int b u_+^alpha w_+^beta (sign-indefinite)."""
-    return float(singular_and_coupling(problem, pair.u.values[1:-1], pair.w.values[1:-1])[1])
+    return float(singular_and_coupling(problem, _block(pair))[1][0])
 
 
 def pair_stats(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> PairStats:
-    u, v = _interior(form, pair)
-    norm2, K, B, _, _ = stats_and_products(problem, form, u[None], v[None])
+    norm2, K, B, _ = stats_and_products(problem, form, _interior(form, pair))
     return PairStats(norm2[0], K[0], B[0])
 
 
@@ -152,8 +170,8 @@ def energy_gradient(problem: ValidatedProblem, form: GagliardoForm,
     """
     if eps <= 0:
         raise NonpositiveEpsilon(f"eps must be positive, got {eps}")
-    u, v = _interior(form, pair)
-    gu, gv = smoothed_gradient(problem, u, v, form.apply(u), form.apply(v), eps)
+    X = _interior(form, pair)
+    gu, gv = smoothed_gradient(problem, X, np.stack([form.apply(x) for x in X]), eps)
     return GridPair.from_arrays(pair.grid, np.pad(gu, 1), np.pad(gv, 1))
 
 

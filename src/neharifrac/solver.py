@@ -25,23 +25,27 @@ keeps a small BB step from crawling.
 
 Every accepted iterate sits on its branch, so branch invariants are
 checkable at each step. Independent seeded restarts guard against bad
-initial directions; the best energy wins. One sampler draws the
-directions of all restarts of a point and branch, each from its own seeded
-generator (``sample_directions``). The restarts are the rows of one block
-descent: each iteration applies G and the Riesz map to all of them at
-once, while each row keeps its own step, acceptance and stopping rule, so
-a row ends as it would in a descent of its own. A row's trial statistics
-stay floats, and each row comes out as arrays and floats, with the
-stationarity of its returned iterate; only the row that wins its point and
-branch becomes a ``SolutionReport`` with a ``GridPair``. The rows may
-come from several points (lambda, mu) of a sweep: the points share the
-grid, s, q, alpha, beta and b, and lambda and mu enter the energy only as
-per-row factors of the singular integrals. The two branches differ only in
-the root a row's projection takes and in the sign of phi''(1) its verdict
-asks for, so each row carries its own branch, and one block descends every
-restart of every point on every branch (``solve_points``). Rows beyond
-``BLOCK_ELEMENTS`` elements descend as consecutive blocks, which bounds the
-memory and changes no row.
+initial directions; the best energy wins. One sampler call per branch
+draws the directions of every restart of every point
+(``sample_directions``): restart i's seeded generator draws once per
+attempt, and that draw serves every point still waiting on restart i, so
+each point gets the directions it would get alone. The restarts are the
+rows of one block descent, held as one stacked array [U; V] of the u rows
+over the w rows: each iteration applies the gradient and the Riesz map to
+all of them at once, while each row keeps its own step, acceptance and
+stopping rule, so a row ends as it would in a descent of its own, and a
+row that stops leaves the block. A row's trial statistics stay floats, and
+each row comes out as arrays and floats, with the stationarity of its
+returned iterate; only the row that wins its point and branch becomes a
+``SolutionReport`` with a ``GridPair``. The rows may come from several
+points (lambda, mu) of a sweep: the points share the grid, s, q, alpha,
+beta and b, and lambda and mu enter the energy only as per-row factors of
+the singular integrals. The two branches differ only in the root a row's
+projection takes and in the sign of phi''(1) its verdict asks for, so each
+row carries its own branch, and one block descends every restart of every
+point on every branch (``solve_points``). Rows beyond ``BLOCK_ELEMENTS``
+elements descend as consecutive blocks, which bounds the memory and
+changes no row.
 """
 
 from __future__ import annotations
@@ -138,37 +142,62 @@ class GapReport:
     ordering_ok: bool
 
 
-def sample_directions(problem: ValidatedProblem, rngs: list[np.random.Generator],
+def _check_shared(problems: list[ValidatedProblem]) -> None:
+    first = problems[0]
+    for p in problems:
+        if ((p.grid, p.s, p.q, p.alpha, p.beta) != (first.grid, first.s, first.q,
+                                                     first.alpha, first.beta)
+                or not np.array_equal(p.b_vals, first.b_vals)):
+            raise ValueError("the problems of one block may differ in lambda, mu, f and g alone")
+
+
+def _stacked_factors(problems: list[ValidatedProblem]) -> np.ndarray:
+    # the singular factors lambda w f and mu w g of each problem, shape (2, P, n)
+    return np.array([[p.weighted_coefficients[k] for p in problems] for k in (0, 1)])
+
+
+def sample_directions(problems: list[ValidatedProblem], rngs: list[np.random.Generator],
                       branch: Branch = Branch.PLUS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One random nonnegative direction pair with positive singular integral
-    per generator: the interior nodal arrays (u, w), a row per generator,
-    and whether each row found its direction within 1000 attempts (a row
-    that did not stays zero).
+    per problem and generator: the interior nodal arrays (u, w), row
+    k * len(rngs) + i for problem k and generator i, and whether each row
+    found its direction within 1000 attempts (a row that did not stays
+    zero). The problems may differ in lambda, mu, f and g alone.
 
     Both components share one smooth bump profile (a symmetric seed), so a
     fully symmetric problem keeps u = w along the whole descent. For the
     local-max branch the bump is centered where the coupling weight is
     positive so the coupling integral starts positive. Each attempt draws a
-    center, a width and an amplitude from each pending row's own generator,
-    so a row's draws, and its direction, do not depend on the other rows;
-    the pending rows' profiles form one array, and each damping round takes
-    one ``singular_and_coupling`` call for the rows still damping.
+    center, a width and an amplitude once from each generator that some
+    problem still waits on, and that draw serves every problem whose row for
+    the generator is pending: the rows of one generator advance attempt by
+    attempt together, so a row's draws, and its direction, are those it
+    would get alone, whatever the other rows are. A component tied to a
+    negative parameter is damped, per row, until the singular integral comes
+    out positive; each damping round takes one ``singular_and_coupling``
+    call for the rows still damping.
     """
-    grid = problem.grid
+    first = problems[0]
+    grid = first.grid
     x = grid.nodes()
     width_scale = grid.right - grid.left
-    b_peak = x[int(np.argmax(problem.b_vals))]
+    b_peak = x[int(np.argmax(first.b_vals))]
     x = x[1:-1]  # the boundary values stay zero
     lo, hi = grid.left + 0.1 * width_scale, grid.right - 0.1 * width_scale
-    u = np.zeros((len(rngs), x.size))
+    count = len(rngs)
+    factors = _stacked_factors(problems)
+    # the side each row damps: u where lambda < mu, else w
+    damp_u = np.repeat([p.lam < p.mu for p in problems], count)
+    u = np.zeros((len(problems) * count, x.size))
     v = np.zeros_like(u)
-    found = np.zeros(len(rngs), dtype=bool)
-    pending = np.arange(len(rngs))
+    found = np.zeros(len(u), dtype=bool)
+    pending = np.arange(len(u))
     for _ in range(1000):
         if not pending.size:
             break
+        drawing, which = np.unique(pending % count, return_inverse=True)
         draws = []
-        for i in pending.tolist():
+        for i in drawing.tolist():
             rng = rngs[i]
             if branch is Branch.MINUS:
                 center = b_peak + 0.1 * width_scale * rng.standard_normal()
@@ -177,26 +206,27 @@ def sample_directions(problem: ValidatedProblem, rngs: list[np.random.Generator]
             draws.append((center, rng.uniform(0.08, 0.25) * width_scale, rng.uniform(0.5, 1.5)))
         center, width, amp = np.array(draws).T[:, :, None]
         prof = amp * np.maximum(0.0, 1 - ((x - center) / width) ** 2) ** 2
-        bumped = (prof > 0).any(axis=1)
-        rows, pu = pending[bumped], prof[bumped]
-        pv = pu.copy()
-        # a component tied to a negative parameter shrinks the singular
-        # integral; damp that side until the total comes out positive
-        side = pu if problem.lam < problem.mu else pv
-        admitted = np.zeros(len(rows), dtype=bool)
-        B = np.zeros(len(rows))
-        damping = np.arange(len(rows))
+        # each pending row takes its generator's profile, if that has a bump
+        bumped = (prof > 0).any(axis=1)[which]
+        rows = pending[bumped]
+        m = len(rows)
+        P = np.tile(prof[which[bumped]], (2, 1))  # the rows' u over their w
+        admitted = np.zeros(m, dtype=bool)
+        B = np.zeros(m)
+        damping = np.arange(m)
         for _damp in range(8):
-            K, B[damping] = singular_and_coupling(problem, pu[damping], pv[damping])
+            K, B[damping] = singular_and_coupling(
+                first, P[np.concatenate([damping, m + damping])],
+                factors[:, rows[damping] // count])
             positive = K > 0
             admitted[damping[positive]] = True
             damping = damping[~positive]
             if not damping.size:
                 break
-            side[damping] *= 0.25
+            P[np.where(damp_u[rows[damping]], damping, m + damping)] *= 0.25
         if branch is Branch.MINUS:
             admitted &= B > 0
-        u[rows[admitted]], v[rows[admitted]] = pu[admitted], pv[admitted]
+        u[rows[admitted]], v[rows[admitted]] = P[:m][admitted], P[m:][admitted]
         found[rows[admitted]] = True
         pending = pending[~found[pending]]
     return u, v, found
@@ -205,10 +235,10 @@ def sample_directions(problem: ValidatedProblem, rngs: list[np.random.Generator]
 def initial_direction(problem: ValidatedProblem, rng: np.random.Generator,
                       branch: Branch = Branch.PLUS) -> GridPair:
     """Random nonnegative direction pair with positive singular integral:
-    ``sample_directions`` with the one generator rng, which it draws from as
-    the solver draws from each restart's generator. Raises
-    DirectionSearchFailed when 1000 attempts find none."""
-    u, v, found = sample_directions(problem, [rng], branch)
+    ``sample_directions`` with the one problem and the one generator rng,
+    which it draws from as the solver draws from each restart's generator.
+    Raises DirectionSearchFailed when 1000 attempts find none."""
+    u, v, found = sample_directions([problem], [rng], branch)
     if not found[0]:
         raise DirectionSearchFailed(
             f"no admissible initial direction for branch {branch.value} in 1000 samples")
@@ -242,8 +272,8 @@ def _record(norm2, K, B, t, q, ab):
 
 
 def _row_dots(a, b):
-    # one dot per row of a block that stacks its u rows over its w rows,
-    # summed as in energy.singular_and_coupling
+    # one dot per row pair of a stacked block [U; V], summed as in
+    # energy.singular_and_coupling
     return (a * b).sum(axis=-1).reshape(2, -1).sum(axis=0)
 
 
@@ -264,14 +294,7 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
     blocks, which changes no row.
     """
     first = problems[0]
-    q, ab = first.q, first.alpha + first.beta
-    for p in problems:
-        if ((p.grid, p.s, p.q, p.alpha, p.beta) != (first.grid, first.s, first.q,
-                                                     first.alpha, first.beta)
-                or not np.array_equal(p.b_vals, first.b_vals)):
-            raise ValueError("the problems of one block may differ in lambda, mu, f and g alone")
-    # the singular factors lambda w f and mu w g of each point, stacked
-    factors = np.array([[p.weighted_coefficients[k] for p in problems] for k in (0, 1)])
+    factors = _stacked_factors(problems)
     # a row whose projection raises ends its point on its branch, as the
     # error would end a descent of that point alone; the other points go on.
     # The error kept is the one raised first, by (iteration, halving round,
@@ -294,20 +317,29 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
                    branches: list[Branch], u: np.ndarray, v: np.ndarray,
                    errors: list) -> list[_Row | None]:
     """The outcome of each row of one block, or None where the row admits
-    no branch scaling; (u, v) are the block's rows of the directions. A
-    projection that raises appends ((iteration, halving round, row), error)
-    to errors, and its row stops trying.
+    no branch scaling; (u, v) are the block's rows of the directions and
+    factors their singular factors, shape (2, rows, n). A projection that
+    raises appends ((iteration, halving round, row), error) to errors and
+    counts as a rejected trial; the error ends its point on its branch.
 
-    Every iteration takes one gradient and one Riesz map for all active
-    rows, and every round of step halving one product per component for all
-    rows still trying. An accepted iterate is t * trial, so its products
-    with G are t times the trial's, and each gradient costs no product of
-    its own. A trial's statistics stay three floats from the kernel to the
-    projection and the acceptance test, which run in the loop over its rows.
+    The rows still descending are one C-ordered stacked array X = [U; V]
+    (see ``energy``) with G X beside it; when rows stop, the block shrinks
+    by compaction, and their iterates wait in the array the results are
+    read from. Every iteration takes one gradient and one Riesz map over X,
+    and every round of step halving one product with G per half for the
+    rows still trying. When every row tries, the trial is the clipped step
+    of the whole block, and when every row is accepted, the block becomes t
+    times the trial, with no scatter. An accepted iterate is t * trial, so
+    its products with G are t times the trial's, and each gradient costs no
+    product of its own. A trial's statistics stay three floats from the
+    kernel to the projection, the acceptance test and the trajectory
+    record, which run in the loop over its rows.
     """
     q, ab = first.q, first.alpha + first.beta
-    n2, K, B, Gu, Gv = stats_and_products(first, form, u, v, factors)
-    # the block holds the rows that reach their branch; row r is rows[live[r]]
+    X = np.concatenate([u, v])
+    n2, K, B, GX = stats_and_products(first, form, X, factors)
+    # the block holds the live rows, those that reach their branch; live row
+    # r is rows[live[r]], and the block's row j is live row active[j]
     live, t_used, trajectories = [], [], []
     for j, i in enumerate(rows):
         try:
@@ -319,27 +351,28 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
             live.append(j)
             t_used.append(t)
             trajectories.append([_record(n2[j], K[j], B[j], t, q, ab)])
-    t = np.array(t_used).reshape(-1, 1)
-    u, v, Gu, Gv = t * u[live], t * v[live], t * Gu[live], t * Gv[live]
-    factors = factors[:, live]
+    L = len(live)
+    stacked = np.array(live + [len(rows) + j for j in live], dtype=np.intp)
+    t = np.array(t_used * 2).reshape(-1, 1)
+    X, GX = t * X[stacked], t * GX[stacked]
+    factors = F = factors[:, live]  # F: the factors of the rows still active
+    done = np.empty_like(X)  # each live row's returned iterate, stacked as X
     # each row's branch flag and energy
     upper = [branches[rows[j]] is Branch.MINUS for j in live]
     J_cur = [trajectory[0][0] for trajectory in trajectories]
-    iters = [MAX_ITERS] * len(live)
-    hit_tol = [False] * len(live)
+    iters = [MAX_ITERS] * L
+    hit_tol = [False] * L
 
-    active = np.arange(len(live))
+    active = list(range(L))
     previous = None  # the last iteration's x, g and d of the rows still active
     for it in range(1, MAX_ITERS + 1):
-        if not active.size:
+        if not active:
             break
-        x = np.concatenate([u[active], v[active]])
-        g = np.concatenate(smoothed_gradient(first, u[active], v[active], Gu[active],
-                                             Gv[active], EPS_SINGULAR,
-                                             factors[:, active]))
+        A = len(active)
+        x = X
+        g = smoothed_gradient(first, X, GX, EPS_SINGULAR, F)
         d = form.riesz(g)
-        du, dv = d[:len(active)], d[len(active):]
-        step = np.full(len(active), STEP)
+        step = np.full(A, STEP)
         if it % 2 and it > 1:
             # BB2 step <s, dd>_G / <dd, dd>_G with s = x - x_prev; since
             # G d = g, the G inner products are s'dg and dd'dg
@@ -350,17 +383,21 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
                 tau = sy / yy
             bb = (sy > 0) & (yy > 0) & np.isfinite(tau)
             step[bb] = np.maximum(tau[bb], STEP)
-        rel_drop = [None] * len(active)
+        rel_drop = [None] * A
         trying = np.flatnonzero(step > _MIN_STEP)
         halving = 0
         while trying.size:
-            block = active[trying]
-            u_try = np.maximum(u[block] - step[trying, None] * du[trying], 0.0)
-            v_try = np.maximum(v[block] - step[trying, None] * dv[trying], 0.0)
-            n2, K, B, Gu_try, Gv_try = stats_and_products(first, form, u_try, v_try,
-                                                          factors[:, block])
+            if trying.size == A:
+                X_try = np.maximum(X - np.concatenate((step, step))[:, None] * d, 0.0)
+                F_try = F
+            else:
+                pick, s = np.concatenate((trying, A + trying)), step[trying]
+                X_try = np.maximum(X[pick] - np.concatenate((s, s))[:, None] * d[pick], 0.0)
+                F_try = F[:, trying]
+            n2, K, B, GX_try = stats_and_products(first, form, X_try, F_try)
             took, took_t = [], []  # the accepted trials and their scalings
-            for k, (j, r) in enumerate(zip(trying.tolist(), block.tolist())):
+            for k, j in enumerate(trying.tolist()):
+                r = active[j]
                 try:
                     t = root(n2[k], K[k], B[k], q, ab, upper[r])
                 except NehariError as exc:
@@ -368,41 +405,62 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
                     continue
                 if t is None:
                     continue
-                record = _record(n2[k], K[k], B[k], t, q, ab)
-                if record[0] < J_cur[r]:
-                    rel_drop[j] = (J_cur[r] - record[0]) / max(abs(J_cur[r]), 1e-300)
-                    J_cur[r], t_used[r] = record[0], t
-                    trajectories[r].append(record)
+                # the trial's (J, norm, K, B) scaled by t, as in _record
+                tn2, tK, tB = n2[k] * t**2, K[k] * t ** (1 - q), B[k] * t**ab
+                J = tn2 / 2 - tK / (1 - q) - tB / ab
+                if J < J_cur[r]:
+                    rel_drop[j] = (J_cur[r] - J) / max(abs(J_cur[r]), 1e-300)
+                    J_cur[r], t_used[r] = J, t
+                    trajectories[r].append((J, math.sqrt(tn2), tK, tB))
                     took.append(k)
                     took_t.append(t)
-            k = np.array(took, dtype=np.intp)
-            t = np.array(took_t).reshape(-1, 1)
-            u[block[k]], v[block[k]] = t * u_try[k], t * v_try[k]
-            Gu[block[k]], Gv[block[k]] = t * Gu_try[k], t * Gv_try[k]
-            rejected = np.ones(len(trying), dtype=bool)
-            rejected[k] = False
+            if took:
+                t = np.array(took_t * 2).reshape(-1, 1)
+                if len(took) == A:
+                    X, GX = t * X_try, t * GX_try
+                    break
+                if X is x:
+                    X = X.copy()  # x stays this iteration's iterate
+                k = np.array(took, dtype=np.intp)
+                into = np.concatenate((trying[k], A + trying[k]))
+                k = np.concatenate((k, trying.size + k))
+                X[into], GX[into] = t * X_try[k], t * GX_try[k]
+                if len(took) == trying.size:
+                    break
+            rejected = np.ones(trying.size, dtype=bool)
+            rejected[took] = False
             trying = trying[rejected]
             step[trying] *= 0.5
             trying = trying[step[trying] > _MIN_STEP]
             halving += 1
         # a row stops when no strictly decreasing step exists at float
         # resolution, or when its relative drop falls below TOL_ENERGY
-        stopped = np.array([drop is None or drop < TOL_ENERGY for drop in rel_drop])
-        for r in active[stopped].tolist():
+        stopped = [drop is None or drop < TOL_ENERGY for drop in rel_drop]
+        if not any(stopped):
+            previous = x, g, d
+            continue
+        gone = [j for j in range(A) if stopped[j]]
+        out = [active[j] for j in gone]
+        for r in out:
             hit_tol[r] = True
             iters[r] = it
-        keep = np.tile(~stopped, 2)
-        previous = x[keep], g[keep], d[keep]
-        active = active[~stopped]
+        done[out + [L + r for r in out]] = X[gone + [A + j for j in gone]]
+        keep = [j for j in range(A) if not stopped[j]]
+        both = keep + [A + j for j in keep]
+        X, GX, F = X[both], GX[both], F[:, keep]
+        previous = x[both], g[both], d[both]
+        active = [active[j] for j in keep]
+    if active:
+        done[active + [L + r for r in active]] = X
 
     # the checks and the stationarity run on the returned iterates, not on
     # scaled stats; a row's g' G^{-1} g sums its u and w halves
-    n2, K, B, Gu, Gv = stats_and_products(first, form, u, v, factors)
-    g = np.concatenate(smoothed_gradient(first, u, v, Gu, Gv, EPS_SINGULAR, factors))
+    n2, K, B, GX = stats_and_products(first, form, done, factors)
+    g = smoothed_gradient(first, done, GX, EPS_SINGULAR, factors)
     dual2 = _row_dots(g, form.riesz(g)).tolist()
     # the system asks for u, w > 0: a component that vanished at every
     # interior node (a negative parameter drives it there) is no solution
-    positive = ((u.max(axis=1) > 0) & (v.max(axis=1) > 0)).tolist()
+    positive = ((done[:L].max(axis=1) > 0) & (done[L:].max(axis=1) > 0)).tolist()
     results: list[_Row | None] = [None] * len(rows)
     for r, j in enumerate(live):
         stats = PairStats(n2[r], K[r], B[r])
@@ -410,8 +468,8 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
         norm = math.sqrt(n2[r])
         converged = bool(hit_tol[r] and abs(phi1) <= MANIFOLD_TOL * stats.scale()
                          and (phi2 < 0 if upper[r] else phi2 > 0) and positive[r])
-        results[j] = _Row(branch=branches[rows[j]], u=u[r], w=v[r], J=J_cur[r], norm=norm,
-                          phi1=phi1, phi2=phi2, t_used=t_used[r], iters=iters[r],
+        results[j] = _Row(branch=branches[rows[j]], u=done[r], w=done[L + r], J=J_cur[r],
+                          norm=norm, phi1=phi1, phi2=phi2, t_used=t_used[r], iters=iters[r],
                           converged=converged, trajectory=trajectories[r],
                           stationarity=math.sqrt(max(dual2[r], 0.0)) / norm)
     return results
@@ -439,20 +497,22 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
     manifold residual, then the lower iteration count, then the lower
     restart.
     """
-    # the point, branch and direction of each row; every (point, branch)
-    # draws from the restarts' generators in their seeded state
+    _check_shared(problems)
+    # the point, branch and direction of each row; each branch draws from
+    # the restarts' generators in their seeded state, one draw per attempt
+    # serving every point
     rngs = [np.random.default_rng(opts.seed + i) for i in range(opts.restarts)]
     seeded = [rng.bit_generator.state for rng in rngs]
+    point_of_row = np.repeat(np.arange(len(problems)), opts.restarts)
     points, row_branches, us, ws = [], [], [], []
     for branch in branches:
-        for k, problem in enumerate(problems):
-            for rng, state in zip(rngs, seeded):
-                rng.bit_generator.state = state
-            u, w, found = sample_directions(problem, rngs, branch)
-            us.append(u[found])
-            ws.append(w[found])
-            points += [k] * int(found.sum())
-            row_branches += [branch] * int(found.sum())
+        for rng, state in zip(rngs, seeded):
+            rng.bit_generator.state = state
+        u, w, found = sample_directions(problems, rngs, branch)
+        us.append(u[found])
+        ws.append(w[found])
+        points += point_of_row[found].tolist()
+        row_branches += [branch] * int(found.sum())
     rows, failed = (_descend(problems, points, form, row_branches, np.concatenate(us),
                              np.concatenate(ws)) if points else ([], {}))
     reached: dict[tuple[int, Branch], list[_Row]] = {

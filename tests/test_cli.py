@@ -573,6 +573,23 @@ def test_only_the_returned_reports_get_a_grid_pair(tmp_path, monkeypatch):
     assert counts == [(8, 8)]
 
 
+def test_a_sweep_samples_each_branch_once(tmp_path, monkeypatch):
+    # one sampler call per branch draws the directions of every point: a
+    # 2x2 sweep with 2 restarts asks for 4 points x 2 restarts rows twice
+    path = write_config(tmp_path)
+    calls = []
+    sample = solver.sample_directions
+
+    def counted(problems, rngs, branch):
+        calls.append((len(problems), len(rngs), branch))
+        return sample(problems, rngs, branch)
+
+    monkeypatch.setattr(solver, "sample_directions", counted)
+    assert cli.main(["sweep", path, "--lambdas", "0.01,0.02", "--mus", "0.005,0.01",
+                     "--out", str(tmp_path / "once.csv"), "--seed", "3"]) == 0
+    assert calls == [(4, 2, nf.Branch.PLUS), (4, 2, nf.Branch.MINUS)]
+
+
 def test_one_inverse_iteration_per_S_estimate(tmp_path, monkeypatch, capsys):
     # the candidates only bound S; one refinement of two fixed starts serves
     # constants, a two-branch solve, each verify, and all points of a sweep,

@@ -259,14 +259,15 @@ def test_kernel_against_gridpair_oracle(problem64, form64, asymmetric):
             assert new[0] == new[-1] == 0.0
             assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-        # the raw kernel, on a one-row block, returns the products it used
+        # the raw kernel, on the stacked block of one pair, returns the
+        # products it used
         u, v = pair.u.values[1:-1], pair.w.values[1:-1]
-        norm2_raw, K_raw, B_raw, Gu, Gv = stats_and_products(problem, form64, u[None], v[None])
+        X = np.stack([u, v])
+        norm2_raw, K_raw, B_raw, GX = stats_and_products(problem, form64, X)
         assert (norm2_raw, K_raw, B_raw) == ([st.norm2], [st.K], [st.B])
         assert all(type(x) is float for x in norm2_raw + K_raw + B_raw)
-        assert np.array_equal(Gu, (form64.matrix @ u)[None])
-        assert np.array_equal(Gv, (form64.matrix @ v)[None])
-        raw_u, raw_v = smoothed_gradient(problem, u, v, Gu[0], Gv[0], eps)
+        assert np.array_equal(GX, np.stack([form64.matrix @ u, form64.matrix @ v]))
+        raw_u, raw_v = smoothed_gradient(problem, X, GX, eps)
         assert np.array_equal(raw_u, grad.u.values[1:-1])
         assert np.array_equal(raw_v, grad.w.values[1:-1])
 
@@ -281,12 +282,54 @@ def test_row_sums_do_not_depend_on_the_block():
     form = nf.assemble_form(problem.grid, problem.s)
     n = problem.grid.cells - 1
     u, v = np.random.default_rng(0).uniform(0.5, 1.5, (2, 16, n))
-    factors = tuple(np.tile(f, (16, 1)) for f in problem.weighted_coefficients[:2])
+    factors = np.stack([np.tile(f, (16, 1)) for f in problem.weighted_coefficients[:2]])
     firsts = []
     for rows in (1, 2, 16):
-        norm2, K, B, _, _ = stats_and_products(problem, form, u[:rows], v[:rows],
-                                               tuple(f[:rows] for f in factors))
-        dots = solver._row_dots(np.concatenate([u[:rows], v[:rows]]),
-                                np.concatenate([v[:rows], u[:rows]]))
+        X = np.concatenate([u[:rows], v[:rows]])
+        norm2, K, B, _ = stats_and_products(problem, form, X, factors[:, :rows])
+        dots = solver._row_dots(X, np.concatenate([v[:rows], u[:rows]]))
         firsts.append((norm2[0], K[0], B[0], dots[0]))
     assert firsts[0] == firsts[1] == firsts[2]
+
+
+@pytest.mark.parametrize("cells", [64, 128, 2048])
+@pytest.mark.parametrize("rows", [1, 2, 16])
+def test_stacked_kernels_match_the_per_component_formulas(cells, rows):
+    # the kernels read one stacked block [U; V]; each row must get the bytes
+    # of the formulas written per component, on the dense path (64, 128
+    # cells) and the FFT path (2048), with per-row singular factors of
+    # either sign, a zero row, and a negative entry that the clip removes
+    problem = nf.validate_params(make_spec(
+        cells=cells, q=0.4, alpha=1.3, beta=1.6, lam=0.02, mu=0.005,
+        f=nf.WeightSpec.gaussian(0.2, 0.7, 1.1), g=nf.WeightSpec.linear_x(0.3, 1.0)))
+    form = nf.assemble_form(problem.grid, problem.s)
+    assert form.matrix_free is (cells == 2048)
+    q, al, be = problem.q, problem.alpha, problem.beta
+    ab, b = al + be, problem.weighted_coefficients[2]
+    rng = np.random.default_rng(cells + rows)
+    n = cells - 1
+    u, v = rng.uniform(0.0, 1.5, (2, rows, n))
+    u[0, n // 3] = -0.2
+    v[-1] = 0.0
+    scales = rng.uniform(-0.5, 2.0, (2, rows, 1))
+    lam_f, mu_g = scales * np.stack(problem.weighted_coefficients[:2])[:, None]
+    eps = 1e-8
+
+    Gu, Gv = form.apply(u), form.apply(v)
+    up, vp = np.maximum(u, 0.0), np.maximum(v, 0.0)
+    K = (up ** (1 - q) * lam_f).sum(axis=-1) + (vp ** (1 - q) * mu_g).sum(axis=-1)
+    B = (up**al * vp**be * b).sum(axis=-1)
+    norm2 = (u * Gu).sum(axis=-1) + (v * Gv).sum(axis=-1)
+    gu = Gu - lam_f * np.maximum(u, eps) ** (-q) - (al / ab) * b * up ** (al - 1) * vp**be
+    gv = Gv - mu_g * np.maximum(v, eps) ** (-q) - (be / ab) * b * up**al * vp ** (be - 1)
+
+    X = np.concatenate([u, v])
+    factors = np.stack([lam_f, mu_g])
+    got_norm2, got_K, got_B, GX = stats_and_products(problem, form, X, factors)
+    assert (got_norm2, got_K, got_B) == (norm2.tolist(), K.tolist(), B.tolist())
+    assert np.array_equal(GX, np.concatenate([Gu, Gv]))
+    g = smoothed_gradient(problem, X, GX, eps, factors)
+    assert g.shape == X.shape
+    assert np.array_equal(g, np.concatenate([gu, gv]))
+    # the zero w row has no coupling
+    assert got_B[-1] == 0.0

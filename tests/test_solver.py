@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -82,7 +83,7 @@ def _initial_direction_reference(problem, rng, branch):
             continue
         u, v = prof.copy(), prof.copy()
         for _damp in range(8):
-            K, B = singular_and_coupling(problem, u[1:-1], v[1:-1])
+            [K], [B] = singular_and_coupling(problem, np.stack([u[1:-1], v[1:-1]]))
             if K > 0:
                 break
             if problem.lam < problem.mu:
@@ -114,7 +115,7 @@ def test_block_sampler_draws_each_restart_as_alone(monkeypatch, case):
             patch.setattr(solver, "singular_and_coupling",
                           lambda *args: scored.append(kernel(*args)) or scored[-1])
             u, w, found = solver.sample_directions(
-                problem, [np.random.default_rng(seed) for seed in range(16)], branch)
+                [problem], [np.random.default_rng(seed) for seed in range(16)], branch)
         assert found.all()
         for seed in range(16):
             pair = nf.initial_direction(problem, np.random.default_rng(seed), branch)
@@ -131,6 +132,46 @@ def test_block_sampler_draws_each_restart_as_alone(monkeypatch, case):
             assert not np.array_equal(u, w)
         if branch is nf.Branch.MINUS:
             assert rejected is (case == "narrow_b")
+
+
+@pytest.mark.parametrize("case", ["readme", "mixed_sign", "narrow_b", "damps_w"])
+def test_shared_sampler_gives_each_point_its_rows_alone(case):
+    # one sampler call over several points (lambda, mu): each point's rows
+    # are those of a call for that point alone with freshly seeded
+    # generators, and each generator draws once per attempt for all points,
+    # as far as the point that needs the most attempts of it. The points
+    # mix damping sides: lambda < mu damps u, lambda > 0 > mu damps w
+    spec, points = {
+        "readme": (make_spec(cells=256), [(0.01, 0.01), (0.02, 0.005), (0.005, 0.05)]),
+        "mixed_sign": (make_spec(cells=64),
+                       [(-0.01, 0.01), (0.01, -0.01), (0.01, 0.01), (-0.02, 0.005)]),
+        "narrow_b": (make_spec(cells=64, b=nf.WeightSpec.linear_x(1.0, -0.8)),
+                     [(0.01, 0.01), (0.03, 0.02)]),
+        "damps_w": (make_spec(cells=64), [(0.01, -0.01), (0.02, -0.005)]),
+    }[case]
+    problems = [nf.validate_params(dataclasses.replace(spec, lam=lam, mu=mu))
+                for lam, mu in points]
+    for branch in nf.Branch:
+        rngs = [np.random.default_rng(seed) for seed in range(16)]
+        u, w, found = solver.sample_directions(problems, rngs, branch)
+        assert u.shape == w.shape == (16 * len(problems), spec.grid.cells - 1)
+        lone_states, damped = [], set()
+        for k, problem in enumerate(problems):
+            lone = [np.random.default_rng(seed) for seed in range(16)]
+            lone_u, lone_w, lone_found = solver.sample_directions([problem], lone, branch)
+            rows = slice(16 * k, 16 * (k + 1))
+            assert np.array_equal(u[rows], lone_u) and np.array_equal(w[rows], lone_w)
+            assert np.array_equal(found[rows], lone_found) and lone_found.all()
+            # only the side tied to the lesser parameter shrinks
+            small, large = (lone_u, lone_w) if problem.lam < problem.mu else (lone_w, lone_u)
+            assert (small <= large).all()
+            if (small < large).any():
+                damped.add("u" if problem.lam < problem.mu else "w")
+            lone_states.append([rng.bit_generator.state for rng in lone])
+        assert damped == {"readme": set(), "mixed_sign": {"u", "w"}, "narrow_b": set(),
+                          "damps_w": {"w"}}[case]
+        for i, rng in enumerate(rngs):
+            assert rng.bit_generator.state in [states[i] for states in lone_states]
 
 
 def test_solve_branch_raises_when_no_direction_exists():
@@ -596,9 +637,9 @@ def test_every_row_reports_its_stationarity(monkeypatch, problem64, matrix_free)
         rows = _descend_point(problem64, form, branch, directions)
         for row in rows:
             assert row.branch is branch
-            gu, gv = smoothed_gradient(problem64, row.u, row.w, form.apply(row.u),
-                                       form.apply(row.w), solver.EPS_SINGULAR)
-            g = np.array([gu, gv])
+            g = smoothed_gradient(problem64, np.stack([row.u, row.w]),
+                                  np.stack([form.apply(row.u), form.apply(row.w)]),
+                                  solver.EPS_SINGULAR)
             expected = math.sqrt(float(np.sum(g * form.riesz(g)))) / row.norm
             assert row.stationarity == pytest.approx(expected, rel=1e-9)
         report = nf.solve_branch(problem64, form, branch, nf.SolverOptions(seed=0, restarts=4))
@@ -632,8 +673,8 @@ def test_restarts_used_counts_only_rows_that_reach_the_branch(monkeypatch, probl
     # the first restart's direction admits no scaling; the other two descend
     sample = solver.sample_directions
 
-    def first_zero(problem, rngs, branch):
-        u, w, found = sample(problem, rngs, branch)
+    def first_zero(problems, rngs, branch):
+        u, w, found = sample(problems, rngs, branch)
         u[0] = w[0] = 0.0
         return u, w, found
 
