@@ -9,7 +9,8 @@ of the positive parts to the power 1-q (the singular term acting through
 lambda f and mu g), and B the sign-indefinite coupling integral of
 b u_+^alpha w_+^beta. All interval integrals use the grid's trapezoid
 weights, matching the quadrature used by the constants module so the
-discrete inequality checks are exact.
+discrete inequality checks are exact. ``scaled_record`` gives J of the
+pair scaled by any t from the three statistics alone.
 
 The formulas live in three raw-array functions on the interior nodes
 (``singular_and_coupling``, ``stats_and_products``, ``smoothed_gradient``),
@@ -20,12 +21,13 @@ per-row sum runs along its row, the u half first, so a row gets the same
 bytes in any block. The block descent calls them directly, and the
 GridPair functions wrap them for one pair, the block of two rows. Lambda
 and mu enter only through the singular factors (lambda w f, mu w g), which
-the kernels take per row, so the rows of one block may belong to problems
-that differ in lambda, mu, f and g alone.
+the kernels take per row (``singular_factors``), so the rows of one block
+may belong to problems that differ in lambda, mu, f and g alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +57,11 @@ class EnergyParts:
     J: float
 
 
-def _own_factors(problem: ValidatedProblem) -> np.ndarray:
-    # the problem's singular factors (lambda w f, mu w g), shaped to
-    # broadcast over the rows of either half of a stacked block
-    return np.stack(problem.weighted_coefficients[:2])[:, None]
+def singular_factors(problems: list[ValidatedProblem]) -> np.ndarray:
+    """The singular factors (lambda w f, mu w g) of each problem, shape
+    (2, P, n), as the kernels take them per row; one problem's serves
+    every row."""
+    return np.array([[p.weighted_coefficients[k] for p in problems] for k in (0, 1)])
 
 
 def singular_and_coupling(problem: ValidatedProblem, X: np.ndarray,
@@ -76,7 +79,7 @@ def singular_and_coupling(problem: ValidatedProblem, X: np.ndarray,
     half, then adds the w half.
     """
     if factors is None:
-        factors = _own_factors(problem)
+        factors = singular_factors([problem])
     q, al, be, b = problem.q, problem.alpha, problem.beta, problem.weighted_coefficients[2]
     A = len(X) // 2
     P = np.maximum(X, 0.0)
@@ -116,7 +119,7 @@ def smoothed_gradient(problem: ValidatedProblem, X: np.ndarray, GX: np.ndarray, 
     gradient of the energy itself.
     """
     if factors is None:
-        factors = _own_factors(problem)
+        factors = singular_factors([problem])
     q, al, be, b = problem.q, problem.alpha, problem.beta, problem.weighted_coefficients[2]
     ab = al + be
     A = len(X) // 2
@@ -155,9 +158,17 @@ def pair_stats(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -
     return PairStats(norm2[0], K[0], B[0])
 
 
+def scaled_record(norm2: float, K: float, B: float, t: float, q: float, ab: float
+                  ) -> tuple[float, float, float, float]:
+    """(J, norm, K, B) of the pair with these statistics scaled by t: the
+    three parts scale as t^2, t^{1-q} and t^{alpha+beta}."""
+    n2, K, B = norm2 * t**2, K * t ** (1 - q), B * t**ab
+    return n2 / 2 - K / (1 - q) - B / ab, math.sqrt(n2), K, B
+
+
 def energy(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> EnergyParts:
     st = pair_stats(problem, form, pair)
-    J = st.norm2 / 2 - st.K / (1 - problem.q) - st.B / (problem.alpha + problem.beta)
+    J = scaled_record(st.norm2, st.K, st.B, 1.0, problem.q, problem.alpha + problem.beta)[0]
     return EnergyParts(norm2=st.norm2, K=st.K, B=st.B, J=J)
 
 
@@ -181,7 +192,7 @@ def phi_from_stats(stats: PairStats, q: float, ab: float, t: float) -> tuple[flo
     if t <= 0:
         raise NonpositiveT(f"fiber map requires t > 0, got {t}")
     n2, K, B = stats.norm2, stats.K, stats.B
-    val = t**2 * n2 / 2 - t ** (1 - q) * K / (1 - q) - t**ab * B / ab
+    val = scaled_record(n2, K, B, t, q, ab)[0]
     d1 = t * n2 - t ** (-q) * K - t ** (ab - 1) * B
     d2 = n2 + q * t ** (-q - 1) * K - (ab - 1) * t ** (ab - 2) * B
     return val, d1, d2

@@ -18,20 +18,21 @@ A negative parameter can make K <= 0. Both powers then fall, so psi falls
 from +infinity to -B: for B > 0 its one root is a fiber maximum
 (local-max branch), and for B <= 0 there is none.
 
-``branch_root`` holds this case analysis and finds one root: t1, or the
-fiber maximum (``root`` does the same from the statistics as three
-floats). psi is nonnegative at an anchor (t_max, or the root t0 of the
-K = 0 part when K <= 0) and changes sign once on the root's side of it.
-The bracket starts at t = 1, clipped to that side, since a descent
-trial lies one step from the manifold, and widens geometrically in
-x = log t until psi changes sign. Newton's method in x, where
+``root`` holds this case analysis and finds one root, from the pair
+statistics as three floats: t1, or the fiber maximum. psi is nonnegative
+at an anchor (t_max, or the root t0 of the K = 0 part when K <= 0) and
+changes sign once on the root's side of it. The bracket starts at t = 1,
+clipped to that side, since a descent trial lies one step from the
+manifold, and widens geometrically in x = log t until psi changes sign.
+Newton's method in x, where
 
     dpsi/dx = (2-a) t^{2-a} norm2 - (1-a-q) t^{1-a-q} K
 
 costs nothing beyond the two powers psi already needs, then shrinks the
 bracket by the sign of psi; a step that would leave it is replaced by a
 bisection, so the iteration cannot diverge. ``project`` finds both roots
-with two calls.
+with two calls. ``label`` splits the manifold into N+, N- and N0 by the
+sign of phi''(1); ``classify`` and the solver's converged verdict read it.
 """
 
 from __future__ import annotations
@@ -45,9 +46,7 @@ from .errors import NoBracket, NonpositiveK, NonpositiveNorm, NonpositiveT
 from .form import GagliardoForm
 from .problem import GridPair, ValidatedProblem
 
-# the bands of classify, relative to norm2 + |K| + |B|: |phi'(1)| within
-# MANIFOLD_TOL is on the manifold (the band the solver's converged verdict
-# reads too), and phi''(1) within DEGENERATE_TOL is degenerate
+# the bands of label: |phi'(1)| and |phi''(1)|, relative to norm2 + |K| + |B|
 MANIFOLD_TOL = 1e-8
 DEGENERATE_TOL = 1e-10
 _ROOT_TOL = 1e-12  # a root is final once its Newton step in log t is shorter
@@ -87,12 +86,16 @@ def psi(stats: PairStats, q: float, ab: float, t: float) -> float:
     """Rescaled fiber derivative t^{2-ab} norm2 - t^{1-ab-q} K - B."""
     if t <= 0:
         raise NonpositiveT(f"psi requires t > 0, got {t}")
-    return _psi(stats, 2 - ab, 1 - ab - q, t)
+    return _psi(stats.norm2, stats.K, stats.B, 2 - ab, 1 - ab - q, t)
 
 
-def _psi(stats: PairStats, e_n: float, e_k: float, t: float) -> float:
+def _psi(norm2: float, K: float, B: float, e_n: float, e_k: float, t: float) -> float:
     # psi for t > 0, with its exponents e_n = 2 - ab and e_k = 1 - ab - q
-    return t ** e_n * stats.norm2 - t ** e_k * stats.K - stats.B
+    return t**e_n * norm2 - t**e_k * K - B
+
+
+def _t_max(norm2: float, K: float, q: float, ab: float) -> float:
+    return ((ab - 1 + q) * K / ((ab - 2) * norm2)) ** (1 / (1 + q))
 
 
 def t_max(stats: PairStats, q: float, ab: float) -> float:
@@ -101,26 +104,20 @@ def t_max(stats: PairStats, q: float, ab: float) -> float:
         raise NonpositiveNorm(f"t_max requires norm2 > 0, got {stats.norm2}")
     if stats.K <= 0:
         raise NonpositiveK(f"t_max requires K > 0, got {stats.K}")
-    return float(((ab - 1 + q) * stats.K / ((ab - 2) * stats.norm2)) ** (1 / (1 + q)))
+    return float(_t_max(stats.norm2, stats.K, q, ab))
 
 
-def branch_root(stats: PairStats, q: float, ab: float, upper: bool) -> float | None:
-    """The scaling that puts a direction on one branch, or None if none does.
+def root(norm2: float, K: float, B: float, q: float, ab: float, upper: bool) -> float | None:
+    """The scaling that puts a direction with these pair statistics on one
+    branch, or None if none does.
 
     upper=False asks for the fiber minimum t1 (local-min branch), upper=True
     for the fiber maximum: t2 for K > 0, the falling root for K <= 0.
     Raises NoBracket when rounding collapsed psi(t_max) although B <= 0, or
-    when psi changes no sign within the float range. ``root`` of the
-    stats' three floats.
+    when psi changes no sign within the float range. The statistics come as
+    three floats: the block descent calls it once per trial row, with no
+    object per row.
     """
-    return root(stats.norm2, stats.K, stats.B, q, ab, upper)
-
-
-def root(norm2: float, K: float, B: float, q: float, ab: float, upper: bool) -> float | None:
-    """``branch_root`` of the pair statistics given as floats: the block
-    descent calls it once per trial row, with no object per row. t_max and
-    psi(t_max) are inlined with the same operations as ``t_max`` and
-    ``psi``, so both give the same bytes."""
     if norm2 <= 0:
         return None
     e_n, e_k = 2 - ab, 1 - ab - q
@@ -133,8 +130,8 @@ def root(norm2: float, K: float, B: float, q: float, ab: float, upper: bool) -> 
     else:
         if upper and B <= 0:
             return None  # a single root, the fiber minimum
-        tm = ((ab - 1 + q) * K / ((ab - 2) * norm2)) ** (1 / (1 + q))
-        if tm ** e_n * norm2 - tm ** e_k * K - B <= 0:
+        tm = _t_max(norm2, K, q, ab)
+        if _psi(norm2, K, B, e_n, e_k, tm) <= 0:
             # exact arithmetic gives psi(t_max) > -B, so for B <= 0 only
             # rounding gets here
             if B <= 0:
@@ -144,7 +141,8 @@ def root(norm2: float, K: float, B: float, q: float, ab: float, upper: bool) -> 
     # psi >= 0 at the anchor x_in and changes sign once on the root's side
     # of it. Start at t = 1, clipped to that side (a descent trial lies one
     # step from the manifold), and widen geometrically in x = log t until
-    # the sign changes.
+    # the sign changes. The loops inline _psi, since Newton's slope needs its
+    # two power terms (a call per evaluation slowed sweep_n64 by 7%, 2-core x86).
     side = 1.0 if upper else -1.0
     x = side * max(side * x_in, 0.0)
     width = 1.0
@@ -185,32 +183,33 @@ def root(norm2: float, K: float, B: float, q: float, ab: float, upper: bool) -> 
 def project(stats: PairStats, q: float, ab: float) -> FiberRoots:
     """Both manifold scalings of a direction with K > 0."""
     tm = t_max(stats, q, ab)
-    ptm = _psi(stats, 2 - ab, 1 - ab - q, tm)
-    t1 = branch_root(stats, q, ab, upper=False)
+    ptm = psi(stats, q, ab, tm)
+    t1 = root(stats.norm2, stats.K, stats.B, q, ab, upper=False)
     if t1 is None:
         return FiberRoots(case=FiberCase.NO_ADMISSIBLE_ROOT, t1=None, t2=None,
                           t_max=tm, psi_at_tmax=ptm)
-    t2 = branch_root(stats, q, ab, upper=True)
+    t2 = root(stats.norm2, stats.K, stats.B, q, ab, upper=True)
     case = FiberCase.SINGLE_ROOT if t2 is None else FiberCase.TWO_ROOTS
     return FiberRoots(case=case, t1=t1, t2=t2, t_max=tm, psi_at_tmax=ptm)
 
 
-def classify(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> Membership:
-    """Manifold membership from the signs of phi'(1) and phi''(1).
+def label(phi1: float, phi2: float, scale: float) -> MembershipLabel:
+    """Manifold membership from phi'(1) and phi''(1), relative to scale =
+    norm2 + |K| + |B|: on the manifold when |phi'(1)| <= MANIFOLD_TOL * scale,
+    then N0 when |phi''(1)| <= DEGENERATE_TOL * scale, else N+ or N- by the
+    sign of phi''(1). Exact equality is measure-zero in floating point, so
+    membership in the manifold and in N0 is a band, not a point."""
+    if not abs(phi1) <= MANIFOLD_TOL * scale:  # also catches nan
+        return MembershipLabel.OFF_MANIFOLD
+    if phi2 > DEGENERATE_TOL * scale:
+        return MembershipLabel.N_PLUS
+    if phi2 < -DEGENERATE_TOL * scale:
+        return MembershipLabel.N_MINUS
+    return MembershipLabel.N_ZERO
 
-    The bands MANIFOLD_TOL and DEGENERATE_TOL scale with norm2 + |K| + |B|;
-    exact equality is measure-zero in floating point, so membership in the
-    manifold and in its degenerate set is a band, not a point.
-    """
+
+def classify(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> Membership:
+    """Manifold membership of a pair: ``label`` of its phi'(1) and phi''(1)."""
     st = pair_stats(problem, form, pair)
     _, d1, d2 = phi_from_stats(st, problem.q, problem.alpha + problem.beta, 1.0)
-    scale = st.scale()
-    if not abs(d1) <= MANIFOLD_TOL * scale:  # also catches nan
-        label = MembershipLabel.OFF_MANIFOLD
-    elif d2 > DEGENERATE_TOL * scale:
-        label = MembershipLabel.N_PLUS
-    elif d2 < -DEGENERATE_TOL * scale:
-        label = MembershipLabel.N_MINUS
-    else:
-        label = MembershipLabel.N_ZERO
-    return Membership(label=label, phi1=d1, phi2=d2)
+    return Membership(label=label(d1, d2, st.scale()), phi1=d1, phi2=d2)

@@ -41,11 +41,11 @@ returned iterate; only the row that wins its point and branch becomes a
 points (lambda, mu) of a sweep: the points share the grid, s, q, alpha,
 beta and b, and lambda and mu enter the energy only as per-row factors of
 the singular integrals. The two branches differ only in the root a row's
-projection takes and in the sign of phi''(1) its verdict asks for, so each
-row carries its own branch, and one block descends every restart of every
-point on every branch (``solve_points``). Rows beyond ``BLOCK_ELEMENTS``
-elements descend as consecutive blocks, which bounds the memory and
-changes no row.
+projection takes and in the part of the manifold its verdict asks for
+(``fiber.label``: N+ or N-), so each row carries its own branch, and one
+block descends every restart of every point on every branch
+(``solve_points``). Rows beyond ``BLOCK_ELEMENTS`` elements descend as
+consecutive blocks, which bounds the memory and changes no row.
 """
 
 from __future__ import annotations
@@ -60,7 +60,9 @@ import numpy as np
 from .energy import (
     PairStats,
     phi_from_stats,
+    scaled_record,
     singular_and_coupling,
+    singular_factors,
     smoothed_gradient,
     stats_and_products,
 )
@@ -70,7 +72,7 @@ from .errors import (
     NoAdmissibleDirection,
     NotConvergedInput,
 )
-from .fiber import MANIFOLD_TOL, root
+from .fiber import MembershipLabel, label, root
 from .form import GagliardoForm
 from .problem import GridPair, ValidatedProblem
 from .thresholds import ConstantsReport
@@ -99,7 +101,7 @@ class SolverOptions:
     """What a caller varies: restart i draws its direction from the
     generator seeded with seed + i. The descent's other settings are the
     module constants MAX_ITERS, STEP, TOL_ENERGY and EPS_SINGULAR, and its
-    on-manifold band is ``fiber.MANIFOLD_TOL``."""
+    converged verdict reads the bands of ``fiber.label``."""
 
     seed: int = 0
     restarts: int = 8
@@ -151,11 +153,6 @@ def _check_shared(problems: list[ValidatedProblem]) -> None:
             raise ValueError("the problems of one block may differ in lambda, mu, f and g alone")
 
 
-def _stacked_factors(problems: list[ValidatedProblem]) -> np.ndarray:
-    # the singular factors lambda w f and mu w g of each problem, shape (2, P, n)
-    return np.array([[p.weighted_coefficients[k] for p in problems] for k in (0, 1)])
-
-
 def sample_directions(problems: list[ValidatedProblem], rngs: list[np.random.Generator],
                       branch: Branch = Branch.PLUS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One random nonnegative direction pair with positive singular integral
@@ -185,7 +182,7 @@ def sample_directions(problems: list[ValidatedProblem], rngs: list[np.random.Gen
     x = x[1:-1]  # the boundary values stay zero
     lo, hi = grid.left + 0.1 * width_scale, grid.right - 0.1 * width_scale
     count = len(rngs)
-    factors = _stacked_factors(problems)
+    factors = singular_factors(problems)
     # the side each row damps: u where lambda < mu, else w
     damp_u = np.repeat([p.lam < p.mu for p in problems], count)
     u = np.zeros((len(problems) * count, x.size))
@@ -265,12 +262,6 @@ class _Row:
     trajectory: list[tuple[float, float, float, float]]
 
 
-def _record(norm2, K, B, t, q, ab):
-    # (J, norm, K, B) of the direction with these stats, scaled by t
-    n2, K, B = norm2 * t**2, K * t ** (1 - q), B * t**ab
-    return n2 / 2 - K / (1 - q) - B / ab, math.sqrt(n2), K, B
-
-
 def _row_dots(a, b):
     # one dot per row pair of a stacked block [U; V], summed as in
     # energy.singular_and_coupling
@@ -294,7 +285,7 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
     blocks, which changes no row.
     """
     first = problems[0]
-    factors = _stacked_factors(problems)
+    factors = singular_factors(problems)
     # a row whose projection raises ends its point on its branch, as the
     # error would end a descent of that point alone; the other points go on.
     # The error kept is the one raised first, by (iteration, halving round,
@@ -350,7 +341,7 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
         if t is not None:
             live.append(j)
             t_used.append(t)
-            trajectories.append([_record(n2[j], K[j], B[j], t, q, ab)])
+            trajectories.append([scaled_record(n2[j], K[j], B[j], t, q, ab)])
     L = len(live)
     stacked = np.array(live + [len(rows) + j for j in live], dtype=np.intp)
     t = np.array(t_used * 2).reshape(-1, 1)
@@ -405,13 +396,12 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
                     continue
                 if t is None:
                     continue
-                # the trial's (J, norm, K, B) scaled by t, as in _record
-                tn2, tK, tB = n2[k] * t**2, K[k] * t ** (1 - q), B[k] * t**ab
-                J = tn2 / 2 - tK / (1 - q) - tB / ab
+                record = scaled_record(n2[k], K[k], B[k], t, q, ab)
+                J = record[0]
                 if J < J_cur[r]:
                     rel_drop[j] = (J_cur[r] - J) / max(abs(J_cur[r]), 1e-300)
                     J_cur[r], t_used[r] = J, t
-                    trajectories[r].append((J, math.sqrt(tn2), tK, tB))
+                    trajectories[r].append(record)
                     took.append(k)
                     took_t.append(t)
             if took:
@@ -466,8 +456,8 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
         stats = PairStats(n2[r], K[r], B[r])
         _, phi1, phi2 = phi_from_stats(stats, q, ab, 1.0)
         norm = math.sqrt(n2[r])
-        converged = bool(hit_tol[r] and abs(phi1) <= MANIFOLD_TOL * stats.scale()
-                         and (phi2 < 0 if upper[r] else phi2 > 0) and positive[r])
+        converged = bool(hit_tol[r] and positive[r] and label(phi1, phi2, stats.scale())
+                         is (MembershipLabel.N_MINUS if upper[r] else MembershipLabel.N_PLUS))
         results[j] = _Row(branch=branches[rows[j]], u=done[r], w=done[L + r], J=J_cur[r],
                           norm=norm, phi1=phi1, phi2=phi2, t_used=t_used[r], iters=iters[r],
                           converged=converged, trajectory=trajectories[r],

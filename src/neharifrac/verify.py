@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import pair_stats
+from .energy import pair_stats, phi_from_stats
 from .errors import AllMasked, CandidateNotIncluded
 from .form import GagliardoForm, same_cell_integral
 from .problem import GridPair, GridSpec, ValidatedProblem
@@ -177,8 +177,7 @@ def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
     add("coupling_term_bound", st.B <= rhs_e3 * (1 + _SLACK) + _SLACK, st.B, rhs_e3)
 
     # energy lower bound on the manifold
-    J = st.norm2 / 2 - st.K / (1 - q) - st.B / ab
-    phi1 = st.norm2 - st.K - st.B
+    J, phi1, _ = phi_from_stats(st, q, ab, 1.0)
     if abs(phi1) <= _MANIFOLD_BAND * max(st.scale(), 1e-300):
         bound = ((0.5 - 1 / ab) * st.norm2
                  - (1 / (1 - q) - 1 / ab) * Lambda ** ((1 + q) / 2)

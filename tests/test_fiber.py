@@ -1,10 +1,13 @@
+import math
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import neharifrac as nf
 from neharifrac.errors import NoBracket, NonpositiveK, NonpositiveNorm, NonpositiveT
-from neharifrac.fiber import branch_root
+from neharifrac.fiber import DEGENERATE_TOL, MANIFOLD_TOL, label, root
 
 from conftest import bump_pair
 
@@ -171,8 +174,8 @@ def test_project_roots_over_wide_stats():
         ab = float(rng.uniform(2.05, 6.0))
         n2, K, B = 10 ** rng.uniform(-4.0, 4.0, size=3)
         st = nf.PairStats(float(n2), -float(K), float(B))
-        t = branch_root(st, q, ab, upper=True)
-        assert branch_root(st, q, ab, upper=False) is None
+        t = root(*astuple(st), q, ab, upper=True)
+        assert root(*astuple(st), q, ab, upper=False) is None
         f = lambda t: nf.psi(st, q, ab, t)
         # psi(t0 / 2) > 2^{a-2} B - B > 0, while psi(t0) may round to 0
         lo = (n2 / B) ** (1 / (ab - 2)) / 2
@@ -194,14 +197,14 @@ def test_branch_root_is_scale_covariant():
             ab = float(rng.uniform(2.05, 6.0))
             n2, K, B = 10 ** rng.uniform(-2.0, 2.0, size=3)
             st = nf.PairStats(float(n2), float(K), float(B))
-            t = branch_root(st, q, ab, upper)
+            t = root(*astuple(st), q, ab, upper)
             if t is None:
                 continue
             on = nf.PairStats(t**2 * st.norm2, t ** (1 - q) * st.K, t**ab * st.B)
-            assert branch_root(on, q, ab, upper) == pytest.approx(1.0, rel=1e-12)
+            assert root(*astuple(on), q, ab, upper) == pytest.approx(1.0, rel=1e-12)
             for c in (1e-3, 1e3):
                 scaled = nf.PairStats(c**2 * on.norm2, c ** (1 - q) * on.K, c**ab * on.B)
-                assert branch_root(scaled, q, ab, upper) == pytest.approx(1 / c, rel=1e-12)
+                assert root(*astuple(scaled), q, ab, upper) == pytest.approx(1 / c, rel=1e-12)
 
 
 def test_falling_root_against_brentq():
@@ -211,14 +214,14 @@ def test_falling_root_against_brentq():
         n2 = float(rng.uniform(0.2, 5.0))
         K = -float(rng.uniform(0.0, 2.0))
         B = float(rng.uniform(0.01, 2.0))
-        t = branch_root(nf.PairStats(n2, K, B), Q, AB, upper=True)
+        t = root(n2, K, B, Q, AB, upper=True)
         oracle = brentq(lambda t: psi_explicit(t, n2, K, B), 1e-12, 1e12,
                         xtol=1e-300, rtol=1e-15)
         assert t == pytest.approx(oracle, rel=1e-10)
         assert psi_prime_explicit(t, n2, K) < 0
     # K <= 0 and B <= 0: psi stays positive, no scaling on either branch
     for upper in (False, True):
-        assert branch_root(nf.PairStats(1.0, -0.1, 0.0), Q, AB, upper) is None
+        assert root(1.0, -0.1, 0.0, Q, AB, upper) is None
 
 
 def test_project_rejects_nonpositive_k():
@@ -239,6 +242,23 @@ def test_classify_projected_pairs(problem64, form64):
     assert m2.label is nf.MembershipLabel.N_MINUS
     off = nf.classify(problem64, form64, pair.scaled(roots.t1 * 1.5))
     assert off.label is nf.MembershipLabel.OFF_MANIFOLD
+
+
+def test_label_bands():
+    # phi''(1) within DEGENERATE_TOL * scale is N0, the first float outside
+    # the band on either side N+ or N-; |phi'(1)| beyond MANIFOLD_TOL * scale
+    # or nan is off the manifold, whatever phi''(1) is
+    L = nf.MembershipLabel
+    scale = 7.5
+    band, on = DEGENERATE_TOL * scale, MANIFOLD_TOL * scale
+    for phi1 in (0.0, on, -on):
+        for phi2 in (0.0, 0.5 * band, -0.5 * band, band, -band):
+            assert label(phi1, phi2, scale) is L.N_ZERO
+        assert label(phi1, math.nextafter(band, math.inf), scale) is L.N_PLUS
+        assert label(phi1, math.nextafter(-band, -math.inf), scale) is L.N_MINUS
+    for phi1 in (math.nan, math.nextafter(on, math.inf), -2 * on):
+        for phi2 in (0.0, 1.0, -1.0):
+            assert label(phi1, phi2, scale) is L.OFF_MANIFOLD
 
 
 def test_fiber_structure_positive_coupling(problem64, form64):

@@ -8,7 +8,7 @@ import pytest
 import neharifrac as nf
 from neharifrac.energy import singular_and_coupling, smoothed_gradient
 from neharifrac.errors import DirectionSearchFailed, NoBracket, NotConvergedInput
-from neharifrac.fiber import branch_root
+from neharifrac.fiber import DEGENERATE_TOL, root
 from neharifrac import form as form_mod
 from neharifrac.form import riesz_map
 from neharifrac import solver
@@ -382,7 +382,7 @@ def _descend_euclidean_reference(problem, form, branch, direction, max_iters=200
     the nodal gradient as the direction. Returns the final energy."""
     q, ab = problem.q, problem.alpha + problem.beta
     stats = nf.pair_stats(problem, form, direction)
-    pair = direction.scaled(branch_root(stats, q, ab, branch is nf.Branch.MINUS))
+    pair = direction.scaled(root(*dataclasses.astuple(stats), q, ab, branch is nf.Branch.MINUS))
     st = nf.pair_stats(problem, form, pair)
     J_cur = st.norm2 / 2 - st.K / (1 - q) - st.B / ab
     step = step0
@@ -396,7 +396,7 @@ def _descend_euclidean_reference(problem, form, branch, direction, max_iters=200
             tstats = nf.pair_stats(problem, form, trial)
             t_sel = None
             if tstats.norm2 > 0 and tstats.K > 0:
-                t_sel = branch_root(tstats, q, ab, branch is nf.Branch.MINUS)
+                t_sel = root(*dataclasses.astuple(tstats), q, ab, branch is nf.Branch.MINUS)
             if t_sel is not None:
                 J_new = (tstats.norm2 * t_sel**2 / 2 - tstats.K * t_sel ** (1 - q) / (1 - q)
                          - tstats.B * t_sel**ab / ab)
@@ -508,7 +508,7 @@ def _descend_gridpair_reference(problem, form, riesz, branch, direction):
     def stats(pair):
         return nf.PairStats(*reference_stats(problem, form, pair))
 
-    t_used = branch_root(stats(direction), q, ab, branch is nf.Branch.MINUS)
+    t_used = root(*dataclasses.astuple(stats(direction)), q, ab, branch is nf.Branch.MINUS)
     if t_used is None:
         return None
     pair = direction.scaled(t_used)
@@ -538,7 +538,7 @@ def _descend_gridpair_reference(problem, form, riesz, branch, direction):
             v_try = np.maximum(pair.w.values - step * dv, 0.0)
             trial = nf.GridPair.from_arrays(problem.grid, u_try, v_try)
             tstats = stats(trial)
-            t_sel = branch_root(tstats, q, ab, branch is nf.Branch.MINUS)
+            t_sel = root(*dataclasses.astuple(tstats), q, ab, branch is nf.Branch.MINUS)
             if t_sel is None:
                 step *= 0.5
                 continue
@@ -669,6 +669,23 @@ def test_block_stops_rows_at_the_step_floor_and_at_max_iters(monkeypatch, proble
         assert not result.converged
 
 
+@pytest.mark.parametrize("branch, sign", [(nf.Branch.PLUS, 1.0), (nf.Branch.MINUS, -1.0)])
+def test_converged_needs_phi2_outside_the_degenerate_band(monkeypatch, problem64, form64,
+                                                          branch, sign):
+    # the verdict reads fiber.label's bands: a row whose phi''(1) lies inside
+    # DEGENERATE_TOL * scale, on its branch's side of 0, is in N0, not N+ or N-
+    directions = [nf.initial_direction(problem64, np.random.default_rng(seed), branch)
+                  for seed in range(3)]
+    assert all(row.converged for row in _descend_point(problem64, form64, branch, directions))
+
+    def degenerate(stats, q, ab, t):
+        return 0.0, 0.0, sign * 0.5 * DEGENERATE_TOL * stats.scale()
+
+    monkeypatch.setattr(solver, "phi_from_stats", degenerate)
+    rows = _descend_point(problem64, form64, branch, directions)
+    assert rows and not any(row.converged for row in rows)
+
+
 def test_restarts_used_counts_only_rows_that_reach_the_branch(monkeypatch, problem64, form64):
     # the first restart's direction admits no scaling; the other two descend
     sample = solver.sample_directions
@@ -747,8 +764,8 @@ def test_one_root_projection_matches_project(problem64):
         K = rng.choice([-1.0, 1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
         B = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4, 4)
         stats = nf.PairStats(norm2, K, B)
-        plus = branch_root(stats, q, ab, upper=False)
-        minus = branch_root(stats, q, ab, upper=True)
+        plus = root(*dataclasses.astuple(stats), q, ab, upper=False)
+        minus = root(*dataclasses.astuple(stats), q, ab, upper=True)
         if K <= 0:
             # the falling root, against brentq in tests/test_fiber.py
             seen.add("K <= 0 < B" if B > 0 else "K, B <= 0")
@@ -770,8 +787,8 @@ def test_one_root_projection_matches_project(problem64):
     with pytest.raises(NoBracket):
         nf.project(stats, q, ab)
     with pytest.raises(NoBracket):
-        branch_root(stats, q, ab, upper=True)
-    assert branch_root(stats, q, ab, upper=False) == pytest.approx(0.5 ** (2 / 3))
+        root(*dataclasses.astuple(stats), q, ab, upper=True)
+    assert root(*dataclasses.astuple(stats), q, ab, upper=False) == pytest.approx(0.5 ** (2 / 3))
 
 
 def test_rows_split_into_blocks_come_out_as_unsplit(monkeypatch):
