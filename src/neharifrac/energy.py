@@ -50,10 +50,9 @@ class PairStats:
 
 
 @dataclass(frozen=True)
-class EnergyParts:
-    norm2: float
-    K: float
-    B: float
+class EnergyParts(PairStats):
+    """The pair statistics with the energy J they give."""
+
     J: float
 
 
@@ -169,7 +168,7 @@ def scaled_record(norm2: float, K: float, B: float, t: float, q: float, ab: floa
 def energy(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> EnergyParts:
     st = pair_stats(problem, form, pair)
     J = scaled_record(st.norm2, st.K, st.B, 1.0, problem.q, problem.alpha + problem.beta)[0]
-    return EnergyParts(norm2=st.norm2, K=st.K, B=st.B, J=J)
+    return EnergyParts(st.norm2, st.K, st.B, J)
 
 
 def energy_gradient(problem: ValidatedProblem, form: GagliardoForm,

@@ -129,7 +129,6 @@ class GagliardoForm:
         self.grid = grid
         self.s = s
         self.symbol = form_symbol(s, grid.h, n)
-        self.quad_weights = grid.trapezoid_weights()
         self.matrix_free = grid.cells >= MATRIX_FREE_CELLS
         self._inverse = None
         # the least quotient of the grid's own S starts, by exponent r: it

@@ -4,12 +4,16 @@ The continuous problem lives on a bounded interval with homogeneous
 exterior condition (functions vanish outside the interval). Everything
 downstream works with nodal values on a uniform grid; the underlying
 representation is the piecewise-linear interpolant extended by zero.
+``validate_params`` checks a ProblemSpec and returns it as a
+ValidatedProblem: the same frozen fields, plus the critical exponent and
+the weights sampled at the nodes. Every interval integral takes the
+grid's ``trapezoid_weights``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -237,58 +241,29 @@ def sample_weight(w: WeightSpec, grid: GridSpec) -> GridFunction:
     return GridFunction(grid, vals)
 
 
-@dataclass
-class ValidatedProblem:
-    """A ProblemSpec together with sampled weights and derived quantities."""
+@dataclass(frozen=True, eq=False)
+class ValidatedProblem(ProblemSpec):
+    """A ProblemSpec that passed ``validate_params``, with its critical
+    exponent and its weights sampled at the grid nodes."""
 
-    spec: ProblemSpec
     crit_exp: float
     f_vals: np.ndarray
     g_vals: np.ndarray
     b_vals: np.ndarray
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.spec.grid
-
-    @property
-    def s(self) -> float:
-        return self.spec.s
-
-    @property
-    def q(self) -> float:
-        return self.spec.q
-
-    @property
-    def alpha(self) -> float:
-        return self.spec.alpha
-
-    @property
-    def beta(self) -> float:
-        return self.spec.beta
-
-    @property
-    def lam(self) -> float:
-        return self.spec.lam
-
-    @property
-    def mu(self) -> float:
-        return self.spec.mu
-
-    def quad_weights(self) -> np.ndarray:
-        return self.grid.trapezoid_weights()
-
     @functools.cached_property
     def weighted_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lam w f, mu w g, w b) on the interior nodes, w the trapezoid
         weights: the factors of the energy's integrals, formed once."""
-        w = self.quad_weights()[1:-1]
+        w = self.grid.trapezoid_weights()[1:-1]
         i = slice(1, -1)
         return self.lam * w * self.f_vals[i], self.mu * w * self.g_vals[i], w * self.b_vals[i]
 
 
 def validate_params(spec: ProblemSpec) -> ValidatedProblem:
-    """Check every structural assumption and sample the weights.
+    """Check every structural assumption and sample the weights: the spec's
+    fields, the critical exponent and the sampled weights, as one
+    ValidatedProblem.
 
     Raises the error class of the first violation found; the exception
     carries the full list of detected violations.
@@ -346,5 +321,5 @@ def validate_params(spec: ProblemSpec) -> ValidatedProblem:
         }[kind]
         raise cls(msg, violations)
 
-    return ValidatedProblem(spec=spec, crit_exp=crit,
-                            f_vals=f_vals, g_vals=g_vals, b_vals=b_vals)
+    return ValidatedProblem(**{f.name: getattr(spec, f.name) for f in fields(ProblemSpec)},
+                            crit_exp=crit, f_vals=f_vals, g_vals=g_vals, b_vals=b_vals)

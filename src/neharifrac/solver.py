@@ -35,12 +35,13 @@ over the w rows: each iteration applies the gradient and the Riesz map to
 all of them at once, while each row keeps its own step, acceptance and
 stopping rule, so a row ends as it would in a descent of its own, and a
 row that stops leaves the block. A row's trial statistics stay floats, and
-each row comes out as arrays and floats, with the stationarity of its
-returned iterate; only the row that wins its point and branch becomes a
-``SolutionReport`` with a ``GridPair``. The rows may come from several
-points (lambda, mu) of a sweep: the points share the grid, s, q, alpha,
-beta and b, and lambda and mu enter the energy only as per-row factors of
-the singular integrals. The two branches differ only in the root a row's
+each row comes out as a ``SolutionReport`` holding its returned iterate as
+interior arrays, with the stationarity there; the row that wins its point
+and branch is the report returned, and its ``GridPair`` is built only when
+a caller reads ``pair``. The rows may come from several points (lambda,
+mu) of a sweep: the points share the grid, s, q, alpha, beta and b, and
+lambda and mu enter the energy only as per-row factors of the singular
+integrals. The two branches differ only in the root a row's
 projection takes and in the part of the manifold its verdict asks for
 (``fiber.label``: N+ or N-), so each row carries its own branch, and one
 block descends every restart of every point on every branch
@@ -51,9 +52,10 @@ consecutive blocks, which bounds the memory and changes no row.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +76,7 @@ from .errors import (
 )
 from .fiber import MembershipLabel, label, root
 from .form import GagliardoForm
-from .problem import GridPair, ValidatedProblem
+from .problem import GridPair, GridSpec, ValidatedProblem
 from .thresholds import ConstantsReport
 
 _MIN_STEP = 1e-16
@@ -118,8 +120,16 @@ class SolverOptions:
 
 @dataclass
 class SolutionReport:
+    """The outcome of one restart, a row of a block descent: its returned
+    iterate as the interior nodal arrays u and w on grid, and what the
+    descent knows of it. ``solve_points`` returns the row that wins its
+    point and branch, with restarts_used set; ``pair`` builds the iterate's
+    GridPair on first read."""
+
     branch: Branch
-    pair: GridPair
+    grid: GridSpec
+    u: np.ndarray
+    w: np.ndarray
     J: float
     norm: float
     phi1: float
@@ -127,12 +137,17 @@ class SolutionReport:
     t_used: float
     iters: int
     converged: bool
-    restarts_used: int
     # dual norm sqrt(g' G^{-1} g) of the smoothed gradient at the returned
     # iterate, over the pair norm; zero exactly at a critical point
     stationarity: float
     # one (J, norm, K, B) record per accepted iterate, in order
-    trajectory: list[tuple[float, float, float, float]] = field(default_factory=list)
+    trajectory: list[tuple[float, float, float, float]]
+    # the restarts of its point that reached the branch, set on the winner
+    restarts_used: int = 0
+
+    @functools.cached_property
+    def pair(self) -> GridPair:
+        return GridPair.from_arrays(self.grid, np.pad(self.u, 1), np.pad(self.w, 1))
 
 
 @dataclass(frozen=True)
@@ -242,26 +257,6 @@ def initial_direction(problem: ValidatedProblem, rng: np.random.Generator,
     return GridPair.from_arrays(problem.grid, np.pad(u[0], 1), np.pad(v[0], 1))
 
 
-@dataclass
-class _Row:
-    """The outcome of one restart, a row of a block descent: the fields of
-    its report but the pair and restarts_used, with the interior nodal
-    arrays u and w of its returned iterate in place of the pair."""
-
-    branch: Branch
-    u: np.ndarray
-    w: np.ndarray
-    J: float
-    norm: float
-    phi1: float
-    phi2: float
-    t_used: float
-    iters: int
-    converged: bool
-    stationarity: float
-    trajectory: list[tuple[float, float, float, float]]
-
-
 def _row_dots(a, b):
     # one dot per row pair of a stacked block [U; V], summed as in
     # energy.singular_and_coupling
@@ -270,10 +265,10 @@ def _row_dots(a, b):
 
 def _descend(problems: list[ValidatedProblem], points: list[int], form: GagliardoForm,
              branches: list[Branch], u: np.ndarray, w: np.ndarray
-             ) -> tuple[list[_Row | None], dict[tuple[int, Branch], NehariError]]:
+             ) -> tuple[list[SolutionReport | None], dict[tuple[int, Branch], NehariError]]:
     """The rows of one block descent, row i of the interior nodal arrays
     (u, w) the direction of a restart of the point problems[points[i]] on
-    the branch branches[i]: the outcome of each row, or None where it admits
+    the branch branches[i]: the report of each row, or None where it admits
     no branch scaling; and the first error that a row raised, for each
     (point, branch) that raised one.
 
@@ -292,7 +287,7 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
     # row), however the rows are split into blocks
     errors: list[tuple[tuple[int, int, int], NehariError]] = []
     size = max(1, BLOCK_ELEMENTS // (first.grid.cells - 1))
-    results: list[_Row | None] = []
+    results: list[SolutionReport | None] = []
     for start in range(0, len(points), size):
         rows = range(start, min(start + size, len(points)))
         results += _descend_block(first, form, factors[:, [points[i] for i in rows]],
@@ -306,8 +301,8 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
 
 def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: range,
                    branches: list[Branch], u: np.ndarray, v: np.ndarray,
-                   errors: list) -> list[_Row | None]:
-    """The outcome of each row of one block, or None where the row admits
+                   errors: list) -> list[SolutionReport | None]:
+    """The report of each row of one block, or None where the row admits
     no branch scaling; (u, v) are the block's rows of the directions and
     factors their singular factors, shape (2, rows, n). A projection that
     raises appends ((iteration, halving round, row), error) to errors and
@@ -324,7 +319,11 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
     its products with G are t times the trial's, and each gradient costs no
     product of its own. A trial's statistics stay three floats from the
     kernel to the projection, the acceptance test and the trajectory
-    record, which run in the loop over its rows.
+    record, which run in the loop over its rows. A row's energy is its last
+    trajectory record's, and it stopped if it left the block: the rows
+    still active after MAX_ITERS iterations did not. Each report copies its
+    row of the returned iterates, so that a kept report does not keep the
+    block.
     """
     q, ab = first.q, first.alpha + first.beta
     X = np.concatenate([u, v])
@@ -348,11 +347,10 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
     X, GX = t * X[stacked], t * GX[stacked]
     factors = F = factors[:, live]  # F: the factors of the rows still active
     done = np.empty_like(X)  # each live row's returned iterate, stacked as X
-    # each row's branch flag and energy
+    # each row's branch flag and iteration count; its energy is the J of
+    # its trajectory's last record
     upper = [branches[rows[j]] is Branch.MINUS for j in live]
-    J_cur = [trajectory[0][0] for trajectory in trajectories]
     iters = [MAX_ITERS] * L
-    hit_tol = [False] * L
 
     active = list(range(L))
     previous = None  # the last iteration's x, g and d of the rows still active
@@ -397,10 +395,10 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
                 if t is None:
                     continue
                 record = scaled_record(n2[k], K[k], B[k], t, q, ab)
-                J = record[0]
-                if J < J_cur[r]:
-                    rel_drop[j] = (J_cur[r] - J) / max(abs(J_cur[r]), 1e-300)
-                    J_cur[r], t_used[r] = J, t
+                J, last = record[0], trajectories[r][-1][0]
+                if J < last:
+                    rel_drop[j] = (last - J) / max(abs(last), 1e-300)
+                    t_used[r] = t
                     trajectories[r].append(record)
                     took.append(k)
                     took_t.append(t)
@@ -432,7 +430,6 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
         gone = [j for j in range(A) if stopped[j]]
         out = [active[j] for j in gone]
         for r in out:
-            hit_tol[r] = True
             iters[r] = it
         done[out + [L + r for r in out]] = X[gone + [A + j for j in gone]]
         keep = [j for j in range(A) if not stopped[j]]
@@ -440,6 +437,7 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
         X, GX, F = X[both], GX[both], F[:, keep]
         previous = x[both], g[both], d[both]
         active = [active[j] for j in keep]
+    # the rows still active ran out of iterations without stopping
     if active:
         done[active + [L + r for r in active]] = X
 
@@ -451,21 +449,22 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
     # the system asks for u, w > 0: a component that vanished at every
     # interior node (a negative parameter drives it there) is no solution
     positive = ((done[:L].max(axis=1) > 0) & (done[L:].max(axis=1) > 0)).tolist()
-    results: list[_Row | None] = [None] * len(rows)
+    results: list[SolutionReport | None] = [None] * len(rows)
     for r, j in enumerate(live):
         stats = PairStats(n2[r], K[r], B[r])
         _, phi1, phi2 = phi_from_stats(stats, q, ab, 1.0)
         norm = math.sqrt(n2[r])
-        converged = bool(hit_tol[r] and positive[r] and label(phi1, phi2, stats.scale())
+        converged = bool(r not in active and positive[r] and label(phi1, phi2, stats.scale())
                          is (MembershipLabel.N_MINUS if upper[r] else MembershipLabel.N_PLUS))
-        results[j] = _Row(branch=branches[rows[j]], u=done[r], w=done[L + r], J=J_cur[r],
-                          norm=norm, phi1=phi1, phi2=phi2, t_used=t_used[r], iters=iters[r],
-                          converged=converged, trajectory=trajectories[r],
-                          stationarity=math.sqrt(max(dual2[r], 0.0)) / norm)
+        results[j] = SolutionReport(
+            branch=branches[rows[j]], grid=first.grid, u=done[r].copy(), w=done[L + r].copy(),
+            J=trajectories[r][-1][0], norm=norm, phi1=phi1, phi2=phi2, t_used=t_used[r],
+            iters=iters[r], converged=converged, trajectory=trajectories[r],
+            stationarity=math.sqrt(max(dual2[r], 0.0)) / norm)
     return results
 
 
-def _residual(row: _Row) -> float:
+def _residual(row: SolutionReport) -> float:
     """|phi'(1)| over the scale norm^2 + |K| + |B| of the last record."""
     _, norm, K, B = row.trajectory[-1]
     return abs(row.phi1) / (norm**2 + abs(K) + abs(B))
@@ -485,8 +484,10 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
     every restart of every problem on every branch descends as a row of one
     block, each as if alone. Ties on energy break toward the smaller
     manifold residual, then the lower iteration count, then the lower
-    restart.
+    restart. No problems give no reports.
     """
+    if not problems:
+        return {b: [] for b in branches}
     _check_shared(problems)
     # the point, branch and direction of each row; each branch draws from
     # the restarts' generators in their seeded state, one draw per attempt
@@ -505,7 +506,7 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
         row_branches += [branch] * int(found.sum())
     rows, failed = (_descend(problems, points, form, row_branches, np.concatenate(us),
                              np.concatenate(ws)) if points else ([], {}))
-    reached: dict[tuple[int, Branch], list[_Row]] = {
+    reached: dict[tuple[int, Branch], list[SolutionReport]] = {
         (k, b): [] for b in branches for k in range(len(problems))}
     for key, row in zip(zip(points, row_branches), rows):
         if row is not None:
@@ -519,14 +520,8 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
                 f"all {opts.restarts} restarts failed to reach branch {branch.value}; "
                 "the parameter pair may be far outside the admissible region")
         else:
-            # only the row returned gets a GridPair
-            best = min(candidates, key=lambda r: (r.J, _residual(r), r.iters))
-            pair = GridPair.from_arrays(problems[k].grid, np.pad(best.u, 1), np.pad(best.w, 1))
-            result = SolutionReport(
-                branch=branch, pair=pair, J=best.J, norm=best.norm, phi1=best.phi1,
-                phi2=best.phi2, t_used=best.t_used, iters=best.iters, converged=best.converged,
-                restarts_used=len(candidates), stationarity=best.stationarity,
-                trajectory=best.trajectory)
+            result = min(candidates, key=lambda r: (r.J, _residual(r), r.iters))
+            result.restarts_used = len(candidates)
         results[branch].append(result)
     return results
 

@@ -152,7 +152,7 @@ def rayleigh_quotient(form: GagliardoForm, r: float, values: np.ndarray) -> floa
     """Discrete embedding quotient of one candidate (scale-invariant)."""
     v = values[1:-1]
     num = float(v @ form.apply(v))
-    den = float(np.sum(form.quad_weights * np.abs(values) ** r)) ** (2.0 / r)
+    den = float(np.sum(form.grid.trapezoid_weights() * np.abs(values) ** r)) ** (2.0 / r)
     if den == 0.0:
         raise ZeroDivisionError("candidate is identically zero")
     return num / den
@@ -219,7 +219,7 @@ def _inverse_iteration(form: GagliardoForm, r: float, *starts: np.ndarray) -> fl
     MAX_INVERSE_ITERATIONS raises InverseIterationNotConverged: S read from
     an unfinished iteration is too high, and so is the threshold C.
     """
-    w = form.quad_weights[1:-1]
+    w = form.grid.trapezoid_weights()[1:-1]
     v = np.array([values[1:-1] for values in starts])
     v /= np.abs(v).max(axis=1, keepdims=True)
     best, power = _quotients(v, form.apply(v), w, r)
@@ -322,7 +322,7 @@ def compute_constants(problem: ValidatedProblem, form: GagliardoForm,
     """
     al, be, q = problem.alpha, problem.beta, problem.q
     ab = al + be
-    w = problem.quad_weights()
+    w = problem.grid.trapezoid_weights()
     qs = q_star(al, be, q)
     f_norm = weight_norm(qs, problem.f_vals, w)
     g_norm = weight_norm(qs, problem.g_vals, w)

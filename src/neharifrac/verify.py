@@ -89,7 +89,7 @@ def weak_residual(problem: ValidatedProblem, form: GagliardoForm,
     if not np.any(mask):
         raise AllMasked("every interior node is below delta; nothing to test")
 
-    w = problem.quad_weights()[1:-1][mask]
+    w = problem.grid.trapezoid_weights()[1:-1][mask]
     lam_f = problem.lam * w * problem.f_vals[1:-1][mask]
     mu_g = problem.mu * w * problem.g_vals[1:-1][mask]
     b = w * problem.b_vals[1:-1][mask]
@@ -151,7 +151,7 @@ def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
     """
     q, ab = problem.q, problem.alpha + problem.beta
     S_est, f_norm, Lambda = constants.S, constants.f_norm, constants.Lambda
-    w = problem.quad_weights()
+    w = problem.grid.trapezoid_weights()
     st = pair_stats(problem, form, pair)
     norm = np.sqrt(st.norm2)
 

@@ -88,7 +88,7 @@ def reference_stats(problem, form, pair):
     """(norm2, K, B) by the GridPair formulas the raw-array kernel replaced,
     kept as an oracle: full nodal arrays and the trapezoid weights rebuilt
     per call."""
-    w = problem.quad_weights()
+    w = problem.grid.trapezoid_weights()
     q = problem.q
     u, v = pair.u.values, pair.w.values
     up = np.maximum(u, 0.0)
@@ -117,7 +117,7 @@ def energy_smoothed(problem, form, pair, eps):
     exact derivative everywhere. The smoothed integrand is positive at 0,
     so the boundary nodes contribute to the trapezoid sum.
     """
-    w = problem.quad_weights()
+    w = problem.grid.trapezoid_weights()
     q = problem.q
     st = nf.pair_stats(problem, form, pair)
     sing = (problem.lam * np.sum(w * problem.f_vals
@@ -129,7 +129,7 @@ def energy_smoothed(problem, form, pair, eps):
 
 def reference_gradient(problem, form, pair, eps):
     """Nodal gradient of the eps-smoothed energy by the replaced formulas."""
-    w = problem.quad_weights()
+    w = problem.grid.trapezoid_weights()
     q, al, be = problem.q, problem.alpha, problem.beta
     ab = al + be
     u, v = pair.u.values, pair.w.values

@@ -366,6 +366,24 @@ def test_sweep_records_failed_points_and_continues(tmp_path):
     assert good["plus_converged"] == "true"
 
 
+@pytest.mark.parametrize("lambdas,mus", [("0", "0"), ("nan", "0.01")])
+def test_a_sweep_without_a_valid_point_writes_its_failure_row(tmp_path, lambdas, mus):
+    # no point is left to descend: the sweep still exits 0 and writes the
+    # header and the point's row with every failure column
+    path = write_config(tmp_path, {"grid": {"cells": 32}})
+    out = tmp_path / "invalid.csv"
+    assert cli.main(["sweep", path, "--lambdas", lambdas, "--mus", mus,
+                     "--out", str(out), "--seed", "1"]) == 0
+    header, line = out.read_text().splitlines()
+    assert header == cli.SWEEP_HEADER
+    row = dict(zip(header.split(","), line.split(",")))
+    assert (row["lambda"], row["mu"]) == (repr(float(lambdas)), repr(float(mus)))
+    for key in ("in_gamma", "plus_converged", "minus_converged", "gap_ok"):
+        assert row[key] == "false"
+    for key in ("Lambda", "C", "J_plus", "J_minus", "norm_plus", "norm_minus", "A0", "A_lm"):
+        assert row[key] == "nan"
+
+
 def test_sweep_nonfinite_points_are_failed_rows(tmp_path):
     path = write_config(tmp_path, {"grid": {"cells": 32}})
     out = tmp_path / "nonfinite.csv"
@@ -550,27 +568,28 @@ def test_dense_inverse_is_built_once_per_solve_and_per_sweep(tmp_path, monkeypat
 
 def test_only_the_returned_reports_get_a_grid_pair(tmp_path, monkeypatch):
     # the block descent keeps every row's iterate as arrays: a 2x2 sweep
-    # with 2 restarts descends 16 rows, and solve_points builds a GridPair
-    # only for the report it returns for each point and branch
+    # with 2 restarts descends 16 rows, solve_points builds no GridPair, and
+    # the only GridPairs the whole sweep builds are the pairs of the report
+    # it returns for each point and branch, read by the constants
     path = write_config(tmp_path)
-    built, counts = [], []
+    built, reports = [], []
     post_init = nf.GridPair.__post_init__
     monkeypatch.setattr(nf.GridPair, "__post_init__",
                         lambda pair: built.append(pair) or post_init(pair))
     solve = cli.solve_points
 
     def counted(*args):
-        built.clear()
         results = solve(*args)
-        reports = [r for rs in results.values() for r in rs if isinstance(r, nf.SolutionReport)]
-        counts.append((len(built), len(reports)))
-        assert [id(r.pair) for r in reports] == [id(pair) for pair in built]
+        assert not built
+        reports.extend(r for rs in results.values() for r in rs
+                       if isinstance(r, nf.SolutionReport))
         return results
 
     monkeypatch.setattr(cli, "solve_points", counted)
     assert cli.main(["sweep", path, "--lambdas", "0.01,0.02", "--mus", "0.005,0.01",
                      "--out", str(tmp_path / "once.csv"), "--seed", "3"]) == 0
-    assert counts == [(8, 8)]
+    assert len(reports) == 8
+    assert sorted(map(id, built)) == sorted(id(r.pair) for r in reports)
 
 
 def test_a_sweep_samples_each_branch_once(tmp_path, monkeypatch):

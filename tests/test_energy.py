@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,7 +174,7 @@ def test_gradient_pure_quadratic_case(form64):
     spec = make_spec(cells=64, lam=0.0, mu=1e-30, b=nf.WeightSpec.samples([0.0] * 65))
     import neharifrac.problem as problem_mod
     p = problem_mod.ValidatedProblem(
-        spec=spec, crit_exp=10.0,
+        **{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}, crit_exp=10.0,
         f_vals=np.ones(65), g_vals=np.ones(65), b_vals=np.zeros(65))
     rng = np.random.default_rng(12)
     pair = random_x0_pair(p, rng)

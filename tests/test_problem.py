@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -181,3 +182,13 @@ def test_grid_pair_enforces_boundary_zeros():
     bad[0] = 0.5
     with pytest.raises(Exception):
         nf.GridPair.from_arrays(grid, bad, good)
+
+
+def test_a_validated_problem_is_its_frozen_spec():
+    spec = make_spec(cells=32)
+    problem = nf.validate_params(spec)
+    assert isinstance(problem, nf.ProblemSpec)
+    for f in dataclasses.fields(nf.ProblemSpec):
+        assert getattr(problem, f.name) == getattr(spec, f.name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.lam = 0.02

@@ -31,6 +31,37 @@ def _descend_point(problem, form, branch, directions):
     return rows
 
 
+def test_the_returned_reports_are_the_descent_rows(problem64, form64, monkeypatch):
+    # solve_points returns the winning rows of the block descent themselves,
+    # with restarts_used set; a report builds its GridPair on the first read
+    # of pair, and a second read returns the same object
+    rows, built = [], []
+    descend = solver._descend
+
+    def recorded(*args):
+        result = descend(*args)
+        rows.extend(result[0])
+        return result
+
+    monkeypatch.setattr(solver, "_descend", recorded)
+    post_init = nf.GridPair.__post_init__
+    monkeypatch.setattr(nf.GridPair, "__post_init__",
+                        lambda pair: built.append(pair) or post_init(pair))
+    solved = solver.solve_points([problem64], form64, list(nf.Branch),
+                                 nf.SolverOptions(seed=0, restarts=3))
+    assert not built
+    for branch, [report] in solved.items():
+        assert any(report is row for row in rows)
+        assert report.restarts_used == sum(row is not None and row.branch is branch
+                                           for row in rows) > 0
+        pair = report.pair
+        assert [id(p) for p in built] == [id(pair)]
+        assert report.pair is pair and len(built) == 1
+        assert np.array_equal(pair.u.values, np.pad(report.u, 1))
+        assert np.array_equal(pair.w.values, np.pad(report.w, 1))
+        built.clear()
+
+
 def test_initial_direction_properties(problem64, form64):
     for seed in (0, 1, 17):
         rng = np.random.default_rng(seed)

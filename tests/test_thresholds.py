@@ -190,12 +190,12 @@ def test_estimate_S_skips_zero_candidates(form64):
 def _quotient_gradient_reference(form, r, values):
     v = values[1:-1]
     num = float(v @ form.matrix @ v)
-    den_sum = float(np.sum(form.quad_weights * np.abs(values) ** r))
+    den_sum = float(np.sum(form.grid.trapezoid_weights() * np.abs(values) ** r))
     den = den_sum ** (2.0 / r)
     g = np.zeros_like(values)
     g[1:-1] = (2.0 * (form.matrix @ v) / den
                - (num / den) * (2.0 / r)
-               * (r * form.quad_weights[1:-1] * np.sign(v) * np.abs(v) ** (r - 1))
+               * (r * form.grid.trapezoid_weights()[1:-1] * np.sign(v) * np.abs(v) ** (r - 1))
                / den_sum)
     return g
 
@@ -276,7 +276,7 @@ def _refine_alone_reference(form, r, start, product=True):
     # G, or with product=False as y'(G y) from the Riesz map's right-hand
     # side, the way the refinement takes it. Returns the least quotient and
     # the iterations
-    w = form.quad_weights[1:-1]
+    w = form.grid.trapezoid_weights()[1:-1]
     v = start[1:-1] / np.abs(start[1:-1]).max()
     best = float(v @ form.apply(v)) / float(np.abs(v) ** r @ w) ** (2.0 / r)
     for iterations in range(1, MAX_INVERSE_ITERATIONS + 1):

@@ -80,8 +80,8 @@ def test_weak_residual_pure_quadratic_normalizes_to_one(form64):
     import neharifrac.problem as pm
     spec = dataclasses.replace(make_spec(cells=64), lam=0.0, mu=0.0)
     n = 65
-    p = pm.ValidatedProblem(spec=spec, crit_exp=10.0,
-                            f_vals=np.ones(n), g_vals=np.ones(n),
+    p = pm.ValidatedProblem(**{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)},
+                            crit_exp=10.0, f_vals=np.ones(n), g_vals=np.ones(n),
                             b_vals=np.zeros(n))
     pair = bump_pair(p, 0.0, 0.4)
     res = nf.weak_residual(p, form64, pair, 1e-6)
@@ -147,7 +147,7 @@ def test_inequality_suite_rejects_bad_estimate(problem64, form64, constants64):
 def test_discrete_hoelder_on_random_functions(problem64):
     # exact weighted-sum inequality, checked as <= on random data
     rng = np.random.default_rng(4)
-    w = problem64.quad_weights()
+    w = problem64.grid.trapezoid_weights()
     q, ab = problem64.q, problem64.alpha + problem64.beta
     qs = nf.q_star(problem64.alpha, problem64.beta, q)
     for _ in range(50):
