@@ -130,8 +130,8 @@ def _float_str(x: float) -> str:
 def solution_to_json(report: SolutionReport, phash: str) -> dict:
     return {
         "branch": report.branch.value,
-        "u": [float(v) for v in report.pair.u.values],
-        "w": [float(v) for v in report.pair.w.values],
+        "u": report.pair.u.values.tolist(),
+        "w": report.pair.w.values.tolist(),
         "J": report.J,
         "norm": report.norm,
         "phi1": report.phi1,

@@ -75,10 +75,6 @@ class NonpositiveLambda(NehariError):
     pass
 
 
-class EmptyCandidateSet(NehariError):
-    pass
-
-
 class DirectionSearchFailed(NehariError):
     pass
 

@@ -6,13 +6,13 @@ the discrete Rayleigh-type quotient
 
     Q(u) = u' G u / (sum_i w_i |u_i|^r)^{2/r},        r = alpha + beta,
 
-over the nodal functions: the candidates bound it by their quotients, and
-one inverse iteration of two starts fixed by the grid refines it (Hein &
-Buehler, NIPS 2010), each iteration extrapolated by a secant step, which is
-Anderson's method of depth 1 (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM
-J. Numer. Anal. 49, 2011). The estimate is an upper bound for the discrete
-infimum and never exceeds the quotient of any supplied candidate, which
-the inequality checks use.
+over the nodal functions: one inverse iteration of two starts fixed by the
+grid refines it (Hein & Buehler, NIPS 2010), each iteration extrapolated by
+a secant step, which is Anderson's method of depth 1 (Anderson, J. ACM 12,
+1965; Walker & Ni, SIAM J. Numer. Anal. 49, 2011), and the caller's
+candidates can only lower it. The estimate is an upper bound for the
+discrete infimum and never exceeds the quotient of any supplied candidate,
+which the inequality checks use.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import (
-    EmptyCandidateSet,
     InverseIterationNotConverged,
     NonpositiveBSup,
     NonpositiveLambda,
     NonpositiveS,
 )
 from .form import GagliardoForm
-from .problem import GridFunction, GridSpec, ValidatedProblem
+from .problem import GridSpec, ValidatedProblem
 
 # a row of the inverse iteration stops once its quotient drops by less than
 # this, relatively, in one step. Probes 1% inside either end of the
@@ -252,41 +251,36 @@ def _inverse_iteration(form: GagliardoForm, r: float, *starts: np.ndarray) -> fl
 def estimate_S(form: GagliardoForm, r: float, candidates) -> float:
     """Upper estimate of the discrete embedding constant.
 
-    The smaller of the candidates' Rayleigh quotients and one inverse
-    iteration of two starts that depend on the grid alone: the hat, which
-    alone reaches a concentrated local minimum near the top of the
-    alpha+beta window, and the half-cosine, which alone reaches the spread
-    one there. So S depends on the candidates only through their minimum,
-    and adding one never raises it. A candidate that vanishes at every
-    interior node has no quotient and is skipped. The refinement depends on
-    the form and r alone; it runs once per form and r, and the form keeps
-    it, so every point of a sweep shares it.
+    The inverse iteration of the two starts of default_candidates, lowered
+    to the least Rayleigh quotient of the candidates (nodal arrays) if one
+    is below it; with no candidates it is the refinement alone. So S depends
+    on the candidates only through their minimum, and adding one never
+    raises it. A candidate that vanishes at every interior node has no
+    quotient and is skipped. The refinement depends on the form and r
+    alone; it runs once per form and r, and the form keeps it, so every
+    point of a sweep shares it.
     """
-    cand_list = [c.values if isinstance(c, GridFunction) else np.asarray(c, dtype=float)
-                 for c in candidates]
-    cand_list = [values for values in cand_list if np.any(values[1:-1])]
-    if not cand_list:
-        raise EmptyCandidateSet("estimate_S needs at least one candidate that is "
-                                "nonzero at an interior node")
     refined = form.refined_quotients.get(r)
     if refined is None:
-        hat, _, cosine = default_candidates(form.grid)
-        refined = form.refined_quotients[r] = _inverse_iteration(form, r, hat, cosine)
-    return min(refined, *(rayleigh_quotient(form, r, values) for values in cand_list))
+        refined = form.refined_quotients[r] = _inverse_iteration(
+            form, r, *default_candidates(form.grid))
+    values = (np.asarray(c, dtype=float) for c in candidates)
+    return min([refined] + [rayleigh_quotient(form, r, v) for v in values if np.any(v[1:-1])])
 
 
 def default_candidates(grid: GridSpec) -> list[np.ndarray]:
-    """Seed family for the quotient search: hat, smooth bump, half-cosine."""
+    """The starts of the S refinement: the hat, which alone reaches a
+    concentrated local minimum of the quotient near the top of the
+    alpha+beta window, and the half-cosine, which alone reaches the spread
+    one there."""
     x = grid.nodes()
     mid = 0.5 * (grid.left + grid.right)
     halfwidth = 0.5 * (grid.right - grid.left)
     hat = np.zeros(grid.node_count)
     hat[grid.cells // 2] = 1.0
-    bump = np.maximum(0.0, 1 - ((x - mid) / (0.6 * halfwidth)) ** 2) ** 2
     cosine = np.cos(0.5 * np.pi * (x - mid) / halfwidth)
-    for c in (bump, cosine):
-        c[0] = c[-1] = 0.0
-    return [hat, bump, cosine]
+    cosine[0] = cosine[-1] = 0.0
+    return [hat, cosine]
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +310,10 @@ def compute_constants(problem: ValidatedProblem, form: GagliardoForm,
                       extra_candidates=()) -> ConstantsReport:
     """Evaluate every explicit constant for one problem.
 
-    extra_candidates (nodal arrays or GridFunctions) are added to the
-    default quotient-search family; passing solver outputs here makes the
-    discrete embedding step of the inequality chains hold for them.
+    S is the refinement of estimate_S, lowered by any of extra_candidates
+    (nodal arrays) whose quotient is below it; passing solver outputs here
+    makes the discrete embedding step of the inequality chains hold for
+    them.
     """
     al, be, q = problem.alpha, problem.beta, problem.q
     ab = al + be
@@ -329,7 +324,7 @@ def compute_constants(problem: ValidatedProblem, form: GagliardoForm,
     b_sup = float(np.max(np.maximum(problem.b_vals, 0.0)))
     Lambda = lambda_aggregate(problem.lam, problem.mu, f_norm, g_norm, q)
 
-    S = estimate_S(form, ab, default_candidates(problem.grid) + list(extra_candidates))
+    S = estimate_S(form, ab, extra_candidates)
 
     C = threshold_C(al, be, q, S, b_sup)
     in_gamma = 0.0 < Lambda < C

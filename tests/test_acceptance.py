@@ -257,8 +257,7 @@ def test_criterion_8_inequality_chains(fixture128):
             continue
         done += 1
         member = pair.scaled(roots.t1)
-        S_est = nf.estimate_S(form, ab, nf.default_candidates(problem.grid)
-                              + [member.u.values, member.w.values])
+        S_est = nf.estimate_S(form, ab, [member.u.values, member.w.values])
         if not nf.inequality_suite(problem, form, member,
                                    dataclasses.replace(constants, S=S_est)).all_ok:
             violations += 1

@@ -6,7 +6,6 @@ from scipy.optimize import minimize_scalar
 
 import neharifrac as nf
 from neharifrac.errors import (
-    EmptyCandidateSet,
     InverseIterationNotConverged,
     NonpositiveBSup,
     NonpositiveLambda,
@@ -173,18 +172,33 @@ def test_estimate_S_upper_bounds_candidates(form64):
 
 
 def test_estimate_S_requires_candidates(form64):
-    with pytest.raises(EmptyCandidateSet):
-        nf.estimate_S(form64, 3.0, [])
+    # no candidate leaves the refinement of the two starts
+    refined = _inverse_iteration(form64, 3.0, *nf.default_candidates(form64.grid))
+    assert nf.estimate_S(form64, 3.0, []) == refined
 
 
 def test_estimate_S_skips_zero_candidates(form64):
     # a component that collapsed to zero has no quotient; it must not
-    # crash the estimate, and alone it leaves no candidate
+    # crash the estimate, and alone it leaves the refinement
     zero = np.zeros(form64.grid.node_count)
     cands = nf.default_candidates(form64.grid)
     assert nf.estimate_S(form64, 3.0, cands + [zero]) == nf.estimate_S(form64, 3.0, cands)
-    with pytest.raises(EmptyCandidateSet):
-        nf.estimate_S(form64, 3.0, [zero])
+    assert nf.estimate_S(form64, 3.0, [zero]) == nf.estimate_S(form64, 3.0, [])
+
+
+def _earlier_candidates(grid):
+    # the hat, the smooth bump and the half-cosine that earlier versions
+    # passed to estimate_S by default, built here so that a change to the
+    # starts of the refinement does not change them
+    x = grid.nodes()
+    mid = 0.5 * (grid.left + grid.right)
+    halfwidth = 0.5 * (grid.right - grid.left)
+    hat = np.zeros(grid.node_count)
+    hat[grid.cells // 2] = 1.0
+    bump = np.maximum(0.0, 1 - ((x - mid) / (0.6 * halfwidth)) ** 2) ** 2
+    cosine = np.cos(0.5 * np.pi * (x - mid) / halfwidth)
+    bump[0] = bump[-1] = cosine[0] = cosine[-1] = 0.0
+    return [hat, bump, cosine]
 
 
 def _quotient_gradient_reference(form, r, values):
@@ -233,7 +247,7 @@ def _descend_quotient_reference(form, r, values, max_iters=200, step0=0.5):
 @pytest.mark.parametrize("form_name", ["form64", "form128"])
 def test_estimate_S_matches_reference_descent(form_name, r, request):
     form = request.getfixturevalue(form_name)
-    cands = nf.default_candidates(form.grid)
+    cands = _earlier_candidates(form.grid)
     reference = min(min(rayleigh_quotient(form, r, c), _descend_quotient_reference(form, r, c))
                     for c in cands)
     assert nf.estimate_S(form, r, cands) == pytest.approx(reference, rel=1e-12)
@@ -243,7 +257,7 @@ def test_estimate_S_at_most_the_euclidean_descent():
     # the 200-step Euclidean descent stops short of the minimum at this N;
     # the inverse iteration must do at least as well
     form = nf.assemble_form(nf.GridSpec(-1.0, 1.0, 1024), 0.4)
-    cands = nf.default_candidates(form.grid)
+    cands = _earlier_candidates(form.grid)
     euclidean = min(min(rayleigh_quotient(form, 3.0, c), _descend_quotient_reference(form, 3.0, c))
                     for c in cands)
     assert nf.estimate_S(form, 3.0, cands) <= euclidean * (1 + 1e-12)
@@ -259,7 +273,7 @@ def test_inverse_iteration_count_is_flat_in_n(monkeypatch):
         calls = []
         monkeypatch.setattr(form, "riesz",
                             lambda *a, **k: calls.append(1) or solve(*a, **k))
-        first, *others = nf.default_candidates(form.grid)
+        first, *others = _earlier_candidates(form.grid)
         nf.estimate_S(form, 3.0, [first])
         counts.append(len(calls))
         for cand in others:
@@ -316,7 +330,7 @@ def test_refinement_matches_the_reference_with_a_product(monkeypatch, cells, mat
     # way, from the right-hand side: against y'Gy by a product the dense
     # inverse at 4096 cells and s = 0.4999 puts both about 1e-13 above
     form = _form_on_path(monkeypatch, cells, s, matrix_free)
-    hat, _, cosine = nf.default_candidates(form.grid)
+    hat, cosine = nf.default_candidates(form.grid)
     for r in _window_ends(s):
         oracle = min(_refine_alone_reference(form, r, start)[0] for start in (hat, cosine))
         plain = min(_refine_alone_reference(form, r, start, product=False)[0]
@@ -341,7 +355,7 @@ def test_refinement_takes_one_riesz_map_per_iteration(monkeypatch, cells, matrix
     # per iteration, over the rows that have not stopped: a row leaves as
     # its own refinement alone stops, extrapolation included
     form = _form_on_path(monkeypatch, cells, s, matrix_free)
-    hat, _, cosine = nf.default_candidates(form.grid)
+    hat, cosine = nf.default_candidates(form.grid)
     lone = [_maps_alone(monkeypatch, form, r, start) for start in (hat, cosine)]
     apply, riesz = form.apply, form.riesz
     products, maps = [], []
@@ -359,7 +373,7 @@ def test_extrapolation_maps_at_most_seven_tenths_of_the_plain_rows(monkeypatch):
     for cells, matrix_free in [(128, False), (1024, True)]:
         for s in (0.17, 0.3, 0.4, 0.4999):
             form = _form_on_path(monkeypatch, cells, s, matrix_free)
-            hat, _, cosine = nf.default_candidates(form.grid)
+            hat, cosine = nf.default_candidates(form.grid)
             low, high = _window_ends(s)
             for r in (low, 0.5 * (low + min(high, 40.0)), min(high, 40.0)):
                 for start in (hat, cosine):
@@ -376,7 +390,7 @@ def test_refinement_is_its_rows_refined_alone(monkeypatch, cells, matrix_free, s
     # block ends exactly where the lone runs do; the dense inverse's matrix
     # product can round a row differently in a block
     form = _form_on_path(monkeypatch, cells, s, matrix_free)
-    hat, _, cosine = nf.default_candidates(form.grid)
+    hat, cosine = nf.default_candidates(form.grid)
     alone = min(_inverse_iteration(form, r, hat), _inverse_iteration(form, r, cosine))
     block = _inverse_iteration(form, r, hat, cosine)
     if matrix_free:
@@ -388,7 +402,7 @@ def test_refinement_is_its_rows_refined_alone(monkeypatch, cells, matrix_free, s
 def test_unfinished_refinement_raises(monkeypatch, form64):
     # two iterations cannot reach S_RTOL, and an S read there is too high
     monkeypatch.setattr(thresholds, "MAX_INVERSE_ITERATIONS", 2)
-    hat, _, cosine = nf.default_candidates(form64.grid)
+    hat, cosine = nf.default_candidates(form64.grid)
     with pytest.raises(InverseIterationNotConverged, match="after 2 iterations"):
         _inverse_iteration(form64, 3.0, hat, cosine)
 
@@ -414,17 +428,39 @@ def test_estimate_S_matches_per_candidate_refinement(monkeypatch, cells, matrix_
         monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", cells + 1)
     form = nf.assemble_form(nf.GridSpec(-1.0, 1.0, cells), s)
     assert form.matrix_free is matrix_free
-    cands = nf.default_candidates(form.grid)
+    cands = _earlier_candidates(form.grid)
     oracle = _estimate_S_per_candidate(form, r, cands)
     assert nf.estimate_S(form, r, cands) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_default_candidates_are_admissible(form64):
     cands = nf.default_candidates(form64.grid)
-    assert len(cands) >= 3
+    assert len(cands) == 2
     for c in cands:
         assert c[0] == 0.0 and c[-1] == 0.0
         assert rayleigh_quotient(form64, 3.0, c) > 0
+
+
+@pytest.mark.parametrize("cells", [4, 5, 7, 16, 63, 64, 128, 601, 2048, 16384])
+def test_refinement_undercuts_the_starts_and_the_bump(cells):
+    # a constants report passes no candidate of its own, so S is the
+    # refinement alone; it matches the minimum over the hat, the smooth bump
+    # and the half-cosine that earlier versions added as candidates only
+    # while the refinement ends strictly below all three. Below the
+    # crossover the Riesz map is the dense inverse, above it the FFT path;
+    # on an odd count the hat sits one node off the centre and the bump and
+    # the half-cosine do not
+    grid = nf.GridSpec(-1.0, 1.0, cells)
+    earlier = _earlier_candidates(grid)
+    for s in (0.17, 0.25, 0.3, 0.35, 0.4, 0.45, 0.4999):
+        form = nf.assemble_form(grid, s)
+        assert form.matrix_free is (cells >= form_mod.MATRIX_FREE_CELLS)
+        top = min(2.0 / (1.0 - 2.0 * s) - 1.0, 40.0)
+        for share in (0.01, 0.5, 0.99):
+            r = 2.0 + share * (top - 2.0)
+            S = nf.estimate_S(form, r, [])
+            for old in earlier:
+                assert rayleigh_quotient(form, r, old) > S, (s, r)
 
 
 def test_compute_constants_fixture(problem64, form64, constants64):

@@ -127,9 +127,7 @@ def test_inequality_suite_random_projected_pairs(problem64, form64, constants64)
             continue
         done += 1
         member = pair.scaled(roots.t1)
-        S_est = nf.estimate_S(form64, ab,
-                              nf.default_candidates(problem64.grid)
-                              + [member.u.values, member.w.values])
+        S_est = nf.estimate_S(form64, ab, [member.u.values, member.w.values])
         checks = nf.inequality_suite(problem64, form64, member,
                                      dataclasses.replace(constants64, S=S_est))
         assert checks.all_ok, checks.as_dict()
