@@ -17,12 +17,6 @@ print(f"grid: [{grid.left}, {grid.right}] with {grid.cells} cells, h = {grid.h}"
 print(f"form matrix: {form.matrix.shape}, symmetric: "
       f"{np.abs(form.matrix - form.matrix.T).max() == 0.0}")
 
-# the exterior of the interval interacts through kappa(x); it blows up at
-# the boundary but only ever multiplies functions vanishing there
-kap = nf.exterior_kernel(grid, s).values
-print(f"\nexterior kernel at the center: {kap[grid.cells // 2]}   (exact: 2.5)")
-print(f"exterior kernel near the boundary: {kap[1]:.4f} (grows toward the endpoints)")
-
 # a random function vanishing at the boundary
 rng = np.random.default_rng(0)
 vals = np.zeros(grid.node_count)

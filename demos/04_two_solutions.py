@@ -18,8 +18,9 @@ problem = nf.validate_params(spec)
 form = nf.assemble_form(problem.grid, problem.s)
 opts = nf.SolverOptions(seed=42, restarts=4)
 
-plus = nf.solve_branch(problem, form, nf.Branch.PLUS, opts)
-minus = nf.solve_branch(problem, form, nf.Branch.MINUS, opts)
+# both branches in one call, as `neharifrac solve --branch both` runs them
+solved = nf.solve_points([problem], form, [nf.Branch.PLUS, nf.Branch.MINUS], opts)
+[plus], [minus] = solved[nf.Branch.PLUS], solved[nf.Branch.MINUS]
 
 for rep in (plus, minus):
     print(f"{rep.branch.value} branch: converged = {rep.converged} "

@@ -21,19 +21,13 @@ from .problem import (
 from .form import (
     GagliardoForm,
     assemble_form,
-    exterior_kernel,
     seminorm_sq,
-    pair_norm_sq,
     apply_form,
 )
 from .energy import (
     PairStats,
-    EnergyParts,
-    K_value,
-    B_value,
     pair_stats,
     energy,
-    energy_gradient,
     phi_from_stats,
 )
 from .fiber import (
@@ -68,7 +62,6 @@ from .solver import (
     SolutionReport,
     GapReport,
     initial_direction,
-    solve_branch,
     solve_points,
     gap_check,
 )

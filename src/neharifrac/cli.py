@@ -381,7 +381,7 @@ def cmd_verify(args) -> int:
                                    f"{key} has {got} nodal values, the grid has {nodes}")
     pair = GridPair.from_arrays(problem.grid, u, w)
 
-    parts = energy(problem, form, pair)
+    J = energy(problem, form, pair)
     if args.delta is None:
         delta = 1e-4 * min(float(np.max(pair.u.values)), float(np.max(pair.w.values)))
         if delta <= 0:
@@ -398,7 +398,7 @@ def cmd_verify(args) -> int:
 
     residual_ok = (residual.res_u <= args.res_tol and residual.res_w <= args.res_tol)
     out = {
-        "J_recomputed": parts.J,
+        "J_recomputed": J,
         "J_file": sol.get("J"),
         "S_estimate": constants.S,
         "residual": {"res_u": residual.res_u, "res_w": residual.res_w,

@@ -18,11 +18,11 @@ which work row by row on a block of pairs stacked as one C-ordered array
 X = [U; V]: the u rows over the w rows in the same order. A power or a
 clip that both components take runs once over the whole block, and every
 per-row sum runs along its row, the u half first, so a row gets the same
-bytes in any block. The block descent calls them directly, and the
-GridPair functions wrap them for one pair, the block of two rows. Lambda
-and mu enter only through the singular factors (lambda w f, mu w g), which
-the kernels take per row (``singular_factors``), so the rows of one block
-may belong to problems that differ in lambda, mu, f and g alone.
+bytes in any block. The block descent calls them directly, and
+``pair_stats`` and ``energy`` run them on one pair, the block of two rows.
+Lambda and mu enter only through the singular factors (lambda w f, mu w g),
+which the kernels take per row (``singular_factors``), so the rows of one
+block may belong to problems that differ in lambda, mu, f and g alone.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, NonpositiveEpsilon, NonpositiveT
+from .errors import GridMismatch, NonpositiveT
 from .form import GagliardoForm
 from .problem import GridPair, ValidatedProblem
 
@@ -47,13 +47,6 @@ class PairStats:
 
     def scale(self) -> float:
         return self.norm2 + abs(self.K) + abs(self.B)
-
-
-@dataclass(frozen=True)
-class EnergyParts(PairStats):
-    """The pair statistics with the energy J they give."""
-
-    J: float
 
 
 def singular_factors(problems: list[ValidatedProblem]) -> np.ndarray:
@@ -131,29 +124,12 @@ def smoothed_gradient(problem: ValidatedProblem, X: np.ndarray, GX: np.ndarray, 
     return g
 
 
-def _block(pair: GridPair) -> np.ndarray:
-    # the pair's interior values as a one-pair stacked block
-    return np.stack([pair.u.values[1:-1], pair.w.values[1:-1]])
-
-
-def _interior(form: GagliardoForm, pair: GridPair) -> np.ndarray:
+def pair_stats(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> PairStats:
     if pair.grid != form.grid:
         raise GridMismatch("pair does not match the form's grid")
-    return _block(pair)
-
-
-def K_value(problem: ValidatedProblem, pair: GridPair) -> float:
-    """Weighted singular-term integral lam*int f u_+^{1-q} + mu*int g w_+^{1-q}."""
-    return float(singular_and_coupling(problem, _block(pair))[0][0])
-
-
-def B_value(problem: ValidatedProblem, pair: GridPair) -> float:
-    """Coupling integral int b u_+^alpha w_+^beta (sign-indefinite)."""
-    return float(singular_and_coupling(problem, _block(pair))[1][0])
-
-
-def pair_stats(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> PairStats:
-    norm2, K, B, _ = stats_and_products(problem, form, _interior(form, pair))
+    # the pair's interior values as a one-pair stacked block
+    X = np.stack([pair.u.values[1:-1], pair.w.values[1:-1]])
+    norm2, K, B, _ = stats_and_products(problem, form, X)
     return PairStats(norm2[0], K[0], B[0])
 
 
@@ -165,24 +141,10 @@ def scaled_record(norm2: float, K: float, B: float, t: float, q: float, ab: floa
     return n2 / 2 - K / (1 - q) - B / ab, math.sqrt(n2), K, B
 
 
-def energy(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> EnergyParts:
+def energy(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> float:
+    """The energy J of the pair."""
     st = pair_stats(problem, form, pair)
-    J = scaled_record(st.norm2, st.K, st.B, 1.0, problem.q, problem.alpha + problem.beta)[0]
-    return EnergyParts(st.norm2, st.K, st.B, J)
-
-
-def energy_gradient(problem: ValidatedProblem, form: GagliardoForm,
-                    pair: GridPair, eps: float) -> GridPair:
-    """Gradient of the eps-smoothed energy with respect to the nodal values.
-
-    Boundary components are zero (those values are pinned); the interior
-    ones come from ``smoothed_gradient``.
-    """
-    if eps <= 0:
-        raise NonpositiveEpsilon(f"eps must be positive, got {eps}")
-    X = _interior(form, pair)
-    gu, gv = smoothed_gradient(problem, X, np.stack([form.apply(x) for x in X]), eps)
-    return GridPair.from_arrays(pair.grid, np.pad(gu, 1), np.pad(gv, 1))
+    return scaled_record(st.norm2, st.K, st.B, 1.0, problem.q, problem.alpha + problem.beta)[0]
 
 
 def phi_from_stats(stats: PairStats, q: float, ab: float, t: float) -> tuple[float, float, float]:

@@ -43,10 +43,6 @@ class GridMismatch(NehariError):
     pass
 
 
-class NonpositiveEpsilon(NehariError):
-    pass
-
-
 class NonpositiveT(NehariError):
     pass
 

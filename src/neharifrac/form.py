@@ -33,7 +33,7 @@ import functools
 import numpy as np
 
 from .errors import FirstColumnNotConverged, GridMismatch, InvalidOrder
-from .problem import GridFunction, GridPair, GridSpec
+from .problem import GridFunction, GridSpec
 
 # grids with at least this many cells apply G and its inverse by FFT; the
 # README gives the timings behind the value
@@ -50,22 +50,6 @@ _FOURTH_DIFFERENCE = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
 def _check_order(s: float) -> None:
     if not (0.0 < s < 0.5):
         raise InvalidOrder(f"form assembly needs s in (0, 1/2), got {s}")
-
-
-def exterior_kernel(grid: GridSpec, s: float) -> GridFunction:
-    """Nodal values of kappa(x) = [(R-x)^{-2s} + (x-L)^{-2s}] / (2s).
-
-    kappa(x) is the integral of |x-y|^{-(1+2s)} over the complement of the
-    interval. It blows up at the endpoints; the boundary entries of the
-    returned function are set to 0 (they are only ever paired with nodal
-    values that vanish there).
-    """
-    _check_order(s)
-    x = grid.nodes()
-    vals = np.zeros_like(x)
-    xi = x[1:-1]
-    vals[1:-1] = ((grid.right - xi) ** (-2 * s) + (xi - grid.left) ** (-2 * s)) / (2 * s)
-    return GridFunction(grid, vals)
 
 
 def same_cell_integral(h: float, s: float) -> float:
@@ -221,11 +205,6 @@ def seminorm_sq(form: GagliardoForm, u: GridFunction) -> float:
     """Squared energy norm u' G u of a single grid function."""
     v = _interior(form, u)
     return float(v @ form.apply(v))
-
-
-def pair_norm_sq(form: GagliardoForm, p: GridPair) -> float:
-    """Squared product norm: sum of the two component squared norms."""
-    return seminorm_sq(form, p.u) + seminorm_sq(form, p.w)
 
 
 def strang_eigenvalues(symbol: np.ndarray) -> np.ndarray:

@@ -82,10 +82,12 @@ from .thresholds import ConstantsReport
 _MIN_STEP = 1e-16
 # the descent's fixed settings: the iteration cap; the base step (iteration
 # 1, every even iteration, and the floor of the BB step); the relative energy
-# drop below which a row stops; and the floor of u^{-q} inside gradients
+# drop below which a row stops; the stationarity above which a stopped row
+# is not converged; and the floor of u^{-q} inside gradients
 MAX_ITERS = 2000
 STEP = 0.5
 TOL_ENERGY = 1e-10
+TOL_STATIONARITY = 1e-3
 EPS_SINGULAR = 1e-8
 # rows x interior nodes above this many elements descend as consecutive
 # blocks of at most this many, which bounds the block's memory; the README
@@ -102,8 +104,11 @@ class Branch(enum.Enum):
 class SolverOptions:
     """What a caller varies: restart i draws its direction from the
     generator seeded with seed + i. The descent's other settings are the
-    module constants MAX_ITERS, STEP, TOL_ENERGY and EPS_SINGULAR, and its
-    converged verdict reads the bands of ``fiber.label``."""
+    module constants MAX_ITERS, STEP, TOL_ENERGY, TOL_STATIONARITY and
+    EPS_SINGULAR. A row is converged when it stopped before MAX_ITERS, both
+    its components are positive somewhere, it lies in its branch's band of
+    ``fiber.label`` (N+ or N-), and its stationarity is at most
+    TOL_STATIONARITY."""
 
     seed: int = 0
     restarts: int = 8
@@ -454,20 +459,18 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
         stats = PairStats(n2[r], K[r], B[r])
         _, phi1, phi2 = phi_from_stats(stats, q, ab, 1.0)
         norm = math.sqrt(n2[r])
+        stationarity = math.sqrt(max(dual2[r], 0.0)) / norm
+        # a row stopped without a decreasing step at the edge of its branch
+        # lies in its band yet is no critical point: it must be stationary
         converged = bool(r not in active and positive[r] and label(phi1, phi2, stats.scale())
-                         is (MembershipLabel.N_MINUS if upper[r] else MembershipLabel.N_PLUS))
+                         is (MembershipLabel.N_MINUS if upper[r] else MembershipLabel.N_PLUS)
+                         and stationarity <= TOL_STATIONARITY)
         results[j] = SolutionReport(
             branch=branches[rows[j]], grid=first.grid, u=done[r].copy(), w=done[L + r].copy(),
             J=trajectories[r][-1][0], norm=norm, phi1=phi1, phi2=phi2, t_used=t_used[r],
             iters=iters[r], converged=converged, trajectory=trajectories[r],
-            stationarity=math.sqrt(max(dual2[r], 0.0)) / norm)
+            stationarity=stationarity)
     return results
-
-
-def _residual(row: SolutionReport) -> float:
-    """|phi'(1)| over the scale norm^2 + |K| + |B| of the last record."""
-    _, norm, K, B = row.trajectory[-1]
-    return abs(row.phi1) / (norm**2 + abs(K) + abs(B))
 
 
 def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
@@ -482,9 +485,11 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
     as the points of a sweep differ in (lambda, mu). Restart i of each
     problem uses the deterministic generator seeded with seed + i, and
     every restart of every problem on every branch descends as a row of one
-    block, each as if alone. Ties on energy break toward the smaller
-    manifold residual, then the lower iteration count, then the lower
-    restart. No problems give no reports.
+    block, each as if alone. The winner is the restart of least energy; ties
+    on energy break toward the smaller stationarity, then the lower
+    iteration count, then the lower restart. The winner's converged verdict
+    is its own (see ``SolverOptions``): a winner that is not stationary is
+    reported as not converged, not replaced. No problems give no reports.
     """
     if not problems:
         return {b: [] for b in branches}
@@ -520,23 +525,10 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
                 f"all {opts.restarts} restarts failed to reach branch {branch.value}; "
                 "the parameter pair may be far outside the admissible region")
         else:
-            result = min(candidates, key=lambda r: (r.J, _residual(r), r.iters))
+            result = min(candidates, key=lambda r: (r.J, r.stationarity, r.iters))
             result.restarts_used = len(candidates)
         results[branch].append(result)
     return results
-
-
-def solve_branch(problem: ValidatedProblem, form: GagliardoForm, branch: Branch,
-                 opts: SolverOptions = SolverOptions()) -> SolutionReport:
-    """Minimize the energy over one manifold branch, best over restarts:
-    ``solve_points`` on one problem and one branch. Raises
-    NoAdmissibleDirection if every restart fails to find a direction
-    admitting the branch scaling.
-    """
-    [result] = solve_points([problem], form, [branch], opts)[branch]
-    if isinstance(result, NehariError):
-        raise result
-    return result
 
 
 def gap_check(plus: SolutionReport, minus: SolutionReport,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import neharifrac as nf
+from neharifrac.energy import smoothed_gradient, stats_and_products
 
 
 def make_spec(cells=64, s=0.4, q=0.5, alpha=1.5, beta=1.5, lam=0.01, mu=0.01,
@@ -49,9 +50,8 @@ def form16(grid16):
 def solved64(problem64, form64):
     """Both branches of the 64-cell fixture, reused across test modules."""
     opts = nf.SolverOptions(seed=42, restarts=3)
-    plus = nf.solve_branch(problem64, form64, nf.Branch.PLUS, opts)
-    minus = nf.solve_branch(problem64, form64, nf.Branch.MINUS, opts)
-    return plus, minus
+    solved = nf.solve_points([problem64], form64, list(nf.Branch), opts)
+    return solved[nf.Branch.PLUS][0], solved[nf.Branch.MINUS][0]
 
 
 @pytest.fixture(scope="session")
@@ -110,10 +110,10 @@ def _smoothed_primitive(t, q, eps):
 
 def energy_smoothed(problem, form, pair, eps):
     """Energy with the singular term replaced by its eps-smoothed version,
-    kept as the finite-difference oracle of ``energy_gradient``.
+    kept as the finite-difference oracle of ``pair_gradient``.
 
     Below eps the integrand continues linearly with slope eps^{-q}, so the
-    value is finite and the gradient formula of ``energy_gradient`` is its
+    value is finite and the gradient formula of ``smoothed_gradient`` is its
     exact derivative everywhere. The smoothed integrand is positive at 0,
     so the boundary nodes contribute to the trapezoid sum.
     """
@@ -125,6 +125,16 @@ def energy_smoothed(problem, form, pair, eps):
             + problem.mu * np.sum(w * problem.g_vals
                                   * _smoothed_primitive(pair.w.values, q, eps)))
     return float(st.norm2 / 2 - sing - st.B / (problem.alpha + problem.beta))
+
+
+def pair_gradient(problem, form, pair, eps):
+    """Nodal gradient (gu, gw) of the eps-smoothed energy at one pair, zero
+    at the pinned boundary: ``smoothed_gradient`` on the pair's stacked
+    block, with the products ``stats_and_products`` gives it, as the solver
+    runs them."""
+    X = np.stack([pair.u.values[1:-1], pair.w.values[1:-1]])
+    GX = stats_and_products(problem, form, X)[3]
+    return np.pad(smoothed_gradient(problem, X, GX, eps), ((0, 0), (1, 1)))
 
 
 def reference_gradient(problem, form, pair, eps):

@@ -31,8 +31,8 @@ def fixture128():
     problem = nf.validate_params(make_spec(cells=128))
     form = nf.assemble_form(problem.grid, problem.s)
     opts = nf.SolverOptions(seed=42, restarts=4)
-    plus = nf.solve_branch(problem, form, nf.Branch.PLUS, opts)
-    minus = nf.solve_branch(problem, form, nf.Branch.MINUS, opts)
+    solved = nf.solve_points([problem], form, list(nf.Branch), opts)
+    [plus], [minus] = solved[nf.Branch.PLUS], solved[nf.Branch.MINUS]
     extra = [plus.pair.u.values, plus.pair.w.values,
              minus.pair.u.values, minus.pair.w.values]
     constants = nf.compute_constants(problem, form, extra_candidates=extra)

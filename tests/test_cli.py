@@ -259,6 +259,38 @@ def test_solve_exit_code_not_converged(monkeypatch, tmp_path):
                      "--allow-unconverged"]) == 0
 
 
+# the README config far out on the ray lambda = mu, with its 8 restarts
+RAY_160 = {"lambda": 160.0, "mu": 160.0, "solver": {"restarts": 8, "seed": 0}}
+
+
+@pytest.mark.parametrize("cells", [64, 128])
+def test_solve_far_outside_the_region_is_not_converged(tmp_path, capsys, cells):
+    # each branch stops at the edge of its part of the manifold, inside its
+    # band but at stationarity 0.1-0.19: no solution, so solve exits 5
+    path = write_config(tmp_path, {**RAY_160, "grid": {"cells": cells}})
+    out = tmp_path / "ray"
+    assert cli.main(["solve", path, "--branch", "both", "--out", str(out)]) == 5
+    capsys.readouterr()
+    assert cli.main(["solve", path, "--branch", "both", "--out", str(out),
+                     "--allow-unconverged"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    for branch in ("plus", "minus"):
+        assert json.loads((out / f"solution_{branch}.json").read_text())["converged"] is False
+        assert summary["solutions"][branch]["stationarity"] > solver.TOL_STATIONARITY
+    assert summary["gap"] is None and not (out / "gap.json").exists()
+
+
+def test_sweep_reads_a_point_far_outside_the_region_as_not_converged(tmp_path):
+    path = write_config(tmp_path, {**RAY_160, "grid": {"cells": 64}})
+    out = tmp_path / "ray.csv"
+    assert cli.main(["sweep", path, "--lambdas", "0.01,160", "--mus", "0.01,160",
+                     "--out", str(out)]) == 0
+    rows = {(float(r["lambda"]), float(r["mu"])): r for r in _read_sweep(out)}
+    assert len(rows) == 4
+    assert rows[160.0, 160.0]["plus_converged"] == rows[160.0, 160.0]["minus_converged"] == "false"
+    assert rows[0.01, 0.01]["plus_converged"] == rows[0.01, 0.01]["minus_converged"] == "true"
+
+
 MIXED_SIGN = {"grid": {"cells": 32}, "lambda": -0.01, "mu": 0.01,
               "solver": {"restarts": 8, "seed": 0}}
 
@@ -432,15 +464,17 @@ def test_sweep_non_numeric_grid_is_a_config_error(tmp_path, capsys):
 
 
 def test_sweep_row_with_one_failed_branch(tmp_path):
-    # far outside the admissible region the local-min branch has no
-    # direction; the row keeps the other branch and the constants
+    # far outside the admissible region the local-max branch has no
+    # direction; the row keeps the local-min branch's numbers and the
+    # constants. That branch stops at stationarity about 20, far from a
+    # solution, so it reads not converged
     path = write_config(tmp_path, {"grid": {"cells": 32}})
     out = tmp_path / "one.csv"
     assert cli.main(["sweep", path, "--lambdas", "1e5", "--mus", "1e5",
                      "--out", str(out), "--seed", "2"]) == 0
     header, line = out.read_text().strip().split("\n")
     row = dict(zip(header.split(","), line.split(",")))
-    assert row["plus_converged"] == "true"
+    assert row["plus_converged"] == "false"
     for key in ("J_plus", "norm_plus", "Lambda", "C", "A0", "A_lm"):
         assert math.isfinite(float(row[key]))
     assert row["in_gamma"] == "false"
@@ -489,10 +523,9 @@ def test_sweep_rows_are_their_points_lone_solves(tmp_path, monkeypatch, matrix_f
     for branch, results in solved.items():
         for problem, result in zip(problems, results):
             row = rows[problem.lam, problem.mu]
-            try:
-                lone = nf.solve_branch(problem, form, branch, opts)
-            except NehariError as exc:
-                assert type(result) is type(exc) and str(result) == str(exc)
+            [lone] = nf.solve_points([problem], form, [branch], opts)[branch]
+            if isinstance(lone, NehariError):
+                assert type(result) is type(lone) and str(result) == str(lone)
                 assert row[f"{branch.value}_converged"] == "false"
                 assert math.isnan(float(row[f"J_{branch.value}"]))
                 seen.add("no direction")

@@ -10,6 +10,8 @@ from neharifrac import form as form_mod
 from neharifrac.form import (
     form_symbol, inverse_first_column, riesz_map, same_cell_integral, strang_eigenvalues)
 
+from conftest import make_spec
+
 
 def hat(grid, node=None):
     u = np.zeros(grid.node_count)
@@ -105,32 +107,6 @@ def test_form_is_the_toeplitz_symbol(form16, grid16):
 
 
 # ---------------------------------------------------------------------------
-# exterior kernel
-
-
-def test_exterior_kernel_center_value(grid16):
-    # oracle: int_{|y|>1} |y|^{-1.8} dy = 2/(0.8) at x = 0
-    kap = nf.exterior_kernel(grid16, 0.4).values
-    center = grid16.cells // 2
-    assert kap[center] == pytest.approx(2.5, rel=1e-14)
-
-
-def test_exterior_kernel_symmetry_and_blowup(grid16):
-    kap = nf.exterior_kernel(grid16, 0.4).values
-    inner = kap[1:-1]
-    assert inner == pytest.approx(inner[::-1], rel=1e-13)
-    # monotone increase toward each endpoint
-    half = inner[: len(inner) // 2 + 1]
-    assert np.all(np.diff(half) < 0)
-    assert inner[0] > inner[len(inner) // 2] * 2
-
-
-def test_exterior_kernel_rejects_bad_order(grid16):
-    with pytest.raises(InvalidOrder):
-        nf.exterior_kernel(grid16, 0.5)
-
-
-# ---------------------------------------------------------------------------
 # assembled form
 
 
@@ -215,16 +191,23 @@ def test_refinement_consistency():
 
 
 def test_pair_norm_additive(form16, grid16):
+    # the pair's squared norm is the norm2 of its pair statistics
+    problem = nf.validate_params(make_spec(cells=16, s=form16.s))
+    assert problem.grid == grid16
     rng = np.random.default_rng(13)
     u = np.zeros(grid16.node_count)
     u[1:-1] = rng.standard_normal(grid16.cells - 1)
     gf = nf.GridFunction(grid16, u)
     zero = nf.GridFunction.zero(grid16)
     s = nf.seminorm_sq(form16, gf)
-    assert nf.pair_norm_sq(form16, nf.GridPair(gf, zero)) == pytest.approx(s)
-    assert nf.pair_norm_sq(form16, nf.GridPair(gf, gf)) == pytest.approx(2 * s)
+
+    def norm2(pair):
+        return nf.pair_stats(problem, form16, pair).norm2
+
+    assert norm2(nf.GridPair(gf, zero)) == pytest.approx(s)
+    assert norm2(nf.GridPair(gf, gf)) == pytest.approx(2 * s)
     pair = nf.GridPair(gf, gf)
-    assert nf.pair_norm_sq(form16, pair.scaled(3.0)) == pytest.approx(9 * 2 * s, rel=1e-13)
+    assert norm2(pair.scaled(3.0)) == pytest.approx(9 * 2 * s, rel=1e-13)
 
 
 def test_apply_form_consistency(form16, grid16):

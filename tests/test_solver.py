@@ -8,13 +8,13 @@ import pytest
 import neharifrac as nf
 from neharifrac.energy import singular_and_coupling, smoothed_gradient
 from neharifrac.errors import DirectionSearchFailed, NoBracket, NotConvergedInput
-from neharifrac.fiber import DEGENERATE_TOL, root
+from neharifrac.fiber import DEGENERATE_TOL, label, root
 from neharifrac import form as form_mod
 from neharifrac.form import riesz_map
 from neharifrac import solver
 from neharifrac.thresholds import rho_coefficients
 
-from conftest import make_spec, reference_gradient, reference_stats
+from conftest import make_spec, pair_gradient, reference_gradient, reference_stats
 
 
 def _interiors(directions):
@@ -67,14 +67,14 @@ def test_initial_direction_properties(problem64, form64):
         rng = np.random.default_rng(seed)
         pair = nf.initial_direction(problem64, rng)
         assert np.all(pair.u.values >= 0) and np.all(pair.w.values >= 0)
-        assert nf.K_value(problem64, pair) > 0
+        assert nf.pair_stats(problem64, form64, pair).K > 0
 
 
 def test_initial_direction_minus_has_positive_coupling(problem64, form64):
     for seed in (0, 5, 9):
         rng = np.random.default_rng(seed)
         pair = nf.initial_direction(problem64, rng, nf.Branch.MINUS)
-        assert nf.B_value(problem64, pair) > 0
+        assert nf.pair_stats(problem64, form64, pair).B > 0
 
 
 def test_initial_direction_deterministic(problem64):
@@ -205,13 +205,14 @@ def test_shared_sampler_gives_each_point_its_rows_alone(case):
             assert rng.bit_generator.state in [states[i] for states in lone_states]
 
 
-def test_solve_branch_raises_when_no_direction_exists():
+def test_solve_points_reports_no_admissible_direction():
     from neharifrac.errors import NoAdmissibleDirection
     p = nf.validate_params(make_spec(cells=32, lam=-0.01, mu=-0.01))
     form = nf.assemble_form(p.grid, p.s)
-    with pytest.raises(NoAdmissibleDirection,
-                       match="^all 2 restarts failed to reach branch plus; "):
-        nf.solve_branch(p, form, nf.Branch.PLUS, nf.SolverOptions(restarts=2))
+    [result] = nf.solve_points([p], form, [nf.Branch.PLUS],
+                               nf.SolverOptions(restarts=2))[nf.Branch.PLUS]
+    assert isinstance(result, NoAdmissibleDirection)
+    assert str(result).startswith("all 2 restarts failed to reach branch plus; ")
 
 
 def test_plus_branch_fixture(problem64, form64, solved64):
@@ -236,7 +237,7 @@ def test_minus_branch_fixture(problem64, form64, solved64):
     assert m.label is nf.MembershipLabel.N_MINUS
     assert np.all(minus.pair.u.values >= 0)
     assert np.all(minus.pair.w.values >= 0)
-    assert nf.B_value(problem64, minus.pair) > 0
+    assert nf.pair_stats(problem64, form64, minus.pair).B > 0
 
 
 def test_monotone_descent_trajectory(solved64):
@@ -268,8 +269,8 @@ def test_norm_bounds_vs_gap_radii(solved64, constants64):
 
 def test_determinism_identical_reports(problem64, form64):
     opts = nf.SolverOptions(seed=11, restarts=2)
-    a = nf.solve_branch(problem64, form64, nf.Branch.PLUS, opts)
-    b = nf.solve_branch(problem64, form64, nf.Branch.PLUS, opts)
+    [a] = nf.solve_points([problem64], form64, [nf.Branch.PLUS], opts)[nf.Branch.PLUS]
+    [b] = nf.solve_points([problem64], form64, [nf.Branch.PLUS], opts)[nf.Branch.PLUS]
     assert a.J == b.J
     assert a.iters == b.iters
     assert np.array_equal(a.pair.u.values, b.pair.u.values)
@@ -280,10 +281,9 @@ def test_determinism_identical_reports(problem64, form64):
 def test_symmetric_problem_keeps_components_equal(problem64, form64):
     # f = g, lambda = mu, alpha = beta and a symmetric seed
     opts = nf.SolverOptions(seed=3, restarts=1)
-    rep = nf.solve_branch(problem64, form64, nf.Branch.PLUS, opts)
-    assert np.max(np.abs(rep.pair.u.values - rep.pair.w.values)) <= 1e-12
-    rep_m = nf.solve_branch(problem64, form64, nf.Branch.MINUS, opts)
-    assert np.max(np.abs(rep_m.pair.u.values - rep_m.pair.w.values)) <= 1e-12
+    solved = nf.solve_points([problem64], form64, list(nf.Branch), opts)
+    for [rep] in solved.values():
+        assert np.max(np.abs(rep.pair.u.values - rep.pair.w.values)) <= 1e-12
 
 
 def test_small_parameters_shrink_plus_solution():
@@ -293,7 +293,7 @@ def test_small_parameters_shrink_plus_solution():
         p = nf.validate_params(make_spec(cells=64, lam=lam, mu=lam))
         form = nf.assemble_form(p.grid, p.s)
         opts = nf.SolverOptions(seed=1, restarts=2)
-        rep = nf.solve_branch(p, form, nf.Branch.PLUS, opts)
+        [rep] = nf.solve_points([p], form, [nf.Branch.PLUS], opts)[nf.Branch.PLUS]
         assert rep.converged
         cons = nf.compute_constants(p, form,
                                     extra_candidates=[rep.pair.u.values,
@@ -371,8 +371,8 @@ def test_matrix_free_form_solves_like_the_dense_one(monkeypatch, cells):
         monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", crossover)
         form = nf.assemble_form(problem.grid, problem.s)
         assert form.matrix_free is matrix_free
-        reports[matrix_free] = [nf.solve_branch(problem, form, branch, opts)
-                                for branch in (nf.Branch.PLUS, nf.Branch.MINUS)]
+        solved = nf.solve_points([problem], form, list(nf.Branch), opts)
+        reports[matrix_free] = [rep for [rep] in solved.values()]
     for fast, dense in zip(reports[True], reports[False]):
         assert fast.converged and dense.converged
         assert fast.J == pytest.approx(dense.J, rel=1e-10)
@@ -384,7 +384,8 @@ def test_solve_leaves_no_dense_matrix_above_the_crossover():
     problem = nf.validate_params(make_spec(cells=form_mod.MATRIX_FREE_CELLS))
     form = nf.assemble_form(problem.grid, problem.s)
     assert form.matrix_free
-    report = nf.solve_branch(problem, form, nf.Branch.PLUS, nf.SolverOptions(seed=0, restarts=1))
+    [report] = nf.solve_points([problem], form, [nf.Branch.PLUS],
+                               nf.SolverOptions(seed=0, restarts=1))[nf.Branch.PLUS]
     assert report.converged
     assert "matrix" not in vars(form)
     assert not any(getattr(value, "ndim", 0) == 2 for value in vars(form).values())
@@ -397,8 +398,8 @@ def test_solve_runs_in_bounded_memory_above_the_crossover():
     opts = nf.SolverOptions(seed=0, restarts=1)
     tracemalloc.start()
     try:
-        reports = [nf.solve_branch(problem, form, branch, opts)
-                   for branch in (nf.Branch.PLUS, nf.Branch.MINUS)]
+        solved = nf.solve_points([problem], form, list(nf.Branch), opts)
+        reports = [rep for [rep] in solved.values()]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -418,11 +419,11 @@ def _descend_euclidean_reference(problem, form, branch, direction, max_iters=200
     J_cur = st.norm2 / 2 - st.K / (1 - q) - st.B / ab
     step = step0
     for _ in range(max_iters):
-        grad = nf.energy_gradient(problem, form, pair, eps)
+        grad_u, grad_w = pair_gradient(problem, form, pair, eps)
         rel_drop = None
         while step > 1e-16:
-            u_try = np.maximum(pair.u.values - step * grad.u.values, 0.0)
-            v_try = np.maximum(pair.w.values - step * grad.w.values, 0.0)
+            u_try = np.maximum(pair.u.values - step * grad_u, 0.0)
+            v_try = np.maximum(pair.w.values - step * grad_w, 0.0)
             trial = nf.GridPair.from_arrays(problem.grid, u_try, v_try)
             tstats = nf.pair_stats(problem, form, trial)
             t_sel = None
@@ -460,6 +461,48 @@ def test_stationarity_of_solved_fixture(solved64):
         assert 0 <= rep.stationarity < 1e-4
 
 
+@pytest.mark.parametrize("cells", [64, 128, 256, 512, 1024])
+def test_readme_solutions_are_stationary_far_below_the_tolerance(cells):
+    # measured at most 1.6e-6 at 64-2048 cells
+    p = nf.validate_params(make_spec(cells=cells))
+    form = nf.assemble_form(p.grid, p.s)
+    for [rep] in nf.solve_points([p], form, list(nf.Branch), nf.SolverOptions()).values():
+        assert rep.converged and rep.stationarity <= solver.TOL_STATIONARITY / 100
+
+
+def test_converged_needs_stationarity_at_the_edge_of_the_branch():
+    # lambda = mu = 145 at 128 cells: the plus branch reaches a critical
+    # point; the minus branch stops at the edge of N-, where every longer
+    # step leaves it, inside its band but at stationarity about 0.1
+    p = nf.validate_params(make_spec(cells=128, lam=145.0, mu=145.0))
+    form = nf.assemble_form(p.grid, p.s)
+    solved = nf.solve_points([p], form, list(nf.Branch), nf.SolverOptions())
+    [plus], [minus] = solved[nf.Branch.PLUS], solved[nf.Branch.MINUS]
+    assert plus.converged and plus.stationarity <= solver.TOL_STATIONARITY / 100
+    assert not minus.converged and minus.stationarity > solver.TOL_STATIONARITY
+    scale = nf.pair_stats(p, form, minus.pair).scale()
+    assert label(minus.phi1, minus.phi2, scale) is nf.MembershipLabel.N_MINUS
+    assert minus.iters < solver.MAX_ITERS and minus.pair.u.values.max() > 0
+
+
+def test_ties_on_energy_break_toward_the_smaller_stationarity(monkeypatch, problem64, form64):
+    descend, descended = solver._descend, []
+
+    def tied(*args):
+        rows, failed = descend(*args)
+        for row in rows:
+            row.J = 0.0
+        descended.extend(rows)
+        return rows, failed
+
+    monkeypatch.setattr(solver, "_descend", tied)
+    for branch, [report] in nf.solve_points([problem64], form64, list(nf.Branch),
+                                            nf.SolverOptions(restarts=4)).items():
+        rows = [row for row in descended if row.branch is branch]
+        assert len(rows) == 4
+        assert report.stationarity == min(row.stationarity for row in rows)
+
+
 @pytest.mark.parametrize("cells", [64, 128, 256, 512])
 def test_iteration_count_is_mesh_independent(cells):
     # the README config with one restart: the Euclidean descent needed
@@ -468,8 +511,8 @@ def test_iteration_count_is_mesh_independent(cells):
     p = nf.validate_params(make_spec(cells=cells))
     form = nf.assemble_form(p.grid, p.s)
     opts = nf.SolverOptions(seed=0, restarts=1)
-    plus = nf.solve_branch(p, form, nf.Branch.PLUS, opts)
-    minus = nf.solve_branch(p, form, nf.Branch.MINUS, opts)
+    solved = nf.solve_points([p], form, list(nf.Branch), opts)
+    [plus], [minus] = solved[nf.Branch.PLUS], solved[nf.Branch.MINUS]
     assert plus.converged and plus.iters <= 20
     assert minus.converged and minus.iters <= 60
 
@@ -511,10 +554,10 @@ def test_negative_parameter_branches():
     p = nf.validate_params(make_spec(cells=32, lam=-0.01, mu=0.01))
     form = nf.assemble_form(p.grid, p.s)
     opts = nf.SolverOptions(seed=0, restarts=2)
-    plus = nf.solve_branch(p, form, nf.Branch.PLUS, opts)
+    solved = nf.solve_points([p], form, list(nf.Branch), opts)
+    [plus], [minus] = solved[nf.Branch.PLUS], solved[nf.Branch.MINUS]
     assert np.max(plus.pair.u.values) == 0.0
     assert not plus.converged
-    minus = nf.solve_branch(p, form, nf.Branch.MINUS, opts)
     assert minus.converged and minus.stationarity < 1e-4
     assert minus.pair.u.values[1:-1].min() > 0 and minus.pair.w.values[1:-1].min() > 0
     J_oracle = min(
@@ -673,7 +716,8 @@ def test_every_row_reports_its_stationarity(monkeypatch, problem64, matrix_free)
                                   solver.EPS_SINGULAR)
             expected = math.sqrt(float(np.sum(g * form.riesz(g)))) / row.norm
             assert row.stationarity == pytest.approx(expected, rel=1e-9)
-        report = nf.solve_branch(problem64, form, branch, nf.SolverOptions(seed=0, restarts=4))
+        [report] = nf.solve_points([problem64], form, [branch],
+                                   nf.SolverOptions(seed=0, restarts=4))[branch]
         winner = min(rows, key=lambda row: row.J)
         assert report.branch is branch and report.restarts_used == len(rows) == 4
         assert (report.J, report.iters, report.stationarity) == (
@@ -727,8 +771,8 @@ def test_restarts_used_counts_only_rows_that_reach_the_branch(monkeypatch, probl
         return u, w, found
 
     monkeypatch.setattr(solver, "sample_directions", first_zero)
-    report = nf.solve_branch(problem64, form64, nf.Branch.PLUS,
-                             nf.SolverOptions(seed=42, restarts=3))
+    [report] = nf.solve_points([problem64], form64, [nf.Branch.PLUS],
+                               nf.SolverOptions(seed=42, restarts=3))[nf.Branch.PLUS]
     assert report.restarts_used == 2 and report.converged
 
 
@@ -757,9 +801,9 @@ def test_a_point_whose_projection_raises_leaves_the_others(monkeypatch):
         first, second = solver.solve_points([small, large], form, [branch], opts)[branch]
         assert isinstance(second, NoBracket)
         calls.clear()
-        with pytest.raises(NoBracket):
-            nf.solve_branch(large, form, branch, opts)
-        lone = nf.solve_branch(small, form, branch, opts)
+        [alone] = solver.solve_points([large], form, [branch], opts)[branch]
+        assert type(alone) is NoBracket and str(alone) == str(second)
+        [lone] = solver.solve_points([small], form, [branch], opts)[branch]
         assert first.converged and first.iters == lone.iters
         assert first.J == lone.J and first.stationarity == lone.stationarity
         assert np.array_equal(first.pair.u.values, lone.pair.u.values)
@@ -774,7 +818,7 @@ def test_a_block_takes_points_that_differ_in_lambda_mu_f_and_g_alone(problem64, 
                                          g=nf.WeightSpec.gaussian(0.1, 0.5, 1.5)))
     _, report = solver.solve_points([problem64, other], form64, [nf.Branch.MINUS],
                                     opts)[nf.Branch.MINUS]
-    lone = nf.solve_branch(other, form64, nf.Branch.MINUS, opts)
+    [lone] = solver.solve_points([other], form64, [nf.Branch.MINUS], opts)[nf.Branch.MINUS]
     assert report.iters == lone.iters and report.converged and lone.converged
     assert report.J == pytest.approx(lone.J, rel=1e-12)
     for spec in (make_spec(cells=64, q=0.4), make_spec(cells=64, b=nf.WeightSpec.constant(1.0))):
