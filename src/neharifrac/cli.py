@@ -28,6 +28,7 @@ from .energy import energy, pair_stats, phi_from_stats
 from .errors import (
     AllMasked,
     ConfigParseError,
+    ConstantsOutOfRange,
     NehariError,
     NoAdmissibleDirection,
     ValidationError,
@@ -298,15 +299,19 @@ def cmd_sweep(args) -> int:
                 pass
     # form and opts do not depend on (lambda, mu), which is all the points
     # vary, so one block descent solves every valid point on both
-    # branches; a branch a point does not reach keeps its failure columns
+    # branches; a branch a point does not reach keeps its failure columns,
+    # and so do constants that overflow
     solved = solve_points([p for _, p in points], form, list(Branch), opts)
     for k, (row, problem) in enumerate(points):
         solutions = {branch: results[k] for branch, results in solved.items()
                      if isinstance(results[k], SolutionReport)}
-        constants, gap = _constants_and_gap(problem, form, solutions)
-        row.update({"Lambda": constants.Lambda, "C": constants.C,
-                    "in_gamma": constants.in_gamma, "A0": constants.A0,
-                    "A_lm": constants.A_lm, "gap_ok": gap is not None and gap.ordering_ok})
+        try:
+            constants, gap = _constants_and_gap(problem, form, solutions)
+            row.update({"Lambda": constants.Lambda, "C": constants.C,
+                        "in_gamma": constants.in_gamma, "A0": constants.A0,
+                        "A_lm": constants.A_lm, "gap_ok": gap is not None and gap.ordering_ok})
+        except ConstantsOutOfRange:
+            pass
         for branch, rep in solutions.items():
             row.update({f"{branch.value}_converged": rep.converged,
                         f"J_{branch.value}": rep.J, f"norm_{branch.value}": rep.norm})

@@ -14,15 +14,16 @@ pair scaled by any t from the three statistics alone.
 
 The formulas live in three raw-array functions on the interior nodes
 (``singular_and_coupling``, ``stats_and_products``, ``smoothed_gradient``),
-which work row by row on a block of pairs stacked as one C-ordered array
-X = [U; V]: the u rows over the w rows in the same order. A power or a
-clip that both components take runs once over the whole block, and every
-per-row sum runs along its row, the u half first, so a row gets the same
-bytes in any block. The block descent calls them directly, and
-``pair_stats`` and ``energy`` run them on one pair, the block of two rows.
-Lambda and mu enter only through the singular factors (lambda w f, mu w g),
-which the kernels take per row (``singular_factors``), so the rows of one
-block may belong to problems that differ in lambda, mu, f and g alone.
+which work row by row on a block of pairs: one C-ordered array X of shape
+(2, rows, n), X[0] the u rows and X[1] the w rows in the same order. A
+power or a clip that both components take runs once over the whole block,
+and every per-row sum runs along its row, the u component first, so a row
+gets the same bytes in any block. The block descent calls them directly,
+and ``pair_stats`` and ``energy`` run them on one pair, the block of one
+row. Lambda and mu enter only through the singular factors (lambda w f,
+mu w g), which the kernels take per row (``singular_factors``), in the
+block's layout, so the rows of one block may belong to problems that
+differ in lambda, mu, f and g alone.
 """
 
 from __future__ import annotations
@@ -51,60 +52,57 @@ class PairStats:
 
 def singular_factors(problems: list[ValidatedProblem]) -> np.ndarray:
     """The singular factors (lambda w f, mu w g) of each problem, shape
-    (2, P, n), as the kernels take them per row; one problem's serves
-    every row."""
+    (2, P, n), as the kernels take them per row; one problem's, shape
+    (2, 1, n), serves every row."""
     return np.array([[p.weighted_coefficients[k] for p in problems] for k in (0, 1)])
 
 
 def singular_and_coupling(problem: ValidatedProblem, X: np.ndarray,
                           factors=None) -> tuple[np.ndarray, np.ndarray]:
-    """(K, B) of each row pair of the stacked block X = [U; V]: the
-    integrals that need no form.
+    """(K, B) of each row of the block X: the integrals that need no form.
 
-    X stacks A rows of interior nodal u values over the A rows of their w
-    values, shape (2A, n); one pair is the block of shape (2, n). factors,
-    if given, are the singular factors (lambda w f, mu w g) of each row,
-    shape (2, A, n); by default the problem's own for every row. Each row's
+    X holds the interior nodal values of a block of pairs, shape
+    (2, rows, n): X[0] the u rows, X[1] the w rows. factors, if given, are
+    the singular factors (lambda w f, mu w g) of each row, shape
+    (2, rows, n); by default the problem's own for every row. Each row's
     sums run in the same order whatever the other rows are: a product
     summed along the row, never einsum, which buffers rows of more than
     8192 elements and then sums them by the block's shape; K sums the u
-    half, then adds the w half.
+    row, then adds the w row.
     """
     if factors is None:
         factors = singular_factors([problem])
     q, al, be, b = problem.q, problem.alpha, problem.beta, problem.weighted_coefficients[2]
-    A = len(X) // 2
     P = np.maximum(X, 0.0)
-    halves = ((P ** (1 - q)).reshape(2, A, X.shape[-1]) * factors).sum(axis=-1)
-    B = (P[:A] ** al * P[A:] ** be * b).sum(axis=-1)
-    return halves[0] + halves[1], B
+    sums = (P ** (1 - q) * factors).sum(axis=-1)
+    B = (P[0] ** al * P[1] ** be * b).sum(axis=-1)
+    return sums[0] + sums[1], B
 
 
 def stats_and_products(problem: ValidatedProblem, form: GagliardoForm, X: np.ndarray,
                        factors=None) -> tuple[list[float], list[float], list[float], np.ndarray]:
-    """The pair statistics norm2, K and B of each row pair of the stacked
-    block X = [U; V], as three lists of floats, with G X stacked the same
-    way; X and factors as in ``singular_and_coupling``.
+    """The pair statistics norm2, K and B of each row of the block X, as
+    three lists of floats, with G X in the same layout; X and factors as in
+    ``singular_and_coupling``.
 
     The raw-array kernel behind ``pair_stats``: the block descent calls it
     on all its trials at once, reads each row's three floats without an
     object per row, and reuses the products for the gradient. G is applied
-    to each half on its own: below ``form.MATRIX_FREE_CELLS`` a dense
+    to each component on its own: below ``form.MATRIX_FREE_CELLS`` a dense
     product's rows depend on how many rows it has, so a product over both
-    halves would change a row's bytes.
+    components would change a row's bytes.
     """
-    A = len(X) // 2
-    GX = np.concatenate([form.apply(X[:A]), form.apply(X[A:])])
+    GX = np.array([form.apply(X[0]), form.apply(X[1])])
     K, B = singular_and_coupling(problem, X, factors)
-    halves = (X * GX).sum(axis=-1)
-    return (halves[:A] + halves[A:]).tolist(), K.tolist(), B.tolist(), GX
+    sums = (X * GX).sum(axis=-1)
+    return (sums[0] + sums[1]).tolist(), K.tolist(), B.tolist(), GX
 
 
 def smoothed_gradient(problem: ValidatedProblem, X: np.ndarray, GX: np.ndarray, eps: float,
                       factors=None) -> np.ndarray:
-    """Interior gradient of the eps-smoothed energy at each row pair of the
-    stacked block X = [U; V], given G X, stacked the same way; X and
-    factors as in ``singular_and_coupling``.
+    """Interior gradient of the eps-smoothed energy at each row of the
+    block X, given G X, in the same layout; X and factors as in
+    ``singular_and_coupling``.
 
     The singular factor u^{-q} is floored at eps so descent always has a
     usable direction; where both components exceed eps this is the formal
@@ -114,21 +112,19 @@ def smoothed_gradient(problem: ValidatedProblem, X: np.ndarray, GX: np.ndarray, 
         factors = singular_factors([problem])
     q, al, be, b = problem.q, problem.alpha, problem.beta, problem.weighted_coefficients[2]
     ab = al + be
-    A = len(X) // 2
-    singular = factors * (np.maximum(X, eps) ** (-q)).reshape(2, A, X.shape[-1])
-    g = GX - singular.reshape(X.shape)
+    g = GX - factors * np.maximum(X, eps) ** (-q)
     P = np.maximum(X, 0.0)
-    up, vp = P[:A], P[A:]
-    g[:A] -= (al / ab) * b * up ** (al - 1) * vp**be
-    g[A:] -= (be / ab) * b * up**al * vp ** (be - 1)
+    up, vp = P
+    g[0] -= (al / ab) * b * up ** (al - 1) * vp**be
+    g[1] -= (be / ab) * b * up**al * vp ** (be - 1)
     return g
 
 
 def pair_stats(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> PairStats:
     if pair.grid != form.grid:
         raise GridMismatch("pair does not match the form's grid")
-    # the pair's interior values as a one-pair stacked block
-    X = np.stack([pair.u.values[1:-1], pair.w.values[1:-1]])
+    # the pair's interior values as a block of one pair
+    X = np.stack([pair.u.values[1:-1], pair.w.values[1:-1]])[:, None]
     norm2, K, B, _ = stats_and_products(problem, form, X)
     return PairStats(norm2[0], K[0], B[0])
 

@@ -91,6 +91,10 @@ class InverseIterationNotConverged(NehariError):
     pass
 
 
+class ConstantsOutOfRange(NehariError):
+    """A closed-form constant overflows the float range."""
+
+
 class AllMasked(NehariError):
     pass
 

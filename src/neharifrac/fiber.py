@@ -114,39 +114,45 @@ def root(norm2: float, K: float, B: float, q: float, ab: float, upper: bool) -> 
     upper=False asks for the fiber minimum t1 (local-min branch), upper=True
     for the fiber maximum: t2 for K > 0, the falling root for K <= 0.
     Raises NoBracket when rounding collapsed psi(t_max) although B <= 0, or
-    when psi changes no sign within the float range. The statistics come as
-    three floats: the block descent calls it once per trial row, with no
-    object per row.
+    when psi changes no sign within the float range, which includes t_max
+    or psi(t_max) leaving it and statistics that are not finite. The
+    statistics come as three floats: the block descent calls it once per
+    trial row, with no object per row.
     """
     if norm2 <= 0:
         return None
     e_n, e_k = 2 - ab, 1 - ab - q
-    if K <= 0:
-        # a negative parameter can get here; the fiber then has no minimum,
-        # and psi(t0) = -t0^{e_k} K >= 0 at t0 = (norm2 / B)^{1/(a-2)}
-        if not upper or B <= 0:
-            return None
-        x_in = (math.log(norm2) - math.log(B)) / (ab - 2)
-    else:
-        if upper and B <= 0:
-            return None  # a single root, the fiber minimum
-        tm = _t_max(norm2, K, q, ab)
-        if _psi(norm2, K, B, e_n, e_k, tm) <= 0:
-            # exact arithmetic gives psi(t_max) > -B, so for B <= 0 only
-            # rounding gets here
-            if B <= 0:
-                raise NoBracket("psi has no positive maximum; degenerate stats")
-            return None
-        x_in = math.log(tm)
-    # psi >= 0 at the anchor x_in and changes sign once on the root's side
-    # of it. Start at t = 1, clipped to that side (a descent trial lies one
-    # step from the manifold), and widen geometrically in x = log t until
-    # the sign changes. The loops inline _psi, since Newton's slope needs its
-    # two power terms (a call per evaluation slowed sweep_n64 by 7%, 2-core x86).
-    side = 1.0 if upper else -1.0
-    x = side * max(side * x_in, 0.0)
-    width = 1.0
     try:
+        if K <= 0:
+            # a negative parameter can get here; the fiber then has no
+            # minimum, and psi(t0) = -t0^{e_k} K >= 0 at t0 = (norm2 / B)^{1/(a-2)}
+            if not upper or B <= 0:
+                return None
+            x_in = (math.log(norm2) - math.log(B)) / (ab - 2)
+        else:
+            if upper and B <= 0:
+                return None  # a single root, the fiber minimum
+            tm = _t_max(norm2, K, q, ab)
+            if _psi(norm2, K, B, e_n, e_k, tm) <= 0:
+                # exact arithmetic gives psi(t_max) > -B, so for B <= 0 only
+                # rounding gets here
+                if B <= 0:
+                    raise NoBracket("psi has no positive maximum; degenerate stats")
+                return None
+            x_in = math.log(tm)
+        if not math.isfinite(x_in):
+            # statistics that are not finite, or t_max beyond the float
+            # range: from such an anchor the bracket never widens
+            raise OverflowError
+        # psi >= 0 at the anchor x_in and changes sign once on the root's
+        # side of it. Start at t = 1, clipped to that side (a descent trial
+        # lies one step from the manifold), and widen geometrically in
+        # x = log t until the sign changes. The loops inline _psi, since
+        # Newton's slope needs its two power terms (a call per evaluation
+        # slowed sweep_n64 by 7%, 2-core x86).
+        side = 1.0 if upper else -1.0
+        x = side * max(side * x_in, 0.0)
+        width = 1.0
         while True:
             t = math.exp(x)
             pn, pk = t**e_n * norm2, t**e_k * K
@@ -156,8 +162,8 @@ def root(norm2: float, K: float, B: float, q: float, ab: float, upper: bool) -> 
             x_in, x = x, x + side * width
             width *= 2.0
     except (OverflowError, ZeroDivisionError):
-        # t left the float range: exp overflows above it, and below it a
-        # negative power of t overflows or t itself underflows to 0
+        # t or t_max left the float range: exp overflows above it, and below
+        # it a negative power of t overflows or t itself underflows to 0
         raise NoBracket("psi changes no sign in the float range; degenerate stats") from None
     # Newton from the first point past the sign change: t = 1 itself unless
     # the bracket had to widen

@@ -155,9 +155,9 @@ class GagliardoForm:
 
     def riesz(self, x: np.ndarray) -> np.ndarray:
         """G^{-1} x: the H^s Riesz representative of a nodal gradient, or of
-        each row of x.
+        each row of x, whatever its leading shape.
 
-        Below MATRIX_FREE_CELLS this is a product with the dense inverse.
+        Below MATRIX_FREE_CELLS this is one product with the dense inverse.
         From there on it applies the Gohberg-Semencul formula (see
         ``inverse_first_column``), each triangular Toeplitz product a
         convolution by FFT, with L' = J L J for the reversal J. The products
@@ -171,7 +171,7 @@ class GagliardoForm:
         preconditioned CG.
         """
         if not self.matrix_free:
-            return (self.inverse() @ x.T).T
+            return (self.inverse() @ x.reshape(-1, x.shape[-1]).T).T.reshape(x.shape)
         n, length = x.shape[-1], self._length
         x0, factors = self._inverse_factors
         factors = factors.reshape((2,) + (1,) * (x.ndim - 1) + factors.shape[-1:])

@@ -30,12 +30,12 @@ draws the directions of every restart of every point
 (``sample_directions``): restart i's seeded generator draws once per
 attempt, and that draw serves every point still waiting on restart i, so
 each point gets the directions it would get alone. The restarts are the
-rows of one block descent, held as one stacked array [U; V] of the u rows
-over the w rows: each iteration applies the gradient and the Riesz map to
-all of them at once, while each row keeps its own step, acceptance and
-stopping rule, so a row ends as it would in a descent of its own, and a
-row that stops leaves the block. A row's trial statistics stay floats, and
-each row comes out as a ``SolutionReport`` holding its returned iterate as
+rows of one block descent, held as one array of shape (2, rows, n) with
+the u rows in X[0] and the w rows in X[1]: each iteration applies the
+gradient and the Riesz map to all of them at once, while each row keeps
+its own step, acceptance and stopping rule, so a row ends as it would in
+a descent of its own, and a row that stops leaves the block. A row's trial
+statistics stay floats, and each row comes out as a ``SolutionReport`` holding its returned iterate as
 interior arrays, with the stationarity there; the row that wins its point
 and branch is the report returned, and its ``GridPair`` is built only when
 a caller reads ``pair``. The rows may come from several points (lambda,
@@ -174,12 +174,13 @@ def _check_shared(problems: list[ValidatedProblem]) -> None:
 
 
 def sample_directions(problems: list[ValidatedProblem], rngs: list[np.random.Generator],
-                      branch: Branch = Branch.PLUS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      branch: Branch = Branch.PLUS) -> tuple[np.ndarray, np.ndarray]:
     """One random nonnegative direction pair with positive singular integral
-    per problem and generator: the interior nodal arrays (u, w), row
-    k * len(rngs) + i for problem k and generator i, and whether each row
-    found its direction within 1000 attempts (a row that did not stays
-    zero). The problems may differ in lambda, mu, f and g alone.
+    per problem and generator: the block X of interior nodal values, shape
+    (2, rows, n) with row k * len(rngs) + i for problem k and generator i,
+    and whether each row found its direction within 1000 attempts (a row
+    that did not stays zero). The problems may differ in lambda, mu, f and
+    g alone.
 
     Both components share one smooth bump profile (a symmetric seed), so a
     fully symmetric problem keeps u = w along the whole descent. For the
@@ -205,10 +206,9 @@ def sample_directions(problems: list[ValidatedProblem], rngs: list[np.random.Gen
     factors = singular_factors(problems)
     # the side each row damps: u where lambda < mu, else w
     damp_u = np.repeat([p.lam < p.mu for p in problems], count)
-    u = np.zeros((len(problems) * count, x.size))
-    v = np.zeros_like(u)
-    found = np.zeros(len(u), dtype=bool)
-    pending = np.arange(len(u))
+    X = np.zeros((2, len(problems) * count, x.size))
+    found = np.zeros(X.shape[1], dtype=bool)
+    pending = np.arange(X.shape[1])
     for _ in range(1000):
         if not pending.size:
             break
@@ -226,27 +226,25 @@ def sample_directions(problems: list[ValidatedProblem], rngs: list[np.random.Gen
         # each pending row takes its generator's profile, if that has a bump
         bumped = (prof > 0).any(axis=1)[which]
         rows = pending[bumped]
-        m = len(rows)
-        P = np.tile(prof[which[bumped]], (2, 1))  # the rows' u over their w
-        admitted = np.zeros(m, dtype=bool)
-        B = np.zeros(m)
-        damping = np.arange(m)
+        P = np.tile(prof[which[bumped]], (2, 1, 1))  # the rows' u and w
+        admitted = np.zeros(len(rows), dtype=bool)
+        B = np.zeros(len(rows))
+        damping = np.arange(len(rows))
         for _damp in range(8):
-            K, B[damping] = singular_and_coupling(
-                first, P[np.concatenate([damping, m + damping])],
-                factors[:, rows[damping] // count])
+            K, B[damping] = singular_and_coupling(first, P[:, damping],
+                                                  factors[:, rows[damping] // count])
             positive = K > 0
             admitted[damping[positive]] = True
             damping = damping[~positive]
             if not damping.size:
                 break
-            P[np.where(damp_u[rows[damping]], damping, m + damping)] *= 0.25
+            P[np.where(damp_u[rows[damping]], 0, 1), damping] *= 0.25
         if branch is Branch.MINUS:
             admitted &= B > 0
-        u[rows[admitted]], v[rows[admitted]] = P[:m][admitted], P[m:][admitted]
+        X[:, rows[admitted]] = P[:, admitted]
         found[rows[admitted]] = True
         pending = pending[~found[pending]]
-    return u, v, found
+    return X, found
 
 
 def initial_direction(problem: ValidatedProblem, rng: np.random.Generator,
@@ -255,27 +253,28 @@ def initial_direction(problem: ValidatedProblem, rng: np.random.Generator,
     ``sample_directions`` with the one problem and the one generator rng,
     which it draws from as the solver draws from each restart's generator.
     Raises DirectionSearchFailed when 1000 attempts find none."""
-    u, v, found = sample_directions([problem], [rng], branch)
+    X, found = sample_directions([problem], [rng], branch)
     if not found[0]:
         raise DirectionSearchFailed(
             f"no admissible initial direction for branch {branch.value} in 1000 samples")
-    return GridPair.from_arrays(problem.grid, np.pad(u[0], 1), np.pad(v[0], 1))
+    return GridPair.from_arrays(problem.grid, *np.pad(X[:, 0], ((0, 0), (1, 1))))
 
 
 def _row_dots(a, b):
-    # one dot per row pair of a stacked block [U; V], summed as in
-    # energy.singular_and_coupling
-    return (a * b).sum(axis=-1).reshape(2, -1).sum(axis=0)
+    # one dot per row of a block of pairs, the u row's sum plus the w row's,
+    # as in energy.singular_and_coupling
+    sums = (a * b).sum(axis=-1)
+    return sums[0] + sums[1]
 
 
 def _descend(problems: list[ValidatedProblem], points: list[int], form: GagliardoForm,
-             branches: list[Branch], u: np.ndarray, w: np.ndarray
+             branches: list[Branch], X: np.ndarray
              ) -> tuple[list[SolutionReport | None], dict[tuple[int, Branch], NehariError]]:
-    """The rows of one block descent, row i of the interior nodal arrays
-    (u, w) the direction of a restart of the point problems[points[i]] on
-    the branch branches[i]: the report of each row, or None where it admits
-    no branch scaling; and the first error that a row raised, for each
-    (point, branch) that raised one.
+    """The rows of one block descent, row i of the block X of interior nodal
+    values, shape (2, rows, n), the direction of a restart of the point
+    problems[points[i]] on the branch branches[i]: the report of each row,
+    or None where it admits no branch scaling; and the first error that a
+    row raised, for each (point, branch) that raised one.
 
     The problems may differ only where the energy reads them through each
     row's singular factors (lambda w f, mu w g). Each row keeps its own
@@ -296,8 +295,7 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
     for start in range(0, len(points), size):
         rows = range(start, min(start + size, len(points)))
         results += _descend_block(first, form, factors[:, [points[i] for i in rows]],
-                                  rows, branches, u[rows.start:rows.stop],
-                                  w[rows.start:rows.stop], errors)
+                                  rows, branches, X[:, rows.start:rows.stop], errors)
     failed: dict[tuple[int, Branch], NehariError] = {}
     for (_, _, i), exc in sorted(errors, key=lambda e: e[0]):
         failed.setdefault((points[i], branches[i]), exc)
@@ -305,33 +303,33 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
 
 
 def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: range,
-                   branches: list[Branch], u: np.ndarray, v: np.ndarray,
+                   branches: list[Branch], X: np.ndarray,
                    errors: list) -> list[SolutionReport | None]:
     """The report of each row of one block, or None where the row admits
-    no branch scaling; (u, v) are the block's rows of the directions and
-    factors their singular factors, shape (2, rows, n). A projection that
-    raises appends ((iteration, halving round, row), error) to errors and
-    counts as a rejected trial; the error ends its point on its branch.
+    no branch scaling; X holds the block's directions and factors their
+    singular factors, both of shape (2, rows, n). A projection that raises
+    appends ((iteration, halving round, row), error) to errors and counts
+    as a rejected trial; the error ends its point on its branch.
 
-    The rows still descending are one C-ordered stacked array X = [U; V]
-    (see ``energy``) with G X beside it; when rows stop, the block shrinks
-    by compaction, and their iterates wait in the array the results are
-    read from. Every iteration takes one gradient and one Riesz map over X,
-    and every round of step halving one product with G per half for the
-    rows still trying. When every row tries, the trial is the clipped step
-    of the whole block, and when every row is accepted, the block becomes t
-    times the trial, with no scatter. An accepted iterate is t * trial, so
-    its products with G are t times the trial's, and each gradient costs no
-    product of its own. A trial's statistics stay three floats from the
-    kernel to the projection, the acceptance test and the trajectory
-    record, which run in the loop over its rows. A row's energy is its last
-    trajectory record's, and it stopped if it left the block: the rows
-    still active after MAX_ITERS iterations did not. Each report copies its
-    row of the returned iterates, so that a kept report does not keep the
-    block.
+    The rows still descending are one C-ordered block X (see ``energy``),
+    X[0] their u and X[1] their w, with G X beside it; rows are selected on
+    axis 1, and a row's step and scaling are a column that multiplies both
+    components. When rows stop, the block shrinks by compaction, and their
+    iterates wait in the array the results are read from. Every iteration
+    takes one gradient and one Riesz map over X, and every round of step
+    halving one product with G per component for the rows still trying.
+    When every row tries, the trial is the clipped step of the whole block,
+    and when every row is accepted, the block becomes t times the trial,
+    with no scatter. An accepted iterate is t * trial, so its products with
+    G are t times the trial's, and each gradient costs no product of its
+    own. A trial's statistics stay three floats from the kernel to the
+    projection, the acceptance test and the trajectory record, which run in
+    the loop over its rows. A row's energy is its last trajectory record's,
+    and it stopped if it left the block: the rows still active after
+    MAX_ITERS iterations did not. Each report copies its row of the
+    returned iterates, so that a kept report does not keep the block.
     """
     q, ab = first.q, first.alpha + first.beta
-    X = np.concatenate([u, v])
     n2, K, B, GX = stats_and_products(first, form, X, factors)
     # the block holds the live rows, those that reach their branch; live row
     # r is rows[live[r]], and the block's row j is live row active[j]
@@ -346,18 +344,16 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
             live.append(j)
             t_used.append(t)
             trajectories.append([scaled_record(n2[j], K[j], B[j], t, q, ab)])
-    L = len(live)
-    stacked = np.array(live + [len(rows) + j for j in live], dtype=np.intp)
-    t = np.array(t_used * 2).reshape(-1, 1)
-    X, GX = t * X[stacked], t * GX[stacked]
+    t = np.array(t_used).reshape(-1, 1)
+    X, GX = t * X[:, live], t * GX[:, live]
     factors = F = factors[:, live]  # F: the factors of the rows still active
-    done = np.empty_like(X)  # each live row's returned iterate, stacked as X
+    done = np.empty_like(X)  # each live row's returned iterate, laid out as X
     # each row's branch flag and iteration count; its energy is the J of
     # its trajectory's last record
     upper = [branches[rows[j]] is Branch.MINUS for j in live]
-    iters = [MAX_ITERS] * L
+    iters = [MAX_ITERS] * len(live)
 
-    active = list(range(L))
+    active = list(range(len(live)))
     previous = None  # the last iteration's x, g and d of the rows still active
     for it in range(1, MAX_ITERS + 1):
         if not active:
@@ -382,11 +378,10 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
         halving = 0
         while trying.size:
             if trying.size == A:
-                X_try = np.maximum(X - np.concatenate((step, step))[:, None] * d, 0.0)
+                X_try = np.maximum(X - step[:, None] * d, 0.0)
                 F_try = F
             else:
-                pick, s = np.concatenate((trying, A + trying)), step[trying]
-                X_try = np.maximum(X[pick] - np.concatenate((s, s))[:, None] * d[pick], 0.0)
+                X_try = np.maximum(X[:, trying] - step[trying, None] * d[:, trying], 0.0)
                 F_try = F[:, trying]
             n2, K, B, GX_try = stats_and_products(first, form, X_try, F_try)
             took, took_t = [], []  # the accepted trials and their scalings
@@ -408,16 +403,14 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
                     took.append(k)
                     took_t.append(t)
             if took:
-                t = np.array(took_t * 2).reshape(-1, 1)
+                t = np.array(took_t).reshape(-1, 1)
                 if len(took) == A:
                     X, GX = t * X_try, t * GX_try
                     break
                 if X is x:
                     X = X.copy()  # x stays this iteration's iterate
-                k = np.array(took, dtype=np.intp)
-                into = np.concatenate((trying[k], A + trying[k]))
-                k = np.concatenate((k, trying.size + k))
-                X[into], GX[into] = t * X_try[k], t * GX_try[k]
+                into = trying[took]
+                X[:, into], GX[:, into] = t * X_try[:, took], t * GX_try[:, took]
                 if len(took) == trying.size:
                     break
             rejected = np.ones(trying.size, dtype=bool)
@@ -436,24 +429,23 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
         out = [active[j] for j in gone]
         for r in out:
             iters[r] = it
-        done[out + [L + r for r in out]] = X[gone + [A + j for j in gone]]
+        done[:, out] = X[:, gone]
         keep = [j for j in range(A) if not stopped[j]]
-        both = keep + [A + j for j in keep]
-        X, GX, F = X[both], GX[both], F[:, keep]
-        previous = x[both], g[both], d[both]
+        X, GX, F = X[:, keep], GX[:, keep], F[:, keep]
+        previous = x[:, keep], g[:, keep], d[:, keep]
         active = [active[j] for j in keep]
     # the rows still active ran out of iterations without stopping
     if active:
-        done[active + [L + r for r in active]] = X
+        done[:, active] = X
 
     # the checks and the stationarity run on the returned iterates, not on
-    # scaled stats; a row's g' G^{-1} g sums its u and w halves
+    # scaled stats; a row's g' G^{-1} g sums its u and w rows
     n2, K, B, GX = stats_and_products(first, form, done, factors)
     g = smoothed_gradient(first, done, GX, EPS_SINGULAR, factors)
     dual2 = _row_dots(g, form.riesz(g)).tolist()
     # the system asks for u, w > 0: a component that vanished at every
     # interior node (a negative parameter drives it there) is no solution
-    positive = ((done[:L].max(axis=1) > 0) & (done[L:].max(axis=1) > 0)).tolist()
+    positive = (done.max(axis=-1) > 0).all(axis=0).tolist()
     results: list[SolutionReport | None] = [None] * len(rows)
     for r, j in enumerate(live):
         stats = PairStats(n2[r], K[r], B[r])
@@ -466,7 +458,7 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
                          is (MembershipLabel.N_MINUS if upper[r] else MembershipLabel.N_PLUS)
                          and stationarity <= TOL_STATIONARITY)
         results[j] = SolutionReport(
-            branch=branches[rows[j]], grid=first.grid, u=done[r].copy(), w=done[L + r].copy(),
+            branch=branches[rows[j]], grid=first.grid, u=done[0, r].copy(), w=done[1, r].copy(),
             J=trajectories[r][-1][0], norm=norm, phi1=phi1, phi2=phi2, t_used=t_used[r],
             iters=iters[r], converged=converged, trajectory=trajectories[r],
             stationarity=stationarity)
@@ -500,17 +492,16 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
     rngs = [np.random.default_rng(opts.seed + i) for i in range(opts.restarts)]
     seeded = [rng.bit_generator.state for rng in rngs]
     point_of_row = np.repeat(np.arange(len(problems)), opts.restarts)
-    points, row_branches, us, ws = [], [], [], []
+    points, row_branches, blocks = [], [], []
     for branch in branches:
         for rng, state in zip(rngs, seeded):
             rng.bit_generator.state = state
-        u, w, found = sample_directions(problems, rngs, branch)
-        us.append(u[found])
-        ws.append(w[found])
+        X, found = sample_directions(problems, rngs, branch)
+        blocks.append(X[:, found])
         points += point_of_row[found].tolist()
         row_branches += [branch] * int(found.sum())
-    rows, failed = (_descend(problems, points, form, row_branches, np.concatenate(us),
-                             np.concatenate(ws)) if points else ([], {}))
+    rows, failed = (_descend(problems, points, form, row_branches,
+                             np.concatenate(blocks, axis=1)) if points else ([], {}))
     reached: dict[tuple[int, Branch], list[SolutionReport]] = {
         (k, b): [] for b in branches for k in range(len(problems))}
     for key, row in zip(zip(points, row_branches), rows):

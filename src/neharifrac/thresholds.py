@@ -23,6 +23,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import (
+    ConstantsOutOfRange,
     InverseIterationNotConverged,
     NonpositiveBSup,
     NonpositiveLambda,
@@ -313,7 +314,9 @@ def compute_constants(problem: ValidatedProblem, form: GagliardoForm,
     S is the refinement of estimate_S, lowered by any of extra_candidates
     (nodal arrays) whose quotient is below it; passing solver outputs here
     makes the discrete embedding step of the inequality chains hold for
-    them.
+    them. A closed form that overflows raises ConstantsOutOfRange: near
+    alpha+beta = 2 the exponents 1/(alpha+beta-2) are huge, and so are
+    powers of a huge alpha+beta or lambda.
     """
     al, be, q = problem.alpha, problem.beta, problem.q
     ab = al + be
@@ -322,15 +325,22 @@ def compute_constants(problem: ValidatedProblem, form: GagliardoForm,
     f_norm = weight_norm(qs, problem.f_vals, w)
     g_norm = weight_norm(qs, problem.g_vals, w)
     b_sup = float(np.max(np.maximum(problem.b_vals, 0.0)))
-    Lambda = lambda_aggregate(problem.lam, problem.mu, f_norm, g_norm, q)
 
     S = estimate_S(form, ab, extra_candidates)
 
-    C = threshold_C(al, be, q, S, b_sup)
-    in_gamma = 0.0 < Lambda < C
-    E = E_coefficient(al, be, q, S, b_sup, Lambda) if Lambda > 0 else math.inf
-    A0, A_lm = gap_radii(al, be, q, S, b_sup, Lambda)
-    J_lower = energy_lower_bound(al, be, q, S, Lambda)
+    try:
+        Lambda = lambda_aggregate(problem.lam, problem.mu, f_norm, g_norm, q)
+        C = threshold_C(al, be, q, S, b_sup)
+        E = E_coefficient(al, be, q, S, b_sup, Lambda) if Lambda > 0 else math.inf
+        A0, A_lm = gap_radii(al, be, q, S, b_sup, Lambda)
+        J_lower = energy_lower_bound(al, be, q, S, Lambda)
+    except OverflowError:
+        raise ConstantsOutOfRange(
+            f"the closed-form constants overflow the float range at s={problem.s}, "
+            f"alpha+beta={ab} (lambda={problem.lam}, mu={problem.mu})") from None
+    # validate_params excludes (lambda, mu) = (0, 0) and f, g <= 0, so
+    # Lambda = 0 is an underflow, and the point is in Gamma
+    in_gamma = Lambda < C
     return ConstantsReport(q_star=qs, f_norm=f_norm, g_norm=g_norm, b_sup=b_sup,
                            Lambda=Lambda, S=S, C=C, E=E, A0=A0, A_lm=A_lm,
                            J_lower=J_lower, in_gamma=in_gamma)

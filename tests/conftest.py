@@ -129,12 +129,12 @@ def energy_smoothed(problem, form, pair, eps):
 
 def pair_gradient(problem, form, pair, eps):
     """Nodal gradient (gu, gw) of the eps-smoothed energy at one pair, zero
-    at the pinned boundary: ``smoothed_gradient`` on the pair's stacked
-    block, with the products ``stats_and_products`` gives it, as the solver
-    runs them."""
-    X = np.stack([pair.u.values[1:-1], pair.w.values[1:-1]])
+    at the pinned boundary: ``smoothed_gradient`` on the pair's block of
+    one row, with the products ``stats_and_products`` gives it, as the
+    solver runs them."""
+    X = np.stack([pair.u.values[1:-1], pair.w.values[1:-1]])[:, None]
     GX = stats_and_products(problem, form, X)[3]
-    return np.pad(smoothed_gradient(problem, X, GX, eps), ((0, 0), (1, 1)))
+    return np.pad(smoothed_gradient(problem, X, GX, eps)[:, 0], ((0, 0), (1, 1)))
 
 
 def reference_gradient(problem, form, pair, eps):

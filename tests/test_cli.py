@@ -700,6 +700,80 @@ def test_constants_refuses_an_unfinished_S_refinement(tmp_path, capsys, monkeypa
     assert "Traceback" not in captured.err
 
 
+# the README config at 64 cells with one change each, at the edges of the
+# admissible region: alpha+beta just above 2 (at s = 0.4, and at s = 0.1667
+# where the window is narrow) makes the exponents 1/(alpha+beta-2) of C
+# overflow, alpha+beta = 8000 the powers of E, and lambda = mu = 1e300 the
+# powers of Lambda; at lambda = mu = 1e-300 the descent's first projections
+# leave the float range
+EDGE_CONFIGS = {
+    "alpha_beta_above_2": {"alpha": 1.0000000005, "beta": 1.0000000005},
+    "narrow_window": {"s": 0.1667, "alpha": 1.0001, "beta": 1.0001},
+    "huge_alpha_beta": {"s": 0.4999, "alpha": 4000.0, "beta": 4000.0},
+    "huge_lambda": {"lambda": 1e300, "mu": 1e300},
+    "tiny_lambda": {"lambda": 1e-300, "mu": 1e-300},
+}
+
+
+@pytest.mark.parametrize("command,edge", [
+    ("constants", "alpha_beta_above_2"), ("constants", "narrow_window"),
+    ("constants", "huge_alpha_beta"), ("constants", "huge_lambda"),
+    ("solve", "alpha_beta_above_2"), ("solve", "narrow_window"),
+    ("solve", "huge_alpha_beta"), ("solve", "huge_lambda"), ("solve", "tiny_lambda"),
+])
+def test_the_edges_of_the_float_range_are_a_named_error(tmp_path, capsys, command, edge):
+    # a closed form or a projection that overflows ends in one error line
+    # and exit 1, never a traceback
+    path = write_config(tmp_path, {"grid": {"cells": 64}, "solver": {"restarts": 8, "seed": 0},
+                                   **EDGE_CONFIGS[edge]})
+    args = [command, path] + (["--out", str(tmp_path / "run")] if command == "solve" else [])
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] \
+        == captured.err.splitlines()[-1:]
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "run").exists()
+    if command == "constants":
+        assert "overflow the float range" in captured.err
+        assert f"s={float(EDGE_CONFIGS[edge].get('s', 0.4))}, alpha+beta=" in captured.err
+
+
+def test_an_underflowed_Lambda_is_still_in_gamma(tmp_path, capsys):
+    # validation excludes (lambda, mu) = (0, 0) and f, g <= 0, so Lambda = 0
+    # can only be an underflow: the point lies in Gamma, and E stays inf
+    path = write_config(tmp_path, {"grid": {"cells": 64}, **EDGE_CONFIGS["tiny_lambda"]})
+    assert cli.main(["constants", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["Lambda"] == 0.0 and report["E"] == math.inf
+    assert report["in_gamma"] is True
+
+
+def test_a_sweep_point_whose_constants_overflow_keeps_its_failure_columns(tmp_path):
+    # the point at lambda = 1e300 fills its branch columns as usual and
+    # leaves NaN constants; the other point reads as it does alone
+    path = write_config(tmp_path, {"grid": {"cells": 64}})
+    both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+    assert cli.main(["sweep", path, "--lambdas=0.01,1e300", "--mus=0.01",
+                     "--out", str(both), "--seed", "1"]) == 0
+    assert cli.main(["sweep", path, "--lambdas=0.01", "--mus=0.01",
+                     "--out", str(alone), "--seed", "1"]) == 0
+    assert len(both.read_text().splitlines()) == 3
+    small, huge = _read_sweep(both)
+    [lone] = _read_sweep(alone)
+    assert small.keys() == lone.keys()
+    for key, value in lone.items():
+        if value in ("true", "false"):
+            assert small[key] == value, key
+        else:
+            assert float(small[key]) == pytest.approx(float(value), rel=1e-12), key
+    assert lone["gap_ok"] == "true"
+    assert float(huge["lambda"]) == 1e300
+    for key in ("Lambda", "C", "A0", "A_lm"):
+        assert huge[key] == "nan"
+    assert huge["in_gamma"] == huge["gap_ok"] == "false"
+
+
 def _sign_pattern(ts, vals, cuts):
     """Signs of vals on the segments of ts delimited by the cut points."""
     signs = []

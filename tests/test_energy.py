@@ -254,32 +254,32 @@ def test_kernel_against_gridpair_oracle(problem64, form64, asymmetric):
         for new, ref in zip(grad, (gu, gv)):
             assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-        # the raw kernel, on the stacked block of one pair, returns the
-        # products it used
+        # the raw kernel, on the block of one pair, returns the products it
+        # used
         u, v = pair.u.values[1:-1], pair.w.values[1:-1]
-        X = np.stack([u, v])
+        X = np.stack([u, v])[:, None]
         norm2_raw, K_raw, B_raw, GX = stats_and_products(problem, form64, X)
         assert (norm2_raw, K_raw, B_raw) == ([st.norm2], [st.K], [st.B])
         assert all(type(x) is float for x in norm2_raw + K_raw + B_raw)
-        assert np.array_equal(GX, np.stack([form64.matrix @ u, form64.matrix @ v]))
+        assert np.array_equal(GX, np.stack([form64.matrix @ u, form64.matrix @ v])[:, None])
 
 
 def test_row_sums_do_not_depend_on_the_block():
     # numpy's einsum buffers a reduction over rows of more than 8192
     # elements, and then row 0 of a one-row block summed in another order
     # than in a wider one; every per-row sum of the descent (K, B, norm2
-    # and the stacked dots) must give a row the same bytes in any block
+    # and the row dots) must give a row the same bytes in any block
     from neharifrac import solver
     problem = nf.validate_params(make_spec(cells=16384))
     form = nf.assemble_form(problem.grid, problem.s)
     n = problem.grid.cells - 1
-    u, v = np.random.default_rng(0).uniform(0.5, 1.5, (2, 16, n))
+    block = np.random.default_rng(0).uniform(0.5, 1.5, (2, 16, n))
     factors = np.stack([np.tile(f, (16, 1)) for f in problem.weighted_coefficients[:2]])
     firsts = []
     for rows in (1, 2, 16):
-        X = np.concatenate([u[:rows], v[:rows]])
+        X = block[:, :rows]
         norm2, K, B, _ = stats_and_products(problem, form, X, factors[:, :rows])
-        dots = solver._row_dots(X, np.concatenate([v[:rows], u[:rows]]))
+        dots = solver._row_dots(X, X[::-1])
         firsts.append((norm2[0], K[0], B[0], dots[0]))
     assert firsts[0] == firsts[1] == firsts[2]
 
@@ -287,10 +287,10 @@ def test_row_sums_do_not_depend_on_the_block():
 @pytest.mark.parametrize("cells", [64, 128, 2048])
 @pytest.mark.parametrize("rows", [1, 2, 16])
 def test_stacked_kernels_match_the_per_component_formulas(cells, rows):
-    # the kernels read one stacked block [U; V]; each row must get the bytes
-    # of the formulas written per component, on the dense path (64, 128
-    # cells) and the FFT path (2048), with per-row singular factors of
-    # either sign, a zero row, and a negative entry that the clip removes
+    # the kernels read one block of shape (2, rows, n); each row must get
+    # the bytes of the formulas written per component, on the dense path
+    # (64, 128 cells) and the FFT path (2048), with per-row singular factors
+    # of either sign, a zero row, and a negative entry that the clip removes
     problem = nf.validate_params(make_spec(
         cells=cells, q=0.4, alpha=1.3, beta=1.6, lam=0.02, mu=0.005,
         f=nf.WeightSpec.gaussian(0.2, 0.7, 1.1), g=nf.WeightSpec.linear_x(0.3, 1.0)))
@@ -315,13 +315,13 @@ def test_stacked_kernels_match_the_per_component_formulas(cells, rows):
     gu = Gu - lam_f * np.maximum(u, eps) ** (-q) - (al / ab) * b * up ** (al - 1) * vp**be
     gv = Gv - mu_g * np.maximum(v, eps) ** (-q) - (be / ab) * b * up**al * vp ** (be - 1)
 
-    X = np.concatenate([u, v])
+    X = np.stack([u, v])
     factors = np.stack([lam_f, mu_g])
     got_norm2, got_K, got_B, GX = stats_and_products(problem, form, X, factors)
     assert (got_norm2, got_K, got_B) == (norm2.tolist(), K.tolist(), B.tolist())
-    assert np.array_equal(GX, np.concatenate([Gu, Gv]))
+    assert np.array_equal(GX, np.stack([Gu, Gv]))
     g = smoothed_gradient(problem, X, GX, eps, factors)
     assert g.shape == X.shape
-    assert np.array_equal(g, np.concatenate([gu, gv]))
+    assert np.array_equal(g, np.stack([gu, gv]))
     # the zero w row has no coupling
     assert got_B[-1] == 0.0

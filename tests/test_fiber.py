@@ -224,6 +224,23 @@ def test_falling_root_against_brentq():
         assert root(1.0, -0.1, 0.0, Q, AB, upper) is None
 
 
+@pytest.mark.parametrize("norm2,K,B,upper", [
+    (1.0, 1e-300, 0.5, False),  # t_max near 1e-200: psi(t_max) overflows
+    (1.0, 1e-300, 0.5, True),
+    (1e300, 1e-300, 1.0, False),  # t_max underflows to 0
+    (math.nan, math.inf, math.nan, False),  # a trial whose sums overflowed
+    (math.nan, math.inf, math.nan, True),
+    (1.0, math.inf, 1.0, True),  # t_max is infinite
+    (math.nan, -1.0, 1.0, True),  # the falling root's anchor is NaN
+    (1.0, -1.0, math.nan, True),
+])
+def test_root_names_statistics_beyond_the_float_range(norm2, K, B, upper):
+    # t_max, psi(t_max) or the anchor leaving the float range is NoBracket,
+    # as the bracket loop's own overflow is; a NaN anchor must not loop
+    with pytest.raises(NoBracket):
+        root(norm2, K, B, Q, AB, upper)
+
+
 def test_project_rejects_nonpositive_k():
     with pytest.raises(NonpositiveK):
         nf.project(nf.PairStats(1.0, -0.5, 0.1), Q, AB)

@@ -18,15 +18,15 @@ from conftest import make_spec, pair_gradient, reference_gradient, reference_sta
 
 
 def _interiors(directions):
-    # the interior nodal arrays (u, w) of GridPair directions, a row each
-    return (np.array([d.u.values[1:-1] for d in directions]),
-            np.array([d.w.values[1:-1] for d in directions]))
+    # the block of interior nodal values of GridPair directions, a row each
+    return np.array([[d.u.values[1:-1] for d in directions],
+                     [d.w.values[1:-1] for d in directions]])
 
 
 def _descend_point(problem, form, branch, directions):
     # the block descent with every direction a restart of one problem on one branch
     rows, failed = solver._descend([problem], [0] * len(directions), form,
-                                   [branch] * len(directions), *_interiors(directions))
+                                   [branch] * len(directions), _interiors(directions))
     assert not failed
     return rows
 
@@ -114,7 +114,7 @@ def _initial_direction_reference(problem, rng, branch):
             continue
         u, v = prof.copy(), prof.copy()
         for _damp in range(8):
-            [K], [B] = singular_and_coupling(problem, np.stack([u[1:-1], v[1:-1]]))
+            [K], [B] = singular_and_coupling(problem, np.stack([u[1:-1], v[1:-1]])[:, None])
             if K > 0:
                 break
             if problem.lam < problem.mu:
@@ -145,7 +145,7 @@ def test_block_sampler_draws_each_restart_as_alone(monkeypatch, case):
         with monkeypatch.context() as patch:
             patch.setattr(solver, "singular_and_coupling",
                           lambda *args: scored.append(kernel(*args)) or scored[-1])
-            u, w, found = solver.sample_directions(
+            (u, w), found = solver.sample_directions(
                 [problem], [np.random.default_rng(seed) for seed in range(16)], branch)
         assert found.all()
         for seed in range(16):
@@ -184,12 +184,12 @@ def test_shared_sampler_gives_each_point_its_rows_alone(case):
                 for lam, mu in points]
     for branch in nf.Branch:
         rngs = [np.random.default_rng(seed) for seed in range(16)]
-        u, w, found = solver.sample_directions(problems, rngs, branch)
+        (u, w), found = solver.sample_directions(problems, rngs, branch)
         assert u.shape == w.shape == (16 * len(problems), spec.grid.cells - 1)
         lone_states, damped = [], set()
         for k, problem in enumerate(problems):
             lone = [np.random.default_rng(seed) for seed in range(16)]
-            lone_u, lone_w, lone_found = solver.sample_directions([problem], lone, branch)
+            (lone_u, lone_w), lone_found = solver.sample_directions([problem], lone, branch)
             rows = slice(16 * k, 16 * (k + 1))
             assert np.array_equal(u[rows], lone_u) and np.array_equal(w[rows], lone_w)
             assert np.array_equal(found[rows], lone_found) and lone_found.all()
@@ -711,8 +711,8 @@ def test_every_row_reports_its_stationarity(monkeypatch, problem64, matrix_free)
         rows = _descend_point(problem64, form, branch, directions)
         for row in rows:
             assert row.branch is branch
-            g = smoothed_gradient(problem64, np.stack([row.u, row.w]),
-                                  np.stack([form.apply(row.u), form.apply(row.w)]),
+            g = smoothed_gradient(problem64, np.stack([row.u, row.w])[:, None],
+                                  np.stack([form.apply(row.u), form.apply(row.w)])[:, None],
                                   solver.EPS_SINGULAR)
             expected = math.sqrt(float(np.sum(g * form.riesz(g)))) / row.norm
             assert row.stationarity == pytest.approx(expected, rel=1e-9)
@@ -766,9 +766,9 @@ def test_restarts_used_counts_only_rows_that_reach_the_branch(monkeypatch, probl
     sample = solver.sample_directions
 
     def first_zero(problems, rngs, branch):
-        u, w, found = sample(problems, rngs, branch)
-        u[0] = w[0] = 0.0
-        return u, w, found
+        X, found = sample(problems, rngs, branch)
+        X[:, 0] = 0.0
+        return X, found
 
     monkeypatch.setattr(solver, "sample_directions", first_zero)
     [report] = nf.solve_points([problem64], form64, [nf.Branch.PLUS],
@@ -885,13 +885,13 @@ def test_rows_split_into_blocks_come_out_as_unsplit(monkeypatch):
                                                        branch))
                 points.append(k)
                 branches.append(branch)
-    u, w = _interiors(directions)
+    X = _interiors(directions)
     seen = []
     root = solver.root
     monkeypatch.setattr(solver, "root",
                         lambda norm2, K, B, *rest: seen.append((norm2, K, B))
                         or root(norm2, K, B, *rest))
-    solver._descend(problems, points, form, branches, u, w)
+    solver._descend(problems, points, form, branches, X)
     # the projected starts of the second point's rows 2, 3, 6 and 7
     starts = [stats for stats in seen[:len(directions)] if stats[1] > 1.0]
     assert len(starts) == 4
@@ -902,13 +902,13 @@ def test_rows_split_into_blocks_come_out_as_unsplit(monkeypatch):
         return root(norm2, K, B, q, ab, upper)
 
     monkeypatch.setattr(solver, "root", fragile)
-    whole, whole_failed = solver._descend(problems, points, form, branches, u, w)
+    whole, whole_failed = solver._descend(problems, points, form, branches, X)
     widths = []
     descend_block = solver._descend_block
     monkeypatch.setattr(solver, "_descend_block", lambda *args: widths.append(len(args[3]))
                         or descend_block(*args))
     monkeypatch.setattr(solver, "BLOCK_ELEMENTS", 3 * (32 - 1))
-    split, split_failed = solver._descend(problems, points, form, branches, u, w)
+    split, split_failed = solver._descend(problems, points, form, branches, X)
     assert widths == [3, 3, 2]
     expected = {(1, nf.Branch.PLUS): repr(starts[1]), (1, nf.Branch.MINUS): repr(starts[2])}
     for failed in (whole_failed, split_failed):

@@ -56,7 +56,8 @@ def test_weak_residual_is_the_energy_gradient(problem64, form64, solved64):
         res = nf.weak_residual(problem64, form64, rep.pair, delta)
         u, v = rep.pair.u.values[1:-1], rep.pair.w.values[1:-1]
         Gu, Gv = form64.matrix @ u, form64.matrix @ v
-        gu, gv = smoothed_gradient(problem64, np.stack([u, v]), np.stack([Gu, Gv]), eps=delta)
+        [gu], [gv] = smoothed_gradient(problem64, np.stack([u, v])[:, None],
+                                       np.stack([Gu, Gv])[:, None], eps=delta)
         m = (u > delta) & (v > delta)
         for value, G, g in ((res.res_u, Gu, gu), (res.res_w, Gv, gv)):
             expected = (np.max(np.abs(g[m]))
