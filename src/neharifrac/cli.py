@@ -233,6 +233,7 @@ def cmd_solve(args) -> int:
         "constants": constants.as_dict(),
         "solutions": {b.value: {"J": r.J, "norm": r.norm, "converged": r.converged,
                                 "iters": r.iters, "restarts_used": r.restarts_used,
+                                "restarts_joined": r.restarts_joined,
                                 "stationarity": r.stationarity}
                       for b, r in solutions.items()},
         "gap": None if gap is None else gap.ordering_ok,

@@ -57,6 +57,13 @@ def singular_factors(problems: list[ValidatedProblem]) -> np.ndarray:
     return np.array([[p.weighted_coefficients[k] for p in problems] for k in (0, 1)])
 
 
+# a statistic that leaves the float range comes out inf or NaN, which the
+# fiber's root turns into NoBracket and a sweep into NaN columns, so the
+# kernels do not warn of it
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET
 def singular_and_coupling(problem: ValidatedProblem, X: np.ndarray,
                           factors=None) -> tuple[np.ndarray, np.ndarray]:
     """(K, B) of each row of the block X: the integrals that need no form.
@@ -79,6 +86,7 @@ def singular_and_coupling(problem: ValidatedProblem, X: np.ndarray,
     return sums[0] + sums[1], B
 
 
+@_QUIET
 def stats_and_products(problem: ValidatedProblem, form: GagliardoForm, X: np.ndarray,
                        factors=None) -> tuple[list[float], list[float], list[float], np.ndarray]:
     """The pair statistics norm2, K and B of each row of the block X, as
@@ -98,15 +106,18 @@ def stats_and_products(problem: ValidatedProblem, form: GagliardoForm, X: np.nda
     return (sums[0] + sums[1]).tolist(), K.tolist(), B.tolist(), GX
 
 
-def smoothed_gradient(problem: ValidatedProblem, X: np.ndarray, GX: np.ndarray, eps: float,
-                      factors=None) -> np.ndarray:
+@_QUIET
+def smoothed_gradient(problem: ValidatedProblem, X: np.ndarray, GX: np.ndarray,
+                      eps: float | np.ndarray, factors=None) -> np.ndarray:
     """Interior gradient of the eps-smoothed energy at each row of the
     block X, given G X, in the same layout; X and factors as in
     ``singular_and_coupling``.
 
     The singular factor u^{-q} is floored at eps so descent always has a
     usable direction; where both components exceed eps this is the formal
-    gradient of the energy itself.
+    gradient of the energy itself. eps is a float or a column of one floor
+    per row, shape (rows, 1): the solver floors each row at
+    ``solver.EPS_SINGULAR`` times its peak max(u, w).
     """
     if factors is None:
         factors = singular_factors([problem])

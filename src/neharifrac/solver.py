@@ -21,11 +21,19 @@ from the third on the BB2 step in the G inner product (Barzilai & Borwein,
 IMA J. Numer. Anal. 8, 1988), floored at the base step. The base step
 damps the stiff antisymmetric mode u - w of the local-max branch, which a
 BB step, sized by the soft curvature, would leave undamped; the floor
-keeps a small BB step from crawling.
+keeps a small BB step from crawling. The gradient floors u^{-q} at
+``EPS_SINGULAR`` times the row's peak max(u, w): a bump start vanishes on
+most nodes, where an absolute floor would make the first gradient so
+large that the first step halves 8 to 11 times.
 
 Every accepted iterate sits on its branch, so branch invariants are
-checkable at each step. Independent seeded restarts guard against bad
-initial directions; the best energy wins. One sampler call per branch
+checkable at each step. Seeded restarts guard against bad initial
+directions; the best energy wins. Restarts of one point and branch that
+meet finish as one: after each iteration, a row within ``JOIN_TOL`` in the
+G norm of a lower restart of its point and branch stops and reports that
+restart's result (the clustering rule of multi-level single linkage,
+Rinnooy Kan & Timmer, Math. Program. 39, 1987), so every restart still
+reports the critical point it reached. One sampler call per branch
 draws the directions of every restart of every point
 (``sample_directions``): restart i's seeded generator draws once per
 attempt, and that draw serves every point still waiting on restart i, so
@@ -33,12 +41,14 @@ each point gets the directions it would get alone. The restarts are the
 rows of one block descent, held as one array of shape (2, rows, n) with
 the u rows in X[0] and the w rows in X[1]: each iteration applies the
 gradient and the Riesz map to all of them at once, while each row keeps
-its own step, acceptance and stopping rule, so a row ends as it would in
-a descent of its own, and a row that stops leaves the block. A row's trial
-statistics stay floats, and each row comes out as a ``SolutionReport`` holding its returned iterate as
-interior arrays, with the stationarity there; the row that wins its point
-and branch is the report returned, and its ``GridPair`` is built only when
-a caller reads ``pair``. The rows may come from several points (lambda,
+its own step, acceptance and stopping rule, and a row that stops or joins
+leaves the block. Rows of different points or branches never affect each
+other, so a point ends as it would in a descent of its own. A row's trial
+statistics stay floats, and each row comes out as a ``SolutionReport``
+holding its returned iterate as interior arrays, with the stationarity
+there (a joined row, the report of the restart it joined); the row that
+wins its point and branch is the report returned, and its ``GridPair`` is
+built only when a caller reads ``pair``. The rows may come from several points (lambda,
 mu) of a sweep: the points share the grid, s, q, alpha, beta and b, and
 lambda and mu enter the energy only as per-row factors of the singular
 integrals. The two branches differ only in the root a row's
@@ -46,7 +56,8 @@ projection takes and in the part of the manifold its verdict asks for
 (``fiber.label``: N+ or N-), so each row carries its own branch, and one
 block descends every restart of every point on every branch
 (``solve_points``). Rows beyond ``BLOCK_ELEMENTS`` elements descend as
-consecutive blocks, which bounds the memory and changes no row.
+consecutive blocks, split only where a point's restarts on a branch end,
+which bounds the memory and changes no row.
 """
 
 from __future__ import annotations
@@ -82,13 +93,16 @@ from .thresholds import ConstantsReport
 _MIN_STEP = 1e-16
 # the descent's fixed settings: the iteration cap; the base step (iteration
 # 1, every even iteration, and the floor of the BB step); the relative energy
-# drop below which a row stops; the stationarity above which a stopped row
-# is not converged; and the floor of u^{-q} inside gradients
+# drop below which a row stops; the relative G-distance within which a row
+# joins a lower restart of its point and branch; the stationarity above
+# which a stopped row is not converged; and the floor of u^{-q} inside
+# gradients, relative to the row's peak max(u, w)
 MAX_ITERS = 2000
 STEP = 0.5
 TOL_ENERGY = 1e-10
+JOIN_TOL = 1e-2
 TOL_STATIONARITY = 1e-3
-EPS_SINGULAR = 1e-8
+EPS_SINGULAR = 1e-4
 # rows x interior nodes above this many elements descend as consecutive
 # blocks of at most this many, which bounds the block's memory; the README
 # gives the measurement behind the value
@@ -104,8 +118,10 @@ class Branch(enum.Enum):
 class SolverOptions:
     """What a caller varies: restart i draws its direction from the
     generator seeded with seed + i. The descent's other settings are the
-    module constants MAX_ITERS, STEP, TOL_ENERGY, TOL_STATIONARITY and
-    EPS_SINGULAR. A row is converged when it stopped before MAX_ITERS, both
+    module constants MAX_ITERS, STEP, TOL_ENERGY, JOIN_TOL (restarts of one
+    point and branch within it of each other finish as the lower one; those
+    of different points stay independent), TOL_STATIONARITY and
+    EPS_SINGULAR (relative to each row's peak max(u, w)). A row is converged when it stopped before MAX_ITERS, both
     its components are positive somewhere, it lies in its branch's band of
     ``fiber.label`` (N+ or N-), and its stationarity is at most
     TOL_STATIONARITY."""
@@ -147,8 +163,10 @@ class SolutionReport:
     stationarity: float
     # one (J, norm, K, B) record per accepted iterate, in order
     trajectory: list[tuple[float, float, float, float]]
-    # the restarts of its point that reached the branch, set on the winner
+    # the restarts of its point that reached the branch, and those of them
+    # that joined another (see ``_descend_block``), set on the winner
     restarts_used: int = 0
+    restarts_joined: int = 0
 
     @functools.cached_property
     def pair(self) -> GridPair:
@@ -262,9 +280,52 @@ def initial_direction(problem: ValidatedProblem, rng: np.random.Generator,
 
 def _row_dots(a, b):
     # one dot per row of a block of pairs, the u row's sum plus the w row's,
-    # as in energy.singular_and_coupling
-    sums = (a * b).sum(axis=-1)
+    # as in energy.singular_and_coupling; a non-finite row stays a NaN or
+    # inf that the caller's test rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = (a * b).sum(axis=-1)
     return sums[0] + sums[1]
+
+
+def _singular_floor(X):
+    # the floor of u^{-q} in each row's gradient, a column: EPS_SINGULAR
+    # times the row's peak over both components
+    return EPS_SINGULAR * X.max(axis=(0, 2))[:, None]
+
+
+def _group_pairs(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # every ordered pair (a, b), a != b, of rows with one group id, where
+    # each group's rows are consecutive
+    _, start, size = np.unique(group, return_index=True, return_counts=True)
+    offset = np.arange(size.max(initial=0))
+    b = np.repeat(start, size)[:, None] + offset
+    valid = (offset < np.repeat(size, size)[:, None]) & (b != np.arange(group.size)[:, None])
+    return np.nonzero(valid)[0], b[valid]
+
+
+def _meetings(records: np.ndarray, pa: np.ndarray, pb: np.ndarray, X: np.ndarray,
+              GX: np.ndarray) -> list[tuple[int, int]]:
+    """The pairs (a, b) among the same-group pairs (pa, pb) of a block's
+    rows where a meets b, in order of (a, J of b, b): b is lower (less
+    energy, ties to the lower row), their energies differ by at most
+    JOIN_TOL (norm2 + |K| + |B|) of b, and ||x_a - x_b||_G <= JOIN_TOL
+    ||x_b||_G. records holds each row's last trajectory record (J, norm,
+    K, B); only the pairs the energy test keeps take the distance, from
+    the X and G X in hand, so early iterations do no pair work."""
+    J = records[:, 0]
+    # a record beyond the float range compares false
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = J[pa] - J[pb]
+        scale = records[pb, 1] ** 2 + np.abs(records[pb, 2:]).sum(axis=1)
+        near = ((gap > 0) | ((gap == 0) & (pb < pa))) & (gap <= JOIN_TOL * scale)
+        if not near.any():
+            return []
+        a, b = pa[near], pb[near]
+        close = (_row_dots(X[:, a] - X[:, b], GX[:, a] - GX[:, b])
+                 <= JOIN_TOL**2 * records[b, 1] ** 2)
+    a, b = a[close], b[close]
+    order = np.lexsort((b, J[b], a))
+    return list(zip(a[order].tolist(), b[order].tolist()))
 
 
 def _descend(problems: list[ValidatedProblem], points: list[int], form: GagliardoForm,
@@ -277,11 +338,16 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
     row raised, for each (point, branch) that raised one.
 
     The problems may differ only where the energy reads them through each
-    row's singular factors (lambda w f, mu w g). Each row keeps its own
-    branch, first step, step halving, acceptance, stopping rule, iteration
-    count and trajectory, as if it ran alone; a row leaves the block when it
-    stops. Rows beyond BLOCK_ELEMENTS elements descend as consecutive
-    blocks, which changes no row.
+    row's singular factors (lambda w f, mu w g). Consecutive rows of one
+    point and branch are a group, the restarts that may meet: a row that
+    comes within JOIN_TOL of a lower row of its group finishes as that row
+    (see ``_descend_block``). Rows of different groups never affect each
+    other: each keeps its own branch, first step, step halving, acceptance,
+    stopping rule, iteration count and trajectory, as if its group ran
+    alone, and a row leaves the block when it stops. Groups beyond
+    BLOCK_ELEMENTS elements descend as consecutive blocks, split only where
+    a group ends (a larger group takes a block of its own), which changes
+    no row.
     """
     first = problems[0]
     factors = singular_factors(problems)
@@ -291,11 +357,19 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
     # row), however the rows are split into blocks
     errors: list[tuple[tuple[int, int, int], NehariError]] = []
     size = max(1, BLOCK_ELEMENTS // (first.grid.cells - 1))
+    keys = list(zip(points, branches))
+    group = np.cumsum([i == 0 or keys[i] != keys[i - 1] for i in range(len(keys))])
+    # each block takes whole groups while they fit, and at least one
+    starts, placed = [0], 0
+    for end in np.flatnonzero(np.diff(group, append=-1)).tolist():
+        if end + 1 - starts[-1] > size and placed > starts[-1]:
+            starts.append(placed)
+        placed = end + 1
     results: list[SolutionReport | None] = []
-    for start in range(0, len(points), size):
-        rows = range(start, min(start + size, len(points)))
+    for start, stop in zip(starts, starts[1:] + [len(points)]):
+        rows = range(start, stop)
         results += _descend_block(first, form, factors[:, [points[i] for i in rows]],
-                                  rows, branches, X[:, rows.start:rows.stop], errors)
+                                  rows, branches, group[start:stop], X[:, start:stop], errors)
     failed: dict[tuple[int, Branch], NehariError] = {}
     for (_, _, i), exc in sorted(errors, key=lambda e: e[0]):
         failed.setdefault((points[i], branches[i]), exc)
@@ -303,13 +377,19 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
 
 
 def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: range,
-                   branches: list[Branch], X: np.ndarray,
+                   branches: list[Branch], group: np.ndarray, X: np.ndarray,
                    errors: list) -> list[SolutionReport | None]:
     """The report of each row of one block, or None where the row admits
     no branch scaling; X holds the block's directions and factors their
-    singular factors, both of shape (2, rows, n). A projection that raises
+    singular factors, both of shape (2, rows, n), and group each row's
+    group id, equal on consecutive rows alone. A projection that raises
     appends ((iteration, halving round, row), error) to errors and counts
     as a rejected trial; the error ends its point on its branch.
+
+    Restarts that meet finish as one: after each iteration's acceptance, a
+    row that meets lower rows of its group (``_meetings``) stops and joins
+    the one of least (energy, row). A joined row's report is the report of
+    the row it joined, followed to the end of the chain: the same object.
 
     The rows still descending are one C-ordered block X (see ``energy``),
     X[0] their u and X[1] their w, with G X beside it; rows are selected on
@@ -348,19 +428,23 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
     X, GX = t * X[:, live], t * GX[:, live]
     factors = F = factors[:, live]  # F: the factors of the rows still active
     done = np.empty_like(X)  # each live row's returned iterate, laid out as X
-    # each row's branch flag and iteration count; its energy is the J of
-    # its trajectory's last record
+    # each row's branch flag, group and iteration count; its energy is the
+    # J of its trajectory's last record
     upper = [branches[rows[j]] is Branch.MINUS for j in live]
+    group = group[live]
     iters = [MAX_ITERS] * len(live)
 
     active = list(range(len(live)))
+    joins: dict[int, int] = {}  # each joined live row's partner
+    # the block positions of every pair of active rows of one group
+    pa, pb = _group_pairs(group)
     previous = None  # the last iteration's x, g and d of the rows still active
     for it in range(1, MAX_ITERS + 1):
         if not active:
             break
         A = len(active)
         x = X
-        g = smoothed_gradient(first, X, GX, EPS_SINGULAR, F)
+        g = smoothed_gradient(first, X, GX, _singular_floor(X), F)
         d = form.riesz(g)
         step = np.full(A, STEP)
         if it % 2 and it > 1:
@@ -420,8 +504,15 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
             trying = trying[step[trying] > _MIN_STEP]
             halving += 1
         # a row stops when no strictly decreasing step exists at float
-        # resolution, or when its relative drop falls below TOL_ENERGY
+        # resolution, when its relative drop falls below TOL_ENERGY, or when
+        # it joins a lower row of its group
         stopped = [drop is None or drop < TOL_ENERGY for drop in rel_drop]
+        if pa.size:
+            records = np.array([trajectories[r][-1] for r in active])
+            for j, k in _meetings(records, pa, pb, X, GX):
+                # a row joins the first partner it meets
+                joins.setdefault(active[j], active[k])
+                stopped[j] = True
         if not any(stopped):
             previous = x, g, d
             continue
@@ -434,34 +525,44 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
         X, GX, F = X[:, keep], GX[:, keep], F[:, keep]
         previous = x[:, keep], g[:, keep], d[:, keep]
         active = [active[j] for j in keep]
+        if pa.size:
+            pa, pb = _group_pairs(group[active])
     # the rows still active ran out of iterations without stopping
     if active:
         done[:, active] = X
 
-    # the checks and the stationarity run on the returned iterates, not on
-    # scaled stats; a row's g' G^{-1} g sums its u and w rows
+    # the checks and the stationarity run on the returned iterates of the
+    # rows that joined none, not on scaled stats; a row's g' G^{-1} g sums
+    # its u and w rows
+    own = [r for r in range(len(live)) if r not in joins]
+    if joins:
+        done, factors = done[:, own], factors[:, own]
     n2, K, B, GX = stats_and_products(first, form, done, factors)
-    g = smoothed_gradient(first, done, GX, EPS_SINGULAR, factors)
+    g = smoothed_gradient(first, done, GX, _singular_floor(done), factors)
     dual2 = _row_dots(g, form.riesz(g)).tolist()
     # the system asks for u, w > 0: a component that vanished at every
     # interior node (a negative parameter drives it there) is no solution
     positive = (done.max(axis=-1) > 0).all(axis=0).tolist()
     results: list[SolutionReport | None] = [None] * len(rows)
-    for r, j in enumerate(live):
-        stats = PairStats(n2[r], K[r], B[r])
+    for i, r in enumerate(own):
+        stats = PairStats(n2[i], K[i], B[i])
         _, phi1, phi2 = phi_from_stats(stats, q, ab, 1.0)
-        norm = math.sqrt(n2[r])
-        stationarity = math.sqrt(max(dual2[r], 0.0)) / norm
+        norm = math.sqrt(n2[i])
+        stationarity = math.sqrt(max(dual2[i], 0.0)) / norm
         # a row stopped without a decreasing step at the edge of its branch
         # lies in its band yet is no critical point: it must be stationary
-        converged = bool(r not in active and positive[r] and label(phi1, phi2, stats.scale())
+        converged = bool(r not in active and positive[i] and label(phi1, phi2, stats.scale())
                          is (MembershipLabel.N_MINUS if upper[r] else MembershipLabel.N_PLUS)
                          and stationarity <= TOL_STATIONARITY)
-        results[j] = SolutionReport(
-            branch=branches[rows[j]], grid=first.grid, u=done[0, r].copy(), w=done[1, r].copy(),
-            J=trajectories[r][-1][0], norm=norm, phi1=phi1, phi2=phi2, t_used=t_used[r],
-            iters=iters[r], converged=converged, trajectory=trajectories[r],
+        results[live[r]] = SolutionReport(
+            branch=branches[rows[live[r]]], grid=first.grid, u=done[0, i].copy(),
+            w=done[1, i].copy(), J=trajectories[r][-1][0], norm=norm, phi1=phi1, phi2=phi2,
+            t_used=t_used[r], iters=iters[r], converged=converged, trajectory=trajectories[r],
             stationarity=stationarity)
+    for r, partner in joins.items():
+        while partner in joins:
+            partner = joins[partner]
+        results[live[r]] = results[live[partner]]
     return results
 
 
@@ -477,7 +578,10 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
     as the points of a sweep differ in (lambda, mu). Restart i of each
     problem uses the deterministic generator seeded with seed + i, and
     every restart of every problem on every branch descends as a row of one
-    block, each as if alone. The winner is the restart of least energy; ties
+    block, each problem as if alone; a restart that meets a lower restart of
+    its problem and branch reports that restart's result, the same object,
+    which restarts_used counts as it counts every restart that reached the
+    branch, and restarts_joined counts apart. The winner is the restart of least energy; ties
     on energy break toward the smaller stationarity, then the lower
     iteration count, then the lower restart. The winner's converged verdict
     is its own (see ``SolverOptions``): a winner that is not stationary is
@@ -518,6 +622,7 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
         else:
             result = min(candidates, key=lambda r: (r.J, r.stationarity, r.iters))
             result.restarts_used = len(candidates)
+            result.restarts_joined = len(candidates) - len({id(r) for r in candidates})
         results[branch].append(result)
     return results
 

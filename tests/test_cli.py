@@ -4,6 +4,7 @@ import pathlib
 import re
 import shlex
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -946,3 +947,34 @@ def test_readme_command_lines_parse():
     assert commands
     for command in commands:
         cli.build_parser().parse_args(shlex.split(command, comments=True)[1:])
+
+
+@pytest.mark.parametrize("command, overrides, code", [
+    (["sweep", "--lambdas=0.01,1e300", "--mus=0.01"], {}, 0),
+    (["solve"], EDGE_CONFIGS["huge_alpha_beta"], 1),
+], ids=["sweep", "solve"])
+def test_edge_runs_print_no_numpy_warnings(tmp_path, capsys, command, overrides, code):
+    # a statistic beyond the float range already ends as NoBracket or NaN
+    # columns, so the kernels that compute it warn of nothing on the way
+    path = write_config(tmp_path, {"grid": {"cells": 64}, "solver": {"restarts": 8, "seed": 0},
+                                   **overrides})
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert cli.main(command[:1] + [path] + command[1:]
+                        + ["--out", str(tmp_path / "out")]) == code
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
+def test_solve_reports_the_restarts_that_joined_another(tmp_path, capsys):
+    # on the README config at 64 cells every restart of a branch reaches
+    # one critical point, and all but the lowest join it; the files gain no key
+    path = write_config(tmp_path, {"grid": {"cells": 64}, "solver": {"restarts": 8, "seed": 0}})
+    out = tmp_path / "run"
+    assert cli.main(["solve", path, "--branch", "both", "--out", str(out)]) == 0
+    solutions = json.loads(capsys.readouterr().out)["solutions"]
+    for branch in ("plus", "minus"):
+        assert solutions[branch]["restarts_used"] == 8
+        assert solutions[branch]["restarts_joined"] == 7
+        assert "restarts_joined" not in (out / f"solution_{branch}.json").read_text()
+    assert "restarts_joined" not in (out / "gap.json").read_text()

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ import neharifrac as nf
 from neharifrac.energy import singular_and_coupling, smoothed_gradient
 from neharifrac.errors import DirectionSearchFailed, NoBracket, NotConvergedInput
 from neharifrac.fiber import DEGENERATE_TOL, label, root
+from neharifrac import cli
 from neharifrac import form as form_mod
 from neharifrac.form import riesz_map
 from neharifrac import solver
@@ -27,6 +29,15 @@ def _descend_point(problem, form, branch, directions):
     # the block descent with every direction a restart of one problem on one branch
     rows, failed = solver._descend([problem], [0] * len(directions), form,
                                    [branch] * len(directions), _interiors(directions))
+    assert not failed
+    return rows
+
+
+def _descend_apart(problem, form, branch, directions):
+    # the block descent with each direction a restart of its own point (the
+    # same problem repeated), so that no two rows share a group
+    rows, failed = solver._descend([problem] * len(directions), list(range(len(directions))),
+                                   form, [branch] * len(directions), _interiors(directions))
     assert not failed
     return rows
 
@@ -575,8 +586,9 @@ def _descend_gridpair_reference(problem, form, riesz, branch, direction):
     first trial step follows the solver's rule: solver.STEP, and on odd
     iterations from the third on the BB2 step s'dg / dd'dg of the pair's
     changes in iterate, gradient and Riesz representative, floored at
-    solver.STEP. Returns (iterations, final energy), or None if the
-    direction admits no branch scaling."""
+    solver.STEP. The gradient floors u^{-q} at solver.EPS_SINGULAR times
+    the pair's peak max(u, w). Returns (iterations, final energy), or None
+    if the direction admits no branch scaling."""
     q, ab = problem.q, problem.alpha + problem.beta
 
     def stats(pair):
@@ -591,7 +603,8 @@ def _descend_gridpair_reference(problem, form, riesz, branch, direction):
     iters = 0
     previous = None
     for iters in range(1, solver.MAX_ITERS + 1):
-        gu, gv = reference_gradient(problem, form, pair, solver.EPS_SINGULAR)
+        peak = max(pair.u.values.max(), pair.w.values.max())
+        gu, gv = reference_gradient(problem, form, pair, solver.EPS_SINGULAR * peak)
         du = np.zeros(problem.grid.node_count)
         dv = np.zeros(problem.grid.node_count)
         du[1:-1] = riesz @ gu[1:-1]
@@ -632,8 +645,9 @@ def _descend_gridpair_reference(problem, form, riesz, branch, direction):
 @pytest.mark.parametrize("cells", [64, 128])
 def test_array_descent_against_gridpair_oracle(cells, problem64, form64):
     # every restart of the 64-cell fixture and of the README config at 128
-    # cells, descended as the rows of one block: each row takes the same
-    # iteration count as its lone oracle and the same energy up to roundoff
+    # cells, descended as the rows of one block, each its own point so that
+    # none joins another: each row takes the same iteration count as its
+    # lone oracle and the same energy up to roundoff
     if cells == 64:
         problem, form, seeds = problem64, form64, range(42, 50)
     else:
@@ -644,7 +658,7 @@ def test_array_descent_against_gridpair_oracle(cells, problem64, form64):
     for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
         directions = [nf.initial_direction(problem, np.random.default_rng(seed), branch)
                       for seed in seeds]
-        results = _descend_point(problem, form, branch, directions)
+        results = _descend_apart(problem, form, branch, directions)
         assert len(results) == len(directions)
         for direction, result in zip(directions, results):
             oracle = _descend_gridpair_reference(problem, form, riesz, branch, direction)
@@ -663,7 +677,8 @@ def _zero_direction(problem):
 @pytest.mark.parametrize("matrix_free", [False, True])
 def test_block_rows_do_not_depend_on_each_other(monkeypatch, problem64, matrix_free, step):
     # a row that admits no scaling (the zero direction) and rows that stop
-    # before the others leave every other row as it was. The FFT path
+    # before the others leave every other row as it was, each row its own
+    # point so that none joins another. The FFT path
     # treats the rows independently, so there it is bit for bit, the
     # stationarity included; a dense
     # product rounds by the block's width, so there it is to roundoff. A
@@ -675,14 +690,14 @@ def test_block_rows_do_not_depend_on_each_other(monkeypatch, problem64, matrix_f
     for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
         directions = [nf.initial_direction(problem64, np.random.default_rng(seed), branch)
                       for seed in range(8, 12)]
-        block = _descend_point(problem64, form, branch, directions)
+        block = _descend_apart(problem64, form, branch, directions)
         assert len({result.iters for result in block}) > 1  # rows stop apart
-        padded = _descend_point(problem64, form, branch,
+        padded = _descend_apart(problem64, form, branch,
                                 directions[:2] + [_zero_direction(problem64)] + directions[2:])
         assert padded[2] is None
         zero = [_zero_direction(problem64)]
-        assert _descend_point(problem64, form, branch, zero) == [None]
-        lone = [_descend_point(problem64, form, branch, [d])[0] for d in directions]
+        assert _descend_apart(problem64, form, branch, zero) == [None]
+        lone = [_descend_apart(problem64, form, branch, [d])[0] for d in directions]
         for other in (padded[:2] + padded[3:], lone):
             for a, b in zip(block, other):
                 assert a.iters == b.iters and a.converged == b.converged
@@ -697,7 +712,8 @@ def test_block_rows_do_not_depend_on_each_other(monkeypatch, problem64, matrix_f
 @pytest.mark.parametrize("matrix_free", [False, True], ids=["dense", "FFT"])
 def test_every_row_reports_its_stationarity(monkeypatch, problem64, matrix_free):
     # each row's stationarity, against the formula recomputed on that row
-    # alone: a fresh product with G, the smoothed gradient, one Riesz map.
+    # alone: a fresh product with G, the smoothed gradient with u^{-q}
+    # floored at EPS_SINGULAR times the row's peak, one Riesz map.
     # At 40 iterations the plus rows stop on the energy tolerance and the
     # minus rows are cut off before it. The report of a solve over the same
     # restarts is its winning row's, and counts every restart
@@ -713,7 +729,7 @@ def test_every_row_reports_its_stationarity(monkeypatch, problem64, matrix_free)
             assert row.branch is branch
             g = smoothed_gradient(problem64, np.stack([row.u, row.w])[:, None],
                                   np.stack([form.apply(row.u), form.apply(row.w)])[:, None],
-                                  solver.EPS_SINGULAR)
+                                  solver.EPS_SINGULAR * max(row.u.max(), row.w.max()))
             expected = math.sqrt(float(np.sum(g * form.riesz(g)))) / row.norm
             assert row.stationarity == pytest.approx(expected, rel=1e-9)
         [report] = nf.solve_points([problem64], form, [branch],
@@ -867,12 +883,14 @@ def test_one_root_projection_matches_project(problem64):
 
 
 def test_rows_split_into_blocks_come_out_as_unsplit(monkeypatch):
-    # rows beyond the element budget descend as consecutive blocks, three
-    # rows each here, and on the FFT path every report comes out bit for bit
-    # as from one block. The second point's first plus restart raises at its
-    # first trial, in the first block, and its second at its projected
-    # start, in the second block: as unsplit, the point keeps the error
-    # raised first in the descent, the second restart's
+    # rows beyond the element budget descend as consecutive blocks, split
+    # where a point's restarts on a branch (two rows here) end: a budget of
+    # three rows takes one group each, a budget of one row too (a larger
+    # group takes a block of its own), and a budget of five two groups. On
+    # the FFT path every report comes out bit for bit as from one block.
+    # The second point's first plus restart raises at its first trial and
+    # its second at its projected start: as unsplit, the point keeps the
+    # error raised first in the descent, the second restart's
     monkeypatch.setattr(form_mod, "MATRIX_FREE_CELLS", 2)
     problems = [nf.validate_params(make_spec(cells=32)),
                 nf.validate_params(make_spec(cells=32, lam=100.0, mu=100.0))]
@@ -907,22 +925,117 @@ def test_rows_split_into_blocks_come_out_as_unsplit(monkeypatch):
     descend_block = solver._descend_block
     monkeypatch.setattr(solver, "_descend_block", lambda *args: widths.append(len(args[3]))
                         or descend_block(*args))
-    monkeypatch.setattr(solver, "BLOCK_ELEMENTS", 3 * (32 - 1))
-    split, split_failed = solver._descend(problems, points, form, branches, X)
-    assert widths == [3, 3, 2]
     expected = {(1, nf.Branch.PLUS): repr(starts[1]), (1, nf.Branch.MINUS): repr(starts[2])}
-    for failed in (whole_failed, split_failed):
-        assert all(type(exc) is NoBracket for exc in failed.values())
-        assert {key: str(exc) for key, exc in failed.items()} == expected
-    # the rows that raised at their projected start reach no branch
-    assert [i for i, a in enumerate(split) if a is None] == [3, 6, 7]
-    for i, (a, b) in enumerate(zip(whole, split)):
-        if a is None:
-            assert b is None
-            continue
-        assert a.branch is b.branch and a.converged == b.converged
-        assert a.converged or points[i] == 1
-        assert (a.iters, a.J, a.norm, a.phi1, a.phi2, a.t_used) == (
-            b.iters, b.J, b.norm, b.phi1, b.phi2, b.t_used)
-        assert a.stationarity == b.stationarity and a.trajectory == b.trajectory
-        assert np.array_equal(a.u, b.u) and np.array_equal(a.w, b.w)
+    for budget, blocks in ((3, [2, 2, 2, 2]), (1, [2, 2, 2, 2]), (5, [4, 4])):
+        widths.clear()
+        monkeypatch.setattr(solver, "BLOCK_ELEMENTS", budget * (32 - 1))
+        split, split_failed = solver._descend(problems, points, form, branches, X)
+        assert widths == blocks
+        for failed in (whole_failed, split_failed):
+            assert all(type(exc) is NoBracket for exc in failed.values())
+            assert {key: str(exc) for key, exc in failed.items()} == expected
+        # the rows that raised at their projected start reach no branch
+        assert [i for i, a in enumerate(split) if a is None] == [3, 6, 7]
+        for i, (a, b) in enumerate(zip(whole, split)):
+            if a is None:
+                assert b is None
+                continue
+            assert a.branch is b.branch and a.converged == b.converged
+            assert a.converged or points[i] == 1
+            assert (a.iters, a.J, a.norm, a.phi1, a.phi2, a.t_used) == (
+                b.iters, b.J, b.norm, b.phi1, b.phi2, b.t_used)
+            assert a.stationarity == b.stationarity and a.trajectory == b.trajectory
+            assert np.array_equal(a.u, b.u) and np.array_equal(a.w, b.w)
+
+
+def test_a_restart_from_the_same_direction_joins_at_iteration_1(monkeypatch, problem64, form64):
+    # two rows from one direction meet at once: the second joins the first
+    # after iteration 1 and leaves the block, so every later gradient takes
+    # one row, and both rows report the same object
+    direction = nf.initial_direction(problem64, np.random.default_rng(0), nf.Branch.MINUS)
+    widths = []
+    gradient = solver.smoothed_gradient
+    monkeypatch.setattr(solver, "smoothed_gradient",
+                        lambda problem, X, *rest: widths.append(X.shape[1])
+                        or gradient(problem, X, *rest))
+    first, second = _descend_point(problem64, form64, nf.Branch.MINUS, [direction, direction])
+    assert second is first and first.converged
+    assert widths[0] == 2 and set(widths[1:]) == {1}
+    sample = solver.sample_directions
+
+    def twins(problems, rngs, branch):
+        X, found = sample(problems, rngs, branch)
+        X[:, 1] = X[:, 0]
+        return X, found
+
+    monkeypatch.setattr(solver, "sample_directions", twins)
+    [report] = nf.solve_points([problem64], form64, [nf.Branch.MINUS],
+                               nf.SolverOptions(restarts=2))[nf.Branch.MINUS]
+    assert report.restarts_used == 2 and report.restarts_joined == 1
+
+
+def _bump(problem, center, width=0.15):
+    x = problem.grid.nodes()
+    bump = np.maximum(0.0, 1 - ((x - center) / width) ** 2) ** 2
+    return nf.GridPair.from_arrays(problem.grid, bump, bump)
+
+
+def test_restarts_on_different_humps_do_not_join(monkeypatch):
+    # b = cos(3 pi x)(1 + 0.05 x) has three humps: minus restarts seeded on
+    # the centre hump and on the right one reach different critical points,
+    # and neither joins the other
+    grid = nf.GridSpec(-1.0, 1.0, 128)
+    x = grid.nodes()
+    b = nf.WeightSpec.samples(tuple(np.cos(3 * np.pi * x) * (1 + 0.05 * x)))
+    problem = nf.validate_params(make_spec(cells=128, b=b))
+    form = nf.assemble_form(problem.grid, problem.s)
+    humps = [_bump(problem, 0.0), _bump(problem, 2 / 3)]
+    centre, right = _descend_point(problem, form, nf.Branch.MINUS, humps)
+    assert centre is not right and centre.converged and right.converged
+    assert centre.J < right.J * (1 - 1e-3)
+    monkeypatch.setattr(solver, "sample_directions",
+                        lambda problems, rngs, branch: (_interiors(humps), np.ones(2, bool)))
+    [report] = nf.solve_points([problem], form, [nf.Branch.MINUS],
+                               nf.SolverOptions(restarts=2))[nf.Branch.MINUS]
+    assert report.restarts_used == 2 and report.restarts_joined == 0
+    assert report.J == centre.J
+
+
+def test_the_first_minus_step_is_not_halved_away(monkeypatch):
+    # on the README config at 64 cells, (lambda, mu) = (100, 0.02): the bump
+    # starts vanish on most nodes, where an absolute floor of u^{-q} made the
+    # first gradient huge, and iteration 1 of the minus rows took 12 trial
+    # rounds; the floor relative to each row's peak takes at most 2
+    problem = nf.validate_params(make_spec(cells=64, lam=100.0, mu=0.02))
+    form = nf.assemble_form(problem.grid, problem.s)
+    calls = []
+    stats, gradient = solver.stats_and_products, solver.smoothed_gradient
+    monkeypatch.setattr(solver, "stats_and_products",
+                        lambda *args: calls.append("trial") or stats(*args))
+    monkeypatch.setattr(solver, "smoothed_gradient",
+                        lambda *args: calls.append("gradient") or gradient(*args))
+    [report] = nf.solve_points([problem], form, [nf.Branch.MINUS],
+                               nf.SolverOptions(restarts=4))[nf.Branch.MINUS]
+    assert report.converged
+    first, second = [i for i, call in enumerate(calls) if call == "gradient"][:2]
+    assert 1 <= second - first - 1 <= 2
+
+
+def test_the_readme_sweep_projects_at_most_60_percent_of_its_earlier_trials(tmp_path,
+                                                                            monkeypatch):
+    # the 2x2 sweep of the README config at 64 cells with 4 restarts over
+    # lambda, mu in {0.01, 100}: the descent took 670 trial projections
+    # (fiber.root calls) before restarts that meet finished as one and the
+    # floor of u^{-q} scaled with the pair
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps({
+        "grid": {"left": -1.0, "right": 1.0, "cells": 64},
+        "s": 0.4, "q": 0.5, "alpha": 1.5, "beta": 1.5, "lambda": 0.01, "mu": 0.01,
+        "f": {"kind": "constant", "value": 1.0}, "g": {"kind": "constant", "value": 1.0},
+        "b": {"kind": "cos_pi_x", "amplitude": 1.0}, "solver": {"restarts": 4, "seed": 0}}))
+    calls = []
+    root = solver.root
+    monkeypatch.setattr(solver, "root", lambda *args: calls.append(args) or root(*args))
+    assert cli.main(["sweep", str(path), "--lambdas=0.01,100", "--mus=0.01,100",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert len(calls) <= 0.6 * 670
