@@ -512,7 +512,9 @@ def main(argv=None) -> int:
     except NoAdmissibleDirection as exc:
         print(f"no admissible direction: {exc}", file=sys.stderr)
         return EXIT_NO_DIRECTION
-    except NehariError as exc:
+    except (NehariError, OSError) as exc:
+        # every read already names its failure, so an OSError is an output
+        # path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -114,7 +114,6 @@ class GagliardoForm:
         self.s = s
         self.symbol = form_symbol(s, grid.h, n)
         self.matrix_free = grid.cells >= MATRIX_FREE_CELLS
-        self._inverse = None
         # the least quotient of the grid's own S starts, by exponent r: it
         # depends on the form alone, so thresholds.estimate_S keeps it here
         self.refined_quotients: dict[float, float] = {}
@@ -132,11 +131,10 @@ class GagliardoForm:
         """The dense matrix G, built on first use."""
         return _toeplitz(self.symbol)
 
+    @functools.cached_property
     def inverse(self) -> np.ndarray:
-        """The dense inverse of G, built by ``riesz_map`` on first call."""
-        if self._inverse is None:
-            self._inverse = riesz_map(self)
-        return self._inverse
+        """The dense inverse of G, built by ``riesz_map`` on first use."""
+        return riesz_map(self)
 
     @functools.cached_property
     def _inverse_factors(self) -> tuple[float, np.ndarray]:
@@ -171,7 +169,7 @@ class GagliardoForm:
         preconditioned CG.
         """
         if not self.matrix_free:
-            return (self.inverse() @ x.reshape(-1, x.shape[-1]).T).T.reshape(x.shape)
+            return (self.inverse @ x.reshape(-1, x.shape[-1]).T).T.reshape(x.shape)
         n, length = x.shape[-1], self._length
         x0, factors = self._inverse_factors
         factors = factors.reshape((2,) + (1,) * (x.ndim - 1) + factors.shape[-1:])

@@ -347,15 +347,13 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
     alone, and a row leaves the block when it stops. Groups beyond
     BLOCK_ELEMENTS elements descend as consecutive blocks, split only where
     a group ends (a larger group takes a block of its own), which changes
-    no row.
+    no row, nor the first error of a group, which its block records first.
     """
     first = problems[0]
     factors = singular_factors(problems)
     # a row whose projection raises ends its point on its branch, as the
-    # error would end a descent of that point alone; the other points go on.
-    # The error kept is the one raised first, by (iteration, halving round,
-    # row), however the rows are split into blocks
-    errors: list[tuple[tuple[int, int, int], NehariError]] = []
+    # error would end a descent of that point alone; the other points go on
+    failed: dict[tuple[int, Branch], NehariError] = {}
     size = max(1, BLOCK_ELEMENTS // (first.grid.cells - 1))
     keys = list(zip(points, branches))
     group = np.cumsum([i == 0 or keys[i] != keys[i - 1] for i in range(len(keys))])
@@ -366,25 +364,22 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
             starts.append(placed)
         placed = end + 1
     results: list[SolutionReport | None] = []
-    for start, stop in zip(starts, starts[1:] + [len(points)]):
-        rows = range(start, stop)
-        results += _descend_block(first, form, factors[:, [points[i] for i in rows]],
-                                  rows, branches, group[start:stop], X[:, start:stop], errors)
-    failed: dict[tuple[int, Branch], NehariError] = {}
-    for (_, _, i), exc in sorted(errors, key=lambda e: e[0]):
-        failed.setdefault((points[i], branches[i]), exc)
+    for start, stop in zip(starts, starts[1:] + [len(keys)]):
+        results += _descend_block(first, form, factors[:, points[start:stop]], keys[start:stop],
+                                  group[start:stop], X[:, start:stop], failed)
     return results, failed
 
 
-def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: range,
-                   branches: list[Branch], group: np.ndarray, X: np.ndarray,
-                   errors: list) -> list[SolutionReport | None]:
+def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors,
+                   keys: list[tuple[int, Branch]], group: np.ndarray, X: np.ndarray,
+                   failed: dict) -> list[SolutionReport | None]:
     """The report of each row of one block, or None where the row admits
     no branch scaling; X holds the block's directions and factors their
-    singular factors, both of shape (2, rows, n), and group each row's
-    group id, equal on consecutive rows alone. A projection that raises
-    appends ((iteration, halving round, row), error) to errors and counts
-    as a rejected trial; the error ends its point on its branch.
+    singular factors, both of shape (2, rows, n), keys each row's (point,
+    branch), and group each row's group id, equal on consecutive rows
+    alone; a row is its place in the block throughout. A projection that
+    raises counts as a rejected trial, and failed keeps the first error of
+    each key: the rows project in order of (iteration, halving round, row).
 
     Restarts that meet finish as one: after each iteration's acceptance, a
     row that meets lower rows of its group (``_meetings``) stops and joins
@@ -410,34 +405,30 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
     returned iterates, so that a kept report does not keep the block.
     """
     q, ab = first.q, first.alpha + first.beta
+    m = len(keys)
     n2, K, B, GX = stats_and_products(first, form, X, factors)
-    # the block holds the live rows, those that reach their branch; live row
-    # r is rows[live[r]], and the block's row j is live row active[j]
-    live, t_used, trajectories = [], [], []
-    for j, i in enumerate(rows):
+    # each row's branch flag, scaling, trajectory (None where it reaches no
+    # branch) and iteration count; its energy is its last record's J
+    upper = [branch is Branch.MINUS for _, branch in keys]
+    t_used, trajectories = [None] * m, [None] * m
+    iters = [MAX_ITERS] * m
+    for r in range(m):
         try:
-            t = root(n2[j], K[j], B[j], q, ab, branches[i] is Branch.MINUS)
+            t = root(n2[r], K[r], B[r], q, ab, upper[r])
         except NehariError as exc:
-            errors.append(((0, 0, i), exc))
+            failed.setdefault(keys[r], exc)
             continue
         if t is not None:
-            live.append(j)
-            t_used.append(t)
-            trajectories.append([scaled_record(n2[j], K[j], B[j], t, q, ab)])
-    t = np.array(t_used).reshape(-1, 1)
-    X, GX = t * X[:, live], t * GX[:, live]
-    factors = F = factors[:, live]  # F: the factors of the rows still active
-    done = np.empty_like(X)  # each live row's returned iterate, laid out as X
-    # each row's branch flag, group and iteration count; its energy is the
-    # J of its trajectory's last record
-    upper = [branches[rows[j]] is Branch.MINUS for j in live]
-    group = group[live]
-    iters = [MAX_ITERS] * len(live)
+            t_used[r] = t
+            trajectories[r] = [scaled_record(n2[r], K[r], B[r], t, q, ab)]
+    active = [r for r in range(m) if trajectories[r] is not None]
+    done = np.empty_like(X)  # each row's returned iterate, laid out as X
+    t = np.array([t_used[r] for r in active]).reshape(-1, 1)
+    X, GX, F = t * X[:, active], t * GX[:, active], factors[:, active]
 
-    active = list(range(len(live)))
-    joins: dict[int, int] = {}  # each joined live row's partner
+    joins: dict[int, int] = {}  # each joined row's partner
     # the block positions of every pair of active rows of one group
-    pa, pb = _group_pairs(group)
+    pa, pb = _group_pairs(group[active])
     previous = None  # the last iteration's x, g and d of the rows still active
     for it in range(1, MAX_ITERS + 1):
         if not active:
@@ -459,7 +450,6 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
             step[bb] = np.maximum(tau[bb], STEP)
         rel_drop = [None] * A
         trying = np.flatnonzero(step > _MIN_STEP)
-        halving = 0
         while trying.size:
             if trying.size == A:
                 X_try = np.maximum(X - step[:, None] * d, 0.0)
@@ -474,7 +464,7 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
                 try:
                     t = root(n2[k], K[k], B[k], q, ab, upper[r])
                 except NehariError as exc:
-                    errors.append(((it, halving, rows[live[r]]), exc))
+                    failed.setdefault(keys[r], exc)
                     continue
                 if t is None:
                     continue
@@ -502,7 +492,6 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
             trying = trying[rejected]
             step[trying] *= 0.5
             trying = trying[step[trying] > _MIN_STEP]
-            halving += 1
         # a row stops when no strictly decreasing step exists at float
         # resolution, when its relative drop falls below TOL_ENERGY, or when
         # it joins a lower row of its group
@@ -528,22 +517,20 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
         if pa.size:
             pa, pb = _group_pairs(group[active])
     # the rows still active ran out of iterations without stopping
-    if active:
-        done[:, active] = X
+    done[:, active] = X
 
     # the checks and the stationarity run on the returned iterates of the
-    # rows that joined none, not on scaled stats; a row's g' G^{-1} g sums
-    # its u and w rows
-    own = [r for r in range(len(live)) if r not in joins]
-    if joins:
-        done, factors = done[:, own], factors[:, own]
+    # rows that reached their branch and joined none, not on scaled stats;
+    # a row's g' G^{-1} g sums its u and w rows
+    own = [r for r in range(m) if trajectories[r] is not None and r not in joins]
+    done, factors = done[:, own], factors[:, own]
     n2, K, B, GX = stats_and_products(first, form, done, factors)
     g = smoothed_gradient(first, done, GX, _singular_floor(done), factors)
     dual2 = _row_dots(g, form.riesz(g)).tolist()
     # the system asks for u, w > 0: a component that vanished at every
     # interior node (a negative parameter drives it there) is no solution
     positive = (done.max(axis=-1) > 0).all(axis=0).tolist()
-    results: list[SolutionReport | None] = [None] * len(rows)
+    results: list[SolutionReport | None] = [None] * m
     for i, r in enumerate(own):
         stats = PairStats(n2[i], K[i], B[i])
         _, phi1, phi2 = phi_from_stats(stats, q, ab, 1.0)
@@ -554,15 +541,15 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors, rows: 
         converged = bool(r not in active and positive[i] and label(phi1, phi2, stats.scale())
                          is (MembershipLabel.N_MINUS if upper[r] else MembershipLabel.N_PLUS)
                          and stationarity <= TOL_STATIONARITY)
-        results[live[r]] = SolutionReport(
-            branch=branches[rows[live[r]]], grid=first.grid, u=done[0, i].copy(),
-            w=done[1, i].copy(), J=trajectories[r][-1][0], norm=norm, phi1=phi1, phi2=phi2,
-            t_used=t_used[r], iters=iters[r], converged=converged, trajectory=trajectories[r],
+        results[r] = SolutionReport(
+            branch=keys[r][1], grid=first.grid, u=done[0, i].copy(), w=done[1, i].copy(),
+            J=trajectories[r][-1][0], norm=norm, phi1=phi1, phi2=phi2, t_used=t_used[r],
+            iters=iters[r], converged=converged, trajectory=trajectories[r],
             stationarity=stationarity)
     for r, partner in joins.items():
         while partner in joins:
             partner = joins[partner]
-        results[live[r]] = results[live[partner]]
+        results[r] = results[partner]
     return results
 
 
@@ -571,8 +558,10 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
                  ) -> dict[Branch, list[SolutionReport | NehariError]]:
     """Minimize the energy over each given manifold branch for each problem,
     best over its restarts; or, where a problem has no solution on a
-    branch, the error its lone solve raises (NoAdmissibleDirection when
-    every restart fails to find a direction admitting the branch scaling).
+    branch, the error its lone solve raises: the first error a restart
+    raised, even when another restart reached the branch, else
+    NoAdmissibleDirection when no restart reached it. So at the edge of the
+    float range the outcome can turn on the seed and the restart count.
 
     The problems may differ in (lambda, mu) and the weights f and g alone,
     as the points of a sweep differ in (lambda, mu). Restart i of each
@@ -585,9 +574,10 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
     on energy break toward the smaller stationarity, then the lower
     iteration count, then the lower restart. The winner's converged verdict
     is its own (see ``SolverOptions``): a winner that is not stationary is
-    reported as not converged, not replaced. No problems give no reports.
+    reported as not converged, not replaced. No problems or no branches
+    give no reports.
     """
-    if not problems:
+    if not problems or not branches:
         return {b: [] for b in branches}
     _check_shared(problems)
     # the point, branch and direction of each row; each branch draws from
@@ -604,8 +594,7 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
         blocks.append(X[:, found])
         points += point_of_row[found].tolist()
         row_branches += [branch] * int(found.sum())
-    rows, failed = (_descend(problems, points, form, row_branches,
-                             np.concatenate(blocks, axis=1)) if points else ([], {}))
+    rows, failed = _descend(problems, points, form, row_branches, np.concatenate(blocks, axis=1))
     reached: dict[tuple[int, Branch], list[SolutionReport]] = {
         (k, b): [] for b in branches for k in range(len(problems))}
     for key, row in zip(zip(points, row_branches), rows):

@@ -740,6 +740,39 @@ def test_the_edges_of_the_float_range_are_a_named_error(tmp_path, capsys, comman
         assert f"s={float(EDGE_CONFIGS[edge].get('s', 0.4))}, alpha+beta=" in captured.err
 
 
+def test_a_branch_no_restart_reaches_at_the_float_edge_exits_4(tmp_path, capsys):
+    # at lambda = mu = 1e300 one restart at seed 0 reaches no branch and none
+    # raises, so the run exits 4; with 8 restarts one raises, and the first
+    # error wins over a restart that reached the branch (exit 1, above)
+    path = write_config(tmp_path, {"grid": {"cells": 64}, "solver": {"restarts": 1, "seed": 0},
+                                   **EDGE_CONFIGS["huge_lambda"]})
+    assert cli.main(["solve", path, "--out", str(tmp_path / "run")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("no admissible direction: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command,flag,target", [
+    ("solve", "--out", "file"), ("sweep", "--out", "directory"),
+    ("fiber", "--out", "missing/x.csv"), ("assemble", "--dump-matrix", "directory"),
+])
+def test_an_output_path_that_cannot_be_written_is_a_named_error(tmp_path, capsys, command,
+                                                                  flag, target):
+    path = write_config(tmp_path)
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "directory").mkdir()
+    extra = ["--lambdas", "0.01", "--mus", "0.01"] if command == "sweep" else []
+    assert cli.main([command, path, flag, str(tmp_path / target)] + extra) == 1
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert lines and [line for line in lines if line.startswith("error: ")] == lines[-1:]
+    assert "Traceback" not in err
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert not any((tmp_path / "directory").iterdir())
+
+
 def test_an_underflowed_Lambda_is_still_in_gamma(tmp_path, capsys):
     # validation excludes (lambda, mu) = (0, 0) and f, g <= 0, so Lambda = 0
     # can only be an underflow: the point lies in Gamma, and E stays inf
