@@ -20,7 +20,7 @@ spec = nf.ProblemSpec(
 problem = nf.validate_params(spec)
 form = nf.assemble_form(problem.grid, problem.s)
 
-report = nf.compute_constants(problem, form)
+report = nf.compute_constants(problem, nf.estimate_S(form, problem.alpha + problem.beta, []))
 print("constants report:")
 print(json.dumps(report.as_dict(), indent=2))
 

@@ -39,7 +39,7 @@ for rep in (plus, minus):
 # the gap structure: the two solutions are separated by the radii
 extra = [plus.pair.u.values, plus.pair.w.values,
          minus.pair.u.values, minus.pair.w.values]
-constants = nf.compute_constants(problem, form, extra_candidates=extra)
+constants = nf.compute_constants(problem, nf.estimate_S(form, problem.alpha + problem.beta, extra))
 gap = nf.gap_check(plus, minus, constants)
 print(f"norm ordering: {gap.norm_minus:.4f} > {gap.A0:.4f} > "
       f"{gap.A_lm:.5f} > {gap.norm_plus:.5f}  -> ordering_ok = {gap.ordering_ok}")

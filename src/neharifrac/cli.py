@@ -52,7 +52,7 @@ from .solver import (
     initial_direction,
     solve_points,
 )
-from .thresholds import ConstantsReport, compute_constants
+from .thresholds import ConstantsReport, compute_constants, estimate_S, rayleigh_quotient
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -169,7 +169,7 @@ def _constants_and_gap(problem: ValidatedProblem, form: GagliardoForm,
     needs both branches present and converged; otherwise it is None.
     """
     extra = [c.values for rep in solutions.values() for c in (rep.pair.u, rep.pair.w)]
-    constants = compute_constants(problem, form, extra_candidates=extra)
+    constants = compute_constants(problem, estimate_S(form, problem.alpha + problem.beta, extra))
     plus, minus = solutions.get(Branch.PLUS), solutions.get(Branch.MINUS)
     if plus is None or minus is None or not (plus.converged and minus.converged):
         return constants, None
@@ -179,7 +179,7 @@ def _constants_and_gap(problem: ValidatedProblem, form: GagliardoForm,
 def cmd_constants(args) -> int:
     _, problem = _load(args.config)
     form = assemble_form(problem.grid, problem.s)
-    report = compute_constants(problem, form)
+    report = compute_constants(problem, estimate_S(form, problem.alpha + problem.beta, []))
     print(json.dumps(report.as_dict(), indent=2))
     return EXIT_OK
 
@@ -399,14 +399,20 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"--delta must be positive and finite, got {args.delta}")
     residual = verify_mod.weak_residual(problem, form, pair, delta)
 
-    constants = compute_constants(problem, form, extra_candidates=[pair.u.values, pair.w.values])
+    # the chains hold for any S up to each component's quotient, so they
+    # are checked at the largest, and no G^{-1} is built; weak_residual
+    # found a node where both components exceed delta > 0, so both have one
+    ab = problem.alpha + problem.beta
+    S_pair = min(rayleigh_quotient(form, ab, pair.u.values),
+                 rayleigh_quotient(form, ab, pair.w.values))
+    constants = compute_constants(problem, S_pair)
     checks = verify_mod.inequality_suite(problem, form, pair, constants)
 
     residual_ok = (residual.res_u <= args.res_tol and residual.res_w <= args.res_tol)
     out = {
         "J_recomputed": J,
         "J_file": sol.get("J"),
-        "S_estimate": constants.S,
+        "S_pair": S_pair,
         "residual": {"res_u": residual.res_u, "res_w": residual.res_w,
                      "masked_fraction": residual.masked_fraction,
                      "delta": residual.delta, "tol": args.res_tol,

@@ -151,10 +151,6 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("nodal values must be finite")
 
-    @classmethod
-    def zero(cls, grid: GridSpec) -> "GridFunction":
-        return cls(grid, np.zeros(grid.node_count))
-
     def scaled(self, t: float) -> "GridFunction":
         return GridFunction(self.grid, t * self.values)
 

@@ -11,8 +11,8 @@ grid refines it (Hein & Buehler, NIPS 2010), each iteration extrapolated by
 a secant step, which is Anderson's method of depth 1 (Anderson, J. ACM 12,
 1965; Walker & Ni, SIAM J. Numer. Anal. 49, 2011), and the caller's
 candidates can only lower it. The estimate is an upper bound for the
-discrete infimum and never exceeds the quotient of any supplied candidate,
-which the inequality checks use.
+discrete infimum and never exceeds the quotient of any supplied candidate;
+compute_constants takes any S, such as the least quotient of one pair.
 """
 
 from __future__ import annotations
@@ -307,16 +307,16 @@ class ConstantsReport:
         return asdict(self)
 
 
-def compute_constants(problem: ValidatedProblem, form: GagliardoForm,
-                      extra_candidates=()) -> ConstantsReport:
-    """Evaluate every explicit constant for one problem.
+def compute_constants(problem: ValidatedProblem, S: float) -> ConstantsReport:
+    """Every explicit constant of one problem, at the embedding constant S.
 
-    S is the refinement of estimate_S, lowered by any of extra_candidates
-    (nodal arrays) whose quotient is below it; passing solver outputs here
-    makes the discrete embedding step of the inequality chains hold for
-    them. A closed form that overflows raises ConstantsOutOfRange: near
-    alpha+beta = 2 the exponents 1/(alpha+beta-2) are huge, and so are
-    powers of a huge alpha+beta or lambda.
+    The closed forms hold for any S up to the quotient of each pair they
+    are applied to: a run's report takes S from estimate_S with its
+    solutions as candidates, and a check of one pair can take the smaller
+    quotient of its components, the largest S its chains allow. A closed
+    form that overflows raises ConstantsOutOfRange: near alpha+beta = 2 the
+    exponents 1/(alpha+beta-2) are huge, and so are powers of a huge
+    alpha+beta or lambda.
     """
     al, be, q = problem.alpha, problem.beta, problem.q
     ab = al + be
@@ -325,9 +325,6 @@ def compute_constants(problem: ValidatedProblem, form: GagliardoForm,
     f_norm = weight_norm(qs, problem.f_vals, w)
     g_norm = weight_norm(qs, problem.g_vals, w)
     b_sup = float(np.max(np.maximum(problem.b_vals, 0.0)))
-
-    S = estimate_S(form, ab, extra_candidates)
-
     try:
         Lambda = lambda_aggregate(problem.lam, problem.mu, f_norm, g_norm, q)
         C = threshold_C(al, be, q, S, b_sup)

@@ -144,10 +144,11 @@ def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
     problem's constants report (S, the weight norm of f, Lambda, b_sup).
 
     Requires the report's S not to exceed the Rayleigh quotient of either
-    component (guaranteed when both were included in the estimate's
-    candidate set); raises CandidateNotIncluded otherwise. The energy lower
-    bound is only asserted for pairs on the manifold; off-manifold pairs
-    record it as trivially satisfied.
+    component, as it does when both were candidates of estimate_S or S is
+    the smaller of their quotients, the largest S the chains allow and the
+    one the verify command uses; raises CandidateNotIncluded otherwise. The
+    energy lower bound is only asserted for pairs on the manifold;
+    off-manifold pairs record it as trivially satisfied.
     """
     q, ab = problem.q, problem.alpha + problem.beta
     S_est, f_norm, Lambda = constants.S, constants.f_norm, constants.Lambda

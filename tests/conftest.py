@@ -59,7 +59,7 @@ def constants64(problem64, form64, solved64):
     plus, minus = solved64
     extra = [plus.pair.u.values, plus.pair.w.values,
              minus.pair.u.values, minus.pair.w.values]
-    return nf.compute_constants(problem64, form64, extra_candidates=extra)
+    return nf.compute_constants(problem64, nf.estimate_S(form64, 3.0, extra))
 
 
 def random_x0_pair(problem, rng, nonnegative=False):

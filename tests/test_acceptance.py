@@ -35,7 +35,7 @@ def fixture128():
     [plus], [minus] = solved[nf.Branch.PLUS], solved[nf.Branch.MINUS]
     extra = [plus.pair.u.values, plus.pair.w.values,
              minus.pair.u.values, minus.pair.w.values]
-    constants = nf.compute_constants(problem, form, extra_candidates=extra)
+    constants = nf.compute_constants(problem, nf.estimate_S(form, 3.0, extra))
     return problem, form, plus, minus, constants
 
 

@@ -645,8 +645,9 @@ def test_a_sweep_samples_each_branch_once(tmp_path, monkeypatch):
 
 def test_one_inverse_iteration_per_S_estimate(tmp_path, monkeypatch, capsys):
     # the candidates only bound S; one refinement of two fixed starts serves
-    # constants, a two-branch solve, each verify, and all points of a sweep,
-    # which share the form and alpha + beta
+    # constants, a two-branch solve, and all points of a sweep, which share
+    # the form and alpha + beta; verify checks at the pair's own quotient
+    # and refines nothing
     path = write_config(tmp_path)
     calls = []
     refine = thresholds._inverse_iteration
@@ -659,10 +660,59 @@ def test_one_inverse_iteration_per_S_estimate(tmp_path, monkeypatch, capsys):
     assert len(calls) == 2
     for name in ("solution_plus.json", "solution_minus.json"):
         assert cli.main(["verify", path, "--solution", str(out / name)]) == 0
-    assert len(calls) == 4
+    assert len(calls) == 2
     assert cli.main(["sweep", path, "--lambdas", "0.01,0.02", "--mus", "0.005,0.01",
                      "--out", str(tmp_path / "sweep.csv"), "--seed", "3"]) == 0
-    assert len(calls) == 5
+    assert len(calls) == 3
+
+
+def _raise(*args):
+    raise AssertionError("verify refined S or built the Riesz factors")
+
+
+@pytest.mark.parametrize("cells", [128, 1024], ids=["dense", "FFT"])
+def test_verify_builds_no_riesz_factors(tmp_path, monkeypatch, capsys, cells):
+    # verify applies G only: neither the first column of G^{-1} (which the
+    # dense inverse and the FFT-path Riesz map both start from) nor the S
+    # refinement runs
+    path = write_config(tmp_path, {"grid": {"cells": cells}})
+    out = tmp_path / "run"
+    assert cli.main(["solve", path, "--branch", "both", "--out", str(out)]) == 0
+    monkeypatch.setattr(form_mod, "inverse_first_column", _raise)
+    monkeypatch.setattr(thresholds, "_inverse_iteration", _raise)
+    for name in ("solution_plus.json", "solution_minus.json"):
+        assert cli.main(["verify", path, "--solution", str(out / name)]) == 0
+
+
+@pytest.mark.parametrize("cells", [64, 128, 1024])
+def test_verify_checks_at_the_pair_quotient(tmp_path, capsys, cells):
+    # S_pair is the smaller quotient of the two components, the largest S
+    # the chains allow for the pair: every check passes there, and the
+    # right sides of the embedding bounds are no larger than at the refined
+    # S of a constants report with the pair as candidates
+    path = write_config(tmp_path, {"grid": {"cells": cells}})
+    out = tmp_path / "run"
+    assert cli.main(["solve", path, "--branch", "both", "--out", str(out)]) == 0
+    _, problem = cli._load(path)
+    form = nf.assemble_form(problem.grid, problem.s)
+    for name in ("solution_plus.json", "solution_minus.json"):
+        capsys.readouterr()
+        assert cli.main(["verify", path, "--solution", str(out / name)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        sol = json.loads((out / name).read_text())
+        pair = nf.GridPair.from_arrays(problem.grid, np.array(sol["u"]), np.array(sol["w"]))
+        quotients = [nf.rayleigh_quotient(form, 3.0, c.values) for c in (pair.u, pair.w)]
+        assert report["S_pair"] == min(quotients)
+        assert "S_estimate" not in report
+        assert all(c["ok"] for c in report["checks"]["checks"])
+        refined = nf.compute_constants(
+            problem, nf.estimate_S(form, 3.0, [pair.u.values, pair.w.values]))
+        assert refined.S <= report["S_pair"]
+        at_refined = {c.name: c.rhs
+                      for c in nf.inequality_suite(problem, form, pair, refined).checks}
+        for check in report["checks"]["checks"]:
+            if check["name"] in ("singular_term_bound", "coupling_term_bound"):
+                assert check["rhs"] <= at_refined[check["name"]]
 
 
 def test_constants_builds_no_dense_matrix_at_large_n(tmp_path, capsys):

@@ -19,8 +19,8 @@ from conftest import (
 
 
 def zero_pair(problem):
-    return nf.GridPair(nf.GridFunction.zero(problem.grid),
-                       nf.GridFunction.zero(problem.grid))
+    zero = nf.GridFunction(problem.grid, np.zeros(problem.grid.node_count))
+    return nf.GridPair(zero, zero)
 
 
 def test_K_zero_cases(problem64, form64):

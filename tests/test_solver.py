@@ -306,9 +306,8 @@ def test_small_parameters_shrink_plus_solution():
         opts = nf.SolverOptions(seed=1, restarts=2)
         [rep] = nf.solve_points([p], form, [nf.Branch.PLUS], opts)[nf.Branch.PLUS]
         assert rep.converged
-        cons = nf.compute_constants(p, form,
-                                    extra_candidates=[rep.pair.u.values,
-                                                      rep.pair.w.values])
+        cons = nf.compute_constants(
+            p, nf.estimate_S(form, 3.0, [rep.pair.u.values, rep.pair.w.values]))
         assert rep.norm / cons.A_lm < 1.0
 
 

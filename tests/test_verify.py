@@ -103,8 +103,8 @@ def test_inequality_suite_on_solutions(problem64, form64, solved64, constants64)
 
 
 def test_inequality_suite_zero_pair(problem64, form64, constants64):
-    pair = nf.GridPair(nf.GridFunction.zero(problem64.grid),
-                       nf.GridFunction.zero(problem64.grid))
+    zero = nf.GridFunction(problem64.grid, np.zeros(problem64.grid.node_count))
+    pair = nf.GridPair(zero, zero)
     checks = nf.inequality_suite(problem64, form64, pair, constants64)
     assert checks.all_ok
 
