@@ -17,13 +17,15 @@ The formulas live in three raw-array functions on the interior nodes
 which work row by row on a block of pairs: one C-ordered array X of shape
 (2, rows, n), X[0] the u rows and X[1] the w rows in the same order. A
 power or a clip that both components take runs once over the whole block,
-and every per-row sum runs along its row, the u component first, so a row
-gets the same bytes in any block. The block descent calls them directly,
-and ``pair_stats`` and ``energy`` run them on one pair, the block of one
-row. Lambda and mu enter only through the singular factors (lambda w f,
-mu w g), which the kernels take per row (``singular_factors``), in the
-block's layout, so the rows of one block may belong to problems that
-differ in lambda, mu, f and g alone.
+and every per-row sum runs along its row; a sum over both components is
+``row_dots``, the u row's plus the w row's, which K, norm2 and the
+solver's inner products all take, so a row gets the same bytes in any
+block. The block descent calls them directly, and ``pair_stats`` and
+``energy`` run them on one pair, the block of one row. Lambda and mu
+enter only through the singular factors (lambda w f, mu w g), which the
+kernels take per row (``singular_factors``), in the block's layout, so
+the rows of one block may belong to problems that differ in lambda, mu,
+f and g alone.
 """
 
 from __future__ import annotations
@@ -64,6 +66,16 @@ _QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 @_QUIET
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One dot per row of two blocks laid out as X: the u row's sum of
+    a * b plus the w row's. Never einsum, which buffers rows of more than
+    8192 elements and then sums them by the block's shape; a row beyond the
+    float range comes out inf or NaN, which the caller's test rejects."""
+    sums = (a * b).sum(axis=-1)
+    return sums[0] + sums[1]
+
+
+@_QUIET
 def singular_and_coupling(problem: ValidatedProblem, X: np.ndarray,
                           factors=None) -> tuple[np.ndarray, np.ndarray]:
     """(K, B) of each row of the block X: the integrals that need no form.
@@ -72,18 +84,16 @@ def singular_and_coupling(problem: ValidatedProblem, X: np.ndarray,
     (2, rows, n): X[0] the u rows, X[1] the w rows. factors, if given, are
     the singular factors (lambda w f, mu w g) of each row, shape
     (2, rows, n); by default the problem's own for every row. Each row's
-    sums run in the same order whatever the other rows are: a product
-    summed along the row, never einsum, which buffers rows of more than
-    8192 elements and then sums them by the block's shape; K sums the u
-    row, then adds the w row.
+    sums run in the same order whatever the other rows are: K is the
+    ``row_dots`` of the powers and the factors, and B a product summed
+    along the row.
     """
     if factors is None:
         factors = singular_factors([problem])
     q, al, be, b = problem.q, problem.alpha, problem.beta, problem.weighted_coefficients[2]
     P = np.maximum(X, 0.0)
-    sums = (P ** (1 - q) * factors).sum(axis=-1)
     B = (P[0] ** al * P[1] ** be * b).sum(axis=-1)
-    return sums[0] + sums[1], B
+    return row_dots(P ** (1 - q), factors), B
 
 
 @_QUIET
@@ -102,8 +112,7 @@ def stats_and_products(problem: ValidatedProblem, form: GagliardoForm, X: np.nda
     """
     GX = np.array([form.apply(X[0]), form.apply(X[1])])
     K, B = singular_and_coupling(problem, X, factors)
-    sums = (X * GX).sum(axis=-1)
-    return (sums[0] + sums[1]).tolist(), K.tolist(), B.tolist(), GX
+    return row_dots(X, GX).tolist(), K.tolist(), B.tolist(), GX
 
 
 @_QUIET

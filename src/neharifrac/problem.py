@@ -225,15 +225,13 @@ def sample_weight(w: WeightSpec, grid: GridSpec) -> GridFunction:
         vals = p["amplitude"] * np.cos(np.pi * xhat)
     elif w.kind == "linear_x":
         vals = p["slope"] * x + p["offset"]
-    elif w.kind == "samples":
+    else:  # samples, the last kind WeightSpec admits
         vals = np.asarray(p["values"], dtype=float)
         if vals.shape != (grid.node_count,):
             raise SampleLengthMismatch(
                 f"samples weight has {vals.shape[0] if vals.ndim == 1 else 'bad'} "
                 f"entries, grid has {grid.node_count} nodes"
             )
-    else:  # pragma: no cover - guarded by WeightSpec.__post_init__
-        raise ValidationError(f"unknown weight kind {w.kind!r}")
     return GridFunction(grid, vals)
 
 
@@ -264,34 +262,34 @@ def validate_params(spec: ProblemSpec) -> ValidatedProblem:
     Raises the error class of the first violation found; the exception
     carries the full list of detected violations.
     """
-    violations: list[tuple[str, str]] = []
+    violations: list[tuple[type[ValidationError], str]] = []
 
     if not (0.0 < spec.q < 1.0):
-        violations.append(("InvalidExponent", f"q must lie in (0,1), got {spec.q}"))
+        violations.append((InvalidExponent, f"q must lie in (0,1), got {spec.q}"))
     if spec.alpha <= 1.0:
-        violations.append(("InvalidExponent", f"alpha must exceed 1, got {spec.alpha}"))
+        violations.append((InvalidExponent, f"alpha must exceed 1, got {spec.alpha}"))
     if spec.beta <= 1.0:
-        violations.append(("InvalidExponent", f"beta must exceed 1, got {spec.beta}"))
+        violations.append((InvalidExponent, f"beta must exceed 1, got {spec.beta}"))
 
     crit = float("nan")
     if not (S_LOWER < spec.s < S_UPPER):
         violations.append(
-            ("InvalidOrder", f"s must lie in (1/6, 1/2) for an interval domain, got {spec.s}")
+            (InvalidOrder, f"s must lie in (1/6, 1/2) for an interval domain, got {spec.s}")
         )
     else:
         crit = critical_exponent(DIMENSION, spec.s)
         ab = spec.alpha + spec.beta
         if not (2.0 < ab < crit - 1.0):
             violations.append(
-                ("InvalidExponent",
+                (InvalidExponent,
                  f"alpha+beta must lie in (2, {crit - 1.0:g}), got {ab}")
             )
 
     for name, value in (("lambda", spec.lam), ("mu", spec.mu)):
         if not np.isfinite(value):
-            violations.append(("ValidationError", f"{name} must be finite, got {value}"))
+            violations.append((ValidationError, f"{name} must be finite, got {value}"))
     if spec.lam == 0.0 and spec.mu == 0.0:
-        violations.append(("ZeroParameters", "(lambda, mu) = (0, 0) is excluded"))
+        violations.append((ZeroParameters, "(lambda, mu) = (0, 0) is excluded"))
 
     f_vals = sample_weight(spec.f, spec.grid).values
     g_vals = sample_weight(spec.g, spec.grid).values
@@ -299,23 +297,16 @@ def validate_params(spec: ProblemSpec) -> ValidatedProblem:
 
     interior = slice(1, spec.grid.cells)
     if np.min(f_vals[interior]) <= 0.0:
-        violations.append(("WeightSignViolation", "f must be strictly positive on interior nodes"))
+        violations.append((WeightSignViolation, "f must be strictly positive on interior nodes"))
     if np.min(g_vals[interior]) <= 0.0:
-        violations.append(("WeightSignViolation", "g must be strictly positive on interior nodes"))
+        violations.append((WeightSignViolation, "g must be strictly positive on interior nodes"))
     if np.max(b_vals[interior]) <= 0.0:
-        violations.append(("WeightSignViolation",
+        violations.append((WeightSignViolation,
                            "b must be strictly positive on some interior node"))
 
     if violations:
-        kind, msg = violations[0]
-        cls = {
-            "ValidationError": ValidationError,
-            "InvalidExponent": InvalidExponent,
-            "InvalidOrder": InvalidOrder,
-            "WeightSignViolation": WeightSignViolation,
-            "ZeroParameters": ZeroParameters,
-        }[kind]
-        raise cls(msg, violations)
+        cls, msg = violations[0]
+        raise cls(msg, [(c.__name__, m) for c, m in violations])
 
     return ValidatedProblem(**{f.name: getattr(spec, f.name) for f in fields(ProblemSpec)},
                             crit_exp=crit, f_vals=f_vals, g_vals=g_vals, b_vals=b_vals)

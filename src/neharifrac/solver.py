@@ -35,15 +35,17 @@ restart's result (the clustering rule of multi-level single linkage,
 Rinnooy Kan & Timmer, Math. Program. 39, 1987), so every restart still
 reports the critical point it reached. One sampler call per branch
 draws the directions of every restart of every point
-(``sample_directions``): restart i's seeded generator draws once per
-attempt, and that draw serves every point still waiting on restart i, so
-each point gets the directions it would get alone. The restarts are the
-rows of one block descent, held as one array of shape (2, rows, n) with
-the u rows in X[0] and the w rows in X[1]: each iteration applies the
-gradient and the Riesz map to all of them at once, while each row keeps
-its own step, acceptance and stopping rule, and a row that stops or joins
-leaves the block. Rows of different points or branches never affect each
-other, so a point ends as it would in a descent of its own. A row's trial
+(``sample_directions``): restart i's generator, built afresh for each
+branch and seeded with seed + i, draws once per attempt, and that draw
+serves every point still waiting on restart i, so each point gets the
+directions it would get alone, on either branch whatever the other. The
+restarts are the rows of one block descent, held as one array of shape
+(2, rows, n) with the u rows in X[0] and the w rows in X[1]: each
+iteration applies the gradient and the Riesz map to all of them at once,
+while each row keeps its own step, acceptance and stopping rule, and a
+row that stops or joins leaves the block. Rows of different points or
+branches never affect each other, so a point ends as it would in a
+descent of its own. A row's trial
 statistics stay floats, and each row comes out as a ``SolutionReport``
 holding its returned iterate as interior arrays, with the stationarity
 there (a joined row, the report of the restart it joined); the row that
@@ -73,6 +75,7 @@ import numpy as np
 from .energy import (
     PairStats,
     phi_from_stats,
+    row_dots,
     scaled_record,
     singular_and_coupling,
     singular_factors,
@@ -116,12 +119,13 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """What a caller varies: restart i draws its direction from the
-    generator seeded with seed + i. The descent's other settings are the
-    module constants MAX_ITERS, STEP, TOL_ENERGY, JOIN_TOL (restarts of one
-    point and branch within it of each other finish as the lower one; those
-    of different points stay independent), TOL_STATIONARITY and
-    EPS_SINGULAR (relative to each row's peak max(u, w)). A row is converged when it stopped before MAX_ITERS, both
+    """What a caller varies: on each branch, restart i draws its direction
+    from a generator freshly seeded with seed + i. The descent's other
+    settings are the module constants MAX_ITERS, STEP, TOL_ENERGY, JOIN_TOL
+    (restarts of one point and branch within it of each other finish as the
+    lower one; those of different points stay independent),
+    TOL_STATIONARITY and EPS_SINGULAR (relative to each row's peak
+    max(u, w)). A row is converged when it stopped before MAX_ITERS, both
     its components are positive somewhere, it lies in its branch's band of
     ``fiber.label`` (N+ or N-), and its stationarity is at most
     TOL_STATIONARITY."""
@@ -208,10 +212,12 @@ def sample_directions(problems: list[ValidatedProblem], rngs: list[np.random.Gen
     problem still waits on, and that draw serves every problem whose row for
     the generator is pending: the rows of one generator advance attempt by
     attempt together, so a row's draws, and its direction, are those it
-    would get alone, whatever the other rows are. A component tied to a
-    negative parameter is damped, per row, until the singular integral comes
-    out positive; each damping round takes one ``singular_and_coupling``
-    call for the rows still damping.
+    would get alone, whatever the other rows are. The draws start from the
+    generators' state as passed: the solver passes, for each branch, fresh
+    generators seeded with seed + i. A component tied to a negative
+    parameter is damped, per row, until the singular integral comes out
+    positive; each damping round takes one ``singular_and_coupling`` call
+    for the rows still damping.
     """
     first = problems[0]
     grid = first.grid
@@ -278,15 +284,6 @@ def initial_direction(problem: ValidatedProblem, rng: np.random.Generator,
     return GridPair.from_arrays(problem.grid, *np.pad(X[:, 0], ((0, 0), (1, 1))))
 
 
-def _row_dots(a, b):
-    # one dot per row of a block of pairs, the u row's sum plus the w row's,
-    # as in energy.singular_and_coupling; a non-finite row stays a NaN or
-    # inf that the caller's test rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = (a * b).sum(axis=-1)
-    return sums[0] + sums[1]
-
-
 def _singular_floor(X):
     # the floor of u^{-q} in each row's gradient, a column: EPS_SINGULAR
     # times the row's peak over both components
@@ -321,7 +318,7 @@ def _meetings(records: np.ndarray, pa: np.ndarray, pb: np.ndarray, X: np.ndarray
         if not near.any():
             return []
         a, b = pa[near], pb[near]
-        close = (_row_dots(X[:, a] - X[:, b], GX[:, a] - GX[:, b])
+        close = (row_dots(X[:, a] - X[:, b], GX[:, a] - GX[:, b])
                  <= JOIN_TOL**2 * records[b, 1] ** 2)
     a, b = a[close], b[close]
     order = np.lexsort((b, J[b], a))
@@ -443,7 +440,7 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors,
             # G d = g, the G inner products are s'dg and dd'dg
             x_prev, g_prev, d_prev = previous
             dg = g - g_prev
-            sy, yy = _row_dots(x - x_prev, dg), _row_dots(d - d_prev, dg)
+            sy, yy = row_dots(x - x_prev, dg), row_dots(d - d_prev, dg)
             with np.errstate(divide="ignore", invalid="ignore"):
                 tau = sy / yy
             bb = (sy > 0) & (yy > 0) & np.isfinite(tau)
@@ -526,7 +523,7 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors,
     done, factors = done[:, own], factors[:, own]
     n2, K, B, GX = stats_and_products(first, form, done, factors)
     g = smoothed_gradient(first, done, GX, _singular_floor(done), factors)
-    dual2 = _row_dots(g, form.riesz(g)).tolist()
+    dual2 = row_dots(g, form.riesz(g)).tolist()
     # the system asks for u, w > 0: a component that vanished at every
     # interior node (a negative parameter drives it there) is no solution
     positive = (done.max(axis=-1) > 0).all(axis=0).tolist()
@@ -564,8 +561,8 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
     float range the outcome can turn on the seed and the restart count.
 
     The problems may differ in (lambda, mu) and the weights f and g alone,
-    as the points of a sweep differ in (lambda, mu). Restart i of each
-    problem uses the deterministic generator seeded with seed + i, and
+    as the points of a sweep differ in (lambda, mu). On each branch, restart
+    i of each problem draws from a generator freshly seeded with seed + i, and
     every restart of every problem on every branch descends as a row of one
     block, each problem as if alone; a restart that meets a lower restart of
     its problem and branch reports that restart's result, the same object,
@@ -581,15 +578,12 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
         return {b: [] for b in branches}
     _check_shared(problems)
     # the point, branch and direction of each row; each branch draws from
-    # the restarts' generators in their seeded state, one draw per attempt
+    # freshly seeded generators, one per restart, one draw per attempt
     # serving every point
-    rngs = [np.random.default_rng(opts.seed + i) for i in range(opts.restarts)]
-    seeded = [rng.bit_generator.state for rng in rngs]
     point_of_row = np.repeat(np.arange(len(problems)), opts.restarts)
     points, row_branches, blocks = [], [], []
     for branch in branches:
-        for rng, state in zip(rngs, seeded):
-            rng.bit_generator.state = state
+        rngs = [np.random.default_rng(opts.seed + i) for i in range(opts.restarts)]
         X, found = sample_directions(problems, rngs, branch)
         blocks.append(X[:, found])
         points += point_of_row[found].tolist()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import neharifrac as nf
-from neharifrac.energy import phi_from_stats, smoothed_gradient, stats_and_products
+from neharifrac.energy import phi_from_stats, row_dots, smoothed_gradient, stats_and_products
 from neharifrac.errors import NonpositiveT
 
 from conftest import (
@@ -269,7 +269,6 @@ def test_row_sums_do_not_depend_on_the_block():
     # elements, and then row 0 of a one-row block summed in another order
     # than in a wider one; every per-row sum of the descent (K, B, norm2
     # and the row dots) must give a row the same bytes in any block
-    from neharifrac import solver
     problem = nf.validate_params(make_spec(cells=16384))
     form = nf.assemble_form(problem.grid, problem.s)
     n = problem.grid.cells - 1
@@ -279,9 +278,26 @@ def test_row_sums_do_not_depend_on_the_block():
     for rows in (1, 2, 16):
         X = block[:, :rows]
         norm2, K, B, _ = stats_and_products(problem, form, X, factors[:, :rows])
-        dots = solver._row_dots(X, X[::-1])
+        dots = row_dots(X, X[::-1])
         firsts.append((norm2[0], K[0], B[0], dots[0]))
     assert firsts[0] == firsts[1] == firsts[2]
+
+
+@pytest.mark.filterwarnings("error")
+def test_row_dots_keeps_an_overflowing_row_to_itself():
+    # a row beyond the float range comes out inf or NaN without a warning,
+    # and every other row gets the u row's sum plus the w row's, bit for bit
+    rng = np.random.default_rng(3)
+    a, b = rng.uniform(-1.0, 1.0, (2, 2, 5, 40))
+    a[0, 2, 7], b[0, 2, 7] = 1e200, 1e200
+    a[1, 2, 9], b[1, 2, 9] = 1e300, -1e300
+    dots = row_dots(a, b)
+    assert not np.isfinite(dots[2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (a * b).sum(axis=-1)
+        expected = s[0] + s[1]
+    others = [0, 1, 3, 4]
+    assert np.array_equal(dots[others], expected[others])
 
 
 @pytest.mark.parametrize("cells", [64, 128, 2048])

@@ -90,13 +90,26 @@ def test_validate_rejects_sign_violations():
 
 
 def test_validate_collects_all_violations():
-    try:
-        nf.validate_params(make_spec(q=1.0, lam=0.0, mu=0.0))
-    except InvalidExponent as exc:
-        kinds = {k for k, _ in exc.violations}
-        assert "InvalidExponent" in kinds and "ZeroParameters" in kinds
-    else:
-        pytest.fail("expected a validation error")
+    # each kind, when it comes first, is the class raised, and violations
+    # names every kind found, in order, led by the raised message
+    cases = [
+        (dict(lam=math.nan, f=nf.WeightSpec.constant(-1.0)),
+         [ValidationError, WeightSignViolation]),
+        (dict(q=1.0, lam=0.0, mu=0.0), [InvalidExponent, ZeroParameters]),
+        (dict(s=0.6, lam=0.0, mu=0.0), [InvalidOrder, ZeroParameters]),
+        (dict(f=nf.WeightSpec.constant(-1.0), b=nf.WeightSpec.constant(-1.0)),
+         [WeightSignViolation, WeightSignViolation]),
+        (dict(lam=0.0, mu=0.0, g=nf.WeightSpec.constant(-1.0)),
+         [ZeroParameters, WeightSignViolation]),
+    ]
+    for overrides, kinds in cases:
+        with pytest.raises(ValidationError) as info:
+            nf.validate_params(make_spec(**overrides))
+        exc = info.value
+        assert type(exc) is kinds[0]
+        assert [k for k, _ in exc.violations] == [c.__name__ for c in kinds]
+        assert all(type(m) is str for _, m in exc.violations)
+        assert str(exc) == exc.violations[0][1]
 
 
 def test_accepted_weights_have_required_signs():
