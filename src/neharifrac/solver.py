@@ -91,19 +91,18 @@ from .errors import (
 from .fiber import MembershipLabel, label, root
 from .form import GagliardoForm
 from .problem import GridPair, GridSpec, ValidatedProblem
-from .thresholds import ConstantsReport
+from .thresholds import JOIN_TOL, ConstantsReport
 
 _MIN_STEP = 1e-16
 # the descent's fixed settings: the iteration cap; the base step (iteration
 # 1, every even iteration, and the floor of the BB step); the relative energy
-# drop below which a row stops; the relative G-distance within which a row
-# joins a lower restart of its point and branch; the stationarity above
-# which a stopped row is not converged; and the floor of u^{-q} inside
-# gradients, relative to the row's peak max(u, w)
+# drop below which a row stops; the stationarity above which a stopped row
+# is not converged; and the floor of u^{-q} inside gradients, relative to
+# the row's peak max(u, w). A row joins a lower restart of its point and
+# branch within the relative G-distance thresholds.JOIN_TOL
 MAX_ITERS = 2000
 STEP = 0.5
 TOL_ENERGY = 1e-10
-JOIN_TOL = 1e-2
 TOL_STATIONARITY = 1e-3
 EPS_SINGULAR = 1e-4
 # rows x interior nodes above this many elements descend as consecutive
@@ -306,14 +305,15 @@ def _meetings(records: np.ndarray, pa: np.ndarray, pb: np.ndarray, X: np.ndarray
     rows where a meets b, in order of (a, J of b, b): b is lower (less
     energy, ties to the lower row), their energies differ by at most
     JOIN_TOL (norm2 + |K| + |B|) of b, and ||x_a - x_b||_G <= JOIN_TOL
-    ||x_b||_G. records holds each row's last trajectory record (J, norm,
-    K, B); only the pairs the energy test keeps take the distance, from
-    the X and G X in hand, so early iterations do no pair work."""
+    ||x_b||_G. records holds each row's (J, norm, |K| + |B|) from its last
+    trajectory record; only the pairs the energy test keeps take the
+    distance, from the X and G X in hand, so early iterations do no pair
+    work."""
     J = records[:, 0]
     # a record beyond the float range compares false
     with np.errstate(over="ignore", invalid="ignore"):
         gap = J[pa] - J[pb]
-        scale = records[pb, 1] ** 2 + np.abs(records[pb, 2:]).sum(axis=1)
+        scale = records[pb, 1] ** 2 + records[pb, 2]
         near = ((gap > 0) | ((gap == 0) & (pb < pa))) & (gap <= JOIN_TOL * scale)
         if not near.any():
             return []
@@ -397,8 +397,10 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors,
     own. A trial's statistics stay three floats from the kernel to the
     projection, the acceptance test and the trajectory record, which run in
     the loop over its rows. A row's energy is its last trajectory record's,
-    and it stopped if it left the block: the rows still active after
-    MAX_ITERS iterations did not. Each report copies its row of the
+    which its acceptance also writes to the active rows' join records, and
+    it stopped if it left the block: the rows still active after
+    MAX_ITERS iterations did not. A compaction keeps the join pairs of the
+    rows it keeps, renumbered. Each report copies its row of the
     returned iterates, so that a kept report does not keep the block.
     """
     q, ab = first.q, first.alpha + first.beta
@@ -424,8 +426,11 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors,
     X, GX, F = t * X[:, active], t * GX[:, active], factors[:, active]
 
     joins: dict[int, int] = {}  # each joined row's partner
-    # the block positions of every pair of active rows of one group
+    # the block positions of every pair of active rows of one group, and
+    # each active row's last record as (J, norm, |K| + |B|)
     pa, pb = _group_pairs(group[active])
+    records = np.array([(rec[0], rec[1], abs(rec[2]) + abs(rec[3]))
+                        for rec in (trajectories[r][-1] for r in active)])
     previous = None  # the last iteration's x, g and d of the rows still active
     for it in range(1, MAX_ITERS + 1):
         if not active:
@@ -471,6 +476,7 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors,
                     rel_drop[j] = (last - J) / max(abs(last), 1e-300)
                     t_used[r] = t
                     trajectories[r].append(record)
+                    records[j] = J, record[1], abs(record[2]) + abs(record[3])
                     took.append(k)
                     took_t.append(t)
             if took:
@@ -494,7 +500,6 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors,
         # it joins a lower row of its group
         stopped = [drop is None or drop < TOL_ENERGY for drop in rel_drop]
         if pa.size:
-            records = np.array([trajectories[r][-1] for r in active])
             for j, k in _meetings(records, pa, pb, X, GX):
                 # a row joins the first partner it meets
                 joins.setdefault(active[j], active[k])
@@ -508,11 +513,16 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors,
             iters[r] = it
         done[:, out] = X[:, gone]
         keep = [j for j in range(A) if not stopped[j]]
-        X, GX, F = X[:, keep], GX[:, keep], F[:, keep]
+        X, GX, F, records = X[:, keep], GX[:, keep], F[:, keep], records[keep]
         previous = x[:, keep], g[:, keep], d[:, keep]
         active = [active[j] for j in keep]
         if pa.size:
-            pa, pb = _group_pairs(group[active])
+            # the pairs of kept rows, renumbered, in the order they had
+            place = np.full(A, -1)
+            place[keep] = np.arange(len(keep))
+            pa, pb = place[pa], place[pb]
+            kept = (pa >= 0) & (pb >= 0)
+            pa, pb = pa[kept], pb[kept]
     # the rows still active ran out of iterations without stopping
     done[:, active] = X
 

@@ -10,9 +10,11 @@ over the nodal functions: one inverse iteration of two starts fixed by the
 grid refines it (Hein & Buehler, NIPS 2010), each iteration extrapolated by
 a secant step, which is Anderson's method of depth 1 (Anderson, J. ACM 12,
 1965; Walker & Ni, SIAM J. Numer. Anal. 49, 2011), and the caller's
-candidates can only lower it. The estimate is an upper bound for the
-discrete infimum and never exceeds the quotient of any supplied candidate;
-compute_constants takes any S, such as the least quotient of one pair.
+candidates can only lower it; the two starts finish as one where they meet,
+as the descent's restarts do (``solver``). The estimate is an upper bound
+for the discrete infimum and never exceeds the quotient of any supplied
+candidate; compute_constants takes any S, such as the least quotient of one
+pair.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ from .problem import GridSpec, ValidatedProblem
 # wrong
 S_RTOL = 1e-13
 MAX_INVERSE_ITERATIONS = 500
+# the relative G-distance within which starts, or restarts of one point and
+# branch of the descent (``solver``), meet and finish as the lower one
+JOIN_TOL = 1e-2
 
 
 def q_star(alpha: float, beta: float, q: float) -> float:
@@ -211,13 +216,21 @@ def _inverse_iteration(form: GagliardoForm, r: float, *starts: np.ndarray) -> fl
     convergence, so only decreases are accepted. The starts are the rows of
     one block solve; a row leaves it once its own quotient drops by less
     than S_RTOL, and its sums do not depend on the other rows, so it ends
-    as it would alone.
+    as it would alone. Starts that meet finish as one: after each
+    iteration, a row whose map, normalized in G, lies within JOIN_TOL in
+    the G norm of that of a row of lower least quotient stops, as the
+    descent's restarts join (the clustering rule of multi-level single
+    linkage, Rinnooy Kan & Timmer, Math. Program. 39, 1987). Both head for
+    one minimum, which the lower row goes on to reach, and S stays the
+    least quotient of every iterate; starts that head for different minima
+    stay far apart, so each ends as it would alone.
 
     Each iteration costs one Riesz map and no product with G: for
-    y = G^{-1} rhs scaled by c = max|y|, G (y/c) = rhs/c. Only the starts'
-    first quotients take a product. A row that has not stopped after
-    MAX_INVERSE_ITERATIONS raises InverseIterationNotConverged: S read from
-    an unfinished iteration is too high, and so is the threshold C.
+    y = G^{-1} rhs scaled by c = max|y|, G (y/c) = rhs/c, which also gives
+    the distances between the rows. Only the starts' first quotients take
+    a product. A row that has not stopped after MAX_INVERSE_ITERATIONS
+    raises InverseIterationNotConverged: S read from an unfinished
+    iteration is too high, and so is the threshold C.
     """
     w = form.grid.trapezoid_weights()[1:-1]
     v = np.array([values[1:-1] for values in starts])
@@ -237,6 +250,14 @@ def _inverse_iteration(form: GagliardoForm, r: float, *starts: np.ndarray) -> fl
         drop = (last - quotient) / last
         best[rows] = np.fmin(last, quotient)
         going = drop >= S_RTOL
+        if len(rows) > 1:
+            # a row whose map is within JOIN_TOL in the G norm of a row of
+            # lower best quotient, both normalized in G, stops: there
+            # |y_a - y_b|^2 = 2 - 2 <y_a, G y_b> / (|y_a| |y_b|)
+            norm, now = np.sqrt((y * rhs).sum(axis=1)), best[rows]
+            a, b = np.nonzero(now[:, None] > now)
+            near = (y[a] * rhs[b]).sum(axis=1) / (norm[a] * norm[b]) >= 1 - JOIN_TOL**2 / 2
+            going[a[near]] = False
         if not np.any(going):
             return float(best.min())
         if not np.all(going):
@@ -256,8 +277,11 @@ def estimate_S(form: GagliardoForm, r: float, candidates) -> float:
     to the least Rayleigh quotient of the candidates (nodal arrays) if one
     is below it; with no candidates it is the refinement alone. So S depends
     on the candidates only through their minimum, and adding one never
-    raises it. A candidate that vanishes at every interior node has no
-    quotient and is skipped. The refinement depends on the form and r
+    raises it. Near the top of the alpha+beta window the two starts can
+    reach different minima, and the refinement is the lower; where they
+    head for one, the higher of them, mostly the hat, stops where they meet
+    (see _inverse_iteration). A candidate that vanishes at every interior
+    node has no quotient and is skipped. The refinement depends on the form and r
     alone; it runs once per form and r, and the form keeps it, so every
     point of a sweep shares it.
     """

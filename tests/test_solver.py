@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import neharifrac as nf
-from neharifrac.energy import singular_and_coupling, smoothed_gradient
+from neharifrac.energy import row_dots, singular_and_coupling, smoothed_gradient
 from neharifrac.errors import DirectionSearchFailed, NoBracket, NotConvergedInput
 from neharifrac.fiber import DEGENERATE_TOL, label, root
 from neharifrac import cli
@@ -971,6 +971,30 @@ def test_a_restart_from_the_same_direction_joins_at_iteration_1(monkeypatch, pro
     [report] = nf.solve_points([problem64], form64, [nf.Branch.MINUS],
                                nf.SolverOptions(restarts=2))[nf.Branch.MINUS]
     assert report.restarts_used == 2 and report.restarts_joined == 1
+
+
+def test_join_records_and_pairs_follow_the_active_rows(monkeypatch, problem64, form64):
+    # at every iteration of a block of two points on both branches, the join
+    # records hold each active row's norm, that of its iterate, and the
+    # pairs are every ordered pair of rows of one group in _group_pairs'
+    # order, with the group of a row read off its least partner
+    problems = [problem64, nf.validate_params(make_spec(cells=64, lam=0.02, mu=0.005))]
+    seen, meetings = [], solver._meetings
+
+    def spy(records, pa, pb, X, GX):
+        seen.append(X.shape[1])
+        norms = np.sqrt(row_dots(X, GX))
+        np.testing.assert_allclose(records[:, 1], norms, rtol=1e-12)
+        group = np.arange(X.shape[1])
+        np.minimum.at(group, pa, pb)
+        expected = solver._group_pairs(group)
+        assert np.array_equal(pa, expected[0]) and np.array_equal(pb, expected[1])
+        return meetings(records, pa, pb, X, GX)
+
+    monkeypatch.setattr(solver, "_meetings", spy)
+    nf.solve_points(problems, form64, [nf.Branch.PLUS, nf.Branch.MINUS],
+                    nf.SolverOptions(restarts=4))
+    assert seen[0] == 16 and len(set(seen)) > 2, seen
 
 
 def _bump(problem, center, width=0.15):

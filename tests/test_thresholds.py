@@ -348,22 +348,90 @@ def _maps_alone(monkeypatch, form, r, start):
     return len(maps)
 
 
+def _lone_trace(monkeypatch, form, r, start):
+    # one start refined alone: its S and, for each iteration, its normalized
+    # map y, G y and least quotient so far, read at the secant step
+    step, trace = thresholds._secant_step, []
+    best = rayleigh_quotient(form, r, start)
+
+    def spy(y, gy, *rest):
+        nonlocal best
+        out = step(y, gy, *rest)
+        best = min(best, out[0][0])
+        trace.append((y[0].copy(), gy[0].copy(), best))
+        return out
+
+    monkeypatch.setattr(thresholds, "_secant_step", spy)
+    S = _inverse_iteration(form, r, start)
+    monkeypatch.setattr(thresholds, "_secant_step", step)
+    return S, trace
+
+
+def _meeting(traces):
+    # oracle: the first iteration at which one lone run's map, normalized in
+    # G, comes within JOIN_TOL in the G norm of the other's, of lower least
+    # quotient, and the run that goes on; (None, None) where none does
+    for k, pair in enumerate(zip(*traces), 1):
+        for a, b in ((0, 1), (1, 0)):
+            (ya, gya, best_a), (yb, gyb, best_b) = pair[a], pair[b]
+            norms = np.sqrt((ya * gya).sum()) * np.sqrt((yb * gyb).sum())
+            if best_a > best_b and (ya * gyb).sum() / norms >= 1 - thresholds.JOIN_TOL**2 / 2:
+                return k, b
+    return None, None
+
+
+def _refine_block_reference(form, r, *starts):
+    # oracle: the refinement in which a row leaves only by its own stop;
+    # returns S and the rows mapped. It compacts only when a row stops, as
+    # the refinement does: below the crossover a copied row sums in another
+    # order than a row of the dense map's F-ordered output
+    w = form.grid.trapezoid_weights()[1:-1]
+    v = np.array([values[1:-1] for values in starts])
+    v /= np.abs(v).max(axis=1, keepdims=True)
+    best, power = thresholds._quotients(v, form.apply(v), w, r)
+    rows, previous, mapped = np.arange(len(v)), None, 0
+    for _ in range(MAX_INVERSE_ITERATIONS):
+        rhs = w * np.copysign(power, v)
+        y = form.riesz(rhs)
+        mapped += len(y)
+        peak = np.abs(y).max(axis=1, keepdims=True)
+        y /= peak
+        rhs /= peak
+        f = y - v
+        quotient, v, power = thresholds._secant_step(y, rhs, f, previous, w, r)
+        last = best[rows]
+        best[rows] = np.fmin(last, quotient)
+        going = (last - quotient) / last >= S_RTOL
+        if not going.any():
+            return float(best.min()), mapped
+        if not going.all():
+            rows, v, power, y, rhs, f = (a[going] for a in (rows, v, power, y, rhs, f))
+        previous = y, rhs, f
+    raise AssertionError("the reference refinement did not stop")
+
+
 @pytest.mark.parametrize("s,r", [(0.4, 3.0), (0.4, 5.5), (0.3, 3.9)])
 @pytest.mark.parametrize("cells,matrix_free", [(128, False), (1024, True)])
 def test_refinement_takes_one_riesz_map_per_iteration(monkeypatch, cells, matrix_free, s, r):
     # one product with G for the starts' first quotients, then one Riesz map
     # per iteration, over the rows that have not stopped: a row leaves as
-    # its own refinement alone stops, extrapolation included
+    # its own refinement alone stops, extrapolation included, or at the
+    # iteration k where it meets the other (see _meeting), which goes on
     form = _form_on_path(monkeypatch, cells, s, matrix_free)
     hat, cosine = nf.default_candidates(form.grid)
-    lone = [_maps_alone(monkeypatch, form, r, start) for start in (hat, cosine)]
+    traces = [_lone_trace(monkeypatch, form, r, start)[1] for start in (hat, cosine)]
+    lone = [len(trace) for trace in traces]
+    k, goes_on = _meeting(traces)
     apply, riesz = form.apply, form.riesz
     products, maps = [], []
     monkeypatch.setattr(form, "apply", lambda x: products.append(len(x)) or apply(x))
     monkeypatch.setattr(form, "riesz", lambda x: maps.append(len(x)) or riesz(x))
     _inverse_iteration(form, r, hat, cosine)
     assert products == [2]
-    assert maps == [2] * min(lone) + [1] * (max(lone) - min(lone)), lone
+    if k is None:
+        assert maps == [2] * min(lone) + [1] * (max(lone) - min(lone)), lone
+    else:
+        assert maps == [2] * k + [1] * (lone[goes_on] - k), (lone, k)
 
 
 def test_extrapolation_maps_at_most_seven_tenths_of_the_plain_rows(monkeypatch):
@@ -386,17 +454,53 @@ def test_extrapolation_maps_at_most_seven_tenths_of_the_plain_rows(monkeypatch):
 @pytest.mark.parametrize("cells,matrix_free", [(128, False), (1024, False), (1024, True),
                                                (2048, True), (16384, True)])
 def test_refinement_is_its_rows_refined_alone(monkeypatch, cells, matrix_free, s, r):
-    # on the FFT path a row's map and sums do not depend on the block, so the
-    # block ends exactly where the lone runs do; the dense inverse's matrix
-    # product can round a row differently in a block
+    # the block ends where the lone run of the row that did not stop ends,
+    # or where the lower lone run ends when the rows do not meet. On the FFT
+    # path a row's map and sums do not depend on the block, so exactly; the
+    # dense inverse's matrix product can round a row differently in a block
     form = _form_on_path(monkeypatch, cells, s, matrix_free)
     hat, cosine = nf.default_candidates(form.grid)
-    alone = min(_inverse_iteration(form, r, hat), _inverse_iteration(form, r, cosine))
+    (h, hat_trace), (c, cosine_trace) = (_lone_trace(monkeypatch, form, r, start)
+                                         for start in (hat, cosine))
+    k, goes_on = _meeting([hat_trace, cosine_trace])
+    alone = min(h, c) if k is None else (h, c)[goes_on]
     block = _inverse_iteration(form, r, hat, cosine)
     if matrix_free:
         assert block == alone
     else:
         assert block == pytest.approx(alone, rel=1e-14)
+
+
+@pytest.mark.parametrize("cells", [128, 512, 1024])
+def test_a_meeting_never_merges_distinct_minima(monkeypatch, cells):
+    # near the top of the window the hat and the half-cosine can reach
+    # different minima (at 1024 cells, (0.35, 5.3) and (0.3, 3.9)). Starts
+    # that meet head for one minimum, so S is the least lone limit to 1e-13;
+    # where the lone limits differ the starts never meet, and S is the
+    # refinement without meetings, bit for bit. A lone start refines as it
+    # did before starts met
+    grid = nf.GridSpec(-1.0, 1.0, cells)
+    met = distinct = 0
+    for s in (0.17, 0.25, 0.3, 0.35, 0.4, 0.45, 0.49):
+        form = nf.assemble_form(grid, s)
+        hat, cosine = nf.default_candidates(grid)
+        top = min(2.0 / (1.0 - 2.0 * s) - 1.0, 40.0)
+        extra = {0.3: [3.9], 0.35: [5.3]}.get(s, [])
+        for r in [2.0 + share * (top - 2.0) for share in (0.1, 0.5, 0.9, 0.99)] + extra:
+            lone = [_inverse_iteration(form, r, start) for start in (hat, cosine)]
+            assert lone == [_refine_block_reference(form, r, start)[0]
+                            for start in (hat, cosine)], (s, r)
+            riesz, maps = form.riesz, []
+            monkeypatch.setattr(form, "riesz", lambda x: maps.append(len(x)) or riesz(x))
+            S = _inverse_iteration(form, r, hat, cosine)
+            monkeypatch.setattr(form, "riesz", riesz)
+            assert abs(S - min(lone)) <= 1e-13 * min(lone), (s, r)
+            reference, mapped = _refine_block_reference(form, r, hat, cosine)
+            met += sum(maps) < mapped
+            if abs(lone[0] - lone[1]) > 1e-10 * min(lone):
+                distinct += 1
+                assert (S, sum(maps)) == (reference, mapped), (s, r)
+    assert met and distinct, (met, distinct)
 
 
 def test_unfinished_refinement_raises(monkeypatch, form64):
