@@ -99,9 +99,5 @@ class AllMasked(NehariError):
     pass
 
 
-class CandidateNotIncluded(NehariError):
-    pass
-
-
 class ConfigParseError(NehariError):
     pass

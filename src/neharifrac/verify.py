@@ -1,9 +1,11 @@
 """Independent checks: brute-force norm oracle, weak-form residuals,
 and the discrete inequality chains.
 
-Nothing here reuses the assembly path of the form module: the norm oracle
-is a punctured midpoint double sum on a refined grid, and the inequality
-suite evaluates each bound from raw nodal data and the constants report.
+The norm oracle is independent of the form module: a punctured midpoint
+double sum on a refined grid. The residual and the inequality chains apply
+the assembled form; the residual writes out the Euler-Lagrange terms
+itself, and the chains evaluate each bound from raw nodal data, the pair's
+statistics and the closed-form constants at the pair's own quotient.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import pair_stats, phi_from_stats
-from .errors import AllMasked, CandidateNotIncluded
+from .errors import AllMasked
 from .form import GagliardoForm, same_cell_integral
 from .problem import GridPair, GridSpec, ValidatedProblem
-from .thresholds import ConstantsReport, rayleigh_quotient, weight_norm
+from .thresholds import compute_constants, rayleigh_quotient, weight_norm
 
 
 def brute_force_norm(grid: GridSpec, s: float, u: np.ndarray, refine: int) -> float:
@@ -120,7 +122,12 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class CheckList:
+    """The inequality chains of one pair, with the pair's energy J and the
+    embedding constant S they were checked at."""
+
     checks: tuple[CheckResult, ...]
+    J: float
+    S: float
 
     @property
     def all_ok(self) -> bool:
@@ -139,30 +146,27 @@ _SLACK = 1e-12
 
 
 def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
-                     pair: GridPair, constants: ConstantsReport) -> CheckList:
-    """Evaluate the discrete inequality chains on one pair, with the
-    problem's constants report (S, the weight norm of f, Lambda, b_sup).
+                     pair: GridPair) -> CheckList:
+    """Evaluate the discrete inequality chains on one pair, at its own S.
 
-    Requires the report's S not to exceed the Rayleigh quotient of either
-    component, as it does when both were candidates of estimate_S or S is
-    the smaller of their quotients, the largest S the chains allow and the
-    one the verify command uses; raises CandidateNotIncluded otherwise. The
-    energy lower bound is only asserted for pairs on the manifold;
+    The chains hold for any S up to the Rayleigh quotient of each nonzero
+    component, and a smaller S only loosens them, so they are checked at
+    the smaller quotient, with the constants report (the weight norm of f,
+    Lambda, b_sup) at that S. A component that vanishes at every interior
+    node has no quotient and bounds nothing; raises AllMasked if both do.
+    The energy lower bound is only asserted for pairs on the manifold;
     off-manifold pairs record it as trivially satisfied.
     """
     q, ab = problem.q, problem.alpha + problem.beta
-    S_est, f_norm, Lambda = constants.S, constants.f_norm, constants.Lambda
     w = problem.grid.trapezoid_weights()
     st = pair_stats(problem, form, pair)
     norm = np.sqrt(st.norm2)
-
-    for comp, name in ((pair.u.values, "u"), (pair.w.values, "w")):
-        if np.any(comp[1:-1]):
-            quot = rayleigh_quotient(form, ab, comp)
-            if S_est > quot * (1 + 1e-9):
-                raise CandidateNotIncluded(
-                    f"S estimate {S_est} exceeds the quotient {quot} of component {name}"
-                )
+    quotients = [rayleigh_quotient(form, ab, comp.values)
+                 for comp in (pair.u, pair.w) if np.any(comp.values[1:-1])]
+    if not quotients:
+        raise AllMasked("both components vanish at every interior node; no quotient bounds S")
+    constants = compute_constants(problem, min(quotients))
+    S, f_norm, Lambda = constants.S, constants.f_norm, constants.Lambda
 
     checks = []
 
@@ -170,11 +174,11 @@ def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
         checks.append(CheckResult(name, bool(ok), float(lhs), float(rhs)))
 
     # singular integral against the aggregated parameter bound
-    rhs_e2 = Lambda ** ((1 + q) / 2) * (norm / np.sqrt(S_est)) ** (1 - q)
+    rhs_e2 = Lambda ** ((1 + q) / 2) * (norm / np.sqrt(S)) ** (1 - q)
     add("singular_term_bound", st.K <= rhs_e2 * (1 + _SLACK) + _SLACK, st.K, rhs_e2)
 
     # coupling integral against the sup-weight embedding bound
-    rhs_e3 = constants.b_sup * (norm / np.sqrt(S_est)) ** ab
+    rhs_e3 = constants.b_sup * (norm / np.sqrt(S)) ** ab
     add("coupling_term_bound", st.B <= rhs_e3 * (1 + _SLACK) + _SLACK, st.B, rhs_e3)
 
     # energy lower bound on the manifold
@@ -182,7 +186,7 @@ def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
     if abs(phi1) <= _MANIFOLD_BAND * max(st.scale(), 1e-300):
         bound = ((0.5 - 1 / ab) * st.norm2
                  - (1 / (1 - q) - 1 / ab) * Lambda ** ((1 + q) / 2)
-                 * (norm / np.sqrt(S_est)) ** (1 - q))
+                 * (norm / np.sqrt(S)) ** (1 - q))
         add("manifold_energy_bound", J >= bound - _SLACK * max(abs(bound), 1.0),
             J, bound)
     else:
@@ -193,4 +197,4 @@ def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
     rhs_h = f_norm * weight_norm(ab, pair.u.values, w) ** (1 - q)
     add("discrete_hoelder", lhs_h <= rhs_h * (1 + _SLACK) + _SLACK, lhs_h, rhs_h)
 
-    return CheckList(tuple(checks))
+    return CheckList(tuple(checks), J, S)

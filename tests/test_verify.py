@@ -1,12 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 import neharifrac as nf
 from neharifrac.energy import smoothed_gradient
-from neharifrac.errors import AllMasked, CandidateNotIncluded
-from neharifrac.thresholds import rayleigh_quotient
+from neharifrac.errors import AllMasked
 
 from conftest import bump_pair, random_x0_pair
 
@@ -96,22 +93,30 @@ def test_weak_residual_all_masked(problem64, form64):
         nf.weak_residual(problem64, form64, pair, delta=1e9)
 
 
-def test_inequality_suite_on_solutions(problem64, form64, solved64, constants64):
+def test_inequality_suite_on_solutions(problem64, form64, solved64):
     for rep in solved64:
-        checks = nf.inequality_suite(problem64, form64, rep.pair, constants64)
+        checks = nf.inequality_suite(problem64, form64, rep.pair)
         assert checks.all_ok, checks.as_dict()
 
 
-def test_inequality_suite_zero_pair(problem64, form64, constants64):
+def test_inequality_suite_zero_pair(problem64, form64):
+    # neither component has a quotient, so no S bounds the chains
     zero = nf.GridFunction(problem64.grid, np.zeros(problem64.grid.node_count))
-    pair = nf.GridPair(zero, zero)
-    checks = nf.inequality_suite(problem64, form64, pair, constants64)
-    assert checks.all_ok
+    with pytest.raises(AllMasked):
+        nf.inequality_suite(problem64, form64, nf.GridPair(zero, zero))
 
 
-def test_inequality_suite_random_projected_pairs(problem64, form64, constants64):
-    # manifold members built by projection; the estimate must include the
-    # components for the embedding step to be guaranteed
+def test_inequality_suite_skips_a_vanished_component(problem64, form64):
+    # w has no quotient, so u's alone sets S, and the chains hold there
+    u = bump_pair(problem64, 0.0, 0.35).u
+    zero = nf.GridFunction(problem64.grid, np.zeros(problem64.grid.node_count))
+    checks = nf.inequality_suite(problem64, form64, nf.GridPair(u, zero))
+    assert checks.S == nf.rayleigh_quotient(form64, 3.0, u.values)
+    assert checks.all_ok, checks.as_dict()
+
+
+def test_inequality_suite_random_projected_pairs(problem64, form64):
+    # manifold members built by projection, each checked at its own quotient
     rng = np.random.default_rng(3)
     q, ab = problem64.q, problem64.alpha + problem64.beta
     done = 0
@@ -127,20 +132,8 @@ def test_inequality_suite_random_projected_pairs(problem64, form64, constants64)
         if roots.t1 is None:
             continue
         done += 1
-        member = pair.scaled(roots.t1)
-        S_est = nf.estimate_S(form64, ab, [member.u.values, member.w.values])
-        checks = nf.inequality_suite(problem64, form64, member,
-                                     dataclasses.replace(constants64, S=S_est))
+        checks = nf.inequality_suite(problem64, form64, pair.scaled(roots.t1))
         assert checks.all_ok, checks.as_dict()
-
-
-def test_inequality_suite_rejects_bad_estimate(problem64, form64, constants64):
-    pair = bump_pair(problem64, 0.0, 0.35)
-    quot = min(rayleigh_quotient(form64, 3.0, pair.u.values),
-               rayleigh_quotient(form64, 3.0, pair.w.values))
-    bad = dataclasses.replace(constants64, S=quot * 2.0)
-    with pytest.raises(CandidateNotIncluded):
-        nf.inequality_suite(problem64, form64, pair, bad)
 
 
 def test_discrete_hoelder_on_random_functions(problem64):
