@@ -41,6 +41,7 @@ from .problem import (
     ProblemSpec,
     ValidatedProblem,
     WeightSpec,
+    nodal_values,
     validate_params,
 )
 from .solver import (
@@ -131,8 +132,8 @@ def _float_str(x: float) -> str:
 def solution_to_json(report: SolutionReport, phash: str) -> dict:
     return {
         "branch": report.branch.value,
-        "u": report.pair.u.values.tolist(),
-        "w": report.pair.w.values.tolist(),
+        "u": nodal_values(report.u).tolist(),
+        "w": nodal_values(report.w).tolist(),
         "J": report.J,
         "norm": report.norm,
         "phi1": report.phi1,
@@ -165,10 +166,11 @@ def _constants_and_gap(problem: ValidatedProblem, form: GagliardoForm,
     """The constants of a run, and its gap verdict if it has one.
 
     The solution components join the quotient-search candidates, so the
-    reported constants are consistent with the computed norms. The gap
+    reported constants are consistent with the computed norms; they are
+    read from the reports' own arrays, and no GridPair is built. The gap
     needs both branches present and converged; otherwise it is None.
     """
-    extra = [c.values for rep in solutions.values() for c in (rep.pair.u, rep.pair.w)]
+    extra = [nodal_values(a) for rep in solutions.values() for a in (rep.u, rep.w)]
     constants = compute_constants(problem, estimate_S(form, problem.alpha + problem.beta, extra))
     plus, minus = solutions.get(Branch.PLUS), solutions.get(Branch.MINUS)
     if plus is None or minus is None or not (plus.converged and minus.converged):
@@ -284,7 +286,9 @@ def cmd_sweep(args) -> int:
     mus = _parse_grid_list(args.mus)
     form = assemble_form(shared.grid, shared.s)
     # both grids are sorted, so the rows are too, whatever the input order;
-    # a point that fails validation keeps its failure columns
+    # each point is the shared problem at its (lambda, mu), so the config is
+    # validated and its weights and grid arrays built once, and a point that
+    # breaks the (lambda, mu) rules keeps its failure columns
     nan = float("nan")
     rows, points = [], []  # every point's row; the row and problem of each valid one
     for lam in lambdas:
@@ -294,9 +298,8 @@ def cmd_sweep(args) -> int:
                          "J_plus": nan, "J_minus": nan, "norm_plus": nan, "norm_minus": nan,
                          "A0": nan, "A_lm": nan, "gap_ok": False})
             try:
-                points.append((rows[-1], validate_params(
-                    problem_from_config({**cfg, "lambda": lam, "mu": mu}))))
-            except NehariError:
+                points.append((rows[-1], shared.with_parameters(lam, mu)))
+            except ValidationError:
                 pass
     # form and opts do not depend on (lambda, mu), which is all the points
     # vary, so one block descent solves every valid point on both
@@ -515,6 +518,11 @@ def main(argv=None) -> int:
         # every read already names its failure, so an OSError is an output
         # path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # a grid numpy can index but the host cannot hold fails on its first
+        # array, before anything is written
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -91,8 +91,13 @@ class InverseIterationNotConverged(NehariError):
     pass
 
 
-class ConstantsOutOfRange(NehariError):
-    """A closed-form constant overflows the float range."""
+class OutOfFloatRange(NehariError):
+    """A computed quantity leaves the float range."""
+
+
+class ConstantsOutOfRange(OutOfFloatRange):
+    """A constant, closed-form or the embedding quotient S, leaves the
+    float range."""
 
 
 class AllMasked(NehariError):

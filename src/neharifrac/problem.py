@@ -7,11 +7,14 @@ representation is the piecewise-linear interpolant extended by zero.
 ``validate_params`` checks a ProblemSpec and returns it as a
 ValidatedProblem: the same frozen fields, plus the critical exponent and
 the weights sampled at the nodes. Every interval integral takes the
-grid's ``trapezoid_weights``.
+grid's ``trapezoid_weights``. ``ValidatedProblem.with_parameters`` gives a
+validated problem at another (lambda, mu) without validating the rest
+again, as the points of a sweep need.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass, field, fields
 
@@ -34,6 +37,9 @@ DIMENSION = 1  # interval domain; keeps the exterior integral closed-form
 # exponent window 2 < alpha+beta < 2n/(n-2s) - 1, which forces s > 1/6.
 S_LOWER = 1.0 / 6.0
 S_UPPER = 0.5
+# the most cells whose cells + 1 nodal float64 values numpy can index: a
+# larger grid is refused before any array is allocated
+MAX_CELLS = np.iinfo(np.intp).max // 8 - 1
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,9 @@ class GridSpec:
             raise ValidationError("grid requires right > left")
         if self.cells < 4:
             raise ValidationError("grid requires at least 4 cells")
+        if self.cells > MAX_CELLS:
+            raise ValidationError(f"grid requires at most {MAX_CELLS} cells, got {self.cells}: "
+                                  "numpy cannot index its nodal values")
 
     @property
     def h(self) -> float:
@@ -61,12 +70,22 @@ class GridSpec:
         return self.cells + 1
 
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.left, self.right, self.cells + 1)
+        """The cells + 1 node coordinates, read-only."""
+        return self._arrays[0]
 
     def trapezoid_weights(self) -> np.ndarray:
+        """The trapezoid weights of the nodes, read-only."""
+        return self._arrays[1]
+
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        # built once per grid and shared by every caller, so no caller may
+        # write to them
+        x = np.linspace(self.left, self.right, self.cells + 1)
         w = np.full(self.cells + 1, self.h)
         w[0] = w[-1] = self.h / 2
-        return w
+        x.flags.writeable = w.flags.writeable = False
+        return x, w
 
 
 @dataclass(frozen=True)
@@ -185,6 +204,12 @@ class GridPair:
         return GridPair(self.u.scaled(t), self.w.scaled(t))
 
 
+def nodal_values(interior: np.ndarray) -> np.ndarray:
+    """The nodal values of a function from its interior ones: a zero at
+    either boundary node."""
+    return np.concatenate(([0.0], interior, [0.0]))
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """All scalar parameters plus the three weight functions."""
@@ -253,6 +278,31 @@ class ValidatedProblem(ProblemSpec):
         i = slice(1, -1)
         return self.lam * w * self.f_vals[i], self.mu * w * self.g_vals[i], w * self.b_vals[i]
 
+    def with_parameters(self, lam: float, mu: float) -> "ValidatedProblem":
+        """This problem at (lam, mu): the same grid, exponents and sampled
+        weights, with only the (lambda, mu) rules of ``validate_params``
+        checked again, since nothing else depends on them."""
+        _raise_first(_parameter_violations(lam, mu))
+        return dataclasses.replace(self, lam=lam, mu=mu)
+
+
+def _parameter_violations(lam: float, mu: float) -> list[tuple[type[ValidationError], str]]:
+    """The violations of the rules on (lambda, mu): both finite, not both zero."""
+    violations = []
+    for name, value in (("lambda", lam), ("mu", mu)):
+        if not np.isfinite(value):
+            violations.append((ValidationError, f"{name} must be finite, got {value}"))
+    if lam == 0.0 and mu == 0.0:
+        violations.append((ZeroParameters, "(lambda, mu) = (0, 0) is excluded"))
+    return violations
+
+
+def _raise_first(violations: list[tuple[type[ValidationError], str]]) -> None:
+    # the first violation's class, carrying every violation
+    if violations:
+        cls, msg = violations[0]
+        raise cls(msg, [(c.__name__, m) for c, m in violations])
+
 
 def validate_params(spec: ProblemSpec) -> ValidatedProblem:
     """Check every structural assumption and sample the weights: the spec's
@@ -285,11 +335,7 @@ def validate_params(spec: ProblemSpec) -> ValidatedProblem:
                  f"alpha+beta must lie in (2, {crit - 1.0:g}), got {ab}")
             )
 
-    for name, value in (("lambda", spec.lam), ("mu", spec.mu)):
-        if not np.isfinite(value):
-            violations.append((ValidationError, f"{name} must be finite, got {value}"))
-    if spec.lam == 0.0 and spec.mu == 0.0:
-        violations.append((ZeroParameters, "(lambda, mu) = (0, 0) is excluded"))
+    violations += _parameter_violations(spec.lam, spec.mu)
 
     f_vals = sample_weight(spec.f, spec.grid).values
     g_vals = sample_weight(spec.g, spec.grid).values
@@ -304,9 +350,6 @@ def validate_params(spec: ProblemSpec) -> ValidatedProblem:
         violations.append((WeightSignViolation,
                            "b must be strictly positive on some interior node"))
 
-    if violations:
-        cls, msg = violations[0]
-        raise cls(msg, [(c.__name__, m) for c, m in violations])
-
+    _raise_first(violations)
     return ValidatedProblem(**{f.name: getattr(spec, f.name) for f in fields(ProblemSpec)},
                             crit_exp=crit, f_vals=f_vals, g_vals=g_vals, b_vals=b_vals)

@@ -90,7 +90,7 @@ from .errors import (
 )
 from .fiber import MembershipLabel, label, root
 from .form import GagliardoForm
-from .problem import GridPair, GridSpec, ValidatedProblem
+from .problem import GridPair, GridSpec, ValidatedProblem, nodal_values
 from .thresholds import JOIN_TOL, ConstantsReport
 
 _MIN_STEP = 1e-16
@@ -173,7 +173,7 @@ class SolutionReport:
 
     @functools.cached_property
     def pair(self) -> GridPair:
-        return GridPair.from_arrays(self.grid, np.pad(self.u, 1), np.pad(self.w, 1))
+        return GridPair.from_arrays(self.grid, nodal_values(self.u), nodal_values(self.w))
 
 
 @dataclass(frozen=True)
@@ -280,7 +280,7 @@ def initial_direction(problem: ValidatedProblem, rng: np.random.Generator,
     if not found[0]:
         raise DirectionSearchFailed(
             f"no admissible initial direction for branch {branch.value} in 1000 samples")
-    return GridPair.from_arrays(problem.grid, *np.pad(X[:, 0], ((0, 0), (1, 1))))
+    return GridPair.from_arrays(problem.grid, *map(nodal_values, X[:, 0]))
 
 
 def _singular_floor(X):

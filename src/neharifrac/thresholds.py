@@ -57,7 +57,10 @@ def weight_norm(r: float, values: np.ndarray, weights: np.ndarray) -> float:
     """Discrete L^r norm (sum w_i |v_i|^r)^{1/r} with quadrature weights."""
     if r < 1:
         raise ValueError(f"weight_norm requires r >= 1, got {r}")
-    total = float(np.sum(weights * np.abs(values) ** r))
+    # a power beyond the float range comes out inf, which compute_constants
+    # turns into ConstantsOutOfRange
+    with np.errstate(over="ignore"):
+        total = float(np.sum(weights * np.abs(values) ** r))
     return total ** (1.0 / r)
 
 
@@ -154,12 +157,22 @@ def rho_coefficients(alpha: float, beta: float, q: float, S: float,
 
 
 def rayleigh_quotient(form: GagliardoForm, r: float, values: np.ndarray) -> float:
-    """Discrete embedding quotient of one candidate (scale-invariant)."""
-    v = values[1:-1]
-    num = float(v @ form.apply(v))
-    den = float(np.sum(form.grid.trapezoid_weights() * np.abs(values) ** r)) ** (2.0 / r)
-    if den == 0.0:
+    """Discrete embedding quotient of one candidate (scale-invariant).
+
+    Raises ZeroDivisionError for a candidate that vanishes at every node,
+    and ConstantsOutOfRange for a nonzero one whose sums underflow to zero
+    or overflow: its values lie too near either end of the float range.
+    """
+    if not np.any(values):
         raise ZeroDivisionError("candidate is identically zero")
+    v = values[1:-1]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        num = float(v @ form.apply(v))
+        den = float(np.sum(form.grid.trapezoid_weights() * np.abs(values) ** r)) ** (2.0 / r)
+    if not (0.0 < num < math.inf and 0.0 < den < math.inf):
+        raise ConstantsOutOfRange(
+            f"the embedding quotient of a candidate leaves the float range at s={form.s}, "
+            f"alpha+beta={r}: its sums are {num} and {den}")
     return num / den
 
 
@@ -340,7 +353,8 @@ def compute_constants(problem: ValidatedProblem, S: float) -> ConstantsReport:
     quotient of its components, the largest S its chains allow. A closed
     form that overflows raises ConstantsOutOfRange: near alpha+beta = 2 the
     exponents 1/(alpha+beta-2) are huge, and so are powers of a huge
-    alpha+beta or lambda.
+    alpha+beta, lambda or weight. Every reported constant is finite, but E
+    is inf where Lambda underflows to 0.
     """
     al, be, q = problem.alpha, problem.beta, problem.q
     ab = al + be
@@ -355,6 +369,11 @@ def compute_constants(problem: ValidatedProblem, S: float) -> ConstantsReport:
         E = E_coefficient(al, be, q, S, b_sup, Lambda) if Lambda > 0 else math.inf
         A0, A_lm = gap_radii(al, be, q, S, b_sup, Lambda)
         J_lower = energy_lower_bound(al, be, q, S, Lambda)
+        # a float power raises OverflowError, but a product or a weight
+        # norm that overflows comes out inf, and inf - inf NaN
+        if not np.all(np.isfinite([f_norm, g_norm, Lambda, C, A0, A_lm, J_lower,
+                                   E if Lambda > 0 else 0.0])):
+            raise OverflowError
     except OverflowError:
         raise ConstantsOutOfRange(
             f"the closed-form constants overflow the float range at s={problem.s}, "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import pair_stats, phi_from_stats
-from .errors import AllMasked
+from .errors import AllMasked, OutOfFloatRange
 from .form import GagliardoForm, same_cell_integral
 from .problem import GridPair, GridSpec, ValidatedProblem
 from .thresholds import compute_constants, rayleigh_quotient, weight_norm
@@ -70,7 +70,8 @@ def weak_residual(problem: ValidatedProblem, form: GagliardoForm,
     quadrature-weighted right-hand side, over interior nodes where both
     components exceed delta (the singular factor is untestable where a
     component vanishes). Residuals are normalized by the largest term
-    magnitude over the unmasked nodes.
+    magnitude over the unmasked nodes. A term that leaves the float range
+    raises OutOfFloatRange.
 
     The Euler-Lagrange terms are written out here on purpose rather than
     taken from ``energy.smoothed_gradient``: the residual is an independent
@@ -83,8 +84,6 @@ def weak_residual(problem: ValidatedProblem, form: GagliardoForm,
     ab = al + be
     u = pair.u.values[1:-1]
     v = pair.w.values[1:-1]
-    Gu = form.apply(u)
-    Gv = form.apply(v)
 
     mask = (u > delta) & (v > delta)
     masked_fraction = 1.0 - float(mask.mean())
@@ -97,8 +96,16 @@ def weak_residual(problem: ValidatedProblem, form: GagliardoForm,
     b = w * problem.b_vals[1:-1][mask]
     um = u[mask]
     vm = v[mask]
-    res_u = Gu[mask] - lam_f * um ** (-q) - (al / ab) * b * um ** (al - 1) * vm**be
-    res_v = Gv[mask] - mu_g * vm ** (-q) - (be / ab) * b * um**al * vm ** (be - 1)
+    # a term beyond the float range comes out inf or NaN, and so does its
+    # residual, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        Gu = form.apply(u)
+        Gv = form.apply(v)
+        res_u = Gu[mask] - lam_f * um ** (-q) - (al / ab) * b * um ** (al - 1) * vm**be
+        res_v = Gv[mask] - mu_g * vm ** (-q) - (be / ab) * b * um**al * vm ** (be - 1)
+    if not (np.all(np.isfinite(res_u)) and np.all(np.isfinite(res_v))):
+        raise OutOfFloatRange("a term of the weak residual leaves the float range: the "
+                              "solution's values lie too near either end of it")
 
     def rel_residual(lhs, res):
         # lhs - res is the right-hand side

@@ -635,9 +635,9 @@ def test_dense_inverse_is_built_once_per_solve_and_per_sweep(tmp_path, monkeypat
 
 def test_only_the_returned_reports_get_a_grid_pair(tmp_path, monkeypatch):
     # the block descent keeps every row's iterate as arrays: a 2x2 sweep
-    # with 2 restarts descends 16 rows, solve_points builds no GridPair, and
-    # the only GridPairs the whole sweep builds are the pairs of the report
-    # it returns for each point and branch, read by the constants
+    # with 2 restarts descends 16 rows, and neither solve_points nor the
+    # constants and CSV rows after it build a GridPair; a returned report
+    # builds its pair only when a caller reads it
     path = write_config(tmp_path)
     built, reports = [], []
     post_init = nf.GridPair.__post_init__
@@ -656,7 +656,8 @@ def test_only_the_returned_reports_get_a_grid_pair(tmp_path, monkeypatch):
     assert cli.main(["sweep", path, "--lambdas", "0.01,0.02", "--mus", "0.005,0.01",
                      "--out", str(tmp_path / "once.csv"), "--seed", "3"]) == 0
     assert len(reports) == 8
-    assert sorted(map(id, built)) == sorted(id(r.pair) for r in reports)
+    assert not built
+    assert sorted(id(r.pair) for r in reports) == sorted(map(id, built))
 
 
 def test_a_sweep_samples_each_branch_once(tmp_path, monkeypatch):
@@ -787,22 +788,24 @@ def test_constants_refuses_an_unfinished_S_refinement(tmp_path, capsys, monkeypa
 # admissible region: alpha+beta just above 2 (at s = 0.4, and at s = 0.1667
 # where the window is narrow) makes the exponents 1/(alpha+beta-2) of C
 # overflow, alpha+beta = 8000 the powers of E, and lambda = mu = 1e300 the
-# powers of Lambda; at lambda = mu = 1e-300 the descent's first projections
-# leave the float range
+# powers of Lambda, and f = 1e308 the weight norm of f; at lambda = mu =
+# 1e-300 the descent's first projections leave the float range
 EDGE_CONFIGS = {
     "alpha_beta_above_2": {"alpha": 1.0000000005, "beta": 1.0000000005},
     "narrow_window": {"s": 0.1667, "alpha": 1.0001, "beta": 1.0001},
     "huge_alpha_beta": {"s": 0.4999, "alpha": 4000.0, "beta": 4000.0},
     "huge_lambda": {"lambda": 1e300, "mu": 1e300},
     "tiny_lambda": {"lambda": 1e-300, "mu": 1e-300},
+    "huge_f": {"f": {"kind": "constant", "value": 1e308}},
 }
 
 
 @pytest.mark.parametrize("command,edge", [
     ("constants", "alpha_beta_above_2"), ("constants", "narrow_window"),
-    ("constants", "huge_alpha_beta"), ("constants", "huge_lambda"),
+    ("constants", "huge_alpha_beta"), ("constants", "huge_lambda"), ("constants", "huge_f"),
     ("solve", "alpha_beta_above_2"), ("solve", "narrow_window"),
     ("solve", "huge_alpha_beta"), ("solve", "huge_lambda"), ("solve", "tiny_lambda"),
+    ("solve", "huge_f"),
 ])
 def test_the_edges_of_the_float_range_are_a_named_error(tmp_path, capsys, command, edge):
     # a closed form or a projection that overflows ends in one error line
@@ -853,6 +856,69 @@ def test_an_output_path_that_cannot_be_written_is_a_named_error(tmp_path, capsys
     assert "Traceback" not in err
     assert (tmp_path / "file").read_text() == "kept\n"
     assert not any((tmp_path / "directory").iterdir())
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_verify_at_the_edges_of_the_float_range_is_a_named_error(tmp_path, capsys, scale):
+    # a solution scaled to either end of the float range: at 1e-300 the
+    # sums of its quotients underflow to zero, at 1e300 its residual terms
+    # overflow; each ends in one error line and exit 1, with no warning and
+    # no output
+    path = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["solve", path, "--branch", "plus", "--out", str(out)]) == 0
+    sol = json.loads((out / "solution_plus.json").read_text())
+    for key in ("u", "w"):
+        sol[key] = [scale * v for v in sol[key]]
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(sol))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert cli.main(["verify", path, "--solution", str(scaled)]) == 1
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert "float range" in captured.err
+
+
+@pytest.mark.parametrize("command", ["constants", "solve", "sweep", "assemble"])
+@pytest.mark.parametrize("cells,code,message", [
+    (1e18, 1, "error: out of memory: "), (1e20, 3, "validation error: grid requires at most "),
+], ids=["1e18", "1e20"])
+def test_a_grid_too_large_to_hold_is_a_named_error(tmp_path, capsys, command, cells, code,
+                                                   message):
+    # 1e18 cells numpy can index but no host can hold, and 1e20 numpy
+    # cannot index: both fail on validation's first array, which numpy
+    # refuses without allocating it, before any file is written
+    path = write_config(tmp_path, {"grid": {"cells": cells}})
+    extra = {"solve": ["--out", str(tmp_path / "run")],
+             "sweep": ["--lambdas", "0.01", "--mus", "0.01", "--out", str(tmp_path / "s.csv")],
+             }.get(command, [])
+    assert cli.main([command, path] + extra) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and len(captured.err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_a_sweep_validates_its_config_once(tmp_path, monkeypatch):
+    # every point is the shared problem at its (lambda, mu): the config is
+    # read and validated once, and a point that breaks the (lambda, mu)
+    # rules keeps its failure row
+    path = write_config(tmp_path)
+    calls = []
+    validate = cli.validate_params
+    monkeypatch.setattr(cli, "validate_params", lambda spec: calls.append(spec) or validate(spec))
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", path, "--lambdas=0,0.01", "--mus=0,0.02", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    rows = _read_sweep(out)
+    assert [(r["lambda"], r["mu"]) for r in rows] == [("0.0", "0.0"), ("0.0", "0.02"),
+                                                      ("0.01", "0.0"), ("0.01", "0.02")]
+    assert rows[0]["Lambda"] == "nan" and rows[0]["plus_converged"] == "false"
+    assert all(r["Lambda"] != "nan" for r in rows[1:])
 
 
 def test_an_underflowed_Lambda_is_still_in_gamma(tmp_path, capsys):
@@ -1067,7 +1133,9 @@ def test_readme_command_lines_parse():
 @pytest.mark.parametrize("command, overrides, code", [
     (["sweep", "--lambdas=0.01,1e300", "--mus=0.01"], {}, 0),
     (["solve"], EDGE_CONFIGS["huge_alpha_beta"], 1),
-], ids=["sweep", "solve"])
+    (["sweep", "--lambdas=0.01,0.02", "--mus=0.01"], EDGE_CONFIGS["huge_f"], 0),
+    (["solve"], EDGE_CONFIGS["huge_f"], 1),
+], ids=["sweep", "solve", "sweep_huge_f", "solve_huge_f"])
 def test_edge_runs_print_no_numpy_warnings(tmp_path, capsys, command, overrides, code):
     # a statistic beyond the float range already ends as NoBracket or NaN
     # columns, so the kernels that compute it warn of nothing on the way

@@ -25,6 +25,10 @@ def test_n_scaling_smoke(tmp_path):
         assert row["verify"][branch]["exit"] == 0
         assert row["verify"][branch]["s"] > 0
     assert row["peak_rss_mb"] > 0
+    # the 2x2 sweep runs in a process of its own, so its peak RSS is its own
+    sweep = row["sweep"]
+    assert sweep["exit"] == 0 and sweep["s"] > 0 and sweep["peak_rss_mb"] > 0
+    assert [len(sweep[key].split(",")) for key in ("lambdas", "mus")] == [2, 2]
     lines = sum(pathlib.Path(p).read_text().count("\n")
                 for p in glob.glob(str(ROOT / "src" / "neharifrac" / "*.py")))
     assert bench["host"]["src_lines"] == lines

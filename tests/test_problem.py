@@ -205,3 +205,54 @@ def test_a_validated_problem_is_its_frozen_spec():
         assert getattr(problem, f.name) == getattr(spec, f.name)
     with pytest.raises(dataclasses.FrozenInstanceError):
         problem.lam = 0.02
+
+
+def test_grid_arrays_are_built_once_and_read_only():
+    # every caller shares the grid's nodes and weights, so none may write
+    grid = nf.GridSpec(-1.0, 1.0, 10)
+    assert grid.nodes() is grid.nodes()
+    assert grid.trapezoid_weights() is grid.trapezoid_weights()
+    assert np.array_equal(grid.nodes(), np.linspace(-1.0, 1.0, 11))
+    for values in (grid.nodes(), grid.trapezoid_weights()):
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+    # a grid equal to another builds its own arrays, with the same values
+    other = nf.GridSpec(-1.0, 1.0, 10)
+    assert other == grid and other.nodes() is not grid.nodes()
+    assert np.array_equal(other.trapezoid_weights(), grid.trapezoid_weights())
+
+
+def test_a_grid_numpy_cannot_index_is_refused():
+    # the nodal values of one cell more would take more bytes than numpy
+    # can index; nothing is allocated
+    nf.GridSpec(-1.0, 1.0, nf.problem.MAX_CELLS)
+    with pytest.raises(ValidationError, match="at most"):
+        nf.GridSpec(-1.0, 1.0, nf.problem.MAX_CELLS + 1)
+
+
+@pytest.mark.parametrize("lam,mu", [(0.02, 0.005), (-0.01, 0.01), (0.0, 1e300), (1e-300, 0.0)])
+def test_a_problem_at_other_parameters_is_the_validated_one(lam, mu):
+    # with_parameters checks only the (lambda, mu) rules and keeps the
+    # sampled weights, and gives what a fresh validation at (lam, mu) gives
+    shared = nf.validate_params(make_spec(cells=32))
+    moved = shared.with_parameters(lam, mu)
+    fresh = nf.validate_params(make_spec(cells=32, lam=lam, mu=mu))
+    for f in dataclasses.fields(nf.ValidatedProblem):
+        a, b = getattr(moved, f.name), getattr(fresh, f.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+    for a, b in zip(moved.weighted_coefficients, fresh.weighted_coefficients):
+        assert np.array_equal(a, b)
+    assert moved.f_vals is shared.f_vals and moved.grid is shared.grid
+    assert (shared.lam, shared.mu) == (0.01, 0.01)
+
+
+@pytest.mark.parametrize("lam,mu", [(0.0, 0.0), (math.nan, 0.01), (0.01, math.inf),
+                                    (-math.inf, math.nan)])
+def test_a_problem_at_invalid_parameters_fails_as_validation_does(lam, mu):
+    shared = nf.validate_params(make_spec(cells=32))
+    with pytest.raises(ValidationError) as moved:
+        shared.with_parameters(lam, mu)
+    with pytest.raises(ValidationError) as fresh:
+        nf.validate_params(make_spec(cells=32, lam=lam, mu=mu))
+    assert type(moved.value) is type(fresh.value)
+    assert moved.value.violations == fresh.value.violations
