@@ -5,12 +5,14 @@ the constraint manifold slices the ray through the pair. Its rescaled
 derivative psi has either one root (coupling integral <= 0) or two roots
 separated by the maximizer t_max (coupling integral > 0 and psi(t_max)
 positive). The roots are the two branch projections: a fiber minimum and
-a fiber maximum.
+a fiber maximum. ``classify`` below reads the manifold band of a scaled
+pair from its phi'(1) and phi''(1), as the solver's converged verdict does.
 """
 
 import numpy as np
 
 import neharifrac as nf
+from neharifrac import fiber
 
 spec = nf.ProblemSpec(
     grid=nf.GridSpec(-1.0, 1.0, 64), s=0.4, q=0.5, alpha=1.5, beta=1.5,
@@ -21,13 +23,18 @@ problem = nf.validate_params(spec)
 form = nf.assemble_form(problem.grid, problem.s)
 q, ab = problem.q, problem.alpha + problem.beta
 
-x = problem.grid.nodes()
-
 
 def bump(center, width):
-    prof = np.maximum(0.0, 1 - ((x - center) / width) ** 2) ** 2
-    prof[0] = prof[-1] = 0.0
-    return nf.GridPair.from_arrays(problem.grid, prof, prof)
+    """A pair (u, w) = (p, p) of one bump p, its (2, n) interior values."""
+    prof = np.maximum(0.0, 1 - ((form.nodes - center) / width) ** 2) ** 2
+    return np.array([prof, prof])
+
+
+def classify(pair):
+    """The manifold band of a pair and its phi'(1), phi''(1)."""
+    st = nf.pair_stats(problem, form, pair)
+    _, d1, d2 = nf.phi_from_stats(st, q, ab, 1.0)
+    return fiber.label(d1, d2, st.scale()), d1, d2
 
 
 for label, center, width in (("centered where b > 0", 0.0, 0.3),
@@ -39,14 +46,10 @@ for label, center, width in (("centered where b > 0", 0.0, 0.3),
     print(f"  norm^2 = {st.norm2:.5f}, K = {st.K:.6f}, B = {st.B:.6f}")
     print(f"  case = {roots.case.value}, t_max = {roots.t_max:.5f}, "
           f"psi(t_max) = {roots.psi_at_tmax:.5f}")
-    scaled = pair.scaled(roots.t1)
-    m = nf.classify(problem, form, scaled)
-    print(f"  t1 = {roots.t1:.6f} -> {m.label.value} "
-          f"(phi' = {m.phi1:.2e}, phi'' = {m.phi2:.4f})")
-    if roots.t2 is not None:
-        m2 = nf.classify(problem, form, pair.scaled(roots.t2))
-        print(f"  t2 = {roots.t2:.6f} -> {m2.label.value} "
-              f"(phi' = {m2.phi1:.2e}, phi'' = {m2.phi2:.4f})")
+    for name, t in (("t1", roots.t1), ("t2", roots.t2)):
+        if t is not None:
+            band, d1, d2 = classify(t * pair)
+            print(f"  {name} = {t:.6f} -> {band.value} (phi' = {d1:.2e}, phi'' = {d2:.4f})")
     print()
 
 # the fiber values along the ray show the min/max structure directly

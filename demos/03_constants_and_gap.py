@@ -12,6 +12,17 @@ import json
 
 import neharifrac as nf
 
+
+def rho_minimum(c, d, q):
+    """Minimizer and minimum of rho(t) = c t^2 - d t^{1-q} on t > 0, the
+    scalar curve that bounds the manifold energy from below with
+    c = 1/2 - 1/(alpha+beta) and
+    d = (1/(1-q) - 1/(alpha+beta)) Lambda^{(1+q)/2} S^{-(1-q)/2}."""
+    t_min = (d * (1 - q) / (2 * c)) ** (1 / (1 + q))
+    rho_min = -(1 + q) / 2 * d ** (2 / (1 + q)) * ((1 - q) / (2 * c)) ** ((1 - q) / (1 + q))
+    return t_min, rho_min
+
+
 spec = nf.ProblemSpec(
     grid=nf.GridSpec(-1.0, 1.0, 128), s=0.4, q=0.5, alpha=1.5, beta=1.5,
     lam=0.01, mu=0.01,
@@ -41,6 +52,6 @@ print(f"\nthe fixture parameters could grow by ~{scale:.0f}x before Lambda = C")
 
 print("\nenergy lower bound on the manifold:",
       nf.energy_lower_bound(al, be, q, report.S, report.Lambda))
-t_min, rho_min = nf.rho_minimum(1.0, 1.0, q)
+t_min, rho_min = rho_minimum(1.0, 1.0, q)
 print(f"generic comparison curve rho = t^2 - t^{{1-q}}: "
       f"t_min = {t_min:.6f}, rho(t_min) = {rho_min:.6f}")

@@ -7,6 +7,8 @@ large-norm solution. Their norms straddle the gap radii, and both satisfy
 the discrete stationarity conditions nodewise.
 """
 
+import numpy as np
+
 import neharifrac as nf
 
 spec = nf.ProblemSpec(
@@ -28,17 +30,16 @@ for rep in (plus, minus):
     print(f"  J = {rep.J:.8f}, norm = {rep.norm:.6f}")
     print(f"  phi'(1) = {rep.phi1:.2e}, phi''(1) = {rep.phi2:.4f}")
     print(f"  stationarity |grad J|_(G^-1) / |(u, w)| = {rep.stationarity:.1e}")
-    u = rep.pair.u.values
-    print(f"  max u = {u.max():.5f}, interior min u = {u[1:-1].min():.2e}")
-    delta = 1e-4 * float(u.max())
-    res = nf.weak_residual(problem, form, rep.pair, delta)
+    pair = np.array([rep.u, rep.w])  # the interior values of u and w
+    print(f"  max u = {rep.u.max():.5f}, interior min u = {rep.u.min():.2e}")
+    delta = 1e-4 * float(rep.u.max())
+    res = nf.weak_residual(problem, form, pair, delta)
     print(f"  stationarity residual: res_u = {res.res_u:.1e}, "
           f"res_w = {res.res_w:.1e}, masked fraction = {res.masked_fraction:.2f}")
     print()
 
 # the gap structure: the two solutions are separated by the radii
-extra = [plus.pair.u.values, plus.pair.w.values,
-         minus.pair.u.values, minus.pair.w.values]
+extra = [plus.u, plus.w, minus.u, minus.w]
 constants = nf.compute_constants(problem, nf.estimate_S(form, problem.alpha + problem.beta, extra))
 gap = nf.gap_check(plus, minus, constants)
 print(f"norm ordering: {gap.norm_minus:.4f} > {gap.A0:.4f} > "
@@ -46,6 +47,6 @@ print(f"norm ordering: {gap.norm_minus:.4f} > {gap.A0:.4f} > "
 
 # the inequality chains hold for both solutions, each at its own quotient
 for rep in (plus, minus):
-    checks = nf.inequality_suite(problem, form, rep.pair)
+    checks = nf.inequality_suite(problem, form, np.array([rep.u, rep.w]))
     names = ", ".join(f"{c.name}={'ok' if c.ok else 'FAIL'}" for c in checks.checks)
     print(f"{rep.branch.value}: {names}")

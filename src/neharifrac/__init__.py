@@ -5,18 +5,24 @@ branches of the natural constraint manifold.
 The library layers cleanly: problem data -> energy-norm matrix -> energy
 functional and fiber maps -> branch projections -> descent solver ->
 independent verification (oracle norm, residuals, inequality chains).
+The kernels see the discretization only through the form: a function is
+its array of interior values, and a pair the (2, n) array of both.
+
+``GridFunction``, ``seminorm_sq``, ``apply_form`` and ``brute_force_norm``
+stay exported for the benchmark in ``perfbench/``, which still calls them.
 """
 
 from .problem import (
     GridSpec,
     WeightSpec,
     GridFunction,
-    GridPair,
     ProblemSpec,
     ValidatedProblem,
     validate_params,
     sample_weight,
     critical_exponent,
+    q_star,
+    weight_norm,
 )
 from .form import (
     GagliardoForm,
@@ -33,24 +39,18 @@ from .energy import (
 from .fiber import (
     FiberCase,
     FiberRoots,
-    Membership,
     MembershipLabel,
     psi,
     t_max,
     project,
-    classify,
 )
 from .thresholds import (
     ConstantsReport,
-    q_star,
-    weight_norm,
     lambda_aggregate,
     threshold_C,
     gap_radii,
     E_coefficient,
     energy_lower_bound,
-    rho_minimum,
-    rho_coefficients,
     estimate_S,
     rayleigh_quotient,
     default_candidates,

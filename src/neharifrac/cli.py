@@ -36,12 +36,10 @@ from .errors import (
 from .fiber import project, psi
 from .form import GagliardoForm, assemble_form
 from .problem import (
-    GridPair,
     GridSpec,
     ProblemSpec,
     ValidatedProblem,
     WeightSpec,
-    nodal_values,
     validate_params,
 )
 from .solver import (
@@ -129,11 +127,11 @@ def _float_str(x: float) -> str:
     return repr(float(x))
 
 
-def solution_to_json(report: SolutionReport, phash: str) -> dict:
+def solution_to_json(report: SolutionReport, phash: str, form: GagliardoForm) -> dict:
     return {
         "branch": report.branch.value,
-        "u": nodal_values(report.u).tolist(),
-        "w": nodal_values(report.w).tolist(),
+        "u": form.written_values(report.u).tolist(),
+        "w": form.written_values(report.w).tolist(),
         "J": report.J,
         "norm": report.norm,
         "phi1": report.phi1,
@@ -166,11 +164,10 @@ def _constants_and_gap(problem: ValidatedProblem, form: GagliardoForm,
     """The constants of a run, and its gap verdict if it has one.
 
     The solution components join the quotient-search candidates, so the
-    reported constants are consistent with the computed norms; they are
-    read from the reports' own arrays, and no GridPair is built. The gap
+    reported constants are consistent with the computed norms. The gap
     needs both branches present and converged; otherwise it is None.
     """
-    extra = [nodal_values(a) for rep in solutions.values() for a in (rep.u, rep.w)]
+    extra = [a for rep in solutions.values() for a in (rep.u, rep.w)]
     constants = compute_constants(problem, estimate_S(form, problem.alpha + problem.beta, extra))
     plus, minus = solutions.get(Branch.PLUS), solutions.get(Branch.MINUS)
     if plus is None or minus is None or not (plus.converged and minus.converged):
@@ -201,7 +198,7 @@ def cmd_solve(args) -> int:
     # first column of G^{-1}, and below the crossover the dense inverse),
     # so the descent timing below is the descent alone
     t0 = time.perf_counter()
-    form.riesz(np.zeros(problem.grid.cells - 1))
+    form.riesz(np.zeros(form.nodes.size))
     timings["riesz_setup_ms"] = 1e3 * (time.perf_counter() - t0)
     # every branch's restarts descend as the rows of one block; a branch
     # without a solution fails the run, the first one asked for first,
@@ -223,7 +220,7 @@ def cmd_solve(args) -> int:
     paths = {}
     for branch, rep in solutions.items():
         path = os.path.join(args.out, f"solution_{branch.value}.json")
-        _write_json(path, solution_to_json(rep, phash))
+        _write_json(path, solution_to_json(rep, phash, form))
         paths[branch.value] = path
     if gap is not None:
         paths["gap"] = os.path.join(args.out, "gap.json")
@@ -341,7 +338,7 @@ def cmd_fiber(args) -> int:
 
     rng = np.random.default_rng(args.direction_seed)
     for _ in range(1000):
-        st = pair_stats(problem, form, initial_direction(problem, rng, Branch.PLUS))
+        st = pair_stats(problem, form, initial_direction(problem, form, rng, Branch.PLUS))
         if {"any": True, "positive": st.B > 0, "negative": st.B <= 0}[args.coupling]:
             break
     else:
@@ -388,10 +385,10 @@ def cmd_verify(args) -> int:
             got = len(values) if values.ndim == 1 else f"an array of shape {values.shape} of"
             raise ConfigParseError(f"solution {args.solution} does not fit the config's grid: "
                                    f"{key} has {got} nodal values, the grid has {nodes}")
-    pair = GridPair.from_arrays(problem.grid, u, w)
+    pair = form.interior_values(np.stack([u, w]))
 
     if args.delta is None:
-        delta = 1e-4 * min(float(np.max(pair.u.values)), float(np.max(pair.w.values)))
+        delta = 1e-4 * min(float(np.max(pair[0])), float(np.max(pair[1])))
         if delta <= 0:
             raise AllMasked("a solution component vanishes at every node; "
                             "the stationarity residual has nothing to test")

@@ -7,8 +7,8 @@ The functional splits into three parts computed from a pair (u, w):
 where norm2 is the squared product energy norm, K the weighted integral
 of the positive parts to the power 1-q (the singular term acting through
 lambda f and mu g), and B the sign-indefinite coupling integral of
-b u_+^alpha w_+^beta. All interval integrals use the grid's trapezoid
-weights, matching the quadrature used by the constants module so the
+b u_+^alpha w_+^beta. All interval integrals use the trapezoid weights,
+matching the quadrature used by the constants module so the
 discrete inequality checks are exact. ``scaled_record`` gives J of the
 pair scaled by any t from the three statistics alone.
 
@@ -21,7 +21,8 @@ and every per-row sum runs along its row; a sum over both components is
 ``row_dots``, the u row's plus the w row's, which K, norm2 and the
 solver's inner products all take, so a row gets the same bytes in any
 block. The block descent calls them directly, and ``pair_stats`` and
-``energy`` run them on one pair, the block of one row. Lambda and mu
+``energy`` run them on one pair, a (2, n) array of interior values, as the
+block of one row. Lambda and mu
 enter only through the singular factors (lambda w f, mu w g), which the
 kernels take per row (``singular_factors``), in the block's layout, so
 the rows of one block may belong to problems that differ in lambda, mu,
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, NonpositiveT
+from .errors import NonpositiveT
 from .form import GagliardoForm
-from .problem import GridPair, ValidatedProblem
+from .problem import ValidatedProblem
 
 
 @dataclass(frozen=True)
@@ -140,11 +141,10 @@ def smoothed_gradient(problem: ValidatedProblem, X: np.ndarray, GX: np.ndarray,
     return g
 
 
-def pair_stats(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> PairStats:
-    if pair.grid != form.grid:
-        raise GridMismatch("pair does not match the form's grid")
-    # the pair's interior values as a block of one pair
-    X = np.stack([pair.u.values[1:-1], pair.w.values[1:-1]])[:, None]
+def pair_stats(problem: ValidatedProblem, form: GagliardoForm, pair: np.ndarray) -> PairStats:
+    """The statistics of one pair, its (2, n) array of interior values."""
+    # a C-ordered block of one pair, so its sums run as a block row's do
+    X = np.ascontiguousarray(pair, dtype=float)[:, None]
     norm2, K, B, _ = stats_and_products(problem, form, X)
     return PairStats(norm2[0], K[0], B[0])
 
@@ -157,8 +157,8 @@ def scaled_record(norm2: float, K: float, B: float, t: float, q: float, ab: floa
     return n2 / 2 - K / (1 - q) - B / ab, math.sqrt(n2), K, B
 
 
-def energy(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> float:
-    """The energy J of the pair."""
+def energy(problem: ValidatedProblem, form: GagliardoForm, pair: np.ndarray) -> float:
+    """The energy J of the pair, its (2, n) array of interior values."""
     st = pair_stats(problem, form, pair)
     return scaled_record(st.norm2, st.K, st.B, 1.0, problem.q, problem.alpha + problem.beta)[0]
 

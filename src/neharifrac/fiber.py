@@ -32,7 +32,7 @@ costs nothing beyond the two powers psi already needs, then shrinks the
 bracket by the sign of psi; a step that would leave it is replaced by a
 bisection, so the iteration cannot diverge. ``project`` finds both roots
 with two calls. ``label`` splits the manifold into N+, N- and N0 by the
-sign of phi''(1); ``classify`` and the solver's converged verdict read it.
+sign of phi''(1); the solver's converged verdict reads it.
 """
 
 from __future__ import annotations
@@ -41,10 +41,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .energy import PairStats, pair_stats, phi_from_stats
+from .energy import PairStats
 from .errors import NoBracket, NonpositiveK, NonpositiveNorm, NonpositiveT
-from .form import GagliardoForm
-from .problem import GridPair, ValidatedProblem
 
 # the bands of label: |phi'(1)| and |phi''(1)|, relative to norm2 + |K| + |B|
 MANIFOLD_TOL = 1e-8
@@ -73,13 +71,6 @@ class MembershipLabel(enum.Enum):
     N_MINUS = "n_minus"
     N_ZERO = "n_zero"
     OFF_MANIFOLD = "off_manifold"
-
-
-@dataclass(frozen=True)
-class Membership:
-    label: MembershipLabel
-    phi1: float
-    phi2: float
 
 
 def psi(stats: PairStats, q: float, ab: float, t: float) -> float:
@@ -213,9 +204,3 @@ def label(phi1: float, phi2: float, scale: float) -> MembershipLabel:
         return MembershipLabel.N_MINUS
     return MembershipLabel.N_ZERO
 
-
-def classify(problem: ValidatedProblem, form: GagliardoForm, pair: GridPair) -> Membership:
-    """Manifold membership of a pair: ``label`` of its phi'(1) and phi''(1)."""
-    st = pair_stats(problem, form, pair)
-    _, d1, d2 = phi_from_stats(st, problem.q, problem.alpha + problem.beta, 1.0)
-    return Membership(label=label(d1, d2, st.scale()), phi1=d1, phi2=d2)

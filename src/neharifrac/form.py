@@ -24,6 +24,12 @@ either loss.
 The Riesz map G^{-1} comes from one vector, its first column x = G^{-1} e_1,
 by the Gohberg-Semencul formula. inverse_first_column finds x by conjugate
 gradients preconditioned with a circulant, in O(N log N) time.
+
+The form is also the one object through which the kernels see the
+discretization: its interior nodes and interval ends, the quadrature
+weights of the interval integrals at the interior nodes, and the map
+between interior values and written nodal values. A function is its
+array of interior values, and a pair the (2, n) array of both.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import functools
 
 import numpy as np
 
-from .errors import FirstColumnNotConverged, GridMismatch, InvalidOrder
+from .errors import FirstColumnNotConverged, GridMismatch, InvalidOrder, ValidationError
 from .problem import GridFunction, GridSpec
 
 # grids with at least this many cells apply G and its inverse by FFT; the
@@ -105,13 +111,16 @@ class GagliardoForm:
     inverse. From MATRIX_FREE_CELLS on, apply is a circulant-embedding FFT
     product and riesz applies the Gohberg-Semencul formula by FFT, and
     neither builds an N x N array. The dense matrix and inverse are built
-    on first use at every size.
+    on first use at every size. Beside the operator it carries what the
+    kernels read of the discretization: ``nodes``, ``left`` and ``right``,
+    ``weights``, ``written_values`` and ``interior_values``.
     """
 
     def __init__(self, grid: GridSpec, s: float):
         n = grid.cells - 1
         self.grid = grid
         self.s = s
+        self.left, self.right = grid.left, grid.right  # the interval's ends
         self.symbol = form_symbol(s, grid.h, n)
         self.matrix_free = grid.cells >= MATRIX_FREE_CELLS
         # the least quotient of the grid's own S starts, by exponent r: it
@@ -125,6 +134,33 @@ class GagliardoForm:
             column[:n] = self.symbol
             column[self._length - n + 1:] = self.symbol[:0:-1]
             self._embedding = np.fft.rfft(column).real
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The interior node coordinates, read-only."""
+        return self.grid.nodes()[1:-1]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The quadrature weights of the K, B and L^r sums at the interior
+        nodes (the trapezoid weights), read-only."""
+        return self.grid.trapezoid_weights()[1:-1]
+
+    def written_values(self, interior: np.ndarray) -> np.ndarray:
+        """The nodal values written for a function, from its interior ones: a
+        zero at either end. The L^r sums run over this array, ends included:
+        numpy sums it in another order than the interior values alone."""
+        return np.concatenate(([0.0], interior, [0.0]))
+
+    def interior_values(self, values: np.ndarray) -> np.ndarray:
+        """The interior values of written nodal values, along the last axis:
+        the inverse of ``written_values``. Raises ValidationError for values
+        that are not finite or do not vanish at either end."""
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("nodal values must be finite")
+        if np.any(values[..., [0, -1]] != 0.0):
+            raise ValidationError("pair components must vanish at boundary nodes")
+        return values[..., 1:-1]
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:

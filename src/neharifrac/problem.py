@@ -5,10 +5,12 @@ exterior condition (functions vanish outside the interval). Everything
 downstream works with nodal values on a uniform grid; the underlying
 representation is the piecewise-linear interpolant extended by zero.
 ``validate_params`` checks a ProblemSpec and returns it as a
-ValidatedProblem: the same frozen fields, plus the critical exponent and
-the weights sampled at the nodes. Every interval integral takes the
-grid's ``trapezoid_weights``. ``ValidatedProblem.with_parameters`` gives a
-validated problem at another (lambda, mu) without validating the rest
+ValidatedProblem: the same frozen fields, plus the critical exponent, the
+weights sampled at the nodes and the weight norms of f and g. Every
+interval integral takes the grid's ``trapezoid_weights``; past this module
+the kernels read them, the nodes and the written nodal values from the
+form (``form.GagliardoForm``). ``ValidatedProblem.with_parameters`` gives
+a validated problem at another (lambda, mu) without validating the rest
 again, as the points of a sweep need.
 """
 
@@ -22,7 +24,6 @@ import numpy as np
 
 from .errors import (
     ConfigParseError,
-    GridMismatch,
     InvalidExponent,
     InvalidOrder,
     SampleLengthMismatch,
@@ -156,7 +157,8 @@ class WeightSpec:
 
 @dataclass
 class GridFunction:
-    """Nodal values of a function on a grid (length cells+1)."""
+    """Nodal values of a function on a grid (length cells+1). The kernels
+    take arrays; the benchmark's form and oracle checks still build these."""
 
     grid: GridSpec
     values: np.ndarray
@@ -169,45 +171,6 @@ class GridFunction:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("nodal values must be finite")
-
-    def scaled(self, t: float) -> "GridFunction":
-        return GridFunction(self.grid, t * self.values)
-
-
-@dataclass
-class GridPair:
-    """A pair (u, w) of grid functions vanishing on the boundary nodes.
-
-    Encodes an element of the product of two zero-exterior energy spaces;
-    the boundary values are forced to be exactly zero.
-    """
-
-    u: GridFunction
-    w: GridFunction
-
-    def __post_init__(self):
-        if self.u.grid != self.w.grid:
-            raise GridMismatch("pair components live on different grids")
-        for comp in (self.u, self.w):
-            if comp.values[0] != 0.0 or comp.values[-1] != 0.0:
-                raise ValidationError("pair components must vanish at boundary nodes")
-
-    @classmethod
-    def from_arrays(cls, grid: GridSpec, u: np.ndarray, w: np.ndarray) -> "GridPair":
-        return cls(GridFunction(grid, u), GridFunction(grid, w))
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.u.grid
-
-    def scaled(self, t: float) -> "GridPair":
-        return GridPair(self.u.scaled(t), self.w.scaled(t))
-
-
-def nodal_values(interior: np.ndarray) -> np.ndarray:
-    """The nodal values of a function from its interior ones: a zero at
-    either boundary node."""
-    return np.concatenate(([0.0], interior, [0.0]))
 
 
 @dataclass(frozen=True)
@@ -233,11 +196,14 @@ def critical_exponent(n: int, s: float) -> float:
     return 2.0 * n / (n - 2.0 * s)
 
 
-def sample_weight(w: WeightSpec, grid: GridSpec) -> GridFunction:
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def sample_weight(w: WeightSpec, grid: GridSpec) -> np.ndarray:
     """Evaluate a weight spec at the grid nodes.
 
     cos_pi_x maps the interval affinely onto [-1, 1] before applying
-    cos(pi * .), so the sign change always happens inside the domain.
+    cos(pi * .), so the sign change always happens inside the domain. A
+    value beyond the float range comes out inf or NaN without a warning,
+    which ``validate_params`` refuses by the weight's name.
     """
     x = grid.nodes()
     p = w.params
@@ -257,18 +223,38 @@ def sample_weight(w: WeightSpec, grid: GridSpec) -> GridFunction:
                 f"samples weight has {vals.shape[0] if vals.ndim == 1 else 'bad'} "
                 f"entries, grid has {grid.node_count} nodes"
             )
-    return GridFunction(grid, vals)
+    return vals
+
+
+def q_star(alpha: float, beta: float, q: float) -> float:
+    """Conjugate integrability exponent (alpha+beta)/(alpha+beta-1+q)."""
+    ab = alpha + beta
+    return ab / (ab - 1 + q)
+
+
+def weight_norm(r: float, values: np.ndarray, weights: np.ndarray) -> float:
+    """Discrete L^r norm (sum w_i |v_i|^r)^{1/r} with quadrature weights."""
+    if r < 1:
+        raise ValueError(f"weight_norm requires r >= 1, got {r}")
+    # a power beyond the float range comes out inf, which compute_constants
+    # turns into ConstantsOutOfRange
+    with np.errstate(over="ignore"):
+        total = float(np.sum(weights * np.abs(values) ** r))
+    return total ** (1.0 / r)
 
 
 @dataclass(frozen=True, eq=False)
 class ValidatedProblem(ProblemSpec):
     """A ProblemSpec that passed ``validate_params``, with its critical
-    exponent and its weights sampled at the grid nodes."""
+    exponent, its weights sampled at the grid nodes and the weight norms
+    of f and g at ``q_star``, which depend on neither lambda nor mu."""
 
     crit_exp: float
     f_vals: np.ndarray
     g_vals: np.ndarray
     b_vals: np.ndarray
+    f_norm: float
+    g_norm: float
 
     @functools.cached_property
     def weighted_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -279,8 +265,9 @@ class ValidatedProblem(ProblemSpec):
         return self.lam * w * self.f_vals[i], self.mu * w * self.g_vals[i], w * self.b_vals[i]
 
     def with_parameters(self, lam: float, mu: float) -> "ValidatedProblem":
-        """This problem at (lam, mu): the same grid, exponents and sampled
-        weights, with only the (lambda, mu) rules of ``validate_params``
+        """This problem at (lam, mu): the same grid, exponents, sampled
+        weights and weight norms, fields that ``dataclasses.replace``
+        carries, with only the (lambda, mu) rules of ``validate_params``
         checked again, since nothing else depends on them."""
         _raise_first(_parameter_violations(lam, mu))
         return dataclasses.replace(self, lam=lam, mu=mu)
@@ -306,11 +293,13 @@ def _raise_first(violations: list[tuple[type[ValidationError], str]]) -> None:
 
 def validate_params(spec: ProblemSpec) -> ValidatedProblem:
     """Check every structural assumption and sample the weights: the spec's
-    fields, the critical exponent and the sampled weights, as one
-    ValidatedProblem.
+    fields, the critical exponent, the sampled weights and the weight norms
+    of f and g, as one ValidatedProblem.
 
-    Raises the error class of the first violation found; the exception
-    carries the full list of detected violations.
+    A weight that is not finite at some node raises ValidationError naming
+    it, before any other rule is checked. Otherwise raises the error class
+    of the first violation found; the exception carries the full list of
+    detected violations.
     """
     violations: list[tuple[type[ValidationError], str]] = []
 
@@ -337,9 +326,12 @@ def validate_params(spec: ProblemSpec) -> ValidatedProblem:
 
     violations += _parameter_violations(spec.lam, spec.mu)
 
-    f_vals = sample_weight(spec.f, spec.grid).values
-    g_vals = sample_weight(spec.g, spec.grid).values
-    b_vals = sample_weight(spec.b, spec.grid).values
+    sampled = []
+    for name in ("f", "g", "b"):
+        sampled.append(sample_weight(getattr(spec, name), spec.grid))
+        if not np.all(np.isfinite(sampled[-1])):
+            raise ValidationError(f"weight {name}: nodal values must be finite")
+    f_vals, g_vals, b_vals = sampled
 
     interior = slice(1, spec.grid.cells)
     if np.min(f_vals[interior]) <= 0.0:
@@ -351,5 +343,7 @@ def validate_params(spec: ProblemSpec) -> ValidatedProblem:
                            "b must be strictly positive on some interior node"))
 
     _raise_first(violations)
+    qs, w = q_star(spec.alpha, spec.beta, spec.q), spec.grid.trapezoid_weights()
     return ValidatedProblem(**{f.name: getattr(spec, f.name) for f in fields(ProblemSpec)},
-                            crit_exp=crit, f_vals=f_vals, g_vals=g_vals, b_vals=b_vals)
+                            crit_exp=crit, f_vals=f_vals, g_vals=g_vals, b_vals=b_vals,
+                            f_norm=weight_norm(qs, f_vals, w), g_norm=weight_norm(qs, g_vals, w))

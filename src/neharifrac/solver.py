@@ -45,15 +45,16 @@ iteration applies the gradient and the Riesz map to all of them at once,
 while each row keeps its own step, acceptance and stopping rule, and a
 row that stops or joins leaves the block. Rows of different points or
 branches never affect each other, so a point ends as it would in a
-descent of its own. A row's trial
-statistics stay floats, and each row comes out as a ``SolutionReport``
-holding its returned iterate as interior arrays, with the stationarity
-there (a joined row, the report of the restart it joined); the row that
-wins its point and branch is the report returned, and its ``GridPair`` is
-built only when a caller reads ``pair``. The rows may come from several points (lambda,
-mu) of a sweep: the points share the grid, s, q, alpha, beta and b, and
-lambda and mu enter the energy only as per-row factors of the singular
-integrals. The two branches differ only in the root a row's
+descent of its own. A row's trial statistics stay floats, and each row
+comes out as a ``SolutionReport`` holding its returned iterate as
+interior arrays, with the stationarity there (a joined row, the report of
+the restart it joined); the row that wins its point and branch is the
+report returned. The rows may come from several points (lambda, mu) of a
+sweep: the points share the grid, s, q, alpha, beta and b, and lambda and
+mu enter the energy only as per-row factors of the singular integrals.
+The descent reads the discretization through the form alone: its
+products, its Riesz map and, to sample directions, its nodes and interval
+ends. The two branches differ only in the root a row's
 projection takes and in the part of the manifold its verdict asks for
 (``fiber.label``: N+ or N-), so each row carries its own branch, and one
 block descends every restart of every point on every branch
@@ -65,7 +66,6 @@ which bounds the memory and changes no row.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -90,7 +90,7 @@ from .errors import (
 )
 from .fiber import MembershipLabel, label, root
 from .form import GagliardoForm
-from .problem import GridPair, GridSpec, ValidatedProblem, nodal_values
+from .problem import ValidatedProblem
 from .thresholds import JOIN_TOL, ConstantsReport
 
 _MIN_STEP = 1e-16
@@ -145,13 +145,11 @@ class SolverOptions:
 @dataclass
 class SolutionReport:
     """The outcome of one restart, a row of a block descent: its returned
-    iterate as the interior nodal arrays u and w on grid, and what the
-    descent knows of it. ``solve_points`` returns the row that wins its
-    point and branch, with restarts_used set; ``pair`` builds the iterate's
-    GridPair on first read."""
+    iterate as the interior nodal arrays u and w, and what the descent
+    knows of it. ``solve_points`` returns the row that wins its point and
+    branch, with restarts_used set."""
 
     branch: Branch
-    grid: GridSpec
     u: np.ndarray
     w: np.ndarray
     J: float
@@ -170,10 +168,6 @@ class SolutionReport:
     # that joined another (see ``_descend_block``), set on the winner
     restarts_used: int = 0
     restarts_joined: int = 0
-
-    @functools.cached_property
-    def pair(self) -> GridPair:
-        return GridPair.from_arrays(self.grid, nodal_values(self.u), nodal_values(self.w))
 
 
 @dataclass(frozen=True)
@@ -194,7 +188,8 @@ def _check_shared(problems: list[ValidatedProblem]) -> None:
             raise ValueError("the problems of one block may differ in lambda, mu, f and g alone")
 
 
-def sample_directions(problems: list[ValidatedProblem], rngs: list[np.random.Generator],
+def sample_directions(problems: list[ValidatedProblem], form: GagliardoForm,
+                      rngs: list[np.random.Generator],
                       branch: Branch = Branch.PLUS) -> tuple[np.ndarray, np.ndarray]:
     """One random nonnegative direction pair with positive singular integral
     per problem and generator: the block X of interior nodal values, shape
@@ -219,12 +214,11 @@ def sample_directions(problems: list[ValidatedProblem], rngs: list[np.random.Gen
     for the rows still damping.
     """
     first = problems[0]
-    grid = first.grid
-    x = grid.nodes()
-    width_scale = grid.right - grid.left
-    b_peak = x[int(np.argmax(first.b_vals))]
-    x = x[1:-1]  # the boundary values stay zero
-    lo, hi = grid.left + 0.1 * width_scale, grid.right - 0.1 * width_scale
+    x = form.nodes  # the boundary values stay zero
+    width_scale = form.right - form.left
+    # b is sampled at the written nodes, the ends and the interior nodes
+    b_peak = np.concatenate(([form.left], x, [form.right]))[np.argmax(first.b_vals)]
+    lo, hi = form.left + 0.1 * width_scale, form.right - 0.1 * width_scale
     count = len(rngs)
     factors = singular_factors(problems)
     # the side each row damps: u where lambda < mu, else w
@@ -270,17 +264,18 @@ def sample_directions(problems: list[ValidatedProblem], rngs: list[np.random.Gen
     return X, found
 
 
-def initial_direction(problem: ValidatedProblem, rng: np.random.Generator,
-                      branch: Branch = Branch.PLUS) -> GridPair:
-    """Random nonnegative direction pair with positive singular integral:
-    ``sample_directions`` with the one problem and the one generator rng,
-    which it draws from as the solver draws from each restart's generator.
-    Raises DirectionSearchFailed when 1000 attempts find none."""
-    X, found = sample_directions([problem], [rng], branch)
+def initial_direction(problem: ValidatedProblem, form: GagliardoForm, rng: np.random.Generator,
+                      branch: Branch = Branch.PLUS) -> np.ndarray:
+    """Random nonnegative direction pair with positive singular integral,
+    its (2, n) array of interior values: ``sample_directions`` with the one
+    problem and the one generator rng, which it draws from as the solver
+    draws from each restart's generator. Raises DirectionSearchFailed when
+    1000 attempts find none."""
+    X, found = sample_directions([problem], form, [rng], branch)
     if not found[0]:
         raise DirectionSearchFailed(
             f"no admissible initial direction for branch {branch.value} in 1000 samples")
-    return GridPair.from_arrays(problem.grid, *map(nodal_values, X[:, 0]))
+    return X[:, 0]
 
 
 def _singular_floor(X):
@@ -351,7 +346,7 @@ def _descend(problems: list[ValidatedProblem], points: list[int], form: Gagliard
     # a row whose projection raises ends its point on its branch, as the
     # error would end a descent of that point alone; the other points go on
     failed: dict[tuple[int, Branch], NehariError] = {}
-    size = max(1, BLOCK_ELEMENTS // (first.grid.cells - 1))
+    size = max(1, BLOCK_ELEMENTS // X.shape[-1])
     keys = list(zip(points, branches))
     group = np.cumsum([i == 0 or keys[i] != keys[i - 1] for i in range(len(keys))])
     # each block takes whole groups while they fit, and at least one
@@ -549,7 +544,7 @@ def _descend_block(first: ValidatedProblem, form: GagliardoForm, factors,
                          is (MembershipLabel.N_MINUS if upper[r] else MembershipLabel.N_PLUS)
                          and stationarity <= TOL_STATIONARITY)
         results[r] = SolutionReport(
-            branch=keys[r][1], grid=first.grid, u=done[0, i].copy(), w=done[1, i].copy(),
+            branch=keys[r][1], u=done[0, i].copy(), w=done[1, i].copy(),
             J=trajectories[r][-1][0], norm=norm, phi1=phi1, phi2=phi2, t_used=t_used[r],
             iters=iters[r], converged=converged, trajectory=trajectories[r],
             stationarity=stationarity)
@@ -594,7 +589,7 @@ def solve_points(problems: list[ValidatedProblem], form: GagliardoForm,
     points, row_branches, blocks = [], [], []
     for branch in branches:
         rngs = [np.random.default_rng(opts.seed + i) for i in range(opts.restarts)]
-        X, found = sample_directions(problems, rngs, branch)
+        X, found = sample_directions(problems, form, rngs, branch)
         blocks.append(X[:, found])
         points += point_of_row[found].tolist()
         row_branches += [branch] * int(found.sum())

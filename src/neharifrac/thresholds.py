@@ -32,7 +32,7 @@ from .errors import (
     NonpositiveS,
 )
 from .form import GagliardoForm
-from .problem import GridSpec, ValidatedProblem
+from .problem import ValidatedProblem, q_star
 
 # a row of the inverse iteration stops once its quotient drops by less than
 # this, relatively, in one step. Probes 1% inside either end of the
@@ -45,23 +45,6 @@ MAX_INVERSE_ITERATIONS = 500
 # the relative G-distance within which starts, or restarts of one point and
 # branch of the descent (``solver``), meet and finish as the lower one
 JOIN_TOL = 1e-2
-
-
-def q_star(alpha: float, beta: float, q: float) -> float:
-    """Conjugate integrability exponent (alpha+beta)/(alpha+beta-1+q)."""
-    ab = alpha + beta
-    return ab / (ab - 1 + q)
-
-
-def weight_norm(r: float, values: np.ndarray, weights: np.ndarray) -> float:
-    """Discrete L^r norm (sum w_i |v_i|^r)^{1/r} with quadrature weights."""
-    if r < 1:
-        raise ValueError(f"weight_norm requires r >= 1, got {r}")
-    # a power beyond the float range comes out inf, which compute_constants
-    # turns into ConstantsOutOfRange
-    with np.errstate(over="ignore"):
-        total = float(np.sum(weights * np.abs(values) ** r))
-    return total ** (1.0 / r)
 
 
 def lambda_aggregate(lam: float, mu: float, f_norm: float, g_norm: float,
@@ -131,44 +114,23 @@ def energy_lower_bound(alpha: float, beta: float, q: float, S: float,
             * Lambda * S ** (-(1 - q) / (1 + q)))
 
 
-def rho_minimum(c: float, d: float, q: float) -> tuple[float, float]:
-    """Minimizer and minimum of rho(t) = c t^2 - d t^{1-q} on t > 0.
-
-    rho bounds the manifold energy from below with
-    c = 1/2 - 1/(alpha+beta) and
-    d = (1/(1-q) - 1/(alpha+beta)) Lambda^{(1+q)/2} S^{-(1-q)/2}.
-    """
-    t_min = (d * (1 - q) / (2 * c)) ** (1 / (1 + q))
-    rho_min = -(1 + q) / 2 * d ** (2 / (1 + q)) * ((1 - q) / (2 * c)) ** ((1 - q) / (1 + q))
-    return t_min, rho_min
-
-
-def rho_coefficients(alpha: float, beta: float, q: float, S: float,
-                     Lambda: float) -> tuple[float, float]:
-    """(c, d) of the scalar comparison rho(t) = c t^2 - d t^{1-q}."""
-    ab = alpha + beta
-    c = 0.5 - 1.0 / ab
-    d = (1.0 / (1 - q) - 1.0 / ab) * Lambda ** ((1 + q) / 2) * S ** (-(1 - q) / 2)
-    return c, d
-
-
 # ---------------------------------------------------------------------------
 # Sobolev constant estimation
 
 
-def rayleigh_quotient(form: GagliardoForm, r: float, values: np.ndarray) -> float:
-    """Discrete embedding quotient of one candidate (scale-invariant).
+def rayleigh_quotient(form: GagliardoForm, r: float, v: np.ndarray) -> float:
+    """Discrete embedding quotient of one candidate, its interior values
+    (scale-invariant); the L^r sum runs over its written values.
 
     Raises ZeroDivisionError for a candidate that vanishes at every node,
     and ConstantsOutOfRange for a nonzero one whose sums underflow to zero
     or overflow: its values lie too near either end of the float range.
     """
-    if not np.any(values):
+    if not np.any(v):
         raise ZeroDivisionError("candidate is identically zero")
-    v = values[1:-1]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         num = float(v @ form.apply(v))
-        den = float(np.sum(form.grid.trapezoid_weights() * np.abs(values) ** r)) ** (2.0 / r)
+        den = float(np.sum(form.written_values(form.weights * np.abs(v) ** r))) ** (2.0 / r)
     if not (0.0 < num < math.inf and 0.0 < den < math.inf):
         raise ConstantsOutOfRange(
             f"the embedding quotient of a candidate leaves the float range at s={form.s}, "
@@ -245,8 +207,8 @@ def _inverse_iteration(form: GagliardoForm, r: float, *starts: np.ndarray) -> fl
     raises InverseIterationNotConverged: S read from an unfinished
     iteration is too high, and so is the threshold C.
     """
-    w = form.grid.trapezoid_weights()[1:-1]
-    v = np.array([values[1:-1] for values in starts])
+    w = form.weights
+    v = np.array(starts, dtype=float)
     v /= np.abs(v).max(axis=1, keepdims=True)
     best, power = _quotients(v, form.apply(v), w, r)
     rows = np.arange(len(v))  # the rows still refining
@@ -279,7 +241,7 @@ def _inverse_iteration(form: GagliardoForm, r: float, *starts: np.ndarray) -> fl
         rhs = w * np.copysign(power, v)
     raise InverseIterationNotConverged(
         f"the inverse iteration for S still dropped by {drop.max():.3g} relatively after "
-        f"{MAX_INVERSE_ITERATIONS} iterations (cells={form.grid.cells}, s={form.s}, r={r}); "
+        f"{MAX_INVERSE_ITERATIONS} iterations ({len(w)} interior nodes, s={form.s}, r={r}); "
         "S and the threshold C would be too high")
 
 
@@ -287,38 +249,36 @@ def estimate_S(form: GagliardoForm, r: float, candidates) -> float:
     """Upper estimate of the discrete embedding constant.
 
     The inverse iteration of the two starts of default_candidates, lowered
-    to the least Rayleigh quotient of the candidates (nodal arrays) if one
-    is below it; with no candidates it is the refinement alone. So S depends
-    on the candidates only through their minimum, and adding one never
-    raises it. Near the top of the alpha+beta window the two starts can
+    to the least Rayleigh quotient of the candidates (arrays of interior
+    values) if one is below it; with no candidates it is the refinement
+    alone. So S depends on the candidates only through their minimum, and
+    adding one never raises it. Near the top of the alpha+beta window the two starts can
     reach different minima, and the refinement is the lower; where they
     head for one, the higher of them, mostly the hat, stops where they meet
-    (see _inverse_iteration). A candidate that vanishes at every interior
-    node has no quotient and is skipped. The refinement depends on the form and r
+    (see _inverse_iteration). A candidate that vanishes at every node has
+    no quotient and is skipped. The refinement depends on the form and r
     alone; it runs once per form and r, and the form keeps it, so every
     point of a sweep shares it.
     """
     refined = form.refined_quotients.get(r)
     if refined is None:
         refined = form.refined_quotients[r] = _inverse_iteration(
-            form, r, *default_candidates(form.grid))
+            form, r, *default_candidates(form))
     values = (np.asarray(c, dtype=float) for c in candidates)
-    return min([refined] + [rayleigh_quotient(form, r, v) for v in values if np.any(v[1:-1])])
+    return min([refined] + [rayleigh_quotient(form, r, v) for v in values if np.any(v)])
 
 
-def default_candidates(grid: GridSpec) -> list[np.ndarray]:
-    """The starts of the S refinement: the hat, which alone reaches a
-    concentrated local minimum of the quotient near the top of the
-    alpha+beta window, and the half-cosine, which alone reaches the spread
-    one there."""
-    x = grid.nodes()
-    mid = 0.5 * (grid.left + grid.right)
-    halfwidth = 0.5 * (grid.right - grid.left)
-    hat = np.zeros(grid.node_count)
-    hat[grid.cells // 2] = 1.0
-    cosine = np.cos(0.5 * np.pi * (x - mid) / halfwidth)
-    cosine[0] = cosine[-1] = 0.0
-    return [hat, cosine]
+def default_candidates(form: GagliardoForm) -> list[np.ndarray]:
+    """The starts of the S refinement, as interior values: the hat at the
+    middle node, which alone reaches a concentrated local minimum of the
+    quotient near the top of the alpha+beta window, and the half-cosine,
+    which alone reaches the spread one there."""
+    x = form.nodes
+    mid = 0.5 * (form.left + form.right)
+    halfwidth = 0.5 * (form.right - form.left)
+    hat = np.zeros(x.size)
+    hat[(x.size - 1) // 2] = 1.0
+    return [hat, np.cos(0.5 * np.pi * (x - mid) / halfwidth)]
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +318,7 @@ def compute_constants(problem: ValidatedProblem, S: float) -> ConstantsReport:
     """
     al, be, q = problem.alpha, problem.beta, problem.q
     ab = al + be
-    w = problem.grid.trapezoid_weights()
-    qs = q_star(al, be, q)
-    f_norm = weight_norm(qs, problem.f_vals, w)
-    g_norm = weight_norm(qs, problem.g_vals, w)
+    qs, f_norm, g_norm = q_star(al, be, q), problem.f_norm, problem.g_norm
     b_sup = float(np.max(np.maximum(problem.b_vals, 0.0)))
     try:
         Lambda = lambda_aggregate(problem.lam, problem.mu, f_norm, g_norm, q)

@@ -5,7 +5,9 @@ The norm oracle is independent of the form module: a punctured midpoint
 double sum on a refined grid. The residual and the inequality chains apply
 the assembled form; the residual writes out the Euler-Lagrange terms
 itself, and the chains evaluate each bound from raw nodal data, the pair's
-statistics and the closed-form constants at the pair's own quotient.
+statistics and the closed-form constants at the pair's own quotient. A
+pair is the (2, n) array of its interior values, and the discretization is
+read from the form alone; the oracle alone reads the grid.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 from .energy import pair_stats, phi_from_stats
 from .errors import AllMasked, OutOfFloatRange
 from .form import GagliardoForm, same_cell_integral
-from .problem import GridPair, GridSpec, ValidatedProblem
-from .thresholds import compute_constants, rayleigh_quotient, weight_norm
+from .problem import GridSpec, ValidatedProblem, weight_norm
+from .thresholds import compute_constants, rayleigh_quotient
 
 
 def brute_force_norm(grid: GridSpec, s: float, u: np.ndarray, refine: int) -> float:
@@ -63,7 +65,7 @@ class ResidualReport:
 
 
 def weak_residual(problem: ValidatedProblem, form: GagliardoForm,
-                  pair: GridPair, delta: float) -> ResidualReport:
+                  pair: np.ndarray, delta: float) -> ResidualReport:
     """Nodewise stationarity residual of a nonnegative pair.
 
     Compares the nonlocal operator applied to each component against the
@@ -82,18 +84,14 @@ def weak_residual(problem: ValidatedProblem, form: GagliardoForm,
         raise ValueError(f"delta must be positive, got {delta}")
     q, al, be = problem.q, problem.alpha, problem.beta
     ab = al + be
-    u = pair.u.values[1:-1]
-    v = pair.w.values[1:-1]
+    u, v = pair
 
     mask = (u > delta) & (v > delta)
     masked_fraction = 1.0 - float(mask.mean())
     if not np.any(mask):
         raise AllMasked("every interior node is below delta; nothing to test")
 
-    w = problem.grid.trapezoid_weights()[1:-1][mask]
-    lam_f = problem.lam * w * problem.f_vals[1:-1][mask]
-    mu_g = problem.mu * w * problem.g_vals[1:-1][mask]
-    b = w * problem.b_vals[1:-1][mask]
+    lam_f, mu_g, b = (c[mask] for c in problem.weighted_coefficients)
     um = u[mask]
     vm = v[mask]
     # a term beyond the float range comes out inf or NaN, and so does its
@@ -153,7 +151,7 @@ _SLACK = 1e-12
 
 
 def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
-                     pair: GridPair) -> CheckList:
+                     pair: np.ndarray) -> CheckList:
     """Evaluate the discrete inequality chains on one pair, at its own S.
 
     The chains hold for any S up to the Rayleigh quotient of each nonzero
@@ -165,11 +163,9 @@ def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
     off-manifold pairs record it as trivially satisfied.
     """
     q, ab = problem.q, problem.alpha + problem.beta
-    w = problem.grid.trapezoid_weights()
     st = pair_stats(problem, form, pair)
     norm = np.sqrt(st.norm2)
-    quotients = [rayleigh_quotient(form, ab, comp.values)
-                 for comp in (pair.u, pair.w) if np.any(comp.values[1:-1])]
+    quotients = [rayleigh_quotient(form, ab, comp) for comp in pair if np.any(comp)]
     if not quotients:
         raise AllMasked("both components vanish at every interior node; no quotient bounds S")
     constants = compute_constants(problem, min(quotients))
@@ -199,9 +195,12 @@ def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
     else:
         add("manifold_energy_bound", True, J, -np.inf)
 
-    # exact discrete Hoelder step for the u component against f
-    lhs_h = float(np.sum(w * np.abs(problem.f_vals) * np.abs(pair.u.values) ** (1 - q)))
-    rhs_h = f_norm * weight_norm(ab, pair.u.values, w) ** (1 - q)
+    # exact discrete Hoelder step for the u component against f, its sums
+    # over the written nodal values, where f is sampled; u vanishes at the
+    # ends, so their weights do not count
+    u, w = form.written_values(pair[0]), form.written_values(form.weights)
+    lhs_h = float(np.sum(w * np.abs(problem.f_vals) * np.abs(u) ** (1 - q)))
+    rhs_h = f_norm * weight_norm(ab, u, w) ** (1 - q)
     add("discrete_hoelder", lhs_h <= rhs_h * (1 + _SLACK) + _SLACK, lhs_h, rhs_h)
 
     return CheckList(tuple(checks), J, S)

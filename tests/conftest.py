@@ -3,6 +3,7 @@ import pytest
 
 import neharifrac as nf
 from neharifrac.energy import smoothed_gradient, stats_and_products
+from neharifrac.fiber import label
 
 
 def make_spec(cells=64, s=0.4, q=0.5, alpha=1.5, beta=1.5, lam=0.01, mu=0.01,
@@ -57,40 +58,60 @@ def solved64(problem64, form64):
 @pytest.fixture(scope="session")
 def constants64(problem64, form64, solved64):
     plus, minus = solved64
-    extra = [plus.pair.u.values, plus.pair.w.values,
-             minus.pair.u.values, minus.pair.w.values]
+    extra = [plus.u, plus.w, minus.u, minus.w]
     return nf.compute_constants(problem64, nf.estimate_S(form64, 3.0, extra))
 
 
+def nodal(pair):
+    """The written nodal values of a pair: its (2, n) interior array with a
+    zero at either end of each component."""
+    return np.pad(pair, ((0, 0), (1, 1)))
+
+
 def random_x0_pair(problem, rng, nonnegative=False):
-    """Random pair vanishing at the boundary."""
-    n = problem.grid.node_count
-    u = np.zeros(n)
-    w = np.zeros(n)
-    u[1:-1] = rng.standard_normal(n - 2)
-    w[1:-1] = rng.standard_normal(n - 2)
-    if nonnegative:
-        u = np.abs(u)
-        w = np.abs(w)
-        u[0] = u[-1] = w[0] = w[-1] = 0.0
-    return nf.GridPair.from_arrays(problem.grid, u, w)
+    """Random pair, its (2, n) interior values."""
+    pair = rng.standard_normal((2, problem.grid.cells - 1))
+    return np.abs(pair) if nonnegative else pair
 
 
 def bump_pair(problem, center, width, amp_u=1.0, amp_w=1.0):
     """Smooth nonnegative bump pair used to steer the coupling sign."""
-    x = problem.grid.nodes()
+    x = problem.grid.nodes()[1:-1]
     prof = np.maximum(0.0, 1 - ((x - center) / width) ** 2) ** 2
-    prof[0] = prof[-1] = 0.0
-    return nf.GridPair.from_arrays(problem.grid, amp_u * prof, amp_w * prof)
+    return np.array([amp_u * prof, amp_w * prof])
+
+
+def classify(problem, form, pair):
+    """Manifold membership of a pair: ``fiber.label`` of its phi'(1) and
+    phi''(1)."""
+    st = nf.pair_stats(problem, form, pair)
+    _, d1, d2 = nf.phi_from_stats(st, problem.q, problem.alpha + problem.beta, 1.0)
+    return label(d1, d2, st.scale())
+
+
+def rho_minimum(c, d, q):
+    """Minimizer and minimum of rho(t) = c t^2 - d t^{1-q} on t > 0."""
+    t_min = (d * (1 - q) / (2 * c)) ** (1 / (1 + q))
+    rho_min = -(1 + q) / 2 * d ** (2 / (1 + q)) * ((1 - q) / (2 * c)) ** ((1 - q) / (1 + q))
+    return t_min, rho_min
+
+
+def rho_coefficients(alpha, beta, q, S, Lambda):
+    """(c, d) of the scalar comparison rho(t) = c t^2 - d t^{1-q}, which
+    bounds the manifold energy from below."""
+    ab = alpha + beta
+    c = 0.5 - 1.0 / ab
+    d = (1.0 / (1 - q) - 1.0 / ab) * Lambda ** ((1 + q) / 2) * S ** (-(1 - q) / 2)
+    return c, d
 
 
 def reference_stats(problem, form, pair):
-    """(norm2, K, B) by the GridPair formulas the raw-array kernel replaced,
+    """(norm2, K, B) by the nodal formulas the raw-array kernel replaced,
     kept as an oracle: full nodal arrays and the trapezoid weights rebuilt
     per call."""
     w = problem.grid.trapezoid_weights()
     q = problem.q
-    u, v = pair.u.values, pair.w.values
+    u, v = nodal(pair)
     up = np.maximum(u, 0.0)
     vp = np.maximum(v, 0.0)
     norm2 = (float(u[1:-1] @ form.matrix @ u[1:-1])
@@ -120,10 +141,9 @@ def energy_smoothed(problem, form, pair, eps):
     w = problem.grid.trapezoid_weights()
     q = problem.q
     st = nf.pair_stats(problem, form, pair)
-    sing = (problem.lam * np.sum(w * problem.f_vals
-                                 * _smoothed_primitive(pair.u.values, q, eps))
-            + problem.mu * np.sum(w * problem.g_vals
-                                  * _smoothed_primitive(pair.w.values, q, eps)))
+    u, v = nodal(pair)
+    sing = (problem.lam * np.sum(w * problem.f_vals * _smoothed_primitive(u, q, eps))
+            + problem.mu * np.sum(w * problem.g_vals * _smoothed_primitive(v, q, eps)))
     return float(st.norm2 / 2 - sing - st.B / (problem.alpha + problem.beta))
 
 
@@ -132,7 +152,7 @@ def pair_gradient(problem, form, pair, eps):
     at the pinned boundary: ``smoothed_gradient`` on the pair's block of
     one row, with the products ``stats_and_products`` gives it, as the
     solver runs them."""
-    X = np.stack([pair.u.values[1:-1], pair.w.values[1:-1]])[:, None]
+    X = np.array(pair, dtype=float)[:, None]
     GX = stats_and_products(problem, form, X)[3]
     return np.pad(smoothed_gradient(problem, X, GX, eps)[:, 0], ((0, 0), (1, 1)))
 
@@ -142,7 +162,7 @@ def reference_gradient(problem, form, pair, eps):
     w = problem.grid.trapezoid_weights()
     q, al, be = problem.q, problem.alpha, problem.beta
     ab = al + be
-    u, v = pair.u.values, pair.w.values
+    u, v = nodal(pair)
     up = np.maximum(u, 0.0)
     vp = np.maximum(v, 0.0)
     gu = np.zeros_like(u)
@@ -155,3 +175,8 @@ def reference_gradient(problem, form, pair, eps):
              - problem.mu * (w * problem.g_vals)[i] * np.maximum(v[i], eps) ** (-q)
              - (be / ab) * (w * problem.b_vals)[i] * up[i] ** al * vp[i] ** (be - 1))
     return gu, gv
+
+
+def pair_of(report):
+    """A solver report's iterate as a pair, its (2, n) interior array."""
+    return np.array([report.u, report.w])

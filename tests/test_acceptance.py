@@ -15,9 +15,8 @@ from scipy.optimize import brentq, minimize_scalar
 
 import neharifrac as nf
 from neharifrac import cli
-from neharifrac.thresholds import rho_coefficients
 
-from conftest import bump_pair, make_spec
+from conftest import bump_pair, classify, make_spec, pair_of, rho_coefficients, rho_minimum
 
 
 def verdict(num, ok, text):
@@ -32,8 +31,7 @@ def fixture128():
     opts = nf.SolverOptions(seed=42, restarts=4)
     solved = nf.solve_points([problem], form, list(nf.Branch), opts)
     [plus], [minus] = solved[nf.Branch.PLUS], solved[nf.Branch.MINUS]
-    extra = [plus.pair.u.values, plus.pair.w.values,
-             minus.pair.u.values, minus.pair.w.values]
+    extra = [plus.u, plus.w, minus.u, minus.w]
     constants = nf.compute_constants(problem, nf.estimate_S(form, 3.0, extra))
     return problem, form, plus, minus, constants
 
@@ -71,7 +69,7 @@ def test_criterion_1_constants_identity_suite():
 
 
 def test_criterion_2_rho_minimizer():
-    t_min, rho_min = nf.rho_minimum(c=1.0, d=1.0, q=0.5)
+    t_min, rho_min = rho_minimum(c=1.0, d=1.0, q=0.5)
     res = minimize_scalar(lambda t: t * t - math.sqrt(t), bracket=(1e-4, 0.3, 2.0),
                           method="golden", options={"xtol": 1e-12})
     ok = (abs(t_min - res.x) <= 1e-8 and abs(rho_min - res.fun) <= 1e-8
@@ -104,9 +102,9 @@ def test_criterion_3_fiber_structure(fixture128):
         dpsi = lambda t: ((2 - ab) * t ** (1 - ab) * st.norm2
                           + (ab - 1 + q) * t ** (-ab - q) * st.K)
         assert dpsi(roots.t1) > 0 > dpsi(roots.t2)
-        assert nf.classify(problem, form, pair.scaled(roots.t1)).label \
+        assert classify(problem, form, roots.t1 * pair) \
             is nf.MembershipLabel.N_PLUS
-        assert nf.classify(problem, form, pair.scaled(roots.t2)).label \
+        assert classify(problem, form, roots.t2 * pair) \
             is nf.MembershipLabel.N_MINUS
 
     single_root_checked = 0
@@ -121,7 +119,7 @@ def test_criterion_3_fiber_structure(fixture128):
         roots = nf.project(st, q, ab)
         assert roots.case is nf.FiberCase.SINGLE_ROOT
         assert 0 < roots.t1 < roots.t_max
-        assert nf.classify(problem, form, pair.scaled(roots.t1)).label \
+        assert classify(problem, form, roots.t1 * pair) \
             is nf.MembershipLabel.N_PLUS
 
     # frozen synthetic roots, oracle = bisection on the explicit map
@@ -161,10 +159,10 @@ def test_criterion_5_solver_branch_properties(fixture128):
     problem, form, plus, minus, _ = fixture128
     ok = (plus.converged and plus.J < 0 and plus.phi2 > 0
           and minus.converged and minus.phi2 < 0
-          and np.all(plus.pair.u.values >= 0) and np.all(plus.pair.w.values >= 0)
-          and np.all(minus.pair.u.values >= 0) and np.all(minus.pair.w.values >= 0)
-          and plus.pair.u.values[1:-1].min() > 0
-          and plus.pair.w.values[1:-1].min() > 0)
+          and np.all(plus.u >= 0) and np.all(plus.w >= 0)
+          and np.all(minus.u >= 0) and np.all(minus.w >= 0)
+          and plus.u.min() > 0
+          and plus.w.min() > 0)
     verdict(5, ok, f"local-min branch J={plus.J:.6f} < 0, phi''={plus.phi2:.4f} > 0; "
                    f"local-max branch phi''={minus.phi2:.1f} < 0; positivity holds")
 
@@ -206,8 +204,8 @@ def test_criterion_7_weak_residual(fixture128):
     problem, form, plus, minus, _ = fixture128
     results = []
     for rep in (plus, minus):
-        delta = 1e-4 * float(np.max(rep.pair.u.values))
-        res = nf.weak_residual(problem, form, rep.pair, delta)
+        delta = 1e-4 * float(np.max(rep.u))
+        res = nf.weak_residual(problem, form, pair_of(rep), delta)
         results.append(res)
     ok = all(r.res_u <= 1e-3 and r.res_w <= 1e-3 and r.masked_fraction < 0.2
              for r in results)
@@ -241,7 +239,7 @@ def test_criterion_8_inequality_chains(fixture128):
     # final solutions and 50 random manifold members, full check list, each
     # at its own quotient
     for rep in (plus, minus):
-        if not nf.inequality_suite(problem, form, rep.pair).all_ok:
+        if not nf.inequality_suite(problem, form, pair_of(rep)).all_ok:
             violations += 1
     rng = np.random.default_rng(8)
     done = 0
@@ -256,7 +254,7 @@ def test_criterion_8_inequality_chains(fixture128):
         if roots.t1 is None:
             continue
         done += 1
-        if not nf.inequality_suite(problem, form, pair.scaled(roots.t1)).all_ok:
+        if not nf.inequality_suite(problem, form, roots.t1 * pair).all_ok:
             violations += 1
     n_iter = len(plus.trajectory) + len(minus.trajectory)
     verdict(8, violations == 0,
@@ -266,8 +264,8 @@ def test_criterion_8_inequality_chains(fixture128):
 
 def test_criterion_9_symmetry_reduction(fixture128):
     problem, form, plus, minus, _ = fixture128
-    dev_plus = float(np.max(np.abs(plus.pair.u.values - plus.pair.w.values)))
-    dev_minus = float(np.max(np.abs(minus.pair.u.values - minus.pair.w.values)))
+    dev_plus = float(np.max(np.abs(plus.u - plus.w)))
+    dev_minus = float(np.max(np.abs(minus.u - minus.w)))
     verdict(9, dev_plus <= 1e-12 and dev_minus <= 1e-12,
             f"symmetric problem keeps u = w: sup|u-w| = {dev_plus:.2e} (plus), "
             f"{dev_minus:.2e} (minus)")

@@ -12,6 +12,7 @@ import pytest
 import neharifrac as nf
 from neharifrac import cli
 from neharifrac import form as form_mod
+from neharifrac import problem as problem_mod
 from neharifrac.errors import NehariError
 from neharifrac import solver
 from neharifrac import thresholds
@@ -204,7 +205,7 @@ def test_solve_times_the_riesz_setup_apart_from_the_descents(tmp_path, capsys, c
     form = cli.assemble_form(problem.grid, problem.s)
     for branch, [report] in cli.solve_points([problem], form, list(cli.Branch), opts).items():
         expected = tmp_path / f"expected_{branch.value}.json"
-        cli._write_json(str(expected), cli.solution_to_json(report, cli.problem_hash(cfg)))
+        cli._write_json(str(expected), cli.solution_to_json(report, cli.problem_hash(cfg), form))
         assert (out / f"solution_{branch.value}.json").read_bytes() == expected.read_bytes()
 
 
@@ -570,8 +571,8 @@ def test_sweep_rows_are_their_points_lone_solves(tmp_path, monkeypatch, matrix_f
             if matrix_free:
                 assert result.J == lone.J and result.stationarity == lone.stationarity
                 assert result.restarts_used == lone.restarts_used
-                assert np.array_equal(result.pair.u.values, lone.pair.u.values)
-                assert np.array_equal(result.pair.w.values, lone.pair.w.values)
+                assert np.array_equal(result.u, lone.u)
+                assert np.array_equal(result.w, lone.w)
             else:
                 assert result.J == pytest.approx(lone.J, rel=1e-12)
             if problem.lam * problem.mu < 0:
@@ -633,31 +634,17 @@ def test_dense_inverse_is_built_once_per_solve_and_per_sweep(tmp_path, monkeypat
     assert len(calls) == 2
 
 
-def test_only_the_returned_reports_get_a_grid_pair(tmp_path, monkeypatch):
-    # the block descent keeps every row's iterate as arrays: a 2x2 sweep
-    # with 2 restarts descends 16 rows, and neither solve_points nor the
-    # constants and CSV rows after it build a GridPair; a returned report
-    # builds its pair only when a caller reads it
+def test_a_sweep_computes_the_weight_norms_once(tmp_path, monkeypatch):
+    # the weight norms of f and g depend on neither lambda nor mu: the
+    # config's validation computes them, and each point of a 2x2 sweep
+    # carries them, so weight_norm runs twice, not twice per point
     path = write_config(tmp_path)
-    built, reports = [], []
-    post_init = nf.GridPair.__post_init__
-    monkeypatch.setattr(nf.GridPair, "__post_init__",
-                        lambda pair: built.append(pair) or post_init(pair))
-    solve = cli.solve_points
-
-    def counted(*args):
-        results = solve(*args)
-        assert not built
-        reports.extend(r for rs in results.values() for r in rs
-                       if isinstance(r, nf.SolutionReport))
-        return results
-
-    monkeypatch.setattr(cli, "solve_points", counted)
+    calls = []
+    norm = problem_mod.weight_norm
+    monkeypatch.setattr(problem_mod, "weight_norm", lambda *a: calls.append(a) or norm(*a))
     assert cli.main(["sweep", path, "--lambdas", "0.01,0.02", "--mus", "0.005,0.01",
-                     "--out", str(tmp_path / "once.csv"), "--seed", "3"]) == 0
-    assert len(reports) == 8
-    assert not built
-    assert sorted(id(r.pair) for r in reports) == sorted(map(id, built))
+                     "--out", str(tmp_path / "norms.csv"), "--seed", "3"]) == 0
+    assert len(calls) == 2
 
 
 def test_a_sweep_samples_each_branch_once(tmp_path, monkeypatch):
@@ -667,9 +654,9 @@ def test_a_sweep_samples_each_branch_once(tmp_path, monkeypatch):
     calls = []
     sample = solver.sample_directions
 
-    def counted(problems, rngs, branch):
+    def counted(problems, form, rngs, branch):
         calls.append((len(problems), len(rngs), branch))
-        return sample(problems, rngs, branch)
+        return sample(problems, form, rngs, branch)
 
     monkeypatch.setattr(solver, "sample_directions", counted)
     assert cli.main(["sweep", path, "--lambdas", "0.01,0.02", "--mus", "0.005,0.01",
@@ -740,12 +727,12 @@ def test_verify_checks_at_the_pair_quotient(tmp_path, capsys, cells):
         assert cli.main(["verify", path, "--solution", str(out / name)]) == 0
         report = json.loads(capsys.readouterr().out)
         sol = json.loads((out / name).read_text())
-        pair = nf.GridPair.from_arrays(problem.grid, np.array(sol["u"]), np.array(sol["w"]))
-        quotients = [nf.rayleigh_quotient(form, 3.0, c.values) for c in (pair.u, pair.w)]
+        pair = np.array([sol["u"], sol["w"]])[:, 1:-1]
+        quotients = [nf.rayleigh_quotient(form, 3.0, c) for c in pair]
         assert report["S_pair"] == min(quotients)
         assert "S_estimate" not in report
         assert all(c["ok"] for c in report["checks"]["checks"])
-        assert nf.estimate_S(form, 3.0, [pair.u.values, pair.w.values]) <= report["S_pair"]
+        assert nf.estimate_S(form, 3.0, list(pair)) <= report["S_pair"]
 
 
 def test_constants_builds_no_dense_matrix_at_large_n(tmp_path, capsys):
@@ -1135,16 +1122,21 @@ def test_readme_command_lines_parse():
     (["solve"], EDGE_CONFIGS["huge_alpha_beta"], 1),
     (["sweep", "--lambdas=0.01,0.02", "--mus=0.01"], EDGE_CONFIGS["huge_f"], 0),
     (["solve"], EDGE_CONFIGS["huge_f"], 1),
-], ids=["sweep", "solve", "sweep_huge_f", "solve_huge_f"])
+    (["constants"], {"f": {"kind": "gaussian", "center": 0.0, "width": 0.0, "amplitude": 1.0}}, 3),
+    (["constants"], {"f": {"kind": "gaussian", "center": 0.0, "width": 1e-200,
+                           "amplitude": 1.0}}, 3),
+], ids=["sweep", "solve", "sweep_huge_f", "solve_huge_f", "zero_width_f", "tiny_width_f"])
 def test_edge_runs_print_no_numpy_warnings(tmp_path, capsys, command, overrides, code):
     # a statistic beyond the float range already ends as NoBracket or NaN
-    # columns, so the kernels that compute it warn of nothing on the way
+    # columns, so the kernels that compute it warn of nothing on the way;
+    # nor does sampling a weight whose values leave it, which validation
+    # refuses by the weight's name
     path = write_config(tmp_path, {"grid": {"cells": 64}, "solver": {"restarts": 8, "seed": 0},
                                    **overrides})
+    out = [] if command[0] == "constants" else ["--out", str(tmp_path / "out")]
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        assert cli.main(command[:1] + [path] + command[1:]
-                        + ["--out", str(tmp_path / "out")]) == code
+        assert cli.main(command[:1] + [path] + command[1:] + out) == code
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
     assert "RuntimeWarning" not in capsys.readouterr().err
 

@@ -19,17 +19,13 @@ from conftest import (
 
 
 def zero_pair(problem):
-    zero = nf.GridFunction(problem.grid, np.zeros(problem.grid.node_count))
-    return nf.GridPair(zero, zero)
+    return np.zeros((2, problem.grid.cells - 1))
 
 
 def test_K_zero_cases(problem64, form64):
     assert nf.pair_stats(problem64, form64, zero_pair(problem64)).K == 0.0
     # nonpositive components contribute nothing
-    n = problem64.grid.node_count
-    u = np.zeros(n)
-    u[1:-1] = -1.0
-    pair = nf.GridPair.from_arrays(problem64.grid, u, u)
+    pair = np.full((2, problem64.grid.cells - 1), -1.0)
     assert nf.pair_stats(problem64, form64, pair).K == 0.0
 
 
@@ -39,7 +35,7 @@ def test_K_against_quadrature_sum_oracle(problem64, form64):
     c = 0.7
     u = np.full(n, c)
     u[0] = u[-1] = 0.0
-    pair = nf.GridPair.from_arrays(problem64.grid, u, u)
+    pair = np.array([u[1:-1], u[1:-1]])
     w = problem64.grid.trapezoid_weights()
     expected = (problem64.lam * np.sum(w * 1.0 * u ** 0.5)
                 + problem64.mu * np.sum(w * 1.0 * u ** 0.5))
@@ -51,18 +47,15 @@ def test_K_homogeneity(problem64, form64):
     pair = random_x0_pair(problem64, rng, nonnegative=True)
     base = nf.pair_stats(problem64, form64, pair).K
     for t in (0.5, 2.0, 7.3):
-        assert nf.pair_stats(problem64, form64, pair.scaled(t)).K == pytest.approx(
+        assert nf.pair_stats(problem64, form64, t * pair).K == pytest.approx(
             t ** (1 - problem64.q) * base, rel=1e-13)
 
 
 def test_B_zero_cases(problem64, form64):
     assert nf.pair_stats(problem64, form64, zero_pair(problem64)).B == 0.0
     n = problem64.grid.node_count
-    u = np.zeros(n)
-    u[1:-1] = -2.0
     w = np.abs(np.random.default_rng(0).standard_normal(n))
-    w[0] = w[-1] = 0.0
-    pair = nf.GridPair.from_arrays(problem64.grid, u, w)
+    pair = np.array([np.full(n - 2, -2.0), w[1:-1]])
     assert nf.pair_stats(problem64, form64, pair).B == 0.0
 
 
@@ -81,7 +74,7 @@ def test_B_homogeneity(problem64, form64):
     base = nf.pair_stats(problem64, form64, pair).B
     ab = problem64.alpha + problem64.beta
     for t in (0.5, 3.0):
-        assert nf.pair_stats(problem64, form64, pair.scaled(t)).B == pytest.approx(
+        assert nf.pair_stats(problem64, form64, t * pair).B == pytest.approx(
             t ** ab * base, rel=1e-12)
 
 
@@ -115,8 +108,8 @@ def test_singular_term_dominates_near_zero(problem64, form64):
     # J(t*pair) -> 0 from below as t -> 0+, so closer to zero at smaller t
     pair = bump_pair(problem64, center=0.0, width=0.4)
     assert nf.pair_stats(problem64, form64, pair).K > 0
-    j_small = nf.energy(problem64, form64, pair.scaled(1e-3))
-    j_mid = nf.energy(problem64, form64, pair.scaled(1e-2))
+    j_small = nf.energy(problem64, form64, (1e-3) * pair)
+    j_mid = nf.energy(problem64, form64, (1e-2) * pair)
     assert j_small < 0 and j_mid < 0
     assert j_mid < j_small < 0
 
@@ -128,7 +121,7 @@ def test_phi_equals_energy_of_scaled_pair(problem64, form64):
         t = float(rng.uniform(0.1, 5.0))
         val, _, _ = nf.phi_from_stats(nf.pair_stats(problem64, form64, pair),
                                       problem64.q, problem64.alpha + problem64.beta, t)
-        direct = nf.energy(problem64, form64, pair.scaled(t))
+        direct = nf.energy(problem64, form64, t * pair)
         assert val == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
@@ -157,7 +150,7 @@ def test_second_derivative_expressions_agree_on_manifold(problem64, form64):
         st = nf.pair_stats(problem64, form64, pair)
         roots = nf.project(st, q, ab)
         t1 = roots.t1
-        scaled = pair.scaled(t1)
+        scaled = t1 * pair
         st1 = nf.pair_stats(problem64, form64, scaled)
         _, d1, d2 = phi_from_stats(st1, q, ab, 1.0)
         tau = 1e-8 * st1.scale()
@@ -177,12 +170,11 @@ def test_gradient_pure_quadratic_case(form64):
     import neharifrac.problem as problem_mod
     p = problem_mod.ValidatedProblem(
         **{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}, crit_exp=10.0,
-        f_vals=np.ones(65), g_vals=np.ones(65), b_vals=np.zeros(65))
+        f_vals=np.ones(65), g_vals=np.ones(65), b_vals=np.zeros(65), f_norm=2.0, g_norm=2.0)
     rng = np.random.default_rng(12)
     pair = random_x0_pair(p, rng)
     grad_u, grad_w = pair_gradient(p, form64, pair, eps=1e-8)
-    gu = nf.apply_form(form64, pair.u).values
-    gw = nf.apply_form(form64, pair.w).values
+    gu, gw = np.pad(form64.apply(pair), ((0, 0), (1, 1)))
     # mu=1e-30 contributes below double precision on these magnitudes
     assert grad_u == pytest.approx(gu, rel=1e-12, abs=1e-20)
     assert grad_w == pytest.approx(gw, rel=1e-12, abs=1e-20)
@@ -196,40 +188,37 @@ def test_gradient_matches_finite_differences(problem64, form64):
     grad = pair_gradient(problem64, form64, pair, eps)
     step = 1e-6
     # test away from the smoothing kink at eps, where the energy is C^2
-    testable = np.flatnonzero(np.minimum(pair.u.values, pair.w.values) > 0.05)
+    # (grad is nodal, the pair interior: node k of the pair is node k + 1)
+    testable = np.flatnonzero(np.minimum(*pair) > 0.05)
     for _ in range(20):
         comp = int(rng.integers(0, 2))
         node = int(testable[rng.integers(0, len(testable))])
-        base_u = pair.u.values.copy()
-        base_w = pair.w.values.copy()
         for sign in (+1, -1):
-            u = base_u.copy()
-            w = base_w.copy()
-            (u if comp == 0 else w)[node] += sign * step
-            p = nf.GridPair.from_arrays(problem64.grid, u, w)
+            p = pair.copy()
+            p[comp, node] += sign * step
             if sign > 0:
                 e_plus = energy_smoothed(problem64, form64, p, eps)
             else:
                 e_minus = energy_smoothed(problem64, form64, p, eps)
         fd = (e_plus - e_minus) / (2 * step)
-        an = grad[comp][node]
+        an = grad[comp][node + 1]
         assert an == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
 
 def _oracle_pairs(problem, rng):
     """Seeded pairs for the kernel oracle: signed, with zero nodes, and
     below the smoothing floor eps = 1e-8."""
-    n = problem.grid.node_count
+    n = problem.grid.cells - 1
     for _ in range(4):
         yield random_x0_pair(problem, rng)
         pair = random_x0_pair(problem, rng, nonnegative=True)
-        u, w = pair.u.values.copy(), pair.w.values.copy()
+        u, w = pair.copy()
         u[rng.random(n) < 0.3] = 0.0
         w[rng.random(n) < 0.3] = 0.0
-        yield nf.GridPair.from_arrays(problem.grid, u, w)
-        yield pair.scaled(1e-10)
+        yield np.array([u, w])
+        yield (1e-10) * pair
         # straddling eps: some nodes above it, some below
-        yield nf.GridPair.from_arrays(problem.grid, u * 1e-8, w * 1e-7)
+        yield np.array([u * 1e-8, w * 1e-7])
 
 
 @pytest.mark.parametrize("asymmetric", [False, True])
@@ -256,7 +245,7 @@ def test_kernel_against_gridpair_oracle(problem64, form64, asymmetric):
 
         # the raw kernel, on the block of one pair, returns the products it
         # used
-        u, v = pair.u.values[1:-1], pair.w.values[1:-1]
+        u, v = pair
         X = np.stack([u, v])[:, None]
         norm2_raw, K_raw, B_raw, GX = stats_and_products(problem, form64, X)
         assert (norm2_raw, K_raw, B_raw) == ([st.norm2], [st.K], [st.B])

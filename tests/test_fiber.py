@@ -9,7 +9,7 @@ import neharifrac as nf
 from neharifrac.errors import NoBracket, NonpositiveK, NonpositiveNorm, NonpositiveT
 from neharifrac.fiber import DEGENERATE_TOL, MANIFOLD_TOL, label, root
 
-from conftest import bump_pair
+from conftest import bump_pair, classify
 
 Q, AB = 0.5, 3.0
 
@@ -253,12 +253,12 @@ def test_classify_projected_pairs(problem64, form64):
     assert st.B > 0
     roots = nf.project(st, q, ab)
     assert roots.case is nf.FiberCase.TWO_ROOTS
-    m1 = nf.classify(problem64, form64, pair.scaled(roots.t1))
-    assert m1.label is nf.MembershipLabel.N_PLUS
-    m2 = nf.classify(problem64, form64, pair.scaled(roots.t2))
-    assert m2.label is nf.MembershipLabel.N_MINUS
-    off = nf.classify(problem64, form64, pair.scaled(roots.t1 * 1.5))
-    assert off.label is nf.MembershipLabel.OFF_MANIFOLD
+    m1 = classify(problem64, form64, roots.t1 * pair)
+    assert m1 is nf.MembershipLabel.N_PLUS
+    m2 = classify(problem64, form64, roots.t2 * pair)
+    assert m2 is nf.MembershipLabel.N_MINUS
+    off = classify(problem64, form64, (roots.t1 * 1.5) * pair)
+    assert off is nf.MembershipLabel.OFF_MANIFOLD
 
 
 def test_label_bands():
@@ -299,9 +299,9 @@ def test_fiber_structure_positive_coupling(problem64, form64):
         assert 0 < roots.t1 < roots.t_max < roots.t2
         assert psi_prime_numeric(st, q, ab, roots.t1) > 0
         assert psi_prime_numeric(st, q, ab, roots.t2) < 0
-        assert nf.classify(problem64, form64, pair.scaled(roots.t1)).label \
+        assert classify(problem64, form64, roots.t1 * pair) \
             is nf.MembershipLabel.N_PLUS
-        assert nf.classify(problem64, form64, pair.scaled(roots.t2)).label \
+        assert classify(problem64, form64, roots.t2 * pair) \
             is nf.MembershipLabel.N_MINUS
 
 
@@ -322,7 +322,7 @@ def test_fiber_structure_nonpositive_coupling(problem64, form64):
         roots = nf.project(st, q, ab)
         assert roots.case is nf.FiberCase.SINGLE_ROOT
         assert 0 < roots.t1 < roots.t_max
-        assert nf.classify(problem64, form64, pair.scaled(roots.t1)).label \
+        assert classify(problem64, form64, roots.t1 * pair) \
             is nf.MembershipLabel.N_PLUS
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,33 +123,33 @@ def test_accepted_weights_have_required_signs():
 
 def test_sample_weight_constant():
     grid = nf.GridSpec(-1.0, 1.0, 8)
-    vals = nf.sample_weight(nf.WeightSpec.constant(1.0), grid).values
+    vals = nf.sample_weight(nf.WeightSpec.constant(1.0), grid)
     assert np.all(vals == 1.0)
 
 
 def test_sample_weight_cos_pi_x():
     grid = nf.GridSpec(-1.0, 1.0, 8)
-    vals = nf.sample_weight(nf.WeightSpec.cos_pi_x(1.0), grid).values
+    vals = nf.sample_weight(nf.WeightSpec.cos_pi_x(1.0), grid)
     x = grid.nodes()
     assert vals[np.argmin(np.abs(x))] == pytest.approx(1.0)
     assert vals[0] == pytest.approx(-1.0)
     assert vals[-1] == pytest.approx(-1.0)
     # affine remap: same shape on a shifted interval
     grid2 = nf.GridSpec(3.0, 7.0, 8)
-    vals2 = nf.sample_weight(nf.WeightSpec.cos_pi_x(1.0), grid2).values
+    vals2 = nf.sample_weight(nf.WeightSpec.cos_pi_x(1.0), grid2)
     assert vals2 == pytest.approx(vals)
 
 
 def test_sample_weight_linear_x_odd_at_midpoint():
     grid = nf.GridSpec(-1.0, 1.0, 8)
-    vals = nf.sample_weight(nf.WeightSpec.linear_x(1.0, 0.0), grid).values
+    vals = nf.sample_weight(nf.WeightSpec.linear_x(1.0, 0.0), grid)
     mid = grid.cells // 2
     assert vals[mid] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_sample_weight_samples_roundtrip_and_mismatch():
     grid = nf.GridSpec(-1.0, 1.0, 4)
-    vals = nf.sample_weight(nf.WeightSpec.samples([1, 2, 3, 2, 1]), grid).values
+    vals = nf.sample_weight(nf.WeightSpec.samples([1, 2, 3, 2, 1]), grid)
     assert vals == pytest.approx([1, 2, 3, 2, 1])
     with pytest.raises(SampleLengthMismatch):
         nf.sample_weight(nf.WeightSpec.samples([1, 2, 3]), grid)
@@ -167,8 +168,8 @@ def test_weight_spec_json_round_trip():
 def test_sample_weight_deterministic():
     grid = nf.GridSpec(-1.0, 1.0, 32)
     w = nf.WeightSpec.gaussian(0.2, 0.5, 1.3)
-    a = nf.sample_weight(w, grid).values
-    b = nf.sample_weight(w, grid).values
+    a = nf.sample_weight(w, grid)
+    b = nf.sample_weight(w, grid)
     assert np.array_equal(a, b)
 
 
@@ -187,14 +188,32 @@ def test_grid_spec_invariants():
 
 
 def test_grid_pair_enforces_boundary_zeros():
-    grid = nf.GridSpec(-1.0, 1.0, 8)
+    # written nodal values read back as a pair must vanish at both ends and
+    # be finite; they are the inverse of the form's written_values
+    form = nf.assemble_form(nf.GridSpec(-1.0, 1.0, 8), 0.4)
     good = np.zeros(9)
     good[4] = 1.0
-    nf.GridPair.from_arrays(grid, good, good)
-    bad = good.copy()
-    bad[0] = 0.5
-    with pytest.raises(Exception):
-        nf.GridPair.from_arrays(grid, bad, good)
+    pair = form.interior_values(np.stack([good, good]))
+    assert np.array_equal(pair, [good[1:-1], good[1:-1]])
+    assert np.array_equal(form.written_values(pair[0]), good)
+    for k, value in ((0, 0.5), (-1, 0.5), (4, np.nan), (4, np.inf)):
+        bad = good.copy()
+        bad[k] = value
+        with pytest.raises(ValidationError):
+            form.interior_values(np.stack([good, bad]))
+
+
+@pytest.mark.parametrize("name", ["f", "g", "b"])
+def test_a_weight_that_leaves_the_float_range_is_refused_by_name(name):
+    # a gaussian of width 0 is NaN at its center; sampling it warns of
+    # nothing, and validation names the weight
+    spec = dataclasses.replace(make_spec(cells=64),
+                               **{name: nf.WeightSpec.gaussian(0.0, 0.0, 1.0)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(nf.sample_weight(getattr(spec, name), spec.grid)).any()
+        with pytest.raises(ValidationError, match=f"^weight {name}: nodal values must be finite"):
+            nf.validate_params(spec)
 
 
 def test_a_validated_problem_is_its_frozen_spec():

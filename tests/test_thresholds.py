@@ -16,6 +16,8 @@ from neharifrac import thresholds
 from neharifrac.thresholds import (
     MAX_INVERSE_ITERATIONS, S_RTOL, _inverse_iteration, rayleigh_quotient)
 
+from conftest import rho_minimum
+
 
 def test_q_star_values():
     # oracle: direct arithmetic (alpha+beta)/(alpha+beta-1+q)
@@ -130,7 +132,7 @@ def test_energy_lower_bound_fixture():
 
 def test_rho_minimum_against_golden_section():
     # oracle: golden-section minimization of rho(t) = t^2 - t^{0.5}
-    t_min, rho_min = nf.rho_minimum(c=1.0, d=1.0, q=0.5)
+    t_min, rho_min = rho_minimum(c=1.0, d=1.0, q=0.5)
     res = minimize_scalar(lambda t: t * t - math.sqrt(t), bracket=(1e-4, 0.3, 2.0),
                           method="golden", options={"xtol": 1e-12})
     assert t_min == pytest.approx(res.x, abs=1e-8)
@@ -146,7 +148,7 @@ def test_rho_minimum_generic_draws():
         c = float(rng.uniform(0.05, 2.0))
         d = float(rng.uniform(0.05, 2.0))
         q = float(rng.uniform(0.1, 0.9))
-        t_min, rho_min = nf.rho_minimum(c, d, q)
+        t_min, rho_min = rho_minimum(c, d, q)
         rho = lambda t: c * t * t - d * t ** (1 - q)
         assert rho_min == pytest.approx(rho(t_min), rel=1e-12)
         for dt in (0.95, 1.05):
@@ -154,16 +156,14 @@ def test_rho_minimum_generic_draws():
 
 
 def test_estimate_S_upper_bounds_candidates(form64):
-    grid = form64.grid
-    hat = np.zeros(grid.node_count)
-    hat[grid.cells // 2] = 1.0
+    x = form64.nodes
+    hat = np.zeros(x.size)
+    hat[x.size // 2] = 1.0
     hat_quot = rayleigh_quotient(form64, 3.0, hat)
     S = nf.estimate_S(form64, 3.0, [hat])
     assert S <= hat_quot
     # adding candidates never increases the estimate
-    x = grid.nodes()
     bump = np.maximum(0.0, 1 - (x / 0.5) ** 2) ** 2
-    bump[0] = bump[-1] = 0.0
     S2 = nf.estimate_S(form64, 3.0, [hat, bump])
     assert S2 <= S + 1e-15
     # scale invariance: duplicated scaled candidates change nothing
@@ -173,15 +173,15 @@ def test_estimate_S_upper_bounds_candidates(form64):
 
 def test_estimate_S_requires_candidates(form64):
     # no candidate leaves the refinement of the two starts
-    refined = _inverse_iteration(form64, 3.0, *nf.default_candidates(form64.grid))
+    refined = _inverse_iteration(form64, 3.0, *nf.default_candidates(form64))
     assert nf.estimate_S(form64, 3.0, []) == refined
 
 
 def test_estimate_S_skips_zero_candidates(form64):
     # a component that collapsed to zero has no quotient; it must not
     # crash the estimate, and alone it leaves the refinement
-    zero = np.zeros(form64.grid.node_count)
-    cands = nf.default_candidates(form64.grid)
+    zero = np.zeros(form64.grid.cells - 1)
+    cands = nf.default_candidates(form64)
     assert nf.estimate_S(form64, 3.0, cands + [zero]) == nf.estimate_S(form64, 3.0, cands)
     assert nf.estimate_S(form64, 3.0, [zero]) == nf.estimate_S(form64, 3.0, [])
 
@@ -189,7 +189,7 @@ def test_estimate_S_skips_zero_candidates(form64):
 def _earlier_candidates(grid):
     # the hat, the smooth bump and the half-cosine that earlier versions
     # passed to estimate_S by default, built here so that a change to the
-    # starts of the refinement does not change them
+    # starts of the refinement does not change them; as interior values
     x = grid.nodes()
     mid = 0.5 * (grid.left + grid.right)
     halfwidth = 0.5 * (grid.right - grid.left)
@@ -197,8 +197,7 @@ def _earlier_candidates(grid):
     hat[grid.cells // 2] = 1.0
     bump = np.maximum(0.0, 1 - ((x - mid) / (0.6 * halfwidth)) ** 2) ** 2
     cosine = np.cos(0.5 * np.pi * (x - mid) / halfwidth)
-    bump[0] = bump[-1] = cosine[0] = cosine[-1] = 0.0
-    return [hat, bump, cosine]
+    return [hat[1:-1], bump[1:-1], cosine[1:-1]]
 
 
 def _quotient_gradient_reference(form, r, values):
@@ -215,9 +214,10 @@ def _quotient_gradient_reference(form, r, values):
 
 
 def _descend_quotient_reference(form, r, values, max_iters=200, step0=0.5):
-    # oracle: the descent with full products for every trial quotient
-    u = values / np.abs(values).max()
-    best = rayleigh_quotient(form, r, u)
+    # oracle: the descent with full products for every trial quotient, on
+    # the nodal values of the interior values given
+    u = np.pad(values, 1) / np.abs(values).max()
+    best = rayleigh_quotient(form, r, u[1:-1])
     step = step0
     for _ in range(max_iters):
         g = _quotient_gradient_reference(form, r, u)
@@ -231,7 +231,7 @@ def _descend_quotient_reference(form, r, values, max_iters=200, step0=0.5):
             if not np.any(trial[1:-1]):
                 step *= 0.5
                 continue
-            qt = rayleigh_quotient(form, r, trial)
+            qt = rayleigh_quotient(form, r, trial[1:-1])
             if qt < best:
                 u, best = trial, qt
                 step = min(step * 2.0, step0)
@@ -291,7 +291,7 @@ def _refine_alone_reference(form, r, start, product=True):
     # side, the way the refinement takes it. Returns the least quotient and
     # the iterations
     w = form.grid.trapezoid_weights()[1:-1]
-    v = start[1:-1] / np.abs(start[1:-1]).max()
+    v = start / np.abs(start).max()
     best = float(v @ form.apply(v)) / float(np.abs(v) ** r @ w) ** (2.0 / r)
     for iterations in range(1, MAX_INVERSE_ITERATIONS + 1):
         rhs = w * np.sign(v) * np.abs(v) ** (r - 1)
@@ -330,7 +330,7 @@ def test_refinement_matches_the_reference_with_a_product(monkeypatch, cells, mat
     # way, from the right-hand side: against y'Gy by a product the dense
     # inverse at 4096 cells and s = 0.4999 puts both about 1e-13 above
     form = _form_on_path(monkeypatch, cells, s, matrix_free)
-    hat, cosine = nf.default_candidates(form.grid)
+    hat, cosine = nf.default_candidates(form)
     for r in _window_ends(s):
         oracle = min(_refine_alone_reference(form, r, start)[0] for start in (hat, cosine))
         plain = min(_refine_alone_reference(form, r, start, product=False)[0]
@@ -386,7 +386,7 @@ def _refine_block_reference(form, r, *starts):
     # the refinement does: below the crossover a copied row sums in another
     # order than a row of the dense map's F-ordered output
     w = form.grid.trapezoid_weights()[1:-1]
-    v = np.array([values[1:-1] for values in starts])
+    v = np.array(starts)
     v /= np.abs(v).max(axis=1, keepdims=True)
     best, power = thresholds._quotients(v, form.apply(v), w, r)
     rows, previous, mapped = np.arange(len(v)), None, 0
@@ -418,7 +418,7 @@ def test_refinement_takes_one_riesz_map_per_iteration(monkeypatch, cells, matrix
     # its own refinement alone stops, extrapolation included, or at the
     # iteration k where it meets the other (see _meeting), which goes on
     form = _form_on_path(monkeypatch, cells, s, matrix_free)
-    hat, cosine = nf.default_candidates(form.grid)
+    hat, cosine = nf.default_candidates(form)
     traces = [_lone_trace(monkeypatch, form, r, start)[1] for start in (hat, cosine)]
     lone = [len(trace) for trace in traces]
     k, goes_on = _meeting(traces)
@@ -441,7 +441,7 @@ def test_extrapolation_maps_at_most_seven_tenths_of_the_plain_rows(monkeypatch):
     for cells, matrix_free in [(128, False), (1024, True)]:
         for s in (0.17, 0.3, 0.4, 0.4999):
             form = _form_on_path(monkeypatch, cells, s, matrix_free)
-            hat, cosine = nf.default_candidates(form.grid)
+            hat, cosine = nf.default_candidates(form)
             low, high = _window_ends(s)
             for r in (low, 0.5 * (low + min(high, 40.0)), min(high, 40.0)):
                 for start in (hat, cosine):
@@ -459,7 +459,7 @@ def test_refinement_is_its_rows_refined_alone(monkeypatch, cells, matrix_free, s
     # path a row's map and sums do not depend on the block, so exactly; the
     # dense inverse's matrix product can round a row differently in a block
     form = _form_on_path(monkeypatch, cells, s, matrix_free)
-    hat, cosine = nf.default_candidates(form.grid)
+    hat, cosine = nf.default_candidates(form)
     (h, hat_trace), (c, cosine_trace) = (_lone_trace(monkeypatch, form, r, start)
                                          for start in (hat, cosine))
     k, goes_on = _meeting([hat_trace, cosine_trace])
@@ -483,7 +483,7 @@ def test_a_meeting_never_merges_distinct_minima(monkeypatch, cells):
     met = distinct = 0
     for s in (0.17, 0.25, 0.3, 0.35, 0.4, 0.45, 0.49):
         form = nf.assemble_form(grid, s)
-        hat, cosine = nf.default_candidates(grid)
+        hat, cosine = nf.default_candidates(form)
         top = min(2.0 / (1.0 - 2.0 * s) - 1.0, 40.0)
         extra = {0.3: [3.9], 0.35: [5.3]}.get(s, [])
         for r in [2.0 + share * (top - 2.0) for share in (0.1, 0.5, 0.9, 0.99)] + extra:
@@ -506,7 +506,7 @@ def test_a_meeting_never_merges_distinct_minima(monkeypatch, cells):
 def test_unfinished_refinement_raises(monkeypatch, form64):
     # two iterations cannot reach S_RTOL, and an S read there is too high
     monkeypatch.setattr(thresholds, "MAX_INVERSE_ITERATIONS", 2)
-    hat, cosine = nf.default_candidates(form64.grid)
+    hat, cosine = nf.default_candidates(form64)
     with pytest.raises(InverseIterationNotConverged, match="after 2 iterations"):
         _inverse_iteration(form64, 3.0, hat, cosine)
 
@@ -538,10 +538,10 @@ def test_estimate_S_matches_per_candidate_refinement(monkeypatch, cells, matrix_
 
 
 def test_default_candidates_are_admissible(form64):
-    cands = nf.default_candidates(form64.grid)
+    cands = nf.default_candidates(form64)
     assert len(cands) == 2
     for c in cands:
-        assert c[0] == 0.0 and c[-1] == 0.0
+        assert c.shape == form64.nodes.shape
         assert rayleigh_quotient(form64, 3.0, c) > 0
 
 

@@ -5,7 +5,7 @@ import neharifrac as nf
 from neharifrac.energy import smoothed_gradient
 from neharifrac.errors import AllMasked
 
-from conftest import bump_pair, random_x0_pair
+from conftest import bump_pair, pair_of, random_x0_pair
 
 
 def test_brute_force_norm_zero_and_scaling(grid16):
@@ -37,8 +37,8 @@ def test_oracle_and_assembly_converge_together(form16, grid16):
 def test_weak_residual_of_converged_solution(problem64, form64, solved64):
     plus, minus = solved64
     for rep in (plus, minus):
-        delta = 1e-4 * float(np.max(rep.pair.u.values))
-        res = nf.weak_residual(problem64, form64, rep.pair, delta)
+        delta = 1e-4 * float(np.max(rep.u))
+        res = nf.weak_residual(problem64, form64, pair_of(rep), delta)
         assert res.res_u <= 1e-3
         assert res.res_w <= 1e-3
         assert res.masked_fraction < 0.2
@@ -49,9 +49,9 @@ def test_weak_residual_is_the_energy_gradient(problem64, form64, solved64):
     # eps = delta, max(u, eps)^{-q} is u^{-q} on every node the mask keeps,
     # so both copies must give the same numbers there
     for rep in solved64:
-        delta = 1e-4 * float(np.max(rep.pair.u.values))
-        res = nf.weak_residual(problem64, form64, rep.pair, delta)
-        u, v = rep.pair.u.values[1:-1], rep.pair.w.values[1:-1]
+        delta = 1e-4 * float(np.max(rep.u))
+        res = nf.weak_residual(problem64, form64, pair_of(rep), delta)
+        u, v = rep.u, rep.w
         Gu, Gv = form64.matrix @ u, form64.matrix @ v
         [gu], [gv] = smoothed_gradient(problem64, np.stack([u, v])[:, None],
                                        np.stack([Gu, Gv])[:, None], eps=delta)
@@ -66,8 +66,8 @@ def test_weak_residual_discriminates_noise(problem64, form64):
     rng = np.random.default_rng(1)
     pair = random_x0_pair(problem64, rng, nonnegative=True)
     # scale into the solution's magnitude range to keep the test fair
-    pair = pair.scaled(0.05 / max(pair.u.values.max(), 1e-12))
-    res = nf.weak_residual(problem64, form64, pair, 1e-4 * pair.u.values.max())
+    pair = (0.05 / max(pair[0].max(), 1e-12)) * pair
+    res = nf.weak_residual(problem64, form64, pair, 1e-4 * pair[0].max())
     assert max(res.res_u, res.res_w) > 0.1
 
 
@@ -80,7 +80,7 @@ def test_weak_residual_pure_quadratic_normalizes_to_one(form64):
     n = 65
     p = pm.ValidatedProblem(**{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)},
                             crit_exp=10.0, f_vals=np.ones(n), g_vals=np.ones(n),
-                            b_vals=np.zeros(n))
+                            b_vals=np.zeros(n), f_norm=2.0, g_norm=2.0)
     pair = bump_pair(p, 0.0, 0.4)
     res = nf.weak_residual(p, form64, pair, 1e-6)
     assert res.res_u == pytest.approx(1.0)
@@ -95,23 +95,21 @@ def test_weak_residual_all_masked(problem64, form64):
 
 def test_inequality_suite_on_solutions(problem64, form64, solved64):
     for rep in solved64:
-        checks = nf.inequality_suite(problem64, form64, rep.pair)
+        checks = nf.inequality_suite(problem64, form64, pair_of(rep))
         assert checks.all_ok, checks.as_dict()
 
 
 def test_inequality_suite_zero_pair(problem64, form64):
     # neither component has a quotient, so no S bounds the chains
-    zero = nf.GridFunction(problem64.grid, np.zeros(problem64.grid.node_count))
     with pytest.raises(AllMasked):
-        nf.inequality_suite(problem64, form64, nf.GridPair(zero, zero))
+        nf.inequality_suite(problem64, form64, np.zeros((2, problem64.grid.cells - 1)))
 
 
 def test_inequality_suite_skips_a_vanished_component(problem64, form64):
     # w has no quotient, so u's alone sets S, and the chains hold there
-    u = bump_pair(problem64, 0.0, 0.35).u
-    zero = nf.GridFunction(problem64.grid, np.zeros(problem64.grid.node_count))
-    checks = nf.inequality_suite(problem64, form64, nf.GridPair(u, zero))
-    assert checks.S == nf.rayleigh_quotient(form64, 3.0, u.values)
+    u = bump_pair(problem64, 0.0, 0.35)[0]
+    checks = nf.inequality_suite(problem64, form64, np.array([u, np.zeros_like(u)]))
+    assert checks.S == nf.rayleigh_quotient(form64, 3.0, u)
     assert checks.all_ok, checks.as_dict()
 
 
@@ -132,7 +130,7 @@ def test_inequality_suite_random_projected_pairs(problem64, form64):
         if roots.t1 is None:
             continue
         done += 1
-        checks = nf.inequality_suite(problem64, form64, pair.scaled(roots.t1))
+        checks = nf.inequality_suite(problem64, form64, roots.t1 * pair)
         assert checks.all_ok, checks.as_dict()
 
 
