@@ -33,7 +33,6 @@ from .form import (
 from .energy import (
     PairStats,
     pair_stats,
-    energy,
     phi_from_stats,
 )
 from .fiber import (
@@ -61,7 +60,6 @@ from .solver import (
     SolverOptions,
     SolutionReport,
     GapReport,
-    initial_direction,
     solve_points,
     gap_check,
 )

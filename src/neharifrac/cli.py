@@ -48,7 +48,7 @@ from .solver import (
     SolutionReport,
     SolverOptions,
     gap_check,
-    initial_direction,
+    sample_directions,
     solve_points,
 )
 from .thresholds import ConstantsReport, compute_constants, estimate_S
@@ -119,8 +119,6 @@ def solver_options_from_config(cfg: dict, seed_override: int | None = None) -> S
         return SolverOptions(**overrides)
     except TypeError as exc:
         raise ConfigParseError(f"unknown solver option: {exc}") from exc
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
 
 
 def _float_str(x: float) -> str:
@@ -338,7 +336,11 @@ def cmd_fiber(args) -> int:
 
     rng = np.random.default_rng(args.direction_seed)
     for _ in range(1000):
-        st = pair_stats(problem, form, initial_direction(problem, form, rng, Branch.PLUS))
+        X, found = sample_directions([problem], form, [rng], Branch.PLUS)
+        if not found[0]:
+            raise NoAdmissibleDirection("found no direction with positive singular integral "
+                                        "in 1000 samples")
+        st = pair_stats(problem, form, X[:, 0])
         if {"any": True, "positive": st.B > 0, "negative": st.B <= 0}[args.coupling]:
             break
     else:

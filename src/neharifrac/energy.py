@@ -20,13 +20,12 @@ power or a clip that both components take runs once over the whole block,
 and every per-row sum runs along its row; a sum over both components is
 ``row_dots``, the u row's plus the w row's, which K, norm2 and the
 solver's inner products all take, so a row gets the same bytes in any
-block. The block descent calls them directly, and ``pair_stats`` and
-``energy`` run them on one pair, a (2, n) array of interior values, as the
-block of one row. Lambda and mu
-enter only through the singular factors (lambda w f, mu w g), which the
-kernels take per row (``singular_factors``), in the block's layout, so
-the rows of one block may belong to problems that differ in lambda, mu,
-f and g alone.
+block. The block descent calls them directly, and ``pair_stats`` runs
+them on one pair, a (2, n) array of interior values, as the block of one
+row. Lambda and mu enter only through the singular factors (lambda w f,
+mu w g), which the kernels take per row (``singular_factors``), in the
+block's layout, so the rows of one block may belong to problems that
+differ in lambda, mu, f and g alone.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveT
+from .errors import NehariError
 from .form import GagliardoForm
 from .problem import ValidatedProblem
 
@@ -157,17 +156,11 @@ def scaled_record(norm2: float, K: float, B: float, t: float, q: float, ab: floa
     return n2 / 2 - K / (1 - q) - B / ab, math.sqrt(n2), K, B
 
 
-def energy(problem: ValidatedProblem, form: GagliardoForm, pair: np.ndarray) -> float:
-    """The energy J of the pair, its (2, n) array of interior values."""
-    st = pair_stats(problem, form, pair)
-    return scaled_record(st.norm2, st.K, st.B, 1.0, problem.q, problem.alpha + problem.beta)[0]
-
-
 def phi_from_stats(stats: PairStats, q: float, ab: float, t: float) -> tuple[float, float, float]:
     """(phi(t), phi'(t), phi''(t)) for the fiber t -> J(t u, t w), from the
     pair's ``pair_stats``."""
     if t <= 0:
-        raise NonpositiveT(f"fiber map requires t > 0, got {t}")
+        raise NehariError(f"fiber map requires t > 0, got {t}")
     n2, K, B = stats.norm2, stats.K, stats.B
     val = scaled_record(n2, K, B, t, q, ab)[0]
     d1 = t * n2 - t ** (-q) * K - t ** (ab - 1) * B

@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by all modules."""
+"""The package's errors: one class per outcome a caller tells apart.
+
+``cli.main`` maps them to exit codes: ConfigParseError to 2,
+ValidationError and its violation kinds to 3, NoAdmissibleDirection to 4,
+and every other NehariError to 1. A guard on a library function's
+arguments that no command reaches raises the base NehariError; being a
+ValueError, it is what a caller of the library would expect.
+"""
 
 from __future__ import annotations
 
@@ -35,51 +42,11 @@ class ZeroParameters(ValidationError):
     pass
 
 
-class SampleLengthMismatch(NehariError):
-    pass
-
-
-class GridMismatch(NehariError):
-    pass
-
-
-class NonpositiveT(NehariError):
-    pass
-
-
-class NonpositiveNorm(NehariError):
-    pass
-
-
-class NonpositiveK(NehariError):
-    pass
-
-
 class NoBracket(NehariError):
     pass
 
 
-class NonpositiveS(NehariError):
-    pass
-
-
-class NonpositiveBSup(NehariError):
-    pass
-
-
-class NonpositiveLambda(NehariError):
-    pass
-
-
-class DirectionSearchFailed(NehariError):
-    pass
-
-
 class NoAdmissibleDirection(NehariError):
-    pass
-
-
-class NotConvergedInput(NehariError):
     pass
 
 

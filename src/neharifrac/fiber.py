@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 from .energy import PairStats
-from .errors import NoBracket, NonpositiveK, NonpositiveNorm, NonpositiveT
+from .errors import NehariError, NoBracket
 
 # the bands of label: |phi'(1)| and |phi''(1)|, relative to norm2 + |K| + |B|
 MANIFOLD_TOL = 1e-8
@@ -76,7 +76,7 @@ class MembershipLabel(enum.Enum):
 def psi(stats: PairStats, q: float, ab: float, t: float) -> float:
     """Rescaled fiber derivative t^{2-ab} norm2 - t^{1-ab-q} K - B."""
     if t <= 0:
-        raise NonpositiveT(f"psi requires t > 0, got {t}")
+        raise NehariError(f"psi requires t > 0, got {t}")
     return _psi(stats.norm2, stats.K, stats.B, 2 - ab, 1 - ab - q, t)
 
 
@@ -92,9 +92,9 @@ def _t_max(norm2: float, K: float, q: float, ab: float) -> float:
 def t_max(stats: PairStats, q: float, ab: float) -> float:
     """Unique maximizer of psi: [(ab-1+q) K / ((ab-2) norm2)]^{1/(1+q)}."""
     if stats.norm2 <= 0:
-        raise NonpositiveNorm(f"t_max requires norm2 > 0, got {stats.norm2}")
+        raise NehariError(f"t_max requires norm2 > 0, got {stats.norm2}")
     if stats.K <= 0:
-        raise NonpositiveK(f"t_max requires K > 0, got {stats.K}")
+        raise NehariError(f"t_max requires K > 0, got {stats.K}")
     return float(_t_max(stats.norm2, stats.K, q, ab))
 
 

@@ -38,7 +38,7 @@ import functools
 
 import numpy as np
 
-from .errors import FirstColumnNotConverged, GridMismatch, InvalidOrder, ValidationError
+from .errors import FirstColumnNotConverged, InvalidOrder, ValidationError
 from .problem import GridFunction, GridSpec
 
 # grids with at least this many cells apply G and its inverse by FFT; the
@@ -231,7 +231,7 @@ def assemble_form(grid: GridSpec, s: float) -> GagliardoForm:
 
 def _interior(form: GagliardoForm, u: GridFunction) -> np.ndarray:
     if u.grid != form.grid:
-        raise GridMismatch("grid function does not match the form's grid")
+        raise ValidationError("grid function does not match the form's grid")
     return u.values[1:-1]
 
 

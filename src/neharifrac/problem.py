@@ -26,7 +26,7 @@ from .errors import (
     ConfigParseError,
     InvalidExponent,
     InvalidOrder,
-    SampleLengthMismatch,
+    NehariError,
     ValidationError,
     WeightSignViolation,
     ZeroParameters,
@@ -151,9 +151,6 @@ class WeightSpec:
             d[name] = float(d[name])
         return cls(kind, d)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, **self.params}
-
 
 @dataclass
 class GridFunction:
@@ -166,7 +163,7 @@ class GridFunction:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.node_count,):
-            raise SampleLengthMismatch(
+            raise ValidationError(
                 f"expected {self.grid.node_count} nodal values, got {self.values.shape}"
             )
         if not np.all(np.isfinite(self.values)):
@@ -203,7 +200,8 @@ def sample_weight(w: WeightSpec, grid: GridSpec) -> np.ndarray:
     cos_pi_x maps the interval affinely onto [-1, 1] before applying
     cos(pi * .), so the sign change always happens inside the domain. A
     value beyond the float range comes out inf or NaN without a warning,
-    which ``validate_params`` refuses by the weight's name.
+    which ``validate_params`` refuses by the weight's name. A samples weight
+    with other than one value per node raises ValidationError.
     """
     x = grid.nodes()
     p = w.params
@@ -219,7 +217,7 @@ def sample_weight(w: WeightSpec, grid: GridSpec) -> np.ndarray:
     else:  # samples, the last kind WeightSpec admits
         vals = np.asarray(p["values"], dtype=float)
         if vals.shape != (grid.node_count,):
-            raise SampleLengthMismatch(
+            raise ValidationError(
                 f"samples weight has {vals.shape[0] if vals.ndim == 1 else 'bad'} "
                 f"entries, grid has {grid.node_count} nodes"
             )
@@ -235,7 +233,7 @@ def q_star(alpha: float, beta: float, q: float) -> float:
 def weight_norm(r: float, values: np.ndarray, weights: np.ndarray) -> float:
     """Discrete L^r norm (sum w_i |v_i|^r)^{1/r} with quadrature weights."""
     if r < 1:
-        raise ValueError(f"weight_norm requires r >= 1, got {r}")
+        raise NehariError(f"weight_norm requires r >= 1, got {r}")
     # a power beyond the float range comes out inf, which compute_constants
     # turns into ConstantsOutOfRange
     with np.errstate(over="ignore"):
@@ -296,10 +294,10 @@ def validate_params(spec: ProblemSpec) -> ValidatedProblem:
     fields, the critical exponent, the sampled weights and the weight norms
     of f and g, as one ValidatedProblem.
 
-    A weight that is not finite at some node raises ValidationError naming
-    it, before any other rule is checked. Otherwise raises the error class
-    of the first violation found; the exception carries the full list of
-    detected violations.
+    A samples weight that does not fit the grid, or a weight that is not
+    finite at some node, raises ValidationError naming it, before any other
+    rule is checked. Otherwise raises the error class of the first violation
+    found; the exception carries the full list of detected violations.
     """
     violations: list[tuple[type[ValidationError], str]] = []
 
@@ -328,7 +326,10 @@ def validate_params(spec: ProblemSpec) -> ValidatedProblem:
 
     sampled = []
     for name in ("f", "g", "b"):
-        sampled.append(sample_weight(getattr(spec, name), spec.grid))
+        try:
+            sampled.append(sample_weight(getattr(spec, name), spec.grid))
+        except ValidationError as exc:
+            raise ValidationError(f"weight {name}: {exc}") from None
         if not np.all(np.isfinite(sampled[-1])):
             raise ValidationError(f"weight {name}: nodal values must be finite")
     f_vals, g_vals, b_vals = sampled

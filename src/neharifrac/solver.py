@@ -82,12 +82,7 @@ from .energy import (
     smoothed_gradient,
     stats_and_products,
 )
-from .errors import (
-    DirectionSearchFailed,
-    NehariError,
-    NoAdmissibleDirection,
-    NotConvergedInput,
-)
+from .errors import NehariError, NoAdmissibleDirection, ValidationError
 from .fiber import MembershipLabel, label, root
 from .form import GagliardoForm
 from .problem import ValidatedProblem
@@ -137,9 +132,11 @@ class SolverOptions:
         for name, least in (("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"solver option {name} must be an integer, got {value!r}")
+                raise ValidationError(
+                    f"solver option {name} must be an integer, got {value!r}")
             if value < least:
-                raise ValueError(f"solver option {name} must be at least {least}, got {value}")
+                raise ValidationError(
+                    f"solver option {name} must be at least {least}, got {value}")
 
 
 @dataclass
@@ -185,7 +182,8 @@ def _check_shared(problems: list[ValidatedProblem]) -> None:
         if ((p.grid, p.s, p.q, p.alpha, p.beta) != (first.grid, first.s, first.q,
                                                      first.alpha, first.beta)
                 or not np.array_equal(p.b_vals, first.b_vals)):
-            raise ValueError("the problems of one block may differ in lambda, mu, f and g alone")
+            raise ValidationError(
+                "the problems of one block may differ in lambda, mu, f and g alone")
 
 
 def sample_directions(problems: list[ValidatedProblem], form: GagliardoForm,
@@ -262,20 +260,6 @@ def sample_directions(problems: list[ValidatedProblem], form: GagliardoForm,
         found[rows[admitted]] = True
         pending = pending[~found[pending]]
     return X, found
-
-
-def initial_direction(problem: ValidatedProblem, form: GagliardoForm, rng: np.random.Generator,
-                      branch: Branch = Branch.PLUS) -> np.ndarray:
-    """Random nonnegative direction pair with positive singular integral,
-    its (2, n) array of interior values: ``sample_directions`` with the one
-    problem and the one generator rng, which it draws from as the solver
-    draws from each restart's generator. Raises DirectionSearchFailed when
-    1000 attempts find none."""
-    X, found = sample_directions([problem], form, [rng], branch)
-    if not found[0]:
-        raise DirectionSearchFailed(
-            f"no admissible initial direction for branch {branch.value} in 1000 samples")
-    return X[:, 0]
 
 
 def _singular_floor(X):
@@ -623,7 +607,7 @@ def gap_check(plus: SolutionReport, minus: SolutionReport,
     the same embedding estimate as the norms being compared.
     """
     if not plus.converged or not minus.converged:
-        raise NotConvergedInput("gap check needs two converged solutions")
+        raise NehariError("gap check needs two converged solutions")
     ordering_ok = minus.norm > constants.A0 > constants.A_lm > plus.norm
     return GapReport(norm_plus=plus.norm, norm_minus=minus.norm,
                      A0=constants.A0, A_lm=constants.A_lm,

@@ -27,9 +27,7 @@ import numpy as np
 from .errors import (
     ConstantsOutOfRange,
     InverseIterationNotConverged,
-    NonpositiveBSup,
-    NonpositiveLambda,
-    NonpositiveS,
+    NehariError,
 )
 from .form import GagliardoForm
 from .problem import ValidatedProblem, q_star
@@ -58,9 +56,9 @@ def threshold_C(alpha: float, beta: float, q: float, S: float, b_sup: float) -> 
     """Admissibility threshold: the Lambda value below which the fiber
     maximum stays positive for every direction."""
     if S <= 0:
-        raise NonpositiveS(f"threshold needs S > 0, got {S}")
+        raise NehariError(f"threshold needs S > 0, got {S}")
     if b_sup <= 0:
-        raise NonpositiveBSup(f"threshold needs b_sup > 0, got {b_sup}")
+        raise NehariError(f"threshold needs b_sup > 0, got {b_sup}")
     ab = alpha + beta
     return (((1 + q) / (ab - 1 + q)) ** (2 / (ab - 2))
             * ((ab - 2) / (ab - 1 + q)) ** (2 / (1 + q))
@@ -76,9 +74,9 @@ def gap_radii(alpha: float, beta: float, q: float, S: float, b_sup: float,
     have norm below A_lm; A_lm < A0 exactly when Lambda < threshold_C.
     """
     if S <= 0:
-        raise NonpositiveS(f"gap radii need S > 0, got {S}")
+        raise NehariError(f"gap radii need S > 0, got {S}")
     if b_sup <= 0:
-        raise NonpositiveBSup(f"gap radii need b_sup > 0, got {b_sup}")
+        raise NehariError(f"gap radii need b_sup > 0, got {b_sup}")
     ab = alpha + beta
     A0 = ((1 + q) / ((ab - 1 + q) * b_sup) * S ** (ab / 2)) ** (1 / (ab - 2))
     A_lm = ((ab - 1 + q) / (ab - 2) * S ** (-(1 - q) / 2)) ** (1 / (1 + q)) * math.sqrt(Lambda)
@@ -93,9 +91,9 @@ def E_coefficient(alpha: float, beta: float, q: float, S: float, b_sup: float,
     E > 0 certifies the two-root fiber structure.
     """
     if S <= 0:
-        raise NonpositiveS(f"E needs S > 0, got {S}")
+        raise NehariError(f"E needs S > 0, got {S}")
     if Lambda <= 0:
-        raise NonpositiveLambda(f"E needs Lambda > 0, got {Lambda}")
+        raise NehariError(f"E needs Lambda > 0, got {Lambda}")
     ab = alpha + beta
     e = (ab - 2) / (1 + q)
     return ((1 + q) / (ab - 1 + q) * ((ab - 2) / (ab - 1 + q)) ** e
@@ -107,7 +105,7 @@ def energy_lower_bound(alpha: float, beta: float, q: float, S: float,
                        Lambda: float) -> float:
     """Reported lower bound for the energy on the manifold (<= 0)."""
     if S <= 0:
-        raise NonpositiveS(f"lower bound needs S > 0, got {S}")
+        raise NehariError(f"lower bound needs S > 0, got {S}")
     ab = alpha + beta
     return (-(1 + q) * (ab - 2) / ((1 - q) * ab)
             * ((ab - 1 + q) / (2 * (ab - 2))) ** (2 / (1 + q))
@@ -122,12 +120,12 @@ def rayleigh_quotient(form: GagliardoForm, r: float, v: np.ndarray) -> float:
     """Discrete embedding quotient of one candidate, its interior values
     (scale-invariant); the L^r sum runs over its written values.
 
-    Raises ZeroDivisionError for a candidate that vanishes at every node,
+    Raises NehariError for a candidate that vanishes at every node,
     and ConstantsOutOfRange for a nonzero one whose sums underflow to zero
     or overflow: its values lie too near either end of the float range.
     """
     if not np.any(v):
-        raise ZeroDivisionError("candidate is identically zero")
+        raise NehariError("candidate is identically zero")
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         num = float(v @ form.apply(v))
         den = float(np.sum(form.written_values(form.weights * np.abs(v) ** r))) ** (2.0 / r)

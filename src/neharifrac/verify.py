@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import pair_stats, phi_from_stats
-from .errors import AllMasked, OutOfFloatRange
+from .errors import AllMasked, NehariError, OutOfFloatRange
 from .form import GagliardoForm, same_cell_integral
 from .problem import GridSpec, ValidatedProblem, weight_norm
 from .thresholds import compute_constants, rayleigh_quotient
@@ -33,7 +33,7 @@ def brute_force_norm(grid: GridSpec, s: float, u: np.ndarray, refine: int) -> fl
     boundary, and the nodal function vanishes there).
     """
     if refine < 2:
-        raise ValueError(f"refine must be at least 2, got {refine}")
+        raise NehariError(f"refine must be at least 2, got {refine}")
     u = np.asarray(u, dtype=float)
     N = grid.cells
     h = grid.h
@@ -81,7 +81,7 @@ def weak_residual(problem: ValidatedProblem, form: GagliardoForm,
     (on the unmasked nodes the residual is that gradient with eps = delta).
     """
     if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+        raise NehariError(f"delta must be positive, got {delta}")
     q, al, be = problem.q, problem.alpha, problem.beta
     ab = al + be
     u, v = pair

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import neharifrac as nf
-from neharifrac.energy import smoothed_gradient, stats_and_products
+from neharifrac.energy import scaled_record, smoothed_gradient, stats_and_products
+from neharifrac.errors import NoAdmissibleDirection
 from neharifrac.fiber import label
+from neharifrac.solver import sample_directions
 
 
 def make_spec(cells=64, s=0.4, q=0.5, alpha=1.5, beta=1.5, lam=0.01, mu=0.01,
@@ -79,6 +81,31 @@ def bump_pair(problem, center, width, amp_u=1.0, amp_w=1.0):
     x = problem.grid.nodes()[1:-1]
     prof = np.maximum(0.0, 1 - ((x - center) / width) ** 2) ** 2
     return np.array([amp_u * prof, amp_w * prof])
+
+
+def energy(problem, form, pair):
+    """The energy J of the pair, its (2, n) array of interior values."""
+    st = nf.pair_stats(problem, form, pair)
+    return scaled_record(st.norm2, st.K, st.B, 1.0, problem.q, problem.alpha + problem.beta)[0]
+
+
+def weight_to_json(spec):
+    """The config object of a weight spec, which ``WeightSpec.from_json``
+    reads back."""
+    return {"kind": spec.kind, **spec.params}
+
+
+def initial_direction(problem, form, rng, branch=nf.Branch.PLUS):
+    """Random nonnegative direction pair with positive singular integral,
+    its (2, n) array of interior values: ``sample_directions`` with the one
+    problem and the one generator rng, which it draws from as the solver
+    draws from each restart's generator. Raises NoAdmissibleDirection when
+    1000 attempts find none."""
+    X, found = sample_directions([problem], form, [rng], branch)
+    if not found[0]:
+        raise NoAdmissibleDirection(
+            f"no admissible initial direction for branch {branch.value} in 1000 samples")
+    return X[:, 0]
 
 
 def classify(problem, form, pair):

@@ -260,6 +260,32 @@ def test_solve_exit_code_no_direction(tmp_path, capsys, branch):
     assert not out.exists()
 
 
+def test_fiber_without_an_admissible_direction_exits_4(tmp_path, capsys):
+    # the same parameters as above: fiber searches directions as solve
+    # does, and fails the same way before its CSV is written
+    path = write_config(tmp_path, {"lambda": -0.01, "mu": -0.01})
+    out = tmp_path / "fiber.csv"
+    assert cli.main(["fiber", path, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "no admissible direction: found no direction with positive singular integral "
+        "in 1000 samples\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["constants", "solve"])
+def test_a_samples_weight_that_does_not_fit_the_grid_is_a_validation_error(tmp_path, capsys,
+                                                                            command):
+    path = write_config(tmp_path, {"b": {"kind": "samples", "values": [0.0, 1.0, 0.0]}})
+    out = tmp_path / "run"
+    args = [command, path] + (["--out", str(out)] if command == "solve" else [])
+    assert cli.main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("validation error: weight b: samples weight has 3 entries, "
+                            "grid has 49 nodes\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_solve_exit_code_not_converged(monkeypatch, tmp_path):
     # one iteration stops no row on its energy tolerance
     monkeypatch.setattr(solver, "MAX_ITERS", 1)

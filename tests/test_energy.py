@@ -5,10 +5,11 @@ import pytest
 
 import neharifrac as nf
 from neharifrac.energy import phi_from_stats, row_dots, smoothed_gradient, stats_and_products
-from neharifrac.errors import NonpositiveT
+from neharifrac.errors import NehariError
 
 from conftest import (
     bump_pair,
+    energy,
     energy_smoothed,
     make_spec,
     pair_gradient,
@@ -79,7 +80,7 @@ def test_B_homogeneity(problem64, form64):
 
 
 def test_energy_zero_pair(problem64, form64):
-    assert nf.energy(problem64, form64, zero_pair(problem64)) == 0.0
+    assert energy(problem64, form64, zero_pair(problem64)) == 0.0
 
 
 def test_energy_parts_identity(problem64, form64):
@@ -89,8 +90,8 @@ def test_energy_parts_identity(problem64, form64):
         st = nf.pair_stats(problem64, form64, pair)
         expected = (st.norm2 / 2 - st.K / (1 - problem64.q)
                     - st.B / (problem64.alpha + problem64.beta))
-        assert nf.energy(problem64, form64, pair) == pytest.approx(expected, rel=1e-14,
-                                                                    abs=1e-300)
+        assert energy(problem64, form64, pair) == pytest.approx(expected, rel=1e-14,
+                                                                 abs=1e-300)
 
 
 def test_energy_synthetic_arithmetic():
@@ -108,8 +109,8 @@ def test_singular_term_dominates_near_zero(problem64, form64):
     # J(t*pair) -> 0 from below as t -> 0+, so closer to zero at smaller t
     pair = bump_pair(problem64, center=0.0, width=0.4)
     assert nf.pair_stats(problem64, form64, pair).K > 0
-    j_small = nf.energy(problem64, form64, (1e-3) * pair)
-    j_mid = nf.energy(problem64, form64, (1e-2) * pair)
+    j_small = energy(problem64, form64, (1e-3) * pair)
+    j_mid = energy(problem64, form64, (1e-2) * pair)
     assert j_small < 0 and j_mid < 0
     assert j_mid < j_small < 0
 
@@ -121,7 +122,7 @@ def test_phi_equals_energy_of_scaled_pair(problem64, form64):
         t = float(rng.uniform(0.1, 5.0))
         val, _, _ = nf.phi_from_stats(nf.pair_stats(problem64, form64, pair),
                                       problem64.q, problem64.alpha + problem64.beta, t)
-        direct = nf.energy(problem64, form64, t * pair)
+        direct = energy(problem64, form64, t * pair)
         assert val == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
@@ -135,7 +136,7 @@ def test_phi_prime_at_one_is_constraint_value(problem64, form64):
 
 def test_phi_rejects_nonpositive_t(problem64, form64):
     pair = bump_pair(problem64, 0.0, 0.3)
-    with pytest.raises(NonpositiveT):
+    with pytest.raises(NehariError, match="fiber map requires t > 0"):
         nf.phi_from_stats(nf.pair_stats(problem64, form64, pair),
                           problem64.q, problem64.alpha + problem64.beta, 0.0)
 

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 import neharifrac as nf
-from neharifrac.errors import NoBracket, NonpositiveK, NonpositiveNorm, NonpositiveT
+from neharifrac.errors import NehariError, NoBracket
 from neharifrac.fiber import DEGENERATE_TOL, MANIFOLD_TOL, label, root
 
 from conftest import bump_pair, classify
@@ -41,7 +41,7 @@ def test_psi_matches_fiber_derivative():
 def test_psi_blows_down_at_zero():
     st = nf.PairStats(1.0, 0.5, 0.1)
     assert nf.psi(st, Q, AB, 1e-6) < -1e6 * abs(st.B)
-    with pytest.raises(NonpositiveT):
+    with pytest.raises(NehariError, match="psi requires t > 0"):
         nf.psi(st, Q, AB, 0.0)
 
 
@@ -75,9 +75,9 @@ def test_t_max_scaling():
 
 
 def test_t_max_rejects_degenerate_stats():
-    with pytest.raises(NonpositiveNorm):
+    with pytest.raises(NehariError, match="t_max requires norm2 > 0"):
         nf.t_max(nf.PairStats(0.0, 1.0, 0.0), Q, AB)
-    with pytest.raises(NonpositiveK):
+    with pytest.raises(NehariError, match="t_max requires K > 0"):
         nf.t_max(nf.PairStats(1.0, 0.0, 0.0), Q, AB)
 
 
@@ -242,7 +242,7 @@ def test_root_names_statistics_beyond_the_float_range(norm2, K, B, upper):
 
 
 def test_project_rejects_nonpositive_k():
-    with pytest.raises(NonpositiveK):
+    with pytest.raises(NehariError, match="t_max requires K > 0"):
         nf.project(nf.PairStats(1.0, -0.5, 0.1), Q, AB)
 
 

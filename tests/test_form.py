@@ -5,7 +5,7 @@ from scipy.integrate import dblquad, quad
 from scipy.linalg import solve_toeplitz
 
 import neharifrac as nf
-from neharifrac.errors import GridMismatch, InvalidOrder
+from neharifrac.errors import InvalidOrder, ValidationError
 from neharifrac import form as form_mod
 from neharifrac.form import (
     form_symbol, inverse_first_column, riesz_map, same_cell_integral, strang_eigenvalues)
@@ -227,7 +227,7 @@ def test_apply_form_consistency(form16, grid16):
 
 def test_grid_mismatch_rejected(form16):
     other = nf.GridSpec(-1.0, 1.0, 8)
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ValidationError, match="grid function does not match the form's grid"):
         nf.seminorm_sq(form16, nf.GridFunction(other, np.zeros(other.node_count)))
 
 

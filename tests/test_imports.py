@@ -1,7 +1,9 @@
 """The package needs numpy and the standard library alone: scipy and the
-other test-only tools serve the tests, never ``src/``."""
+other test-only tools serve the tests, never ``src/``. It raises its own
+errors alone, each of which it raises somewhere."""
 
 import ast
+import builtins
 import importlib.util
 import pathlib
 import sys
@@ -60,3 +62,55 @@ def test_the_benchmark_demos_and_tools_use_names_the_package_has():
 
     assert not {(path, module, name) for path, module, name in used
                 if not resolves(module, name)}
+
+
+def _constructed(tree: ast.Module):
+    # the class each ``raise X(...)`` names
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            yield ast.unparse(node.exc.func)
+
+
+def _violation_kinds(tree: ast.Module):
+    # the first names of the (kind, message) pairs ``validate_params``
+    # collects as ``violations``
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and ast.unparse(node.func) == "violations.append"
+                and isinstance(node.args[0], ast.Tuple)):
+            yield ast.unparse(node.args[0].elts[0])
+
+
+def _uncaught_bare_builtins(node: ast.AST, caught: frozenset = frozenset()):
+    # a builtin exception raised bare (``raise OverflowError``) that no
+    # enclosing try of its own function catches
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        caught = frozenset()
+    if isinstance(node, ast.Try):
+        handled = {n.id for h in node.handlers if h.type is not None
+                   for n in ast.walk(h.type) if isinstance(n, ast.Name)}
+        for child in node.body:
+            yield from _uncaught_bare_builtins(child, caught | handled)
+        for child in node.handlers + node.orelse + node.finalbody:
+            yield from _uncaught_bare_builtins(child, caught)
+        return
+    if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Name)
+            and hasattr(builtins, node.exc.id) and node.exc.id not in caught):
+        yield node.exc.id
+    for child in ast.iter_child_nodes(node):
+        yield from _uncaught_bare_builtins(child, caught)
+
+
+def test_the_package_raises_its_own_errors_and_each_of_them():
+    # cli.main maps a package error to its exit code; a builtin one would
+    # leave that decision to whoever catches it
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    constructed = {(name, cls) for name, tree in trees.items() for cls in _constructed(tree)}
+    # _raise_first raises the class of the first violation, its ``cls``
+    assert not {(name, cls) for name, cls in constructed if cls not in classes | {"cls"}}
+    assert not {(name, cls) for name, tree in trees.items()
+                for cls in _uncaught_bare_builtins(tree)}
+    kinds = {kind for tree in trees.values() for kind in _violation_kinds(tree)}
+    assert classes == {cls for _, cls in constructed} - {"cls"} | kinds

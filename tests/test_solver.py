@@ -8,7 +8,7 @@ import pytest
 
 import neharifrac as nf
 from neharifrac.energy import row_dots, singular_and_coupling, smoothed_gradient
-from neharifrac.errors import DirectionSearchFailed, NoBracket, NotConvergedInput
+from neharifrac.errors import NehariError, NoAdmissibleDirection, NoBracket
 from neharifrac.fiber import DEGENERATE_TOL, label, root
 from neharifrac import cli
 from neharifrac import form as form_mod
@@ -17,6 +17,7 @@ from neharifrac import solver
 
 from conftest import (
     classify,
+    initial_direction,
     make_spec,
     nodal,
     pair_gradient,
@@ -72,7 +73,7 @@ def test_the_returned_reports_are_the_descent_rows(problem64, form64, monkeypatc
 def test_initial_direction_properties(problem64, form64):
     for seed in (0, 1, 17):
         rng = np.random.default_rng(seed)
-        pair = nf.initial_direction(problem64, form64, rng)
+        pair = initial_direction(problem64, form64, rng)
         assert pair.shape == (2, problem64.grid.cells - 1) and np.all(pair >= 0)
         assert nf.pair_stats(problem64, form64, pair).K > 0
 
@@ -80,13 +81,13 @@ def test_initial_direction_properties(problem64, form64):
 def test_initial_direction_minus_has_positive_coupling(problem64, form64):
     for seed in (0, 5, 9):
         rng = np.random.default_rng(seed)
-        pair = nf.initial_direction(problem64, form64, rng, nf.Branch.MINUS)
+        pair = initial_direction(problem64, form64, rng, nf.Branch.MINUS)
         assert nf.pair_stats(problem64, form64, pair).B > 0
 
 
 def test_initial_direction_deterministic(problem64, form64):
-    a = nf.initial_direction(problem64, form64, np.random.default_rng(7))
-    b = nf.initial_direction(problem64, form64, np.random.default_rng(7))
+    a = initial_direction(problem64, form64, np.random.default_rng(7))
+    b = initial_direction(problem64, form64, np.random.default_rng(7))
     assert np.array_equal(a, b)
 
 
@@ -96,8 +97,9 @@ def test_initial_direction_fails_when_no_positive_coupling_possible():
     spec = make_spec(cells=32, lam=-0.01, mu=-0.01)
     p = nf.validate_params(spec)
     form = nf.assemble_form(p.grid, p.s)
-    with pytest.raises(DirectionSearchFailed):
-        nf.initial_direction(p, form, np.random.default_rng(0))
+    with pytest.raises(NoAdmissibleDirection,
+                       match="no admissible initial direction for branch plus"):
+        initial_direction(p, form, np.random.default_rng(0))
 
 
 def _initial_direction_reference(problem, rng, branch):
@@ -157,7 +159,7 @@ def test_block_sampler_draws_each_restart_as_alone(monkeypatch, case):
                 [problem], form, [np.random.default_rng(seed) for seed in range(16)], branch)
         assert found.all()
         for seed in range(16):
-            pair = nf.initial_direction(problem, form, np.random.default_rng(seed), branch)
+            pair = initial_direction(problem, form, np.random.default_rng(seed), branch)
             ref_u, ref_w = _initial_direction_reference(problem, np.random.default_rng(seed),
                                                         branch)
             for values in (u[seed], pair[0]):
@@ -328,7 +330,7 @@ def test_gap_check_rejects_unconverged(solved64, constants64):
     plus, minus = solved64
     import dataclasses
     bad = dataclasses.replace(plus, converged=False)
-    with pytest.raises(NotConvergedInput):
+    with pytest.raises(NehariError, match="gap check needs two converged solutions"):
         nf.gap_check(bad, minus, constants64)
 
 
@@ -457,7 +459,7 @@ def test_sobolev_descent_against_euclidean_oracle(problem64, form64, solved64):
         J_oracle = min(
             _descend_euclidean_reference(
                 problem64, form64, rep.branch,
-                nf.initial_direction(problem64, form64, np.random.default_rng(seed), rep.branch))
+                initial_direction(problem64, form64, np.random.default_rng(seed), rep.branch))
             for seed in (42, 43, 44))
         assert rep.J <= J_oracle + 1e-8 * abs(J_oracle)
 
@@ -532,7 +534,7 @@ def test_every_restart_stops_within_the_bb_iteration_bounds(cells):
     form = nf.assemble_form(p.grid, p.s)
     opts = nf.SolverOptions()
     for branch, bound in ((nf.Branch.PLUS, 12), (nf.Branch.MINUS, 28)):
-        directions = [nf.initial_direction(p, form, np.random.default_rng(opts.seed + i), branch)
+        directions = [initial_direction(p, form, np.random.default_rng(opts.seed + i), branch)
                       for i in range(opts.restarts)]
         for report in _descend_point(p, form, branch, directions):
             assert report.converged and report.iters <= bound
@@ -544,8 +546,8 @@ def test_alternation_damps_the_stiff_antisymmetric_mode(problem128, form128):
     # by the soft symmetric curvature leaves it undamped (sup|u - w| stayed
     # at 4e-8 without the alternation)
     opts = nf.SolverOptions(restarts=1)
-    start = nf.initial_direction(problem128, form128, np.random.default_rng(opts.seed),
-                                 nf.Branch.MINUS)
+    start = initial_direction(problem128, form128, np.random.default_rng(opts.seed),
+                              nf.Branch.MINUS)
     u = start[0]
     w = u * (1 + 1e-8 * np.sin(np.pi * form128.nodes))
     [report] = _descend_point(problem128, form128, nf.Branch.MINUS, [np.array([u, w])])
@@ -569,7 +571,7 @@ def test_negative_parameter_branches():
     J_oracle = min(
         _descend_euclidean_reference(
             p, form, nf.Branch.MINUS,
-            nf.initial_direction(p, form, np.random.default_rng(seed), nf.Branch.MINUS))
+            initial_direction(p, form, np.random.default_rng(seed), nf.Branch.MINUS))
         for seed in (0, 1))
     assert minus.J <= J_oracle + 1e-8 * abs(J_oracle)
 
@@ -650,7 +652,7 @@ def test_array_descent_against_gridpair_oracle(cells, problem64, form64):
         seeds = range(8)
     riesz = riesz_map(form)
     for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
-        directions = [nf.initial_direction(problem, form, np.random.default_rng(seed), branch)
+        directions = [initial_direction(problem, form, np.random.default_rng(seed), branch)
                       for seed in seeds]
         results = _descend_apart(problem, form, branch, directions)
         assert len(results) == len(directions)
@@ -681,7 +683,7 @@ def test_block_rows_do_not_depend_on_each_other(monkeypatch, problem64, matrix_f
     form = nf.assemble_form(problem64.grid, problem64.s)
     assert form.matrix_free is matrix_free
     for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
-        directions = [nf.initial_direction(problem64, form, np.random.default_rng(seed), branch)
+        directions = [initial_direction(problem64, form, np.random.default_rng(seed), branch)
                       for seed in range(8, 12)]
         block = _descend_apart(problem64, form, branch, directions)
         assert len({result.iters for result in block}) > 1  # rows stop apart
@@ -715,7 +717,7 @@ def test_every_row_reports_its_stationarity(monkeypatch, problem64, matrix_free)
     form = nf.assemble_form(problem64.grid, problem64.s)
     assert form.matrix_free is matrix_free
     for branch in (nf.Branch.PLUS, nf.Branch.MINUS):
-        directions = [nf.initial_direction(problem64, form, np.random.default_rng(seed), branch)
+        directions = [initial_direction(problem64, form, np.random.default_rng(seed), branch)
                       for seed in range(4)]
         rows = _descend_point(problem64, form, branch, directions)
         for row in rows:
@@ -736,8 +738,8 @@ def test_every_row_reports_its_stationarity(monkeypatch, problem64, matrix_free)
 
 
 def test_block_stops_rows_at_the_step_floor_and_at_max_iters(monkeypatch, problem64, form64):
-    directions = [nf.initial_direction(problem64, form64, np.random.default_rng(seed),
-                                       nf.Branch.MINUS) for seed in range(3)]
+    directions = [initial_direction(problem64, form64, np.random.default_rng(seed),
+                                    nf.Branch.MINUS) for seed in range(3)]
     # a first step at the floor tries nothing: each row stops at once on
     # its projected start
     with monkeypatch.context() as patch:
@@ -758,7 +760,7 @@ def test_converged_needs_phi2_outside_the_degenerate_band(monkeypatch, problem64
                                                           branch, sign):
     # the verdict reads fiber.label's bands: a row whose phi''(1) lies inside
     # DEGENERATE_TOL * scale, on its branch's side of 0, is in N0, not N+ or N-
-    directions = [nf.initial_direction(problem64, form64, np.random.default_rng(seed), branch)
+    directions = [initial_direction(problem64, form64, np.random.default_rng(seed), branch)
                   for seed in range(3)]
     assert all(row.converged for row in _descend_point(problem64, form64, branch, directions))
 
@@ -892,8 +894,8 @@ def test_rows_split_into_blocks_come_out_as_unsplit(monkeypatch):
     for branch in nf.Branch:
         for k, problem in enumerate(problems):
             for seed in range(2):
-                directions.append(nf.initial_direction(problem, form, np.random.default_rng(seed),
-                                                       branch))
+                directions.append(initial_direction(problem, form, np.random.default_rng(seed),
+                                                    branch))
                 points.append(k)
                 branches.append(branch)
     X = _interiors(directions)
@@ -945,7 +947,7 @@ def test_a_restart_from_the_same_direction_joins_at_iteration_1(monkeypatch, pro
     # two rows from one direction meet at once: the second joins the first
     # after iteration 1 and leaves the block, so every later gradient takes
     # one row, and both rows report the same object
-    direction = nf.initial_direction(problem64, form64, np.random.default_rng(0), nf.Branch.MINUS)
+    direction = initial_direction(problem64, form64, np.random.default_rng(0), nf.Branch.MINUS)
     widths = []
     gradient = solver.smoothed_gradient
     monkeypatch.setattr(solver, "smoothed_gradient",

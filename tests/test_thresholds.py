@@ -5,12 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import neharifrac as nf
-from neharifrac.errors import (
-    InverseIterationNotConverged,
-    NonpositiveBSup,
-    NonpositiveLambda,
-    NonpositiveS,
-)
+from neharifrac.errors import InverseIterationNotConverged, NehariError
 from neharifrac import form as form_mod
 from neharifrac import thresholds
 from neharifrac.thresholds import (
@@ -69,9 +64,9 @@ def test_threshold_C_monotone_in_S_and_b_scaling():
     assert c2 > c1
     cb = nf.threshold_C(1.5, 1.5, 0.5, 1.0, 2.0)
     assert cb == pytest.approx(c1 * 0.5 ** (2.0 / (3.0 - 2.0)), rel=1e-13)
-    with pytest.raises(NonpositiveS):
+    with pytest.raises(NehariError, match="threshold needs S > 0"):
         nf.threshold_C(1.5, 1.5, 0.5, 0.0, 1.0)
-    with pytest.raises(NonpositiveBSup):
+    with pytest.raises(NehariError, match="threshold needs b_sup > 0"):
         nf.threshold_C(1.5, 1.5, 0.5, 1.0, 0.0)
 
 
@@ -91,7 +86,7 @@ def test_E_coefficient_sign_structure():
         0.0, abs=1e-10)
     assert nf.E_coefficient(1.5, 1.5, 0.5, 1.0, 1.0, Lambda=C / 2) > 0
     assert nf.E_coefficient(1.5, 1.5, 0.5, 1.0, 1.0, Lambda=2 * C) < 0
-    with pytest.raises(NonpositiveLambda):
+    with pytest.raises(NehariError, match="E needs Lambda > 0"):
         nf.E_coefficient(1.5, 1.5, 0.5, 1.0, 1.0, Lambda=0.0)
 
 
@@ -126,7 +121,7 @@ def test_energy_lower_bound_fixture():
     assert got == pytest.approx(expected, rel=1e-13)
     assert got == pytest.approx(-0.1346522, abs=5e-7)
     assert nf.energy_lower_bound(1.5, 1.5, 0.5, 1.0, 0.0) == 0.0
-    with pytest.raises(NonpositiveS):
+    with pytest.raises(NehariError, match="lower bound needs S > 0"):
         nf.energy_lower_bound(1.5, 1.5, 0.5, 0.0, 0.1)
 
 
