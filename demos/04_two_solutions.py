@@ -33,7 +33,7 @@ for rep in (plus, minus):
     pair = np.array([rep.u, rep.w])  # the interior values of u and w
     print(f"  max u = {rep.u.max():.5f}, interior min u = {rep.u.min():.2e}")
     delta = 1e-4 * float(rep.u.max())
-    res = nf.weak_residual(problem, form, pair, delta)
+    res = nf.weak_residual(problem, pair, nf.row_products(form, pair), delta)
     print(f"  stationarity residual: res_u = {res.res_u:.1e}, "
           f"res_w = {res.res_w:.1e}, masked fraction = {res.masked_fraction:.2f}")
     print()
@@ -47,6 +47,7 @@ print(f"norm ordering: {gap.norm_minus:.4f} > {gap.A0:.4f} > "
 
 # the inequality chains hold for both solutions, each at its own quotient
 for rep in (plus, minus):
-    checks = nf.inequality_suite(problem, form, np.array([rep.u, rep.w]))
+    pair = np.array([rep.u, rep.w])
+    checks = nf.inequality_suite(problem, form, pair, nf.row_products(form, pair))
     names = ", ".join(f"{c.name}={'ok' if c.ok else 'FAIL'}" for c in checks.checks)
     print(f"{rep.branch.value}: {names}")

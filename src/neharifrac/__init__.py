@@ -34,6 +34,7 @@ from .energy import (
     PairStats,
     pair_stats,
     phi_from_stats,
+    row_products,
 )
 from .fiber import (
     FiberCase,

@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import verify as verify_mod
-from .energy import pair_stats, phi_from_stats
+from .energy import pair_stats, phi_from_stats, row_products
 from .errors import (
     AllMasked,
     ConfigParseError,
@@ -74,15 +74,13 @@ def problem_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 
-def load_config(path: str) -> dict:
+def _read_json(path: str, what: str):
+    # not UTF-8 and not JSON are ValueErrors; too deep a nesting, a RecursionError
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigParseError("config root must be a JSON object")
-    return cfg
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigParseError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def problem_from_config(cfg: dict) -> ProblemSpec:
@@ -152,7 +150,9 @@ def _write_json(path: str, obj: dict) -> None:
 
 
 def _load(path: str) -> tuple[dict, ValidatedProblem]:
-    cfg = load_config(path)
+    cfg = _read_json(path, "config")
+    if not isinstance(cfg, dict):
+        raise ConfigParseError("config root must be a JSON object")
     return cfg, validate_params(problem_from_config(cfg))
 
 
@@ -374,12 +374,11 @@ def cmd_verify(args) -> int:
     if not (math.isfinite(args.res_tol) and args.res_tol > 0):
         raise ValidationError(f"--res-tol must be positive and finite, got {args.res_tol}")
     form = assemble_form(problem.grid, problem.s)
+    sol = _read_json(args.solution, "solution")
     try:
-        with open(args.solution, "r", encoding="utf-8") as fh:
-            sol = json.load(fh)
         u, w = (np.asarray(sol[key], dtype=float) for key in ("u", "w"))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        # ValueError covers a JSON syntax error and a non-numeric entry
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers a non-numeric entry
         raise ConfigParseError(f"cannot read solution {args.solution}: {exc}") from exc
     nodes = problem.grid.node_count
     for key, values in (("u", u), ("w", w)):
@@ -398,10 +397,12 @@ def cmd_verify(args) -> int:
         delta = args.delta
     else:
         raise ValidationError(f"--delta must be positive and finite, got {args.delta}")
-    residual = verify_mod.weak_residual(problem, form, pair, delta)
+    # G is applied once to each component; the residual and the chains read it
+    products = row_products(form, pair)
+    residual = verify_mod.weak_residual(problem, pair, products, delta)
 
     # the chains hold at the pair's own quotient, so no G^{-1} is built
-    checks = verify_mod.inequality_suite(problem, form, pair)
+    checks = verify_mod.inequality_suite(problem, form, pair, products)
 
     residual_ok = (residual.res_u <= args.res_tol and residual.res_w <= args.res_tol)
     out = {

@@ -103,9 +103,9 @@ def stats_and_products(problem: ValidatedProblem, form: GagliardoForm, X: np.nda
     three lists of floats, with G X in the same layout; X and factors as in
     ``singular_and_coupling``.
 
-    The raw-array kernel behind ``pair_stats``: the block descent calls it
-    on all its trials at once, reads each row's three floats without an
-    object per row, and reuses the products for the gradient. G is applied
+    The block descent calls it on all its trials at once, reads each row's
+    three floats without an object per row, and reuses the products for the
+    gradient; ``stats_of_pair`` takes the same sums for one pair. G is applied
     to each component on its own: below ``form.MATRIX_FREE_CELLS`` a dense
     product's rows depend on how many rows it has, so a product over both
     components would change a row's bytes.
@@ -140,12 +140,26 @@ def smoothed_gradient(problem: ValidatedProblem, X: np.ndarray, GX: np.ndarray,
     return g
 
 
+@_QUIET
+def row_products(form: GagliardoForm, x: np.ndarray) -> np.ndarray:
+    """G x of each row of the block x, a row at a time: a dense product of
+    several rows rounds each by how many there are, so a row's product, and
+    what is read from it, keeps its bytes in any block."""
+    return np.reshape([form.apply(row) for row in x], x.shape)
+
+
 def pair_stats(problem: ValidatedProblem, form: GagliardoForm, pair: np.ndarray) -> PairStats:
     """The statistics of one pair, its (2, n) array of interior values."""
-    # a C-ordered block of one pair, so its sums run as a block row's do
-    X = np.ascontiguousarray(pair, dtype=float)[:, None]
-    norm2, K, B, _ = stats_and_products(problem, form, X)
-    return PairStats(norm2[0], K[0], B[0])
+    pair = np.ascontiguousarray(pair, dtype=float)
+    return stats_of_pair(problem, pair, row_products(form, pair))
+
+
+def stats_of_pair(problem: ValidatedProblem, pair: np.ndarray, products: np.ndarray
+                  ) -> PairStats:
+    """``pair_stats`` given the pair's ``row_products``, as a block of one row."""
+    X = pair[:, None]
+    K, B = singular_and_coupling(problem, X)
+    return PairStats(float(row_dots(X, products[:, None])[0]), float(K[0]), float(B[0]))
 
 
 def scaled_record(norm2: float, K: float, B: float, t: float, q: float, ab: float

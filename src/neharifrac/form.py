@@ -148,8 +148,7 @@ class GagliardoForm:
 
     def written_values(self, interior: np.ndarray) -> np.ndarray:
         """The nodal values written for a function, from its interior ones: a
-        zero at either end. The L^r sums run over this array, ends included:
-        numpy sums it in another order than the interior values alone."""
+        zero at either end."""
         return np.concatenate(([0.0], interior, [0.0]))
 
     def interior_values(self, values: np.ndarray) -> np.ndarray:

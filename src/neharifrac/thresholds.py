@@ -11,10 +11,12 @@ grid refines it (Hein & Buehler, NIPS 2010), each iteration extrapolated by
 a secant step, which is Anderson's method of depth 1 (Anderson, J. ACM 12,
 1965; Walker & Ni, SIAM J. Numer. Anal. 49, 2011), and the caller's
 candidates can only lower it; the two starts finish as one where they meet,
-as the descent's restarts do (``solver``). The estimate is an upper bound
-for the discrete infimum and never exceeds the quotient of any supplied
-candidate; compute_constants takes any S, such as the least quotient of one
-pair.
+as the descent's restarts do (``solver``). The estimate bounds the discrete
+infimum from above. Every quotient is one row kernel
+(``embedding_quotients``) on G u formed a row at a time
+(``energy.row_products``), so the estimate never exceeds the quotient of a
+supplied candidate, bit for bit; compute_constants takes any S, such as the
+least quotient of one pair (``verify``).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .energy import row_products
 from .errors import (
     ConstantsOutOfRange,
     InverseIterationNotConverged,
@@ -116,29 +119,9 @@ def energy_lower_bound(alpha: float, beta: float, q: float, S: float,
 # Sobolev constant estimation
 
 
-def rayleigh_quotient(form: GagliardoForm, r: float, v: np.ndarray) -> float:
-    """Discrete embedding quotient of one candidate, its interior values
-    (scale-invariant); the L^r sum runs over its written values.
-
-    Raises NehariError for a candidate that vanishes at every node,
-    and ConstantsOutOfRange for a nonzero one whose sums underflow to zero
-    or overflow: its values lie too near either end of the float range.
-    """
-    if not np.any(v):
-        raise NehariError("candidate is identically zero")
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        num = float(v @ form.apply(v))
-        den = float(np.sum(form.written_values(form.weights * np.abs(v) ** r))) ** (2.0 / r)
-    if not (0.0 < num < math.inf and 0.0 < den < math.inf):
-        raise ConstantsOutOfRange(
-            f"the embedding quotient of a candidate leaves the float range at s={form.s}, "
-            f"alpha+beta={r}: its sums are {num} and {den}")
-    return num / den
-
-
 def _quotients(x: np.ndarray, gx: np.ndarray, w: np.ndarray, r: float
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's quotient from its product gx with G, and |x|^{r-1}.
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's quotient from its product gx with G, its L^r sum and |x|^{r-1}.
 
     Every sum is a product summed along the row, never einsum or a matrix
     product, so a row's quotient does not depend on the other rows.
@@ -147,7 +130,33 @@ def _quotients(x: np.ndarray, gx: np.ndarray, w: np.ndarray, r: float
     power = magnitude ** (r - 1)
     magnitude *= power
     magnitude *= w
-    return (x * gx).sum(axis=1) / magnitude.sum(axis=1) ** (2.0 / r), power
+    sums = magnitude.sum(axis=1)
+    return (x * gx).sum(axis=1) / sums ** (2.0 / r), sums, power
+
+
+def embedding_quotients(form: GagliardoForm, r: float, x: np.ndarray, gx: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """The quotient and the L^r sum of each row of the block x, none zero,
+    given gx = G x (``row_products``). Raises ConstantsOutOfRange for a
+    quotient outside the float range: the row's values lie too near an end
+    of it, so its sums underflow to zero or overflow."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        quotients, sums, _ = _quotients(x, gx, form.weights, r)
+    if not np.all((0.0 < quotients) & (quotients < math.inf)):
+        raise ConstantsOutOfRange(
+            f"the embedding quotient of a candidate leaves the float range at s={form.s}, "
+            f"alpha+beta={r}: quotients {quotients.tolist()}, L^r sums {sums.tolist()}")
+    return quotients, sums
+
+
+def rayleigh_quotient(form: GagliardoForm, r: float, v: np.ndarray) -> float:
+    """Discrete embedding quotient of one candidate, its interior values
+    (scale-invariant): ``embedding_quotients`` of the block of one row.
+    Raises NehariError for a candidate that vanishes at every node."""
+    if not np.any(v):
+        raise NehariError("candidate is identically zero")
+    x = np.array(v, dtype=float, ndmin=2)
+    return float(embedding_quotients(form, r, x, row_products(form, x))[0][0])
 
 
 def _secant_step(y: np.ndarray, gy: np.ndarray, f: np.ndarray, previous, w: np.ndarray,
@@ -163,7 +172,7 @@ def _secant_step(y: np.ndarray, gy: np.ndarray, f: np.ndarray, previous, w: np.n
     NaN quotient, so y stays.
     """
     if previous is None:
-        quotient, power = _quotients(y, gy, w, r)
+        quotient, _, power = _quotients(y, gy, w, r)
         return quotient, y, power
     y_prev, gy_prev, f_prev = previous
     df = f - f_prev
@@ -171,7 +180,7 @@ def _secant_step(y: np.ndarray, gy: np.ndarray, f: np.ndarray, previous, w: np.n
         gamma = ((df * f).sum(axis=1) / (df * df).sum(axis=1))[:, None]
         x = np.concatenate([y, y - gamma * (y - y_prev)])
         gx = np.concatenate([gy, gy - gamma * (gy - gy_prev)])
-    quotients, powers = _quotients(x, gx, w, r)
+    quotients, _, powers = _quotients(x, gx, w, r)
     k = len(y)
     pick = np.arange(k) + k * (quotients[k:] < quotients[:k])
     return quotients[pick], x[pick], powers[pick]
@@ -208,7 +217,7 @@ def _inverse_iteration(form: GagliardoForm, r: float, *starts: np.ndarray) -> fl
     w = form.weights
     v = np.array(starts, dtype=float)
     v /= np.abs(v).max(axis=1, keepdims=True)
-    best, power = _quotients(v, form.apply(v), w, r)
+    best, _, power = _quotients(v, row_products(form, v), w, r)
     rows = np.arange(len(v))  # the rows still refining
     rhs = w * np.copysign(power, v)
     previous = None
@@ -244,26 +253,22 @@ def _inverse_iteration(form: GagliardoForm, r: float, *starts: np.ndarray) -> fl
 
 
 def estimate_S(form: GagliardoForm, r: float, candidates) -> float:
-    """Upper estimate of the discrete embedding constant.
-
-    The inverse iteration of the two starts of default_candidates, lowered
-    to the least Rayleigh quotient of the candidates (arrays of interior
-    values) if one is below it; with no candidates it is the refinement
-    alone. So S depends on the candidates only through their minimum, and
-    adding one never raises it. Near the top of the alpha+beta window the two starts can
-    reach different minima, and the refinement is the lower; where they
-    head for one, the higher of them, mostly the hat, stops where they meet
-    (see _inverse_iteration). A candidate that vanishes at every node has
-    no quotient and is skipped. The refinement depends on the form and r
-    alone; it runs once per form and r, and the form keeps it, so every
-    point of a sweep shares it.
+    """Upper estimate of the discrete embedding constant: the inverse
+    iteration of the two starts of default_candidates, lowered to the least
+    quotient of the candidates (arrays of interior values), scored as one
+    block, if one is below it. Adding a candidate never raises S, and one
+    that vanishes at every node has no quotient and is skipped. Near the top
+    of the alpha+beta window the two starts can reach different minima, and
+    the refinement is the lower (see _inverse_iteration). The refinement
+    depends on the form and r alone; the form keeps it, so every sweep point
+    shares it.
     """
     refined = form.refined_quotients.get(r)
     if refined is None:
         refined = form.refined_quotients[r] = _inverse_iteration(
             form, r, *default_candidates(form))
-    values = (np.asarray(c, dtype=float) for c in candidates)
-    return min([refined] + [rayleigh_quotient(form, r, v) for v in values if np.any(v)])
+    x = np.array([c for c in candidates if np.any(c)], dtype=float).reshape(-1, len(form.nodes))
+    return min([refined, *embedding_quotients(form, r, x, row_products(form, x))[0].tolist()])
 
 
 def default_candidates(form: GagliardoForm) -> list[np.ndarray]:

@@ -2,9 +2,10 @@
 and the discrete inequality chains.
 
 The norm oracle is independent of the form module: a punctured midpoint
-double sum on a refined grid. The residual and the inequality chains apply
-the assembled form; the residual writes out the Euler-Lagrange terms
-itself, and the chains evaluate each bound from raw nodal data, the pair's
+double sum on a refined grid. The residual and the inequality chains read
+the products of the components with G (``energy.row_products``), taken
+once for both; the residual writes out the Euler-Lagrange terms itself,
+and the chains evaluate each bound from raw nodal data, the pair's
 statistics and the closed-form constants at the pair's own quotient. A
 pair is the (2, n) array of its interior values, and the discretization is
 read from the form alone; the oracle alone reads the grid.
@@ -16,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import pair_stats, phi_from_stats
+from .energy import phi_from_stats, stats_of_pair
 from .errors import AllMasked, NehariError, OutOfFloatRange
 from .form import GagliardoForm, same_cell_integral
-from .problem import GridSpec, ValidatedProblem, weight_norm
-from .thresholds import compute_constants, rayleigh_quotient
+from .problem import GridSpec, ValidatedProblem
+from .thresholds import compute_constants, embedding_quotients
 
 
 def brute_force_norm(grid: GridSpec, s: float, u: np.ndarray, refine: int) -> float:
@@ -64,14 +65,14 @@ class ResidualReport:
     delta: float
 
 
-def weak_residual(problem: ValidatedProblem, form: GagliardoForm,
-                  pair: np.ndarray, delta: float) -> ResidualReport:
+def weak_residual(problem: ValidatedProblem, pair: np.ndarray, products: np.ndarray,
+                  delta: float) -> ResidualReport:
     """Nodewise stationarity residual of a nonnegative pair.
 
-    Compares the nonlocal operator applied to each component against the
-    quadrature-weighted right-hand side, over interior nodes where both
-    components exceed delta (the singular factor is untestable where a
-    component vanishes). Residuals are normalized by the largest term
+    Compares the products of the components with G (``row_products``)
+    against the quadrature-weighted right-hand side, over interior nodes
+    where both components exceed delta (the singular factor is untestable
+    where a component vanishes). Residuals are normalized by the largest term
     magnitude over the unmasked nodes. A term that leaves the float range
     raises OutOfFloatRange.
 
@@ -96,9 +97,8 @@ def weak_residual(problem: ValidatedProblem, form: GagliardoForm,
     vm = v[mask]
     # a term beyond the float range comes out inf or NaN, and so does its
     # residual, which is refused below
+    Gu, Gv = products
     with np.errstate(over="ignore", invalid="ignore"):
-        Gu = form.apply(u)
-        Gv = form.apply(v)
         res_u = Gu[mask] - lam_f * um ** (-q) - (al / ab) * b * um ** (al - 1) * vm**be
         res_v = Gv[mask] - mu_g * vm ** (-q) - (be / ab) * b * um**al * vm ** (be - 1)
     if not (np.all(np.isfinite(res_u)) and np.all(np.isfinite(res_v))):
@@ -151,8 +151,9 @@ _SLACK = 1e-12
 
 
 def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
-                     pair: np.ndarray) -> CheckList:
-    """Evaluate the discrete inequality chains on one pair, at its own S.
+                     pair: np.ndarray, products: np.ndarray) -> CheckList:
+    """Evaluate the discrete inequality chains on one pair, at its own S,
+    given the products of its components with G (``row_products``).
 
     The chains hold for any S up to the Rayleigh quotient of each nonzero
     component, and a smaller S only loosens them, so they are checked at
@@ -163,12 +164,13 @@ def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
     off-manifold pairs record it as trivially satisfied.
     """
     q, ab = problem.q, problem.alpha + problem.beta
-    st = pair_stats(problem, form, pair)
+    st = stats_of_pair(problem, pair, products)
     norm = np.sqrt(st.norm2)
-    quotients = [rayleigh_quotient(form, ab, comp) for comp in pair if np.any(comp)]
-    if not quotients:
+    nonzero = np.any(pair, axis=1)
+    if not np.any(nonzero):
         raise AllMasked("both components vanish at every interior node; no quotient bounds S")
-    constants = compute_constants(problem, min(quotients))
+    quotients, sums = embedding_quotients(form, ab, pair[nonzero], products[nonzero])
+    constants = compute_constants(problem, float(quotients.min()))
     S, f_norm, Lambda = constants.S, constants.f_norm, constants.Lambda
 
     checks = []
@@ -195,12 +197,12 @@ def inequality_suite(problem: ValidatedProblem, form: GagliardoForm,
     else:
         add("manifold_energy_bound", True, J, -np.inf)
 
-    # exact discrete Hoelder step for the u component against f, its sums
-    # over the written nodal values, where f is sampled; u vanishes at the
-    # ends, so their weights do not count
+    # exact discrete Hoelder step for the u component against f, the sum
+    # against f over the written nodal values, where f is sampled (u vanishes
+    # at the ends), and the L^r norm of u from its quotient's sum
     u, w = form.written_values(pair[0]), form.written_values(form.weights)
     lhs_h = float(np.sum(w * np.abs(problem.f_vals) * np.abs(u) ** (1 - q)))
-    rhs_h = f_norm * weight_norm(ab, u, w) ** (1 - q)
+    rhs_h = f_norm * (sums[0] ** (1 / ab) if nonzero[0] else 0.0) ** (1 - q)
     add("discrete_hoelder", lhs_h <= rhs_h * (1 + _SLACK) + _SLACK, lhs_h, rhs_h)
 
     return CheckList(tuple(checks), J, S)

@@ -205,7 +205,8 @@ def test_criterion_7_weak_residual(fixture128):
     results = []
     for rep in (plus, minus):
         delta = 1e-4 * float(np.max(rep.u))
-        res = nf.weak_residual(problem, form, pair_of(rep), delta)
+        pair = pair_of(rep)
+        res = nf.weak_residual(problem, pair, nf.row_products(form, pair), delta)
         results.append(res)
     ok = all(r.res_u <= 1e-3 and r.res_w <= 1e-3 and r.masked_fraction < 0.2
              for r in results)
@@ -239,7 +240,8 @@ def test_criterion_8_inequality_chains(fixture128):
     # final solutions and 50 random manifold members, full check list, each
     # at its own quotient
     for rep in (plus, minus):
-        if not nf.inequality_suite(problem, form, pair_of(rep)).all_ok:
+        pair = pair_of(rep)
+        if not nf.inequality_suite(problem, form, pair, nf.row_products(form, pair)).all_ok:
             violations += 1
     rng = np.random.default_rng(8)
     done = 0
@@ -254,7 +256,8 @@ def test_criterion_8_inequality_chains(fixture128):
         if roots.t1 is None:
             continue
         done += 1
-        if not nf.inequality_suite(problem, form, roots.t1 * pair).all_ok:
+        member = roots.t1 * pair
+        if not nf.inequality_suite(problem, form, member, nf.row_products(form, member)).all_ok:
             violations += 1
     n_iter = len(plus.trajectory) + len(minus.trajectory)
     verdict(8, violations == 0,

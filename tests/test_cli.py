@@ -721,8 +721,8 @@ def _raise(*args):
 def test_verify_builds_no_riesz_factors(tmp_path, monkeypatch, capsys, cells):
     # verify applies G only: neither the first column of G^{-1} (which the
     # dense inverse and the FFT-path Riesz map both start from) nor the S
-    # refinement runs; it applies G six times, to each component once for
-    # the residual, once for the pair statistics and once for its quotient
+    # refinement runs; it applies G twice, once to each component, and the
+    # residual, the pair statistics and both quotients read those products
     path = write_config(tmp_path, {"grid": {"cells": cells}})
     out = tmp_path / "run"
     assert cli.main(["solve", path, "--branch", "both", "--out", str(out)]) == 0
@@ -735,7 +735,7 @@ def test_verify_builds_no_riesz_factors(tmp_path, monkeypatch, capsys, cells):
     for name in ("solution_plus.json", "solution_minus.json"):
         applies.clear()
         assert cli.main(["verify", path, "--solution", str(out / name)]) == 0
-        assert len(applies) == 6
+        assert len(applies) == 2
 
 
 @pytest.mark.parametrize("cells", [64, 128, 1024])
@@ -1066,6 +1066,46 @@ def test_verify_flags_noise(tmp_path, capsys):
     sol_path = tmp_path / "noise.json"
     sol_path.write_text(json.dumps(sol))
     assert cli.main(["verify", path, "--solution", str(sol_path)]) != 0
+
+
+def _unreadable_json(tmp_path, kind):
+    # a file that is not UTF-8, and JSON nested deeper than the recursion limit
+    path = tmp_path / f"{kind}.json"
+    if kind == "not_utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    else:
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["not_utf8", "nested"])
+@pytest.mark.parametrize("command", ["constants", "solve", "sweep", "fiber", "verify", "assemble"])
+def test_an_unreadable_config_is_a_config_error(tmp_path, capsys, command, kind):
+    config = _unreadable_json(tmp_path, kind)
+    out = tmp_path / "out"
+    extra = {"solve": ["--out", str(out)],
+             "sweep": ["--lambdas", "0.01", "--mus", "0.01", "--out", str(out)],
+             "fiber": ["--out", str(out)],
+             "verify": ["--solution", config]}.get(command, [])
+    assert cli.main([command, config, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot read config {config}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["not_utf8", "nested"])
+def test_verify_an_unreadable_solution_is_a_config_error(tmp_path, capsys, kind):
+    # the solution is read through the config's reader, so it fails as a
+    # config does
+    path = write_config(tmp_path)
+    solution = _unreadable_json(tmp_path, kind)
+    assert cli.main(["verify", path, "--solution", solution]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot read solution {solution}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("content", ["[1, 2]", '{"u": ["abc"], "w": [0.0]}'])

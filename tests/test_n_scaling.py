@@ -1,4 +1,5 @@
 import glob
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -8,11 +9,17 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_n_scaling_smoke(tmp_path):
-    # one cell count, in a process of its own, gives one complete row
-    out = tmp_path / "scaling.json"
+    # one cell count, in processes of its own, gives one complete row, the
+    # median of three runs, with the verify times of a --before file beside it
+    out, before = tmp_path / "scaling.json", tmp_path / "before.json"
+    earlier = {"cells": 32, "verify": {"plus": {"exit": 0, "s": 1.0}}}
+    before.write_text(json.dumps({"host": {"src_lines": 1}, "rows": [earlier]}))
     subprocess.run([sys.executable, str(ROOT / "tools" / "n_scaling.py"), "--cells", "32",
-                    "--out", str(out)], check=True, capture_output=True, timeout=120)
+                    "--out", str(out), "--before", str(before)],
+                   check=True, capture_output=True, timeout=120)
     bench = json.loads(out.read_text())
+    assert bench["host"]["runs"] == 3
+    assert bench["verify_before"] == {"host": {"src_lines": 1}, "rows": [earlier]}
     [row] = bench["rows"]
     assert (row["cells"], row["restarts"]) == (32, 8)
     assert set(row["timings_ms"]) == {"assemble_ms", "riesz_setup_ms", "descent_ms",
@@ -33,3 +40,14 @@ def test_n_scaling_smoke(tmp_path):
                 for p in glob.glob(str(ROOT / "src" / "neharifrac" / "*.py")))
     assert bench["host"]["src_lines"] == lines
     assert {"python", "numpy", "nproc"} <= set(bench["host"])
+
+
+def test_a_row_is_the_median_of_its_runs():
+    # each float is its median over the runs; counts and verdicts the first run's
+    spec = importlib.util.spec_from_file_location("n_scaling", ROOT / "tools" / "n_scaling.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = [{"s": s, "iters": 8, "ok": True, "verify": {"plus": {"s": 10 * s, "exit": 0}}}
+            for s in (3.0, 1.0, 2.0)]
+    assert tool._median(runs) == {"s": 2.0, "iters": 8, "ok": True,
+                                  "verify": {"plus": {"s": 20.0, "exit": 0}}}

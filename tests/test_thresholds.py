@@ -181,6 +181,26 @@ def test_estimate_S_skips_zero_candidates(form64):
     assert nf.estimate_S(form64, 3.0, [zero]) == nf.estimate_S(form64, 3.0, [])
 
 
+@pytest.mark.parametrize("cells", [64, 511, 512, 2048],
+                         ids=["dense-64", "dense-511", "FFT-512", "FFT-2048"])
+def test_a_row_quotient_has_its_bytes_alone_and_in_any_block(cells):
+    # every quotient is the refinement's row kernel on products formed a row
+    # at a time, so a row's quotient and L^r sum do not depend on the rows
+    # beside it: below the crossover a dense product of several rows rounds
+    # each row by how many there are
+    form = nf.assemble_form(nf.GridSpec(-1.0, 1.0, cells), 0.4)
+    assert form.matrix_free is (cells >= form_mod.MATRIX_FREE_CELLS)
+    block = np.random.default_rng(cells).standard_normal((16, cells - 1))
+    alone = [thresholds.embedding_quotients(form, 3.0, row[None], nf.row_products(form, row[None]))
+             for row in block]
+    assert [rayleigh_quotient(form, 3.0, row) for row in block] == [q[0] for q, _ in alone]
+    for start, stop in ((0, 2), (7, 9), (0, 16)):
+        x = block[start:stop].copy()
+        quotients, sums = thresholds.embedding_quotients(form, 3.0, x, nf.row_products(form, x))
+        assert quotients.tolist() == [q[0] for q, _ in alone[start:stop]]
+        assert sums.tolist() == [lr[0] for _, lr in alone[start:stop]]
+
+
 def _earlier_candidates(grid):
     # the hat, the smooth bump and the half-cosine that earlier versions
     # passed to estimate_S by default, built here so that a change to the
@@ -383,7 +403,7 @@ def _refine_block_reference(form, r, *starts):
     w = form.grid.trapezoid_weights()[1:-1]
     v = np.array(starts)
     v /= np.abs(v).max(axis=1, keepdims=True)
-    best, power = thresholds._quotients(v, form.apply(v), w, r)
+    best, _, power = thresholds._quotients(v, form.apply(v), w, r)
     rows, previous, mapped = np.arange(len(v)), None, 0
     for _ in range(MAX_INVERSE_ITERATIONS):
         rhs = w * np.copysign(power, v)
@@ -408,10 +428,11 @@ def _refine_block_reference(form, r, *starts):
 @pytest.mark.parametrize("s,r", [(0.4, 3.0), (0.4, 5.5), (0.3, 3.9)])
 @pytest.mark.parametrize("cells,matrix_free", [(128, False), (1024, True)])
 def test_refinement_takes_one_riesz_map_per_iteration(monkeypatch, cells, matrix_free, s, r):
-    # one product with G for the starts' first quotients, then one Riesz map
-    # per iteration, over the rows that have not stopped: a row leaves as
-    # its own refinement alone stops, extrapolation included, or at the
-    # iteration k where it meets the other (see _meeting), which goes on
+    # one product with G for each start's first quotient, a row at a time
+    # (energy.row_products), then one Riesz map per iteration, over the rows
+    # that have not stopped: a row leaves as its own refinement alone stops,
+    # extrapolation included, or at the iteration k where it meets the other
+    # (see _meeting), which goes on
     form = _form_on_path(monkeypatch, cells, s, matrix_free)
     hat, cosine = nf.default_candidates(form)
     traces = [_lone_trace(monkeypatch, form, r, start)[1] for start in (hat, cosine)]
@@ -419,10 +440,11 @@ def test_refinement_takes_one_riesz_map_per_iteration(monkeypatch, cells, matrix
     k, goes_on = _meeting(traces)
     apply, riesz = form.apply, form.riesz
     products, maps = [], []
-    monkeypatch.setattr(form, "apply", lambda x: products.append(len(x)) or apply(x))
+    monkeypatch.setattr(form, "apply",
+                        lambda x: products.append(len(np.atleast_2d(x))) or apply(x))
     monkeypatch.setattr(form, "riesz", lambda x: maps.append(len(x)) or riesz(x))
     _inverse_iteration(form, r, hat, cosine)
-    assert products == [2]
+    assert products == [1, 1]
     if k is None:
         assert maps == [2] * min(lone) + [1] * (max(lone) - min(lone)), lone
     else:

@@ -38,7 +38,8 @@ def test_weak_residual_of_converged_solution(problem64, form64, solved64):
     plus, minus = solved64
     for rep in (plus, minus):
         delta = 1e-4 * float(np.max(rep.u))
-        res = nf.weak_residual(problem64, form64, pair_of(rep), delta)
+        pair = pair_of(rep)
+        res = nf.weak_residual(problem64, pair, nf.row_products(form64, pair), delta)
         assert res.res_u <= 1e-3
         assert res.res_w <= 1e-3
         assert res.masked_fraction < 0.2
@@ -50,7 +51,8 @@ def test_weak_residual_is_the_energy_gradient(problem64, form64, solved64):
     # so both copies must give the same numbers there
     for rep in solved64:
         delta = 1e-4 * float(np.max(rep.u))
-        res = nf.weak_residual(problem64, form64, pair_of(rep), delta)
+        pair = pair_of(rep)
+        res = nf.weak_residual(problem64, pair, nf.row_products(form64, pair), delta)
         u, v = rep.u, rep.w
         Gu, Gv = form64.matrix @ u, form64.matrix @ v
         [gu], [gv] = smoothed_gradient(problem64, np.stack([u, v])[:, None],
@@ -67,7 +69,7 @@ def test_weak_residual_discriminates_noise(problem64, form64):
     pair = random_x0_pair(problem64, rng, nonnegative=True)
     # scale into the solution's magnitude range to keep the test fair
     pair = (0.05 / max(pair[0].max(), 1e-12)) * pair
-    res = nf.weak_residual(problem64, form64, pair, 1e-4 * pair[0].max())
+    res = nf.weak_residual(problem64, pair, nf.row_products(form64, pair), 1e-4 * pair[0].max())
     assert max(res.res_u, res.res_w) > 0.1
 
 
@@ -82,7 +84,7 @@ def test_weak_residual_pure_quadratic_normalizes_to_one(form64):
                             crit_exp=10.0, f_vals=np.ones(n), g_vals=np.ones(n),
                             b_vals=np.zeros(n), f_norm=2.0, g_norm=2.0)
     pair = bump_pair(p, 0.0, 0.4)
-    res = nf.weak_residual(p, form64, pair, 1e-6)
+    res = nf.weak_residual(p, pair, nf.row_products(form64, pair), 1e-6)
     assert res.res_u == pytest.approx(1.0)
     assert res.res_w == pytest.approx(1.0)
 
@@ -90,27 +92,36 @@ def test_weak_residual_pure_quadratic_normalizes_to_one(form64):
 def test_weak_residual_all_masked(problem64, form64):
     pair = bump_pair(problem64, 0.0, 0.3)
     with pytest.raises(AllMasked):
-        nf.weak_residual(problem64, form64, pair, delta=1e9)
+        nf.weak_residual(problem64, pair, nf.row_products(form64, pair), delta=1e9)
 
 
 def test_inequality_suite_on_solutions(problem64, form64, solved64):
     for rep in solved64:
-        checks = nf.inequality_suite(problem64, form64, pair_of(rep))
+        pair = pair_of(rep)
+        checks = nf.inequality_suite(problem64, form64, pair, nf.row_products(form64, pair))
         assert checks.all_ok, checks.as_dict()
 
 
 def test_inequality_suite_zero_pair(problem64, form64):
     # neither component has a quotient, so no S bounds the chains
+    zero = np.zeros((2, problem64.grid.cells - 1))
     with pytest.raises(AllMasked):
-        nf.inequality_suite(problem64, form64, np.zeros((2, problem64.grid.cells - 1)))
+        nf.inequality_suite(problem64, form64, zero, nf.row_products(form64, zero))
 
 
 def test_inequality_suite_skips_a_vanished_component(problem64, form64):
-    # w has no quotient, so u's alone sets S, and the chains hold there
-    u = bump_pair(problem64, 0.0, 0.35)[0]
-    checks = nf.inequality_suite(problem64, form64, np.array([u, np.zeros_like(u)]))
-    assert checks.S == nf.rayleigh_quotient(form64, 3.0, u)
-    assert checks.all_ok, checks.as_dict()
+    # the vanished component has no quotient, so the other's alone sets S,
+    # and the chains hold there; a vanished u has L^r norm 0 in the Hoelder step
+    other = bump_pair(problem64, 0.0, 0.35)[0]
+    for vanished in (1, 0):
+        pair = np.array([other, other])
+        pair[vanished] = 0.0
+        checks = nf.inequality_suite(problem64, form64, pair, nf.row_products(form64, pair))
+        assert checks.S == nf.rayleigh_quotient(form64, 3.0, other)
+        assert checks.all_ok, checks.as_dict()
+        hoelder = checks.as_dict()["checks"][-1]
+        assert hoelder["name"] == "discrete_hoelder"
+        assert (hoelder["lhs"] == hoelder["rhs"] == 0.0) is (vanished == 0)
 
 
 def test_inequality_suite_random_projected_pairs(problem64, form64):
@@ -130,7 +141,8 @@ def test_inequality_suite_random_projected_pairs(problem64, form64):
         if roots.t1 is None:
             continue
         done += 1
-        checks = nf.inequality_suite(problem64, form64, roots.t1 * pair)
+        member = roots.t1 * pair
+        checks = nf.inequality_suite(problem64, form64, member, nf.row_products(form64, member))
         assert checks.all_ok, checks.as_dict()
 
 

@@ -6,6 +6,7 @@ Run from the repository root:
 
     python3 tools/n_scaling.py                       # writes BENCH_nscaling.json
     python3 tools/n_scaling.py --cells 128,1024 --out scaling.json
+    python3 tools/n_scaling.py --before parent.json  # with another run's verify times
 
 It imports the program from ``src/`` of the checkout it lives in. Each cell
 count runs the solve and its two verifies in a process of its own, and the
@@ -13,9 +14,13 @@ sweep in another, so each peak RSS is that of its own commands. Grids up to
 4096 cells take 8 restarts, finer ones 1. A row gives `solve`'s
 `timings_ms`, its wall time, each branch's iterations, `restarts_joined`,
 stationarity and verdict, each `verify`'s wall time and exit code, and the
-sweep's wall time, exit code and peak RSS. The file also records the `src/`
-line count (as `cat src/neharifrac/*.py | wc -l` counts it) and the Python,
-numpy and core counts of the host.
+sweep's wall time, exit code and peak RSS. Each cell count runs RUNS times,
+since one run on a shared host is noise, and a row gives each time and peak
+RSS as the median over the runs. The file also records the run count, the
+`src/` line count (as `cat src/neharifrac/*.py | wc -l` counts it) and the
+Python, numpy and core counts of the host, and, with ``--before``, the
+verify times of another file of this tool's, such as a run of the parent
+commit, by cell count.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -38,6 +44,7 @@ SRC = os.path.join(ROOT, "src")
 DEFAULT_CELLS = (128, 256, 512, 1024, 2048, 4096, 16384, 65536)
 # above this many cells a solve takes one restart instead of eight
 MANY_RESTARTS_CELLS = 4096
+RUNS = 3
 README_CONFIG = {
     "grid": {"left": -1.0, "right": 1.0, "cells": 256},
     "s": 0.4, "q": 0.5, "alpha": 1.5, "beta": 1.5,
@@ -127,6 +134,15 @@ def _child(flag: str, cells: str) -> dict:
     return json.loads(child.stdout)
 
 
+def _median(runs: list):
+    """The runs of one row as one: the median of each float, and the first
+    run's value of every other field (counts, verdicts, exit codes)."""
+    first = runs[0]
+    if isinstance(first, dict):
+        return {key: _median([run[key] for run in runs]) for key in first}
+    return statistics.median(runs) if isinstance(first, float) else first
+
+
 def metadata() -> dict:
     import numpy as np
 
@@ -144,6 +160,8 @@ def main(argv=None) -> int:
     parser.add_argument("--cells", default=",".join(map(str, DEFAULT_CELLS)),
                         help="comma-separated cell counts")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_nscaling.json"))
+    parser.add_argument("--before", help="an earlier file of this tool's, whose verify "
+                        "times to record beside these")
     parser.add_argument("--one", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--one-sweep", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -155,12 +173,21 @@ def main(argv=None) -> int:
         return 0
     rows = []
     for cells in args.cells.split(","):
-        rows.append({**_child("--one", cells), "sweep": _child("--one-sweep", cells)})
+        rows.append(_median([{**_child("--one", cells), "sweep": _child("--one-sweep", cells)}
+                             for _ in range(RUNS)]))
         print(f"{cells} cells: solve {rows[-1]['solve_s']:.3f} s, verify "
               + " / ".join(f"{v['s']:.3f}" for v in rows[-1]["verify"].values())
               + f" s, sweep {rows[-1]['sweep']['s']:.3f} s", file=sys.stderr)
+    bench = {"base_config": README_CONFIG, "host": {**metadata(), "runs": RUNS},
+             "rows": rows}
+    if args.before:
+        with open(args.before, encoding="utf-8") as fh:
+            before = json.load(fh)
+        bench["verify_before"] = {"host": before["host"],
+                                  "rows": [{"cells": row["cells"], "verify": row["verify"]}
+                                           for row in before["rows"]]}
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"base_config": README_CONFIG, "host": metadata(), "rows": rows}, fh, indent=2)
+        json.dump(bench, fh, indent=2)
         fh.write("\n")
     return 0
 
